@@ -10,6 +10,7 @@
 package stateskiplfsr
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -186,7 +187,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkCoverage measures fault-universe coverage of a fixed random
-// core, serial (workers=1) versus sharded across every CPU. Detection
+// core, serial (workers=1) versus chunked across every CPU. Detection
 // results are bit-identical for any worker count (asserted by the
 // differential tests in internal/faultsim); only the wall clock differs.
 // At paper scale the core and pattern count grow to the size of the
@@ -218,7 +219,7 @@ func BenchmarkCoverage(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var cov float64
 			for i := 0; i < b.N; i++ {
-				_, c, err := faultsim.CoverageOpts(u, patterns, faultsim.Options{Workers: workers})
+				_, c, err := faultsim.CoverageCtx(context.Background(), u, patterns, faultsim.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -232,9 +233,9 @@ func BenchmarkCoverage(b *testing.B) {
 
 // BenchmarkRunAll measures the full ATPG pipeline (event-driven PODEM
 // implication + speculative generation + commit-ordered X-fill + 64-wide
-// batched fault dropping) end to end: serial versus pipelined across every
-// CPU, and the classic SCOAP backtrace versus the FAN/SOCRATES multiple
-// backtrace. The shared atpg.Tables are built once per RunAll; per-worker
+// batched fault dropping) end to end: one speculative worker versus one
+// per CPU, and the classic SCOAP backtrace versus the FAN/SOCRATES multiple
+// backtrace. The shared atpg.Tables are built once per RunAllCtx; per-worker
 // Generators are cheap scratch. Within one strategy cubes, patterns and
 // counters are bit-identical for any worker count and (for scoap) to the
 // kept full-resimulation reference engine (both asserted by atpg's
@@ -264,7 +265,7 @@ func BenchmarkRunAll(b *testing.B) {
 				b.Run(fmt.Sprintf("core=%d/strategy=%v/workers=%d", seed, strategy, workers), func(b *testing.B) {
 					var res *atpg.Result
 					for i := 0; i < b.N; i++ {
-						r, err := atpg.RunAll(u, atpg.Options{
+						r, err := atpg.RunAllCtx(context.Background(), u, atpg.Options{
 							FaultDrop: true, FillSeed: 7, Workers: workers,
 							BacktrackLimit: 20, Backtrace: strategy,
 						})

@@ -20,7 +20,7 @@ import (
 // to the same bar as the facade: its analyzers document the invariants
 // they enforce, so their godoc is part of the contract; internal/benchrun
 // likewise, since its snapshot schema is what CI diffs run over run;
-// internal/faultsim since the lane/arena/shard surface is what the ATPG
+// internal/faultsim since the lane/arena/sweep surface is what the ATPG
 // pipeline and the coverage jobs program against.
 var docCheckedPackages = []string{".", "internal/atpg", "internal/lint", "internal/benchrun", "internal/journal", "internal/faultsim"}
 

@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -45,6 +46,7 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown -backtrace %q (want scoap or multi)", *backtrace)
 	}
+	ctx := context.Background()
 
 	// 1. The "vendor's" core: an 80-input scan circuit.
 	core, err := netlist.Random(netlist.RandomConfig{
@@ -59,7 +61,7 @@ func main() {
 
 	// 2. ATPG: collapsed stuck-at faults, PODEM with fault dropping.
 	universe := faultsim.NewUniverse(core)
-	res, err := atpg.RunAll(universe, atpg.Options{FaultDrop: true, FillSeed: 1, Workers: *workers, Backtrace: strategy})
+	res, err := atpg.RunAllCtx(ctx, universe, atpg.Options{FaultDrop: true, FillSeed: 1, Workers: *workers, Backtrace: strategy})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func main() {
 		res.Coverage*100, sum.MeanSpecified, sum.MaxSpecified, sum.Width)
 
 	// 3. Independent verification of the shipped patterns.
-	_, cov, err := faultsim.CoverageOpts(universe, res.Patterns, faultsim.Options{Workers: *workers})
+	_, cov, err := faultsim.CoverageCtx(ctx, universe, res.Patterns, faultsim.Options{Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func main() {
 		}
 		applied[i] = p
 	}
-	_, finalCov, err := faultsim.CoverageOpts(universe, applied, faultsim.Options{Workers: *workers})
+	_, finalCov, err := faultsim.CoverageCtx(ctx, universe, applied, faultsim.Options{Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}

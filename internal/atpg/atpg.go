@@ -849,7 +849,7 @@ type Result struct {
 	Coverage float64
 }
 
-// Options tunes RunAll.
+// Options tunes RunAllCtx.
 type Options struct {
 	// FaultDrop simulates each new cube (X-filled randomly) against the
 	// remaining faults and drops everything it detects, like Atalanta.
@@ -865,11 +865,11 @@ type Options struct {
 	// and fault-simulator-verified — cubes; within one strategy results
 	// stay bit-identical for any Workers value.
 	Backtrace Backtrace
-	// Workers parallelizes RunAll: cube generation runs speculatively on a
-	// pool of per-worker Generators over a sliding window of upcoming
-	// faults, and the fault-drop sweep of each committed 64-pattern batch
-	// is sharded across a pool of fault simulators. 0 or negative means
-	// one worker per CPU. Results commit strictly in fault-index order, so
+	// Workers parallelizes RunAllCtx: cube generation runs speculatively
+	// on a pool of per-worker Generators over a sliding window of upcoming
+	// faults, and the fault-drop sweep of each committed batch is chunked
+	// across a pool of fault simulators. 0 or negative means one worker
+	// per CPU. Results commit strictly in fault-index order, so
 	// the emitted cubes, patterns and counters are bit-identical for any
 	// value.
 	Workers int
@@ -884,8 +884,8 @@ type Options struct {
 	// sweep width.
 	LaneWords int
 	// Tables optionally supplies prebuilt shared tables for the universe's
-	// netlist, so repeated RunAll calls over one circuit skip rebuilding
-	// levelization, fan-out lists and SCOAP weights. When nil, RunAll
+	// netlist, so repeated RunAllCtx calls over one circuit skip rebuilding
+	// levelization, fan-out lists and SCOAP weights. When nil, RunAllCtx
 	// builds them once per invocation (never once per worker).
 	Tables *Tables
 	// CheckpointEvery, when > 0 together with Checkpoint, snapshots the
@@ -900,33 +900,29 @@ type Options struct {
 	// Resume, when non-nil, starts the run from a prior snapshot instead
 	// of from scratch; the final Result is bit-identical to the
 	// uninterrupted run's. The checkpoint must Match the universe or
-	// RunAll fails before touching any fault.
+	// RunAllCtx fails before touching any fault.
 	Resume *Checkpoint
 }
 
-// RunAll generates test cubes for every fault of the universe.
+// RunAllCtx generates test cubes for every fault of the universe.
 //
 // With FaultDrop on, committed patterns accumulate into 64×LaneWords-wide
-// batches so every sharded sweep over the remaining universe fills all the
+// batches so every sweep over the remaining universe fills all the
 // simulator lanes; between sweeps each PODEM candidate is first checked
 // against the pending (not yet swept) lanes with one event-driven
-// DetectAny. A fault
-// therefore reaches PODEM exactly when no earlier committed pattern
-// detects it — the same rule as the classic sweep-after-every-pattern
-// loop, which this replaces bit for bit at a fraction of the simulation
-// work.
-func RunAll(u *faultsim.Universe, opt Options) (*Result, error) {
-	return RunAllCtx(context.Background(), u, opt)
-}
-
-// RunAllCtx is RunAll with cooperative cancellation: the context is polled
-// at every fault boundary and, amortized, inside each PODEM run, so a
-// cancel or deadline takes effect within microseconds of the engines
-// noticing it. A cancelled run returns the partial Result accumulated so
-// far (counters and cubes for every fault committed before the cancel,
-// coverage computed over the full universe) alongside an error wrapping
-// context.Canceled or context.DeadlineExceeded. An uncancelled run is
-// bit-identical to RunAll.
+// DetectAny. A fault therefore reaches PODEM exactly when no earlier
+// committed pattern detects it — the same rule as the classic
+// sweep-after-every-pattern loop, which this replaces bit for bit at a
+// fraction of the simulation work.
+//
+// The context is polled at every fault boundary and, amortized, inside
+// each PODEM run and drop sweep, so a cancel or deadline takes effect
+// within microseconds of the engines noticing it. A cancelled run returns
+// the partial Result accumulated so far (counters and cubes for every
+// fault committed before the cancel, coverage computed over the full
+// universe) alongside an error wrapping context.Canceled or
+// context.DeadlineExceeded. An uncancelled run's Result does not depend on
+// the context.
 func RunAllCtx(ctx context.Context, u *faultsim.Universe, opt Options) (*Result, error) {
 	tables := opt.Tables
 	if tables == nil {
@@ -957,24 +953,12 @@ func RunAllCtx(ctx context.Context, u *faultsim.Universe, opt Options) (*Result,
 		res:      &Result{Cubes: cube.NewSet(len(u.Net.Inputs))},
 		done:     make([]bool, len(u.Faults)),
 	}
-	if opt.FaultDrop {
-		// Stream the drop sweeps in deterministic shards when the universe
-		// is the canonical NewUniverse enumeration (always, in practice);
-		// a custom fault list falls back to the materialized sweep.
-		if fs := faultsim.NewFaultShards(u.Net, 0); fs.Matches(u.Faults) {
-			r.shards = fs
-		}
-	}
 	if opt.Resume != nil {
 		if err := r.restore(opt.Resume); err != nil {
 			return nil, err
 		}
 	}
-	if workers > 1 {
-		err = r.runPipelined(workers)
-	} else {
-		err = r.runSerial()
-	}
+	err = r.runPipelined(workers)
 	if den := len(u.Faults) - r.res.Untestable; den > 0 {
 		r.res.Coverage = float64(r.res.Detected) / float64(den)
 	}
@@ -990,7 +974,7 @@ func RunAllCtx(ctx context.Context, u *faultsim.Universe, opt Options) (*Result,
 	return r.res, nil
 }
 
-// runner holds the shared state of one RunAll invocation. All of it is
+// runner holds the shared state of one RunAllCtx invocation. All of it is
 // owned by the committing goroutine — generation workers only ever touch
 // their own job slots — so the done evolution, the FillSeed stream and
 // every counter advance in fault-index order regardless of scheduling.
@@ -1002,12 +986,9 @@ type runner struct {
 	sims   []*faultsim.Simulator // sims[0] accumulates the pending batch
 	// capacity is sims[0].Capacity(): 64×LaneWords patterns per sweep.
 	capacity int
-	// shards streams the drop sweeps when non-nil (the universe matches
-	// the canonical enumeration); nil falls back to u.Faults.
-	shards *faultsim.FaultShards
-	src    *prng.Source
-	res    *Result
-	done   []bool
+	src      *prng.Source
+	res      *Result
+	done     []bool
 	// commits counts committed faults for the checkpoint cadence.
 	commits int
 }
@@ -1021,30 +1002,6 @@ func (r *runner) newGenerator() *Generator {
 	g.Strategy = r.opt.Backtrace
 	g.Ctx = r.ctx
 	return g
-}
-
-// runSerial is the one-worker path: generate at the commit point, no
-// speculation. Batching and the pending-lane check are identical to the
-// pipelined path, so results match for any worker count.
-func (r *runner) runSerial() error {
-	g := r.newGenerator()
-	for fi, f := range r.u.Faults {
-		if err := r.ctx.Err(); err != nil {
-			return err
-		}
-		if r.done[fi] || r.dropPending(fi) {
-			continue
-		}
-		c, status := g.Generate(f)
-		if status == StatusCanceled {
-			return r.ctx.Err()
-		}
-		if err := r.commit(fi, c, status, g.Backtracks); err != nil {
-			return err
-		}
-		r.maybeCheckpoint()
-	}
-	return nil
 }
 
 // specJob is one speculative PODEM run. The owning worker writes c, status
@@ -1065,7 +1022,8 @@ type specJob struct {
 // a speculative run is either committed unchanged or — when its target was
 // dropped by an earlier committed pattern in the meantime — discarded
 // without side effects. Speculation therefore only spends bounded extra
-// work; it cannot change the output.
+// work; it cannot change the output. It is the only execution path:
+// Workers=1 is one speculative worker beside the committing goroutine.
 func (r *runner) runPipelined(workers int) error {
 	gens := make([]*Generator, workers)
 	for i := range gens {
@@ -1203,10 +1161,8 @@ func (r *runner) commit(fi int, c cube.Cube, status Status, backtracks int) erro
 }
 
 // sweep runs the accumulated full-width batch (64×LaneWords patterns)
-// against every remaining fault, sharded across the simulator pool, and
-// starts a fresh batch. The universe streams through FaultShards when the
-// canonical enumeration matches (the materialized list is the fallback
-// for custom universes). No flush is needed after the last fault: every
+// against every remaining fault, chunked across the simulator pool, and
+// starts a fresh batch. No flush is needed after the last fault: every
 // fault has been committed or dropped by then, so a final sweep could not
 // mark anything new. A cancelled sweep returns the context error; its
 // partial done marks are all genuine detections, so the partial Result
@@ -1215,13 +1171,7 @@ func (r *runner) sweep() error {
 	for _, s := range r.sims[1:] {
 		s.AdoptPatterns(r.sims[0])
 	}
-	var n int
-	var err error
-	if r.shards != nil {
-		n, err = faultsim.DetectAllShardsCtx(r.ctx, r.sims, r.shards, r.done)
-	} else {
-		n, err = faultsim.DetectAllCtx(r.ctx, r.sims, r.u.Faults, r.done)
-	}
+	n, err := faultsim.DetectAllCtx(r.ctx, r.sims, r.u.Faults, r.done)
 	r.res.Detected += n
 	r.sims[0].ResetPatterns()
 	return err

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestC17EveryFaultTestable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := faultsim.NewSimulator(u)
+	sim, err := faultsim.NewSimulatorLanes(u, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestC17EveryFaultTestable(t *testing.T) {
 			if err := sim.LoadPatterns([][]uint8{pat}); err != nil {
 				t.Fatal(err)
 			}
-			if sim.DetectMask(f) == 0 {
+			if sim.DetectLanes(f)[0] == 0 {
 				t.Errorf("fault %v: cube %v (X=%d) does not detect it", f, c, fill)
 			}
 		}
@@ -75,7 +76,7 @@ func TestC17EveryFaultTestable(t *testing.T) {
 func TestRunAllC17FullCoverage(t *testing.T) {
 	n := readC17(t)
 	u := faultsim.NewUniverse(n)
-	res, err := RunAll(u, Options{FaultDrop: true, FillSeed: 7})
+	res, err := RunAllCtx(context.Background(), u, Options{FaultDrop: true, FillSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestRandomCircuitsHighCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := faultsim.NewUniverse(nl)
-		res, err := RunAll(u, Options{FaultDrop: true, FillSeed: seed})
+		res, err := RunAllCtx(context.Background(), u, Options{FaultDrop: true, FillSeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestRandomCircuitsHighCoverage(t *testing.T) {
 		if len(res.Patterns) != res.Cubes.Len() {
 			t.Fatalf("seed %d: %d patterns for %d cubes", seed, len(res.Patterns), res.Cubes.Len())
 		}
-		det, cov, err := faultsim.Coverage(u, res.Patterns)
+		det, cov, err := faultsim.CoverageCtx(context.Background(), u, res.Patterns, faultsim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package atpg
 // coverage never drops below the reference strategy's.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -33,7 +34,7 @@ func verifyCube(t *testing.T, label string, sim *faultsim.Simulator, f faultsim.
 		if err := sim.LoadPatterns([][]uint8{pat}); err != nil {
 			t.Fatal(err)
 		}
-		if sim.DetectMask(f) == 0 {
+		if sim.DetectLanes(f)[0] == 0 {
 			t.Fatalf("%s: cube %s (X=%d) does not detect fault %v", label, c, fill, f)
 		}
 	}
@@ -59,7 +60,7 @@ func TestMultiStatusSound(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := faultsim.NewUniverse(nl)
-		sim, err := faultsim.NewSimulator(u)
+		sim, err := faultsim.NewSimulatorLanes(u, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,12 +97,12 @@ func TestMultiRunAllCoverageNoLower(t *testing.T) {
 	for name, nl := range runAllCircuits(t) {
 		u := faultsim.NewUniverse(nl)
 		opt := Options{FaultDrop: true, FillSeed: 99, BacktrackLimit: 40}
-		ref, err := RunAll(u, opt)
+		ref, err := RunAllCtx(context.Background(), u, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt.Backtrace = BacktraceMulti
-		multi, err := RunAll(u, opt)
+		multi, err := RunAllCtx(context.Background(), u, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,14 +129,14 @@ func TestMultiPatternsReachReportedCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := faultsim.NewUniverse(nl)
-		res, err := RunAll(u, Options{FaultDrop: true, FillSeed: seed, Backtrace: BacktraceMulti})
+		res, err := RunAllCtx(context.Background(), u, Options{FaultDrop: true, FillSeed: seed, Backtrace: BacktraceMulti})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Coverage < 0.98 {
 			t.Errorf("seed %d: coverage %.3f below 0.98", seed, res.Coverage)
 		}
-		_, cov, err := faultsim.Coverage(u, res.Patterns)
+		_, cov, err := faultsim.CoverageCtx(context.Background(), u, res.Patterns, faultsim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/gf2"
 )
 
-// Checkpoint is a consistent snapshot of a RunAll in progress, taken at a
+// Checkpoint is a consistent snapshot of a RunAllCtx in progress, taken at a
 // commit boundary: every counter, the per-fault done marks, the cubes and
 // patterns emitted so far, and the X-fill stream position. Resuming from
 // it (Options.Resume) produces final results bit-identical to the

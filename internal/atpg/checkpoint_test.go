@@ -57,7 +57,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("NewTables: %v", err)
 	}
 	base := Options{FaultDrop: true, FillSeed: 99, BacktrackLimit: 40, Tables: tables, Workers: 1}
-	want, err := RunAll(u, base)
+	want, err := RunAllCtx(context.Background(), u, base)
 	if err != nil {
 		t.Fatalf("uninterrupted RunAll: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		resumeOpt := base
 		resumeOpt.Workers = tc.resumeWorkers
 		resumeOpt.Resume = &cp
-		got, err := RunAll(u, resumeOpt)
+		got, err := RunAllCtx(context.Background(), u, resumeOpt)
 		if err != nil {
 			t.Fatalf("resumed RunAll: %v", err)
 		}
@@ -237,7 +237,7 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 	if cp.Matches(other) {
 		t.Fatalf("checkpoint matched a different circuit")
 	}
-	if _, err := RunAll(other, Options{Resume: &cp}); err == nil {
+	if _, err := RunAllCtx(context.Background(), other, Options{Resume: &cp}); err == nil {
 		t.Fatalf("Resume against mismatched universe succeeded")
 	}
 }

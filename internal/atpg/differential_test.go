@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestTablesBuiltOncePerRunAll(t *testing.T) {
 	u := faultsim.NewUniverse(nl)
 	for _, workers := range []int{1, 4, 8} {
 		before := tablesBuilt.Load()
-		if _, err := RunAll(u, Options{FaultDrop: true, FillSeed: 3, Workers: workers, BacktrackLimit: 40}); err != nil {
+		if _, err := RunAllCtx(context.Background(), u, Options{FaultDrop: true, FillSeed: 3, Workers: workers, BacktrackLimit: 40}); err != nil {
 			t.Fatal(err)
 		}
 		if got := tablesBuilt.Load() - before; got != 1 {
@@ -152,7 +153,7 @@ func TestTablesBuiltOncePerRunAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := tablesBuilt.Load()
-	if _, err := RunAll(u, Options{FaultDrop: true, FillSeed: 3, Workers: 4, Tables: prebuilt}); err != nil {
+	if _, err := RunAllCtx(context.Background(), u, Options{FaultDrop: true, FillSeed: 3, Workers: 4, Tables: prebuilt}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tablesBuilt.Load() - before; got != 0 {
@@ -164,7 +165,7 @@ func TestTablesBuiltOncePerRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAll(u, Options{Tables: wrong}); err == nil {
+	if _, err := RunAllCtx(context.Background(), u, Options{Tables: wrong}); err == nil {
 		t.Error("RunAll accepted Tables built over a different netlist")
 	}
 	// Tables gone stale after a same-netlist mutation must be rejected
@@ -176,7 +177,7 @@ func TestTablesBuiltOncePerRunAll(t *testing.T) {
 	if _, err := other.AddGate("pr3_extra", netlist.Buf, "22"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAll(faultsim.NewUniverse(other), Options{Tables: stale}); err == nil {
+	if _, err := RunAllCtx(context.Background(), faultsim.NewUniverse(other), Options{Tables: stale}); err == nil {
 		t.Error("RunAll accepted stale Tables after a netlist mutation")
 	}
 	// MarkOutput changes neither the pointer nor the gate count, but makes
@@ -189,7 +190,7 @@ func TestTablesBuiltOncePerRunAll(t *testing.T) {
 	if err := third.MarkOutput("16"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAll(faultsim.NewUniverse(third), Options{Tables: stale2}); err == nil {
+	if _, err := RunAllCtx(context.Background(), faultsim.NewUniverse(third), Options{Tables: stale2}); err == nil {
 		t.Error("RunAll accepted stale Tables after MarkOutput")
 	}
 }

@@ -76,7 +76,7 @@ func FuzzGenerate(f *testing.F) {
 		if gs == StatusDetected && gc.String() != rc.String() {
 			t.Fatalf("fault %v: event cube %s, reference %s", fault, gc, rc)
 		}
-		sim, err := faultsim.NewSimulator(u)
+		sim, err := faultsim.NewSimulatorLanes(u, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 // counters, backtracks and coverage — must equal the per-pattern serial
 // reference. Widening the sweep only changes the drop cadence, and the
 // dropPending check at each commit makes the cadence unobservable. Run with
-// -race (CI does) to check the sharded sweeps under the pipeline.
+// -race (CI does) to check the chunked sweeps under the pipeline.
 func TestRunAllLaneWordsBitIdentical(t *testing.T) {
 	for name, nl := range runAllCircuits(t) {
 		for _, strategy := range []Backtrace{BacktraceSCOAP, BacktraceMulti} {
@@ -31,7 +31,7 @@ func TestRunAllLaneWordsBitIdentical(t *testing.T) {
 						o := opt
 						o.Workers = workers
 						o.LaneWords = lw
-						got, err := RunAll(u, o)
+						got, err := RunAllCtx(context.Background(), u, o)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -55,7 +55,7 @@ func TestCheckpointResumeAcrossLaneWidths(t *testing.T) {
 	}
 	u := faultsim.NewUniverse(nl)
 	base := Options{FaultDrop: true, FillSeed: 99, BacktrackLimit: 40, Workers: 1}
-	want, err := RunAll(u, base)
+	want, err := RunAllCtx(context.Background(), u, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCheckpointResumeAcrossLaneWidths(t *testing.T) {
 		resumeOpt := base
 		resumeOpt.LaneWords = tc.resumeLanes
 		resumeOpt.Resume = &cp
-		got, err := RunAll(u, resumeOpt)
+		got, err := RunAllCtx(context.Background(), u, resumeOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkRunAllLaneWidth(b *testing.B) {
 			opt := Options{FaultDrop: true, FillSeed: 7, Workers: 1, BacktrackLimit: 20, LaneWords: lw}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunAll(u, opt); err != nil {
+				if _, err := RunAllCtx(context.Background(), u, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -11,9 +12,9 @@ import (
 )
 
 // runAllPerPattern is the pre-batching reference: PODEM one fault at a
-// time, with a full DetectAll sweep after every single pattern (one
+// time, with a full DetectAllCtx sweep after every single pattern (one
 // simulator lane used per sweep). It is kept as the oracle the batched,
-// pipelined RunAll must match bit for bit — same cubes, same patterns,
+// pipelined RunAllCtx must match bit for bit — same cubes, same patterns,
 // same counters.
 func runAllPerPattern(u *faultsim.Universe, opt Options) (*Result, error) {
 	g, err := New(u.Net)
@@ -24,7 +25,7 @@ func runAllPerPattern(u *faultsim.Universe, opt Options) (*Result, error) {
 		g.BacktrackLimit = opt.BacktrackLimit
 	}
 	g.Strategy = opt.Backtrace
-	sims, err := faultsim.NewSimulatorPool(u, 1)
+	sims, err := faultsim.NewSimulatorPoolLanes(u, 1, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +67,11 @@ func runAllPerPattern(u *faultsim.Universe, opt Options) (*Result, error) {
 			if err := sims[0].LoadPatterns([][]uint8{pat}); err != nil {
 				return nil, err
 			}
-			res.Detected += faultsim.DetectAll(sims, u.Faults, done)
+			n, err := faultsim.DetectAllCtx(context.Background(), sims, u.Faults, done)
+			if err != nil {
+				return nil, err
+			}
+			res.Detected += n
 		}
 	}
 	if den := len(u.Faults) - res.Untestable; den > 0 {
@@ -142,7 +147,7 @@ func TestRunAllWorkersBitIdentical(t *testing.T) {
 				for _, workers := range []int{1, 2, 8, 0} {
 					o := opt
 					o.Workers = workers
-					got, err := RunAll(u, o)
+					got, err := RunAllCtx(context.Background(), u, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -166,7 +171,7 @@ func TestRunAllWorkersNoFaultDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 0} {
-		got, err := RunAll(u, Options{Workers: workers})
+		got, err := RunAllCtx(context.Background(), u, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +196,7 @@ func BenchmarkRunAllSerialBatching(b *testing.B) {
 	opt := Options{FaultDrop: true, FillSeed: 7, Workers: 1, BacktrackLimit: 20}
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := RunAll(u, opt); err != nil {
+			if _, err := RunAllCtx(context.Background(), u, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

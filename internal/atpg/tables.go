@@ -7,7 +7,7 @@ import (
 )
 
 // tablesBuilt counts NewTables calls across the process. The regression
-// tests use the delta to assert RunAll builds the shared tables exactly
+// tests use the delta to assert RunAllCtx builds the shared tables exactly
 // once per invocation regardless of the worker count.
 var tablesBuilt atomic.Uint64
 
@@ -28,9 +28,9 @@ type Tables struct {
 	level      []int // longest path from an input; fan-outs are strictly deeper
 	numLevels  int
 	numOutputs int // len(net.Outputs) at build time, for staleness checks
-	fanout    [][]int
-	isOutput  []bool
-	inputIdx  []int // gate index → position in net.Inputs, -1 otherwise
+	fanout     [][]int
+	isOutput   []bool
+	inputIdx   []int // gate index → position in net.Inputs, -1 otherwise
 	// controllability: rough SCOAP-like effort to set a signal to 0/1,
 	// used by backtrace to pick the easiest input.
 	cc0, cc1 []int

@@ -66,17 +66,12 @@ func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, err
 // handful of variants virtually always suffices. It returns the encoding
 // and the variant that worked.
 func EncodeAuto(n, width, chains, L int, set *cube.Set) (*Encoding, uint64, error) {
-	return EncodeAutoWorkers(n, width, chains, L, set, 0)
+	return EncodeAutoCached(n, width, chains, L, set, 0, nil)
 }
 
-// EncodeAutoWorkers is EncodeAuto with an explicit bound on the encoder's
-// candidate-scan parallelism (0 = GOMAXPROCS), for callers that already run
-// several encodings concurrently.
-func EncodeAutoWorkers(n, width, chains, L int, set *cube.Set, workers int) (*Encoding, uint64, error) {
-	return EncodeAutoCached(n, width, chains, L, set, workers, nil)
-}
-
-// EncodeAutoCached is EncodeAutoWorkers with a shared TablesCache: the
+// EncodeAutoCached is EncodeAuto with an explicit bound on the encoder's
+// candidate-scan parallelism (workers; 0 = GOMAXPROCS, for callers that
+// already run several encodings concurrently) and a shared TablesCache: the
 // symbolic tables of every phase-shifter variant tried are left in the
 // cache, so *repeated* encodes of the same (n, width, chains, L)
 // configuration — a session sweep revisiting a cell, a benchmark loop —

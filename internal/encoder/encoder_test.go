@@ -273,7 +273,7 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, vb, err := EncodeAutoWorkers(16, set.Width, 8, 12, set, 0)
+	b, vb, err := EncodeAutoCached(16, set.Width, 8, 12, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

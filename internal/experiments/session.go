@@ -405,7 +405,7 @@ func (s *Session) ATPG(core *netlist.Netlist, fillSeed uint64) (*faultsim.Univer
 // Workers budget and the cached shared Tables of the core, so repeated
 // runs over one netlist pay levelization and SCOAP once; everything else —
 // including Options.Backtrace, which cmd/stateskip's `atpg -backtrace`
-// flag rides through here — passes straight to atpg.RunAll.
+// flag rides through here — passes straight to atpg.RunAllCtx.
 func (s *Session) ATPGOpts(core *netlist.Netlist, opt atpg.Options) (*faultsim.Universe, *atpg.Result, error) {
 	return s.ATPGOptsCtx(s.ctx(), core, opt)
 }

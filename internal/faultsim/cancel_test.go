@@ -10,8 +10,8 @@ import (
 )
 
 // TestCoverageCtxCanceled asserts a dead context stops the sweep with a
-// typed error, and that the background-context path stays bit-identical
-// to the no-context API.
+// typed error, and that a live but never-cancelled context yields exactly
+// the background-context result.
 func TestCoverageCtxCanceled(t *testing.T) {
 	core, err := netlist.Random(netlist.RandomConfig{
 		Inputs: 40, Outputs: 24, Gates: 600, MaxFan: 3, Seed: 11,
@@ -36,11 +36,13 @@ func TestCoverageCtxCanceled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	detA, covA, err := Coverage(u, patterns)
+	detA, covA, err := CoverageCtx(context.Background(), u, patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	detB, covB, err := CoverageCtx(context.Background(), u, patterns, Options{})
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	detB, covB, err := CoverageCtx(live, u, patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

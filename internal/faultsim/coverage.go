@@ -8,10 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// Options tunes the parallel fault-simulation entry points.
+// Options tunes CoverageCtx and the simulator pools the ATPG drop loop
+// builds.
 type Options struct {
-	// Workers is the number of goroutines the fault universe is sharded
-	// across, each with its own Simulator scratch state. 0 or negative
+	// Workers is the number of goroutines a fault sweep is spread across,
+	// each with its own Simulator scratch state. 0 or negative
 	// means runtime.NumCPU(). Results are bit-identical for any value.
 	Workers int
 	// LaneWords widens every simulator to that many 64-bit words of
@@ -38,7 +39,7 @@ func (o Options) LaneWordCount() int {
 	return 1
 }
 
-// PoolSize is WorkerCount clamped to the fault universe being sharded:
+// PoolSize is WorkerCount clamped to the fault universe being swept:
 // never more workers than faults, never fewer than one.
 func (o Options) PoolSize(numFaults int) int {
 	w := o.WorkerCount()
@@ -51,45 +52,24 @@ func (o Options) PoolSize(numFaults int) int {
 	return w
 }
 
-// Coverage runs every fault of the universe against the given fully
-// specified patterns (batched a simulator capacity at a time) and returns
-// per-fault detection plus the coverage fraction. It uses a worker per
-// CPU; use CoverageOpts to control the pool size and lane width.
-func Coverage(u *Universe, patterns [][]uint8) (detected []bool, coverage float64, err error) {
-	return CoverageOpts(u, patterns, Options{})
-}
-
-// CoverageOpts is Coverage with an explicit worker-pool and lane-width
-// configuration. Every fault index is owned by exactly one worker per
-// sweep, so the detected slice is written race-free and the result does
-// not depend on scheduling.
-func CoverageOpts(u *Universe, patterns [][]uint8, opt Options) (detected []bool, coverage float64, err error) {
-	return CoverageCtx(context.Background(), u, patterns, opt)
-}
-
-// CoverageCtx is CoverageOpts with cooperative cancellation: the context
-// is polled between pattern batches and, amortized, inside every sharded
-// sweep, so a cancel or deadline stops the pool within microseconds. A
-// cancelled run returns a nil detected slice and an error wrapping
-// context.Canceled or context.DeadlineExceeded; an uncancelled run is
-// bit-identical to CoverageOpts — for any Workers and any LaneWords.
+// CoverageCtx runs every fault of the universe against the given fully
+// specified patterns and returns per-fault detection plus the coverage
+// fraction. Patterns are batched 64×LaneWords at a time, and each batch is
+// swept over the universe by DetectAllCtx across a pool of Workers
+// simulators. The result is bit-identical for any Workers and any
+// LaneWords.
 //
-// Patterns are batched 64×LaneWords at a time and each batch is swept via
-// FaultShards streaming: workers claim deterministic fixed-size shards of
-// the fault universe and regenerate them on the fly instead of walking one
-// big materialized list.
+// The context is polled between pattern batches and once per fault chunk
+// inside every sweep, so a cancel or deadline stops the pool within
+// microseconds. A cancelled run returns a nil detected slice and an error
+// wrapping context.Canceled or context.DeadlineExceeded.
 func CoverageCtx(ctx context.Context, u *Universe, patterns [][]uint8, opt Options) (detected []bool, coverage float64, err error) {
 	sims, err := NewSimulatorPoolLanes(u, opt.PoolSize(len(u.Faults)), opt.LaneWordCount())
 	if err != nil {
 		return nil, 0, err
 	}
-	shards := NewFaultShards(u.Net, 0)
-	useShards := shards.Matches(u.Faults)
 	detected = make([]bool, len(u.Faults))
-	batch := 1
-	if len(sims) > 0 {
-		batch = sims[0].Capacity()
-	}
+	batch := sims[0].Capacity()
 	for start := 0; start < len(patterns); start += batch {
 		end := min(start+batch, len(patterns))
 		if err := sims[0].LoadPatterns(patterns[start:end]); err != nil {
@@ -98,13 +78,7 @@ func CoverageCtx(ctx context.Context, u *Universe, patterns [][]uint8, opt Optio
 		for _, sim := range sims[1:] {
 			sim.AdoptPatterns(sims[0])
 		}
-		if useShards {
-			_, err = DetectAllShardsCtx(ctx, sims, shards, detected)
-		} else {
-			// The caller built a custom fault list; sweep it directly.
-			_, err = DetectAllCtx(ctx, sims, u.Faults, detected)
-		}
-		if err != nil {
+		if _, err := DetectAllCtx(ctx, sims, u.Faults, detected); err != nil {
 			return nil, 0, fmt.Errorf("faultsim: coverage stopped at pattern %d/%d: %w", start, len(patterns), err)
 		}
 	}
@@ -120,15 +94,9 @@ func CoverageCtx(ctx context.Context, u *Universe, patterns [][]uint8, opt Optio
 	return detected, coverage, nil
 }
 
-// NewSimulatorPool builds n single-lane-word simulators over one universe.
-// The shared topology is computed once up front, so the per-simulator cost
-// is only the scratch arenas.
-func NewSimulatorPool(u *Universe, n int) ([]*Simulator, error) {
-	return NewSimulatorPoolLanes(u, n, 1)
-}
-
 // NewSimulatorPoolLanes builds n simulators of the given lane width over
-// one universe (see NewSimulatorLanes).
+// one universe (see NewSimulatorLanes). The shared topology is computed
+// once, so the per-simulator cost is only the scratch arenas.
 func NewSimulatorPoolLanes(u *Universe, n, laneWords int) ([]*Simulator, error) {
 	sims := make([]*Simulator, n)
 	for i := range sims {
@@ -141,151 +109,57 @@ func NewSimulatorPoolLanes(u *Universe, n, laneWords int) ([]*Simulator, error) 
 	return sims, nil
 }
 
-// DetectAll shards faults across the simulator pool by stride and marks
-// newly detected ones in detected (entries already true are skipped, the
-// standard fault-drop rule). Every simulator must have the same patterns
-// loaded. Each worker owns a disjoint set of fault indices, so the writes
-// never race and the result does not depend on scheduling. It returns the
-// number of faults newly marked.
-func DetectAll(sims []*Simulator, faults []Fault, detected []bool) int {
-	n, _ := DetectAllCtx(context.Background(), sims, faults, detected)
-	return n
-}
+// sweepChunk is how many consecutive faults a sweep worker claims at a
+// time. The context is polled once per chunk: one DetectAny costs at least
+// a microsecond, so 256 faults bound cancellation latency well below a
+// millisecond while the amortized poll and claim cost is unmeasurable.
+const sweepChunk = 256
 
-// detectStride is how many faults each sweep worker simulates between
-// context polls: one DetectAny costs at least a microsecond, so polling
-// every 256 faults bounds cancellation latency well below a millisecond
-// while the amortized poll cost is unmeasurable.
-const detectStride = 256
-
-// DetectAllCtx is DetectAll with cooperative cancellation: every worker
-// polls the context once per detectStride faults and stops early when it
-// fires. On cancellation the detected slice holds a valid partial marking
-// (every true entry is genuinely detected) and the error wraps
-// context.Canceled or context.DeadlineExceeded; an uncancelled sweep is
-// bit-identical to DetectAll.
+// DetectAllCtx sweeps faults against the patterns loaded in the simulator
+// pool and marks newly detected ones in detected (indexed like faults;
+// entries already true are skipped, the standard fault-drop rule). Every
+// simulator must have the same patterns loaded. Workers claim disjoint
+// sweepChunk-sized index ranges from an atomic counter, one simulator each
+// (inline when the pool has one simulator), so the writes never race and
+// the marking does not depend on scheduling. It returns the number of
+// faults newly marked.
+//
+// On cancellation the detected slice holds a valid partial marking (every
+// true entry is genuinely detected) and the error wraps context.Canceled
+// or context.DeadlineExceeded.
 func DetectAllCtx(ctx context.Context, sims []*Simulator, faults []Fault, detected []bool) (int, error) {
-	if len(sims) == 1 {
-		count := 0
-		for fi, f := range faults {
-			if fi%detectStride == detectStride-1 && ctx.Err() != nil {
-				return count, ctx.Err()
-			}
-			if detected[fi] {
-				continue
-			}
-			if sims[0].DetectAny(f) {
-				detected[fi] = true
-				count++
-			}
-		}
-		return count, nil
-	}
-	counts := make([]int, len(sims))
-	var wg sync.WaitGroup
-	for w := range sims {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sim := sims[w]
-			tick := 0
-			for fi := w; fi < len(faults); fi += len(sims) {
-				if tick++; tick == detectStride {
-					tick = 0
-					if ctx.Err() != nil {
-						return
-					}
-				}
-				if detected[fi] {
-					continue
-				}
-				if sim.DetectAny(faults[fi]) {
-					detected[fi] = true
-					counts[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total, ctx.Err()
-}
-
-// DetectAllShards is DetectAllShardsCtx without cancellation.
-func DetectAllShards(sims []*Simulator, shards *FaultShards, detected []bool) int {
-	n, _ := DetectAllShardsCtx(context.Background(), sims, shards, detected)
-	return n
-}
-
-// DetectAllShardsCtx sweeps the fault universe via streamed shards instead
-// of a materialized fault list: workers claim shard indices from an atomic
-// counter, regenerate each shard's faults into a per-worker buffer, and
-// mark detections in detected (indexed by universe position — shard k
-// covers indices [k×size, (k+1)×size), exactly NewUniverse order).
-// Entries already true are skipped. Shards are disjoint index ranges and
-// each is claimed by exactly one worker, so the writes never race and the
-// marking is independent of scheduling. The context is polled once per
-// shard; on cancellation detected holds a valid partial marking and the
-// error wraps the context error. It returns the number of faults newly
-// marked.
-func DetectAllShardsCtx(ctx context.Context, sims []*Simulator, shards *FaultShards, detected []bool) (int, error) {
-	numShards := shards.NumShards()
-	if len(sims) == 1 || numShards <= 1 {
-		sim := sims[0]
-		count := 0
-		var buf []Fault
-		for k := 0; k < numShards; k++ {
-			if ctx.Err() != nil {
-				return count, ctx.Err()
-			}
-			shard, start := shards.Shard(k, buf)
-			for i, f := range shard {
-				fi := start + i
-				if detected[fi] {
-					continue
-				}
-				if sim.DetectAny(f) {
-					detected[fi] = true
-					count++
-				}
-			}
-			buf = shard
-		}
-		return count, nil
-	}
-	counts := make([]int, len(sims))
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := range sims {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sim := sims[w]
-			var buf []Fault
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= numShards || ctx.Err() != nil {
-					return
-				}
-				shard, start := shards.Shard(k, buf)
-				for i, f := range shard {
-					fi := start + i
-					if detected[fi] {
-						continue
-					}
-					if sim.DetectAny(f) {
-						detected[fi] = true
-						counts[w]++
-					}
-				}
-				buf = shard
+	counts := make([]int, len(sims))
+	work := func(w int) {
+		sim, n := sims[w], 0
+		for {
+			start := int(next.Add(sweepChunk)) - sweepChunk
+			if start >= len(faults) || ctx.Err() != nil {
+				break
 			}
-		}(w)
+			end := min(start+sweepChunk, len(faults))
+			for fi := start; fi < end; fi++ {
+				if !detected[fi] && sim.DetectAny(faults[fi]) {
+					detected[fi] = true
+					n++
+				}
+			}
+		}
+		counts[w] = n
 	}
-	wg.Wait()
+	if len(sims) == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range sims {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
 	total := 0
 	for _, c := range counts {
 		total += c

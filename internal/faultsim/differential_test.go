@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,8 +56,28 @@ func randomPatterns(src *prng.Source, count, width int) [][]uint8 {
 	return patterns
 }
 
-// TestEventDrivenMatchesFullEval asserts that the event-driven DetectMask
-// returns exactly the mask of the original full-circuit evaluation for
+// detectLanesFull is the full-circuit (non-event-driven) reference for
+// DetectLanes: evaluate the whole faulty circuit into the bad arena and
+// XOR the outputs. Returns scratch valid until the next Detect call.
+func (s *Simulator) detectLanesFull(f Fault) []uint64 {
+	s.ensureEval()
+	s.evalInto(s.bad, f.Gate, f)
+	w := s.w
+	diff := s.dbuf
+	clear(diff)
+	for _, o := range s.u.Net.Outputs {
+		for k := 0; k < w; k++ {
+			diff[k] |= (s.good[o*w+k] ^ s.bad[o*w+k]) & s.loaded[k]
+		}
+	}
+	// The bad arena now holds full-circuit values without epoch stamps —
+	// harmless, because every event-driven Detect bumps the epoch on entry
+	// and only reads bad where the stamp matches the new epoch.
+	return diff
+}
+
+// TestEventDrivenMatchesFullEval asserts that the event-driven W=1 detect
+// mask equals exactly the mask of the original full-circuit evaluation for
 // every fault of c17 and of randomized circuits, across several pattern
 // batches.
 func TestEventDrivenMatchesFullEval(t *testing.T) {
@@ -71,11 +92,11 @@ func TestEventDrivenMatchesFullEval(t *testing.T) {
 	for name, nl := range circuits {
 		t.Run(name, func(t *testing.T) {
 			u := NewUniverse(nl)
-			event, err := NewSimulator(u)
+			event, err := NewSimulatorLanes(u, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := NewSimulator(u)
+			full, err := NewSimulatorLanes(u, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,8 +108,8 @@ func TestEventDrivenMatchesFullEval(t *testing.T) {
 				}
 				full.AdoptPatterns(event)
 				for _, f := range u.Faults {
-					got := event.DetectMask(f)
-					want := full.detectMaskFull(f)
+					got := event.DetectLanes(f)[0]
+					want := full.detectLanesFull(f)[0]
 					if got != want {
 						t.Fatalf("batch %d fault %v: event-driven mask %064b, full-eval mask %064b", batch, f, got, want)
 					}
@@ -106,8 +127,10 @@ func TestEventDrivenMatchesFullEval(t *testing.T) {
 
 // TestCoverageWorkersBitIdentical asserts that the parallel coverage run
 // returns exactly the serial detected slice — not just the same coverage
-// fraction — on c17 and randomized circuits. Run it with -race to check the
-// sharding.
+// fraction — on c17 and randomized circuits. The "chunks" circuit spans
+// more sweep chunks than the largest pool tested and ends in a partial
+// chunk, so every chunk-claim boundary is crossed. Run it with -race and
+// -cpu 1,4,8 to check the chunk claiming.
 func TestCoverageWorkersBitIdentical(t *testing.T) {
 	circuits := map[string]*netlist.Netlist{"c17": c17(t)}
 	for _, seed := range []uint64{3, 11} {
@@ -117,16 +140,46 @@ func TestCoverageWorkersBitIdentical(t *testing.T) {
 		}
 		circuits[fmt.Sprintf("random-%d", seed)] = nl
 	}
+	chunks, err := netlist.Random(netlist.RandomConfig{Inputs: 48, Outputs: 16, Gates: 450, MaxFan: 3, Seed: 2008})
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits["chunks"] = chunks
+	const maxWorkers = 8
+	if n := len(NewUniverse(chunks).Faults); n <= maxWorkers*sweepChunk || n%sweepChunk == 0 {
+		t.Fatalf("chunks circuit has %d faults; want more than %d and a partial last chunk", n, maxWorkers*sweepChunk)
+	}
 	for name, nl := range circuits {
 		t.Run(name, func(t *testing.T) {
 			u := NewUniverse(nl)
 			patterns := randomPatterns(prng.New(5), 150, len(nl.Inputs)) // 3 batches, last partial
-			serial, serialCov, err := CoverageOpts(u, patterns, Options{Workers: 1})
+			serial, serialCov, err := CoverageCtx(context.Background(), u, patterns, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 3, 8, 0} {
-				par, parCov, err := CoverageOpts(u, patterns, Options{Workers: workers})
+			// Oracle: every fault simulated on its own, no sweep at all, so
+			// a chunk the sweep skipped or visited twice cannot hide behind
+			// agreement between pool sizes.
+			oracle, err := NewSimulatorLanes(u, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]bool, len(u.Faults))
+			for start := 0; start < len(patterns); start += 64 {
+				if err := oracle.LoadPatterns(patterns[start:min(start+64, len(patterns))]); err != nil {
+					t.Fatal(err)
+				}
+				for fi, f := range u.Faults {
+					want[fi] = want[fi] || oracle.DetectLanes(f)[0] != 0
+				}
+			}
+			for fi := range want {
+				if serial[fi] != want[fi] {
+					t.Fatalf("fault %v: sweep marked %v, per-fault oracle %v", u.Faults[fi], serial[fi], want[fi])
+				}
+			}
+			for _, workers := range []int{2, 3, maxWorkers, 0} {
+				par, parCov, err := CoverageCtx(context.Background(), u, patterns, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,9 +196,9 @@ func TestCoverageWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDetectAllMatchesSerialDrop exercises the RunAll drop-loop primitive:
-// a pool marking faults over a shared done slice must mark exactly the
-// serial set and report the same count.
+// TestDetectAllMatchesSerialDrop exercises the RunAllCtx drop-loop
+// primitive: a pool marking faults over a shared done slice must mark
+// exactly the serial set and report the same count.
 func TestDetectAllMatchesSerialDrop(t *testing.T) {
 	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 20, Outputs: 8, Gates: 200, MaxFan: 3, Seed: 13})
 	if err != nil {
@@ -155,7 +208,7 @@ func TestDetectAllMatchesSerialDrop(t *testing.T) {
 	patterns := randomPatterns(prng.New(9), 8, len(nl.Inputs))
 
 	runPool := func(workers int) ([]bool, int) {
-		sims, err := NewSimulatorPool(u, workers)
+		sims, err := NewSimulatorPoolLanes(u, workers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +221,11 @@ func TestDetectAllMatchesSerialDrop(t *testing.T) {
 			for _, s := range sims[1:] {
 				s.AdoptPatterns(sims[0])
 			}
-			total += DetectAll(sims, u.Faults, done)
+			n, err := DetectAllCtx(context.Background(), sims, u.Faults, done)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += n
 		}
 		return done, total
 	}

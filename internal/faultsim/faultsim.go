@@ -15,11 +15,11 @@
 // The simulator is event-driven: injecting a fault only re-evaluates the
 // gates inside the fault's output cone (scheduled level by level over the
 // levelized netlist), not the whole circuit. Faults whose site cannot reach
-// a primary output are rejected without simulating a single gate. Coverage
-// streams the fault universe in deterministic shards (FaultShards) across a
-// worker pool (see Options) with one Simulator of scratch state per worker;
-// the per-universe topology (levels, CSR fan-out, output reachability) is
-// computed once and shared.
+// a primary output are rejected without simulating a single gate. CoverageCtx
+// sweeps the fault universe across a worker pool (see Options) with one
+// Simulator of scratch state per worker: workers claim fixed-size chunks of
+// the fault list (DetectAllCtx), and the per-universe topology (levels, CSR
+// fan-out, output reachability) is computed once and shared.
 package faultsim
 
 import (
@@ -52,8 +52,7 @@ func (f Fault) String() string {
 type Universe struct {
 	// Net is the circuit the faults live on.
 	Net *netlist.Netlist
-	// Faults is the collapsed stuck-at list in canonical gate order — the
-	// same enumeration FaultShards streams shard by shard.
+	// Faults is the collapsed stuck-at list in canonical gate order.
 	Faults []Fault
 
 	topoOnce sync.Once
@@ -70,19 +69,8 @@ type Universe struct {
 // and buffers, input faults are always equivalent to output faults and are
 // dropped too.
 func NewUniverse(n *netlist.Netlist) *Universe {
-	loads := signalLoads(n)
-	u := &Universe{Net: n}
-	for gi := range n.Gates {
-		u.Faults = appendGateFaults(n, loads, gi, u.Faults)
-	}
-	return u
-}
-
-// signalLoads returns the load count of every signal — how many gate
-// fan-in pins read it, plus one per primary-output marking. This is the
-// quantity the collapsing rules key on, shared by NewUniverse and
-// FaultShards.
-func signalLoads(n *netlist.Netlist) []int32 {
+	// loads counts the readers of every signal: gate fan-in pins plus one
+	// per primary-output marking.
 	loads := make([]int32, n.NumGates())
 	for _, g := range n.Gates {
 		for _, f := range g.Fanin {
@@ -92,28 +80,21 @@ func signalLoads(n *netlist.Netlist) []int32 {
 	for _, o := range n.Outputs {
 		loads[o]++
 	}
-	return loads
-}
-
-// appendGateFaults appends gate gi's collapsed faults in canonical order
-// (output sa0, output sa1, then sa0/sa1 per kept input pin). It is the
-// single source of truth for the fault enumeration: NewUniverse
-// materializes it and FaultShards regenerates it shard by shard, so the
-// two can never disagree on order or content.
-func appendGateFaults(n *netlist.Netlist, loads []int32, gi int, dst []Fault) []Fault {
-	g := &n.Gates[gi]
-	if g.Type != netlist.Input || loads[gi] > 0 {
-		dst = append(dst, Fault{Gate: gi, Pin: -1, Stuck: 0}, Fault{Gate: gi, Pin: -1, Stuck: 1})
-	}
-	if g.Type == netlist.Buf || g.Type == netlist.Not {
-		return dst
-	}
-	for pin, f := range g.Fanin {
-		if loads[f] > 1 {
-			dst = append(dst, Fault{Gate: gi, Pin: pin, Stuck: 0}, Fault{Gate: gi, Pin: pin, Stuck: 1})
+	u := &Universe{Net: n}
+	for gi, g := range n.Gates {
+		if g.Type != netlist.Input || loads[gi] > 0 {
+			u.Faults = append(u.Faults, Fault{Gate: gi, Pin: -1, Stuck: 0}, Fault{Gate: gi, Pin: -1, Stuck: 1})
+		}
+		if g.Type == netlist.Buf || g.Type == netlist.Not {
+			continue
+		}
+		for pin, f := range g.Fanin {
+			if loads[f] > 1 {
+				u.Faults = append(u.Faults, Fault{Gate: gi, Pin: pin, Stuck: 0}, Fault{Gate: gi, Pin: pin, Stuck: 1})
+			}
 		}
 	}
-	return dst
+	return u
 }
 
 // topology holds the per-circuit structures every Simulator shares: the
@@ -190,7 +171,7 @@ func newTopology(n *netlist.Netlist) (*topology, error) {
 	}
 	// Output reachability in reverse topological order: a gate is observable
 	// iff it is an output or some fan-out gate is. Events outside this set
-	// can never change a primary output, so DetectMask never schedules them.
+	// can never change a primary output, so Detect never schedules them.
 	for i := len(order) - 1; i >= 0; i-- {
 		gi := order[i]
 		if t.isOutput[gi] {
@@ -246,16 +227,10 @@ type Simulator struct {
 	dirty  bool       // input lanes changed; fault-free evaluation pending
 }
 
-// NewSimulator prepares a single-lane-word (64-pattern) simulator for the
-// universe's netlist — the W=1 reference engine every wider lane width is
-// tested bit-identical against.
-func NewSimulator(u *Universe) (*Simulator, error) {
-	return NewSimulatorLanes(u, 1)
-}
-
 // NewSimulatorLanes prepares a simulator with laneWords 64-bit words of
 // pattern lanes, for a batch capacity of 64×laneWords patterns per sweep.
-// laneWords must be in [1, MaxLaneWords].
+// laneWords must be in [1, MaxLaneWords]; laneWords = 1 selects the
+// single-word engine every wider lane width is tested bit-identical against.
 func NewSimulatorLanes(u *Universe, laneWords int) (*Simulator, error) {
 	if laneWords < 1 || laneWords > MaxLaneWords {
 		return nil, fmt.Errorf("faultsim: LaneWords %d (want 1..%d)", laneWords, MaxLaneWords)
@@ -327,9 +302,9 @@ func (s *Simulator) ResetPatterns() {
 
 // AppendPattern adds one fully specified pattern to the next free lane of
 // the current batch (up to Capacity) without re-packing the lanes already
-// loaded. The fault-free evaluation is deferred until the next DetectMask
+// loaded. The fault-free evaluation is deferred until the next Detect call
 // (or AdoptPatterns), so appending k patterns back to back costs one
-// circuit evaluation, not k — the primitive RunAll's drop loop builds its
+// circuit evaluation, not k — the primitive RunAllCtx's drop loop builds its
 // 64×W-wide batches with.
 func (s *Simulator) AppendPattern(p []uint8) error {
 	if s.count >= s.Capacity() {
@@ -474,69 +449,22 @@ func stuckWord(b uint8) uint64 {
 	return 0
 }
 
-// DetectMask simulates one fault against the loaded patterns and returns a
-// bitmask of the patterns in the first lane word (patterns 0..63) that
-// detect it (differ on some primary output). For W=1 simulators that is
-// the whole batch; wider simulators report all lane words via DetectLanes.
+// DetectLanes simulates one fault against the loaded patterns and returns
+// the per-lane-word detect masks: bit p of word k is set when pattern
+// 64k+p detects the fault (differs on some primary output). The returned
+// slice is scratch owned by the simulator, valid until the next Detect
+// call; copy it to retain it.
 //
 // The evaluation is event-driven: only gates downstream of the injection
 // point are re-evaluated, level by level, and propagation stops wherever
 // the faulty value reconverges with the fault-free one. Gates that cannot
 // reach a primary output are never scheduled.
-func (s *Simulator) DetectMask(f Fault) uint64 {
-	if s.w > 1 {
-		return s.DetectLanes(f)[0]
-	}
-	t := s.topo
-	if s.count == 0 || !t.observable[f.Gate] {
-		return 0
-	}
-	s.ensureEval()
-	s.epoch++
-	if s.epoch == 0 { // uint32 wrap: every stale stamp would look current
-		clear(s.stamp)
-		clear(s.queued)
-		s.epoch = 1
-	}
-	s.schedule(f.Gate)
-	var diff uint64
-	for lv := t.level[f.Gate]; lv < len(s.levels); lv++ {
-		bucket := s.levels[lv]
-		if len(bucket) == 0 {
-			continue
-		}
-		for _, gi := range bucket {
-			v := s.evalFaulty(gi, f)
-			if v == s.good[gi] {
-				continue // reconverged: nothing propagates
-			}
-			s.bad[gi] = v
-			s.stamp[gi] = s.epoch
-			if t.isOutput[gi] {
-				diff |= s.good[gi] ^ v
-			}
-			for _, fo := range t.fanouts(gi) {
-				if t.observable[fo] {
-					s.schedule(int(fo))
-				}
-			}
-		}
-		s.levels[lv] = bucket[:0]
-	}
-	return diff & s.loaded[0]
-}
-
-// DetectLanes simulates one fault against the loaded patterns and returns
-// the per-lane-word detect masks: bit p of word k is set when pattern
-// 64k+p detects the fault. The returned slice is scratch owned by the
-// simulator, valid until the next Detect call; copy it to retain it. For
-// W=1 it is a one-word view of DetectMask.
 func (s *Simulator) DetectLanes(f Fault) []uint64 {
 	if s.w == 1 {
-		s.dbuf[0] = s.DetectMask(f)
-		return s.dbuf
+		s.dbuf[0] = s.detectWord(f, false)
+	} else {
+		s.detectLanes(f, false)
 	}
-	s.detectLanes(f, false)
 	return s.dbuf
 }
 
@@ -547,11 +475,17 @@ func (s *Simulator) DetectLanes(f Fault) []uint64 {
 // loops only need the boolean, and detected faults are exactly the ones
 // whose cones propagate furthest.
 func (s *Simulator) DetectAny(f Fault) bool {
-	if s.w > 1 {
-		return s.detectLanes(f, true)
+	if s.w == 1 {
+		return s.detectWord(f, true) != 0
 	}
-	t := s.topo
-	if s.count == 0 || !t.observable[f.Gate] {
+	return s.detectLanes(f, true)
+}
+
+// beginFault opens a new epoch for one fault and schedules its site. It
+// reports false — nothing to simulate — when no pattern is loaded or the
+// site cannot reach a primary output.
+func (s *Simulator) beginFault(f Fault) bool {
+	if s.count == 0 || !s.topo.observable[f.Gate] {
 		return false
 	}
 	s.ensureEval()
@@ -562,12 +496,34 @@ func (s *Simulator) DetectAny(f Fault) bool {
 		s.epoch = 1
 	}
 	s.schedule(f.Gate)
+	return true
+}
+
+// dropLevels empties the worklist buckets from level lv up, after an early
+// exit left gates scheduled there.
+func (s *Simulator) dropLevels(lv int) {
+	for ; lv < len(s.levels); lv++ {
+		s.levels[lv] = s.levels[lv][:0]
+	}
+}
+
+// detectWord is the W=1 event-driven engine behind DetectLanes and
+// DetectAny. It returns the lane-masked detect mask of patterns 0..63;
+// with early set it stops at the first level where a primary output shows
+// a difference, so the mask is then only meaningful as zero vs non-zero.
+// It is a scalar specialisation of detectLanes: a uint64 per gate instead
+// of a W-word plane, which PERFORMANCE.md measures as worth keeping.
+func (s *Simulator) detectWord(f Fault, early bool) uint64 {
+	if !s.beginFault(f) {
+		return 0
+	}
+	t := s.topo
+	var diff uint64
 	for lv := t.level[f.Gate]; lv < len(s.levels); lv++ {
 		bucket := s.levels[lv]
 		if len(bucket) == 0 {
 			continue
 		}
-		var diff uint64
 		for _, gi := range bucket {
 			v := s.evalFaulty(gi, f)
 			if v == s.good[gi] {
@@ -585,38 +541,28 @@ func (s *Simulator) DetectAny(f Fault) bool {
 			}
 		}
 		s.levels[lv] = bucket[:0]
-		if diff != 0 {
-			for l := lv + 1; l < len(s.levels); l++ {
-				s.levels[l] = s.levels[l][:0]
-			}
-			return true
+		if early && diff != 0 {
+			s.dropLevels(lv + 1)
+			return diff
 		}
 	}
-	return false
+	return diff
 }
 
 // detectLanes is the W>1 event-driven engine behind DetectLanes and
-// DetectAny: identical propagation to the scalar path, with every plane
+// DetectAny: identical propagation to detectWord, with every plane
 // comparison, reconvergence check and output diff running over all W lane
 // words. The per-word detect masks accumulate into s.dbuf; with early set
 // it stops at the first level where any lane word shows an output
 // difference. It reports whether any lane detects the fault.
 func (s *Simulator) detectLanes(f Fault, early bool) bool {
 	w := s.w
-	t := s.topo
 	diff := s.dbuf
 	clear(diff)
-	if s.count == 0 || !t.observable[f.Gate] {
+	if !s.beginFault(f) {
 		return false
 	}
-	s.ensureEval()
-	s.epoch++
-	if s.epoch == 0 { // uint32 wrap: every stale stamp would look current
-		clear(s.stamp)
-		clear(s.queued)
-		s.epoch = 1
-	}
-	s.schedule(f.Gate)
+	t := s.topo
 	any := false
 	for lv := t.level[f.Gate]; lv < len(s.levels); lv++ {
 		bucket := s.levels[lv]
@@ -656,9 +602,7 @@ func (s *Simulator) detectLanes(f Fault, early bool) bool {
 		}
 		s.levels[lv] = bucket[:0]
 		if early && levelHit {
-			for l := lv + 1; l < len(s.levels); l++ {
-				s.levels[l] = s.levels[l][:0]
-			}
+			s.dropLevels(lv + 1)
 			return true
 		}
 	}
@@ -732,31 +676,4 @@ func (s *Simulator) evalFaultyLanes(gi int, f Fault, dst []uint64) {
 		s.planes = append(s.planes, fp)
 	}
 	g.Type.EvalWords(dst, s.planes)
-}
-
-// detectMaskFull is the original full-circuit implementation of DetectMask
-// (first lane word), kept as the reference oracle for differential tests of
-// the event-driven path.
-func (s *Simulator) detectMaskFull(f Fault) uint64 {
-	return s.detectLanesFull(f)[0]
-}
-
-// detectLanesFull is the full-circuit (non-event-driven) reference for
-// DetectLanes: evaluate the whole faulty circuit into the bad arena and
-// XOR the outputs. Returns scratch valid until the next Detect call.
-func (s *Simulator) detectLanesFull(f Fault) []uint64 {
-	s.ensureEval()
-	s.evalInto(s.bad, f.Gate, f)
-	w := s.w
-	diff := s.dbuf
-	clear(diff)
-	for _, o := range s.u.Net.Outputs {
-		for k := 0; k < w; k++ {
-			diff[k] |= (s.good[o*w+k] ^ s.bad[o*w+k]) & s.loaded[k]
-		}
-	}
-	// The bad arena now holds full-circuit values without epoch stamps —
-	// harmless, because every event-driven Detect bumps the epoch on entry
-	// and only reads bad where the stamp matches the new epoch.
-	return diff
 }

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/netlist"
@@ -53,7 +54,7 @@ func TestUniverseKeepsBranchFaults(t *testing.T) {
 func TestDetectMaskKnownFault(t *testing.T) {
 	n := andOr(t)
 	u := NewUniverse(n)
-	sim, err := NewSimulator(u)
+	sim, err := NewSimulatorLanes(u, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,26 +64,26 @@ func TestDetectMaskKnownFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	abIdx, _ := n.Index("ab")
-	mask := sim.DetectMask(Fault{Gate: abIdx, Pin: -1, Stuck: 0})
+	mask := sim.DetectLanes(Fault{Gate: abIdx, Pin: -1, Stuck: 0})[0]
 	if mask != 0b01 {
 		t.Errorf("detect mask = %b, want 01", mask)
 	}
 	// y stuck-at-1 is detected only where y would be 0: neither pattern.
 	yIdx, _ := n.Index("y")
-	if m := sim.DetectMask(Fault{Gate: yIdx, Pin: -1, Stuck: 1}); m != 0 {
+	if m := sim.DetectLanes(Fault{Gate: yIdx, Pin: -1, Stuck: 1})[0]; m != 0 {
 		t.Errorf("y/sa1 mask = %b, want 0", m)
 	}
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
-	// DetectMask over a 64-pattern batch must equal the OR of single-pattern
+	// A 64-pattern detect mask must equal the OR of single-pattern
 	// simulations.
 	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 16, Outputs: 5, Gates: 60, MaxFan: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := NewUniverse(nl)
-	sim, _ := NewSimulator(u)
+	sim, _ := NewSimulatorLanes(u, 1)
 	src := prng.New(3)
 	patterns := make([][]uint8, 64)
 	for i := range patterns {
@@ -95,14 +96,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err := sim.LoadPatterns(patterns); err != nil {
 		t.Fatal(err)
 	}
-	serial, _ := NewSimulator(u)
+	serial, _ := NewSimulatorLanes(u, 1)
 	for _, f := range u.Faults[:40] {
-		batch := sim.DetectMask(f)
+		batch := sim.DetectLanes(f)[0]
 		for pi, p := range patterns {
 			if err := serial.LoadPatterns([][]uint8{p}); err != nil {
 				t.Fatal(err)
 			}
-			got := serial.DetectMask(f) & 1
+			got := serial.DetectLanes(f)[0] & 1
 			want := batch >> uint(pi) & 1
 			if got != want {
 				t.Fatalf("fault %v pattern %d: serial %d vs batch %d", f, pi, got, want)
@@ -119,7 +120,7 @@ func TestCoverageExhaustivePatterns(t *testing.T) {
 	for v := 0; v < 8; v++ {
 		patterns = append(patterns, []uint8{uint8(v) & 1, uint8(v>>1) & 1, uint8(v>>2) & 1})
 	}
-	_, cov, err := Coverage(u, patterns)
+	_, cov, err := CoverageCtx(context.Background(), u, patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestCoverageExhaustivePatterns(t *testing.T) {
 
 // TestLoadPackedMatchesLoadPatterns asserts the three batch-building paths
 // are interchangeable: bit-sliced LoadPatterns, incremental AppendPattern
-// (including appends split around DetectMask calls, which force the lazy
+// (including appends split around Detect calls, which force the lazy
 // fault-free evaluation mid-batch), and pre-packed LoadPacked must yield
 // identical detect masks for every fault.
 func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
@@ -141,7 +142,7 @@ func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 	u := NewUniverse(nl)
 	for _, count := range []int{1, 3, 64} {
 		patterns := randomPatterns(prng.New(uint64(count)), count, 16)
-		ref, _ := NewSimulator(u)
+		ref, _ := NewSimulatorLanes(u, 1)
 		if err := ref.LoadPatterns(patterns); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 				}
 			}
 		}
-		viaPacked, _ := NewSimulator(u)
+		viaPacked, _ := NewSimulatorLanes(u, 1)
 		// Lanes at or above count must be masked off even if set.
 		if count < 64 {
 			packed[0] |= 1 << uint(count)
@@ -161,14 +162,14 @@ func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 		if err := viaPacked.LoadPacked(packed, count); err != nil {
 			t.Fatal(err)
 		}
-		viaAppend, _ := NewSimulator(u)
+		viaAppend, _ := NewSimulatorLanes(u, 1)
 		viaAppend.ResetPatterns()
 		for pi, p := range patterns {
 			if err := viaAppend.AppendPattern(p); err != nil {
 				t.Fatal(err)
 			}
 			if pi == 0 {
-				viaAppend.DetectMask(u.Faults[0]) // force a mid-batch evaluation
+				viaAppend.DetectLanes(u.Faults[0]) // force a mid-batch evaluation
 			}
 		}
 		if got := viaPacked.PatternCount(); got != count {
@@ -178,11 +179,11 @@ func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 			t.Fatalf("count=%d: AppendPattern PatternCount %d", count, got)
 		}
 		for _, f := range u.Faults {
-			want := ref.DetectMask(f)
-			if got := viaPacked.DetectMask(f); got != want {
+			want := ref.DetectLanes(f)[0]
+			if got := viaPacked.DetectLanes(f)[0]; got != want {
 				t.Fatalf("count=%d fault %v: LoadPacked mask %064b, want %064b", count, f, got, want)
 			}
-			if got := viaAppend.DetectMask(f); got != want {
+			if got := viaAppend.DetectLanes(f)[0]; got != want {
 				t.Fatalf("count=%d fault %v: AppendPattern mask %064b, want %064b", count, f, got, want)
 			}
 		}
@@ -191,7 +192,7 @@ func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 
 func TestAppendAndPackedValidation(t *testing.T) {
 	n := andOr(t)
-	sim, _ := NewSimulator(NewUniverse(n))
+	sim, _ := NewSimulatorLanes(NewUniverse(n), 1)
 	if err := sim.AppendPattern([]uint8{1, 0}); err == nil {
 		t.Error("short pattern accepted by AppendPattern")
 	}
@@ -216,7 +217,7 @@ func TestAppendAndPackedValidation(t *testing.T) {
 
 func TestLoadPatternsValidation(t *testing.T) {
 	n := andOr(t)
-	sim, _ := NewSimulator(NewUniverse(n))
+	sim, _ := NewSimulatorLanes(NewUniverse(n), 1)
 	if err := sim.LoadPatterns(nil); err == nil {
 		t.Error("empty batch accepted")
 	}
@@ -228,7 +229,7 @@ func TestLoadPatternsValidation(t *testing.T) {
 func BenchmarkFaultSim64Patterns(b *testing.B) {
 	nl, _ := netlist.Random(netlist.RandomConfig{Inputs: 64, Outputs: 16, Gates: 600, MaxFan: 3, Seed: 5})
 	u := NewUniverse(nl)
-	sim, _ := NewSimulator(u)
+	sim, _ := NewSimulatorLanes(u, 1)
 	src := prng.New(1)
 	patterns := make([][]uint8, 64)
 	for i := range patterns {
@@ -241,18 +242,18 @@ func BenchmarkFaultSim64Patterns(b *testing.B) {
 	sim.LoadPatterns(patterns)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.DetectMask(u.Faults[i%len(u.Faults)])
+		sim.DetectLanes(u.Faults[i%len(u.Faults)])
 	}
 }
 
 // BenchmarkDetectAllBatchWidth isolates the drop-loop lane-waste fix: the
 // same 64 patterns swept over the fault universe as one full-width batch
 // versus 64 single-pattern sweeps (the shape of the seed's drop loop,
-// which left 63 of the simulator's word lanes empty on every DetectAll).
+// which left 63 of the simulator's word lanes empty on every sweep).
 func BenchmarkDetectAllBatchWidth(b *testing.B) {
 	nl, _ := netlist.Random(netlist.RandomConfig{Inputs: 96, Outputs: 32, Gates: 4000, MaxFan: 3, Seed: 2008})
 	u := NewUniverse(nl)
-	sim, err := NewSimulator(u)
+	sim, err := NewSimulatorLanes(u, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func BenchmarkDetectAllBatchWidth(b *testing.B) {
 			if err := sim.LoadPatterns(patterns); err != nil {
 				b.Fatal(err)
 			}
-			DetectAll(sims, u.Faults, detected)
+			DetectAllCtx(context.Background(), sims, u.Faults, detected)
 		}
 	})
 	b.Run("batch=1", func(b *testing.B) {
@@ -274,20 +275,20 @@ func BenchmarkDetectAllBatchWidth(b *testing.B) {
 				if err := sim.LoadPatterns([][]uint8{p}); err != nil {
 					b.Fatal(err)
 				}
-				DetectAll(sims, u.Faults, detected)
+				DetectAllCtx(context.Background(), sims, u.Faults, detected)
 			}
 		}
 	})
 }
 
-// BenchmarkDetectMaskEngine compares the event-driven DetectMask against
+// BenchmarkDetectEngine compares the event-driven W=1 DetectLanes against
 // the full-circuit reference evaluation on the same universe — the
 // single-core speedup of the cone-limited hot path, independent of the
 // worker pool.
-func BenchmarkDetectMaskEngine(b *testing.B) {
+func BenchmarkDetectEngine(b *testing.B) {
 	nl, _ := netlist.Random(netlist.RandomConfig{Inputs: 96, Outputs: 32, Gates: 4000, MaxFan: 3, Seed: 2008})
 	u := NewUniverse(nl)
-	sim, err := NewSimulator(u)
+	sim, err := NewSimulatorLanes(u, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,12 +306,12 @@ func BenchmarkDetectMaskEngine(b *testing.B) {
 	}
 	b.Run("event-driven", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sim.DetectMask(u.Faults[i%len(u.Faults)])
+			sim.DetectLanes(u.Faults[i%len(u.Faults)])
 		}
 	})
 	b.Run("full-eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sim.detectMaskFull(u.Faults[i%len(u.Faults)])
+			sim.detectLanesFull(u.Faults[i%len(u.Faults)])
 		}
 	})
 }

@@ -57,7 +57,7 @@ func diffLanesAgainstReference(t *testing.T, nl *netlist.Netlist, w, count int, 
 	chunks := (count + 63) / 64
 	refs := make([]*Simulator, chunks)
 	for k := range refs {
-		ref, err := NewSimulator(u)
+		ref, err := NewSimulatorLanes(u, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func diffLanesAgainstReference(t *testing.T, nl *netlist.Netlist, w, count int, 
 		got := wide.DetectLanes(f)
 		clear(wantMask)
 		for k, ref := range refs {
-			wantMask[k] = ref.DetectMask(f)
+			wantMask[k] = ref.DetectLanes(f)[0]
 		}
 		for k := 0; k < w; k++ {
 			if got[k] != wantMask[k] {
@@ -90,7 +90,7 @@ func diffLanesAgainstReference(t *testing.T, nl *netlist.Netlist, w, count int, 
 		// reflects this fault, then compare every gate's effective value.
 		wide.DetectLanes(f)
 		for k, ref := range refs {
-			ref.DetectMask(f)
+			ref.DetectLanes(f)
 			for gi := 0; gi < nl.NumGates(); gi++ {
 				if gw, rw := effPlaneWord(wide, gi, k), effPlaneWord(ref, gi, 0); gw != rw {
 					t.Fatalf("w=%d count=%d fault %v gate %d lane word %d: wide plane %064b, reference %064b",
@@ -221,120 +221,6 @@ func checkOverflow(t *testing.T, err error, wantOverflow, wantOK bool) {
 	}
 }
 
-// TestFaultShardsStreamUniverse proves the sharded enumeration reproduces
-// the materialized universe exactly — same faults, same order, same indices
-// — for shard sizes from degenerate (1) through default to
-// bigger-than-universe, and that Matches rejects any deviation.
-func TestFaultShardsStreamUniverse(t *testing.T) {
-	circuits := map[string]*netlist.Netlist{"c17": c17(t)}
-	for _, seed := range []uint64{3, 11, 29} {
-		nl, err := netlist.Random(netlist.RandomConfig{Inputs: 18, Outputs: 6, Gates: 140, MaxFan: 3, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		circuits[fmt.Sprintf("random-%d", seed)] = nl
-	}
-	for name, nl := range circuits {
-		t.Run(name, func(t *testing.T) {
-			u := NewUniverse(nl)
-			for _, size := range []int{1, 3, DefaultShardSize, 100000} {
-				fs := NewFaultShards(nl, size)
-				if fs.NumFaults() != len(u.Faults) {
-					t.Fatalf("size=%d: NumFaults=%d, universe has %d", size, fs.NumFaults(), len(u.Faults))
-				}
-				var streamed []Fault
-				var buf []Fault
-				for k := 0; k < fs.NumShards(); k++ {
-					shard, start := fs.Shard(k, buf)
-					if start != k*fs.ShardSize() {
-						t.Fatalf("size=%d shard %d: start=%d, want %d", size, k, start, k*fs.ShardSize())
-					}
-					if len(shard) == 0 {
-						t.Fatalf("size=%d shard %d: empty in-range shard", size, k)
-					}
-					streamed = append(streamed, shard...)
-					buf = shard
-				}
-				if len(streamed) != len(u.Faults) {
-					t.Fatalf("size=%d: streamed %d faults, universe has %d", size, len(streamed), len(u.Faults))
-				}
-				for i := range streamed {
-					if streamed[i] != u.Faults[i] {
-						t.Fatalf("size=%d fault %d: streamed %v, universe %v", size, i, streamed[i], u.Faults[i])
-					}
-				}
-				if !fs.Matches(u.Faults) {
-					t.Fatalf("size=%d: Matches rejected the universe's own fault list", size)
-				}
-				if shard, _ := fs.Shard(fs.NumShards(), nil); len(shard) != 0 {
-					t.Fatalf("size=%d: out-of-range shard returned %d faults", size, len(shard))
-				}
-				if shard, _ := fs.Shard(-1, nil); len(shard) != 0 {
-					t.Fatalf("size=%d: negative shard returned %d faults", size, len(shard))
-				}
-				perturbed := append([]Fault(nil), u.Faults...)
-				perturbed[len(perturbed)/2].Stuck ^= 1
-				if fs.Matches(perturbed) {
-					t.Fatalf("size=%d: Matches accepted a perturbed fault list", size)
-				}
-				if fs.Matches(perturbed[:len(perturbed)-1]) {
-					t.Fatalf("size=%d: Matches accepted a truncated fault list", size)
-				}
-			}
-		})
-	}
-}
-
-// TestDetectAllShardsMatchesDetectAll requires the streamed sweep to mark
-// exactly the same detected set as the materialized sweep, serial and
-// pooled, including on a partially pre-marked done slice (the fault-drop
-// shape). Run with -race to check the shard claiming.
-func TestDetectAllShardsMatchesDetectAll(t *testing.T) {
-	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 24, Outputs: 8, Gates: 260, MaxFan: 3, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := NewUniverse(nl)
-	patterns := randomPatterns(prng.New(6), 90, len(nl.Inputs))
-	for _, shardSize := range []int{1, 7, DefaultShardSize} {
-		shards := NewFaultShards(nl, shardSize)
-		if !shards.Matches(u.Faults) {
-			t.Fatalf("size=%d: shards do not match the universe", shardSize)
-		}
-		for _, workers := range []int{1, 3} {
-			sims, err := NewSimulatorPool(u, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sims[0].LoadPatterns(patterns[:64]); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range sims[1:] {
-				s.AdoptPatterns(sims[0])
-			}
-			// Pre-mark every 5th fault to exercise the drop skip.
-			want := make([]bool, len(u.Faults))
-			got := make([]bool, len(u.Faults))
-			for i := range want {
-				if i%5 == 0 {
-					want[i], got[i] = true, true
-				}
-			}
-			wantN := DetectAll(sims, u.Faults, want)
-			gotN := DetectAllShards(sims, shards, got)
-			if gotN != wantN {
-				t.Fatalf("size=%d workers=%d: sharded sweep marked %d, materialized %d", shardSize, workers, gotN, wantN)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("size=%d workers=%d fault %v: sharded=%v, materialized=%v",
-						shardSize, workers, u.Faults[i], got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // FuzzDetectLanes cross-checks the wide-lane engine against the single-word
 // engine on fuzzer-shaped circuits and pattern batches: for every fault of
 // the generated netlist, DetectLanes at W ∈ {2,4,8} must equal the W=1
@@ -370,7 +256,7 @@ func FuzzDetectLanes(f *testing.F) {
 		chunks := (count + 63) / 64
 		refs := make([]*Simulator, chunks)
 		for k := range refs {
-			ref, err := NewSimulator(u)
+			ref, err := NewSimulatorLanes(u, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,7 +271,7 @@ func FuzzDetectLanes(f *testing.F) {
 			for k := 0; k < w; k++ {
 				var want uint64
 				if k < chunks {
-					want = refs[k].DetectMask(fault)
+					want = refs[k].DetectLanes(fault)[0]
 				}
 				if got[k] != want {
 					t.Fatalf("w=%d count=%d fault %v word %d: wide %064b, reference %064b", w, count, fault, k, got[k], want)
@@ -410,7 +296,7 @@ func BenchmarkSimulatorArenaBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := NewUniverse(nl)
-	if _, err := NewSimulator(u); err != nil { // warm the shared topology
+	if _, err := NewSimulatorLanes(u, 1); err != nil { // warm the shared topology
 		b.Fatal(err)
 	}
 	for _, w := range []int{1, 8} {

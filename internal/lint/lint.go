@@ -1,6 +1,6 @@
 // Package lint implements stateskip-lint: a suite of custom static
 // analyzers that machine-check the repository's determinism and
-// concurrency invariants — the contracts that make RunAll/Encode output
+// concurrency invariants — the contracts that make RunAllCtx/Encode output
 // bit-identical for any Workers count and that keep the shared
 // atpg.Tables / encoder.Tables artefacts safe to share across worker
 // pools.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultsim"
 	"repro/internal/netlist"
 )
 
@@ -99,6 +100,17 @@ func TestGuardOverCap422(t *testing.T) {
 			t.Fatalf("%s: %d %s, want 422", tc.name, resp.StatusCode, rbody)
 		}
 	}
+	// A default lane width past the simulator's cap is a bad config, caught
+	// at construction rather than by every coverage or ATPG job that
+	// inherits it after admission.
+	for _, lw := range []int{-1, faultsim.MaxLaneWords + 1, 100} {
+		if s, err := New(Config{LaneWords: lw}); err == nil {
+			s.Close()
+			t.Fatalf("New accepted Config.LaneWords %d", lw)
+		}
+	}
+	s := newTest(t, Config{JobWorkers: 1, LaneWords: faultsim.MaxLaneWords})
+	s.Close()
 }
 
 // TestGuardMalformedBench400: structurally bad .bench text surfaces the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/faultsim"
 	"repro/internal/netlist"
 )
 
@@ -99,8 +100,8 @@ func (r *Request) validate() error {
 		if r.Kind == KindCoverage && r.Patterns == 0 {
 			r.Patterns = 256
 		}
-		if r.LaneWords < 0 || r.LaneWords > 64 {
-			return fmt.Errorf("server: lane_words %d out of range (want 0..64)", r.LaneWords)
+		if r.LaneWords < 0 || r.LaneWords > faultsim.MaxLaneWords {
+			return fmt.Errorf("server: lane_words %d out of range (want 0..%d)", r.LaneWords, faultsim.MaxLaneWords)
 		}
 	case "":
 		return errors.New("server: missing job kind")

@@ -65,6 +65,7 @@ type Config struct {
 	// LaneWords is the default fault-simulator lane width in 64-bit words
 	// (experiments.Session.LaneWords); requests override it per job via
 	// lane_words. 0 = single-word; results are bit-identical for any width.
+	// New rejects values outside 0..faultsim.MaxLaneWords.
 	LaneWords int
 	// QueueSize bounds the backlog of queued jobs (0 = 64). A full queue
 	// rejects submissions with ErrQueueFull (HTTP 503 + Retry-After).
@@ -189,6 +190,9 @@ type Server struct {
 // log — then starts accepting work. The caller must eventually call
 // Shutdown (or Close) to stop the workers and close the journal.
 func New(cfg Config) (*Server, error) {
+	if cfg.LaneWords < 0 || cfg.LaneWords > faultsim.MaxLaneWords {
+		return nil, fmt.Errorf("server: Config.LaneWords %d out of range (want 0..%d)", cfg.LaneWords, faultsim.MaxLaneWords)
+	}
 	cfg.fill()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{

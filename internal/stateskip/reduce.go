@@ -90,20 +90,11 @@ type VecEmbeddings struct {
 	PerCube [][]VecRef
 }
 
-// ScanEmbeddings regenerates every window and records, for every cube, all
-// vectors that embed it. The scan parallelises over seeds.
-func ScanEmbeddings(enc *encoder.Encoding) *VecEmbeddings {
-	return scanEmbeddingsWorkers(enc, 0)
-}
-
-// ScanEmbeddingsWorkers is ScanEmbeddings with an explicit bound on the
-// per-seed scan parallelism (0 = GOMAXPROCS), for callers that already run
+// ScanEmbeddingsWorkers regenerates every window and records, for every
+// cube, all vectors that embed it. The scan parallelises over seeds, with
+// at most workers goroutines (0 = GOMAXPROCS) for callers that already run
 // several scans concurrently.
 func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
-	return scanEmbeddingsWorkers(enc, workers)
-}
-
-func scanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 	nCubes := enc.Set.Len()
 	perSeed := make([][][]int, len(enc.Seeds)) // [seed][cube] = vector indices
 	if workers <= 0 {
@@ -184,7 +175,7 @@ func ReduceWithIndex(enc *encoder.Encoding, idx *VecEmbeddings, opt Options) (*R
 		r.selectNaive()
 	} else {
 		if idx == nil {
-			idx = scanEmbeddingsWorkers(enc, opt.Workers)
+			idx = ScanEmbeddingsWorkers(enc, opt.Workers)
 		}
 		r.segmentEmbeddings(idx)
 		r.selectUseful()
