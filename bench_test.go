@@ -16,9 +16,11 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/atpg"
 	"repro/internal/benchprofile"
+	"repro/internal/decompressor"
 	"repro/internal/encoder"
 	"repro/internal/experiments"
 	"repro/internal/faultsim"
@@ -183,6 +185,73 @@ func BenchmarkEncode(b *testing.B) {
 				b.ReportMetric(float64(enc.ChecksPerformed), "checks")
 			})
 		}
+	}
+}
+
+// BenchmarkCompressPhases times the phases of the compression chain on
+// the bench module's compress-paper cases: the encodes of phase-shifter
+// variants that turn out unencodable (each with its own phase shifter and
+// tables, in EncodeAutoCtx's order), the accepted variant's phase shifter
+// and encode, the embedding index, the reduction (S = min(10, L), k = 10)
+// and the decompressor run. Set STATESKIP_SCALE=paper for the workload's
+// sizes; at CI scale the same circuits run at small L.
+func BenchmarkCompressPhases(b *testing.B) {
+	cases := []struct {
+		circuit string
+		L       int
+	}{{"s13207", 200}, {"s38417", 1}, {"s9234", 20}}
+	if benchScale() == benchprofile.ScaleCI {
+		cases[0].L, cases[1].L, cases[2].L = 16, 8, 8
+	}
+	for _, c := range cases {
+		p, err := benchprofile.ByName(c.circuit, benchScale())
+		if err != nil {
+			b.Fatal(err)
+		}
+		set := p.Generate()
+		b.Run(fmt.Sprintf("%s/L=%d", c.circuit, c.L), func(b *testing.B) {
+			b.ReportAllocs()
+			var failed, accepted, index, reduce, run time.Duration
+			for i := 0; i < b.N; i++ {
+				var enc *encoder.Encoding
+				for v := uint64(0); enc == nil; v++ {
+					if v == 16 {
+						b.Fatal("no phase-shifter variant encodes")
+					}
+					t0 := time.Now()
+					cfg, err := encoder.StandardConfigVariant(p.LFSRSize, p.Width, p.Chains, c.L, v)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if enc, err = encoder.Encode(cfg, set); err != nil {
+						failed += time.Since(t0)
+					} else {
+						accepted += time.Since(t0)
+					}
+				}
+				t0 := time.Now()
+				idx := stateskip.ScanEmbeddingsWorkers(enc, 0)
+				t1 := time.Now()
+				red, err := stateskip.ReduceWithIndex(enc, idx, stateskip.DefaultOptions(min(10, c.L), 10))
+				if err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				if _, err := decompressor.NewSchedule(red).Run(); err != nil {
+					b.Fatal(err)
+				}
+				t3 := time.Now()
+				index += t1.Sub(t0)
+				reduce += t2.Sub(t1)
+				run += t3.Sub(t2)
+			}
+			perOp := float64(b.N) * float64(time.Millisecond)
+			b.ReportMetric(float64(failed)/perOp, "failed-ms")
+			b.ReportMetric(float64(accepted)/perOp, "encode-ms")
+			b.ReportMetric(float64(index)/perOp, "index-ms")
+			b.ReportMetric(float64(reduce)/perOp, "reduce-ms")
+			b.ReportMetric(float64(run)/perOp, "run-ms")
+		})
 	}
 }
 

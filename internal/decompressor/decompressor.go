@@ -105,18 +105,7 @@ func (s *Schedule) Run() (*Result, error) {
 			}
 			bit := 0 // Bit Counter, reset at each mode switch
 			shift := func() {
-				cyc := bit % geo.Length
-				for ch := 0; ch < geo.Chains; ch++ {
-					pos := geo.CellAtCycle(ch, cyc)
-					if pos < 0 {
-						continue
-					}
-					var b uint8
-					for _, c := range ps.Taps(ch) {
-						b ^= state.Bit(c)
-					}
-					cur.SetBit(pos, b)
-				}
+				ps.ShiftInto(cur, geo, bit%geo.Length, state)
 				bit++
 				res.Clocks++
 				if bit%geo.Length == 0 {
@@ -134,7 +123,8 @@ func (s *Schedule) Run() (*Result, error) {
 				for c := 0; c < run.States/k; c++ {
 					shift()
 					res.SkipClocks++
-					state = skip.MulVec(state)
+					skip.MulVecInto(next, state)
+					state, next = next, state
 				}
 				for c := 0; c < run.States%k; c++ {
 					shift()

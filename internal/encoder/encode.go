@@ -56,8 +56,9 @@ type Encoding struct {
 	Cfg   Config
 	Set   *cube.Set
 	Seeds []Seed
-	// ChecksPerformed counts linear-system consistency checks, a measure of
-	// encoder effort used by the pruning ablation.
+	// ChecksPerformed counts the seed loop's linear-system consistency
+	// checks, a measure of encoder effort used by the pruning ablation.
+	// The fresh-window screen that runs before the loop is not counted.
 	ChecksPerformed int64
 	// TableBuildTime is the wall time this encoding spent materialising
 	// symbolic tables and equation indices — ~0 when Config.Tables served
@@ -185,6 +186,11 @@ type encodeState struct {
 	eqBuf  []gf2.Equation
 	checks int64
 
+	// Scan buffers reused across tiers: the cubes of the tier being
+	// scanned, and results[ti], the solvable positions of cube tier[ti].
+	tier    []int
+	results [][]candidate
+
 	// stop is tripped by the first worker that observes a fired context;
 	// the other scan workers poll it per cube claim and bail early.
 	stop atomic.Bool
@@ -224,6 +230,9 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 	st.solver = gf2.NewSolver(st.n)
 	st.views = make([]*scanView, st.workers)
 
+	if err := st.screen(); err != nil {
+		return nil, err
+	}
 	enc := &Encoding{Cfg: cfg, Set: set}
 	fill := prng.New(cfg.FillSeed)
 	for st.nRemain > 0 {
@@ -248,6 +257,47 @@ func (st *encodeState) viewFor(w int) *scanView {
 		st.views[w] = &scanView{view: gf2.NewReducedTable(st.solver, st.table.Rows())}
 	}
 	return st.views[w]
+}
+
+// screen rejects an unencodable cube set before any seed is built: it
+// probes every cube, densest first, at positions 0..L−1 of a fresh window
+// until one is solvable. Constraints only grow, so a cube with no solvable
+// position in a fresh window is never committed; it stays remaining until
+// it becomes some seed's first cube, and the first such cube in order is
+// the one the seed loop would report. screen returns that exact error
+// without paying for the seeds that would precede it — the whole cost of
+// a phase-shifter variant that turns out unencodable. Its probes are not
+// counted in ChecksPerformed, which stays the seed loop's effort.
+func (st *encodeState) screen() error {
+	st.solver.Reset()
+	v0 := st.viewFor(0)
+	for _, ci := range st.order {
+		pos, _, err := st.firstSolvable(v0, ci)
+		if err != nil {
+			return fmt.Errorf("encoder: encode stopped screening cube %d: %w", ci, err)
+		}
+		if pos < 0 {
+			return fmt.Errorf("encoder: cube %d (%d specified bits) cannot be embedded anywhere in a fresh window; increase the LFSR size (n=%d)", ci, st.set.Cubes[ci].SpecifiedCount(), st.n)
+		}
+	}
+	return nil
+}
+
+// firstSolvable probes cube ci at window positions 0, 1, … through view v
+// against the current basis and returns the first solvable position (-1
+// if none) with the number of consistency checks performed, or the
+// context's error if the encode was cancelled.
+func (st *encodeState) firstSolvable(v *scanView, ci int) (pos int, checks int64, err error) {
+	for p := 0; p < st.L; p++ {
+		if st.pollCtx(v) {
+			return -1, checks, st.ctx.Err()
+		}
+		checks++
+		if _, ok := v.view.CheckSystem(st.sys.base[ci], int32(p)*st.stride, st.sys.rhs[ci], &v.scratch); ok {
+			return p, checks, nil
+		}
+	}
+	return -1, checks, nil
 }
 
 // buildSeed constructs one seed: it commits the densest remaining cube at
@@ -275,19 +325,13 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 			break
 		}
 	}
-	firstPos := -1
-	for p := 0; p < st.L; p++ {
-		if st.pollCtx(v0) {
-			return Seed{}, fmt.Errorf("encoder: encode stopped scanning cube %d: %w", first, st.ctx.Err())
-		}
-		st.checks++
-		if _, ok := v0.view.CheckSystem(st.sys.base[first], int32(p)*st.stride, st.sys.rhs[first], &v0.scratch); ok {
-			firstPos = p
-			break
-		}
+	firstPos, checks, err := st.firstSolvable(v0, first)
+	st.checks += checks
+	if err != nil {
+		return Seed{}, fmt.Errorf("encoder: encode stopped scanning cube %d: %w", first, err)
 	}
 	if firstPos < 0 {
-		return Seed{}, fmt.Errorf("encoder: cube %d (%d specified bits) cannot be embedded anywhere in a fresh window; increase the LFSR size (n=%d)", first, st.set.Cubes[first].SpecifiedCount(), st.n)
+		panic("encoder: a screened cube has no solvable position in a fresh window")
 	}
 	st.commit(first, firstPos, &seed)
 
@@ -331,14 +375,14 @@ func (st *encodeState) scanTiers() (candidate, bool, error) {
 			return candidate{}, false, nil
 		}
 		spec := st.set.Cubes[st.order[i]].SpecifiedCount()
-		var tier []int
+		st.tier = st.tier[:0]
 		for i < len(st.order) && st.set.Cubes[st.order[i]].SpecifiedCount() == spec {
 			if st.remaining[st.order[i]] {
-				tier = append(tier, st.order[i])
+				st.tier = append(st.tier, st.order[i])
 			}
 			i++
 		}
-		cand, ok, err := st.scanTier(tier)
+		cand, ok, err := st.scanTier(st.tier)
 		if err != nil {
 			return candidate{}, false, err
 		}
@@ -381,7 +425,13 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 // exactly one goroutine at a time, and results are index-addressed — so the
 // tie-breaks below see the same candidate set for any worker count.
 func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
-	results := make([][]candidate, len(tier))
+	for len(st.results) < len(tier) {
+		st.results = append(st.results, nil)
+	}
+	results := st.results[:len(tier)]
+	for ti := range results {
+		results[ti] = results[ti][:0]
+	}
 	var checkCount int64
 	workers := st.workers
 	if workers > len(tier) {
@@ -439,20 +489,15 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 		return candidate{}, false, nil
 	}
 	// Tie-break 2: the cube encodable at the fewest window positions.
-	solvableCount := make(map[int]int)
-	for _, cands := range results {
-		for _, c := range cands {
-			solvableCount[c.cube]++
-		}
-	}
+	// results[ti] holds exactly the solvable positions of cube tier[ti].
 	best := candidate{cube: -1}
 	bestCount := 0
 	for _, cands := range results {
+		cnt := len(cands)
 		for _, c := range cands {
 			if c.rankInc != minInc {
 				continue
 			}
-			cnt := solvableCount[c.cube]
 			if best.cube < 0 ||
 				cnt < bestCount ||
 				// Tie-break 3: nearest to the start of the window.

@@ -1,9 +1,12 @@
 package encoder
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -355,6 +358,73 @@ func TestEncodeFailsWhenLFSRTooSmall(t *testing.T) {
 	cfg := smallConfig(t, 12, 64, 4, 2)
 	if _, err := Encode(cfg, set); err == nil {
 		t.Error("expected failure for oversized cube, got success")
+	}
+}
+
+// unembeddableCube draws cubes of `bits` random specified bits until one
+// is confirmed, with a plain solver, inconsistent at every position of the
+// table's window, and returns it.
+func unembeddableCube(t *testing.T, table *ExprTable, width, bits int, src *prng.Source) cube.Cube {
+	t.Helper()
+	for attempt := 0; attempt < 100; attempt++ {
+		c := cube.New(width)
+		for c.SpecifiedCount() < bits {
+			c.Set(src.Intn(width), src.Bit())
+		}
+		embeddable := false
+		for pos := 0; pos < table.L && !embeddable; pos++ {
+			_, embeddable = gf2.NewSolver(table.N).AddSystem(table.Equations(c, pos, nil))
+		}
+		if !embeddable {
+			return c
+		}
+	}
+	t.Fatalf("no unembeddable %d-bit cube drawn", bits)
+	return cube.Cube{}
+}
+
+// TestEncodeScreen checks the fresh-window screen: a set holding cubes no
+// seed can embed fails with the error naming the first of them in
+// densest-first order (ties by index), worded exactly as when the seed
+// loop reached it, and a context cancelled while screening stops the
+// encode with context.Canceled.
+func TestEncodeScreen(t *testing.T) {
+	set := genSet(t, "s9234", 30)
+	cfg := smallConfig(t, 24, set.Width, 8, 6)
+	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := prng.New(5)
+	sparse := unembeddableCube(t, table, set.Width, 44, src)
+	dense := unembeddableCube(t, table, set.Width, 50, src)
+	denseTwin := unembeddableCube(t, table, set.Width, 50, src)
+	set.Add(sparse)
+	set.Add(dense)
+	want := set.Len() - 1
+	set.Add(denseTwin)
+	_, err = Encode(cfg, set)
+	msg := fmt.Sprintf("encoder: cube %d (%d specified bits) cannot be embedded anywhere in a fresh window; increase the LFSR size (n=%d)", want, 50, 24)
+	if err == nil || err.Error() != msg {
+		t.Fatalf("err = %v, want %q", err, msg)
+	}
+
+	// A window longer than the poll stride: screening the unembeddable
+	// densest cube alone polls the (already cancelled) context. Prebuilt
+	// tables keep the table build from noticing the cancel first.
+	long := smallConfig(t, 24, set.Width, 8, 2*checkStride)
+	long.Tables, err = NewTables(long.LFSR, long.PS, long.Geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := long.Tables.EnsureLen(long.WindowLen); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = EncodeCtx(ctx, long, set)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "screening") {
+		t.Fatalf("cancelled screen: err = %v, want a screening error wrapping context.Canceled", err)
 	}
 }
 

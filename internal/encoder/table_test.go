@@ -3,6 +3,7 @@ package encoder
 import (
 	"testing"
 
+	"repro/internal/benchprofile"
 	"repro/internal/cube"
 	"repro/internal/gf2"
 	"repro/internal/lfsr"
@@ -190,6 +191,61 @@ func TestGenerateWindowIntoReuse(t *testing.T) {
 	for i := range fresh {
 		if !fresh[i].Equal(reused[i]) {
 			t.Fatalf("vector %d differs after buffer reuse", i)
+		}
+	}
+}
+
+// generateWindowBitwise is the bit-at-a-time window generator the shared
+// shift-clock kernel replaced: per clock, every chain's bit is the XOR of
+// its tap cells, and the register advances by the transition matrix. It is
+// the reference the word-parallel kernel is checked against.
+func generateWindowBitwise(l *lfsr.LFSR, ps *phaseshifter.PhaseShifter, geo scan.Geometry, seed gf2.Vec, L int) []gf2.Vec {
+	tm := l.Transition()
+	state := seed.Clone()
+	out := make([]gf2.Vec, L)
+	for v := range out {
+		out[v] = gf2.NewVec(geo.Width)
+		for cyc := 0; cyc < geo.Length; cyc++ {
+			for ch := 0; ch < geo.Chains; ch++ {
+				pos := geo.CellAtCycle(ch, cyc)
+				if pos < 0 {
+					continue
+				}
+				var b uint8
+				for _, cell := range ps.Taps(ch) {
+					b ^= state.Bit(cell)
+				}
+				out[v].SetBit(pos, b)
+			}
+			state = tm.MulVec(state)
+		}
+	}
+	return out
+}
+
+// TestGenerateWindowMatchesBitwise runs the word-parallel window kernel
+// against the bitwise reference on every CI and paper profile's
+// decompressor (registers of one and two words, cube widths of up to 26
+// words, padded and unpadded chains) from random seeds.
+func TestGenerateWindowMatchesBitwise(t *testing.T) {
+	const L = 3
+	src := prng.New(77)
+	for _, scale := range []benchprofile.Scale{benchprofile.ScaleCI, benchprofile.ScalePaper} {
+		for _, p := range benchprofile.All(scale) {
+			cfg := smallConfig(t, p.LFSRSize, p.Width, p.Chains, L)
+			for trial := 0; trial < 4; trial++ {
+				seed := gf2.NewVec(p.LFSRSize)
+				for i := 0; i < p.LFSRSize; i++ {
+					seed.SetBit(i, src.Bit())
+				}
+				want := generateWindowBitwise(cfg.LFSR, cfg.PS, cfg.Geo, seed, L)
+				got := GenerateWindow(cfg.LFSR, cfg.PS, cfg.Geo, seed, L)
+				for v := range want {
+					if !got[v].Equal(want[v]) {
+						t.Fatalf("%s n=%d trial %d: vector %d differs from the bitwise reference", p.Name, p.LFSRSize, trial, v)
+					}
+				}
+			}
 		}
 	}
 }

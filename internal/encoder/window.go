@@ -25,7 +25,8 @@ func GenerateWindow(l *lfsr.LFSR, ps *phaseshifter.PhaseShifter, geo scan.Geomet
 }
 
 // GenerateWindowInto fills dst (length ≥ L) with the window vectors,
-// allocating fresh vectors only for nil slots.
+// reusing every slot that already holds a geo.Width-bit vector and
+// allocating a fresh one for any other slot (nil or of another width).
 func GenerateWindowInto(dst []gf2.Vec, l *lfsr.LFSR, ps *phaseshifter.PhaseShifter, geo scan.Geometry, seed gf2.Vec, L int) {
 	if seed.Len() != l.Size() {
 		panic(fmt.Sprintf("encoder: seed width %d != LFSR size %d", seed.Len(), l.Size()))
@@ -33,23 +34,13 @@ func GenerateWindowInto(dst []gf2.Vec, l *lfsr.LFSR, ps *phaseshifter.PhaseShift
 	state := seed.Clone()
 	next := gf2.NewVec(l.Size())
 	for v := 0; v < L; v++ {
+		// Every cell of the vector is written once per r clocks, so a
+		// reused slot needs no clearing.
 		if dst[v].Len() != geo.Width {
 			dst[v] = gf2.NewVec(geo.Width)
-		} else {
-			dst[v].Zero()
 		}
 		for cyc := 0; cyc < geo.Length; cyc++ {
-			for ch := 0; ch < geo.Chains; ch++ {
-				pos := geo.CellAtCycle(ch, cyc)
-				if pos < 0 {
-					continue
-				}
-				var b uint8
-				for _, cell := range ps.Taps(ch) {
-					b ^= state.Bit(cell)
-				}
-				dst[v].SetBit(pos, b)
-			}
+			ps.ShiftInto(dst[v], geo, cyc, state)
 			l.StepInto(next, state)
 			state, next = next, state
 		}

@@ -94,10 +94,20 @@ func (m Mat) MulVec(v Vec) Vec {
 		panic(fmt.Sprintf("gf2: MulVec dimension mismatch: %d cols × %d vec", m.cols, v.Len()))
 	}
 	out := NewVec(len(m.rows))
-	for i, r := range m.rows {
-		out.SetBit(i, r.Dot(v))
-	}
+	m.MulVecInto(out, v)
 	return out
+}
+
+// MulVecInto writes m·v into dst (dst.Len() == m.Rows()) without
+// allocating. dst must not share storage with v.
+func (m Mat) MulVecInto(dst, v Vec) {
+	if v.Len() != m.cols || dst.Len() != len(m.rows) {
+		panic(fmt.Sprintf("gf2: MulVecInto dimension mismatch: %d×%d by %d-vec into %d-vec", len(m.rows), m.cols, v.Len(), dst.Len()))
+	}
+	dst.Zero()
+	for i, r := range m.rows {
+		dst.words[i/wordBits] |= uint64(r.Dot(v)) << (uint(i) % wordBits)
+	}
 }
 
 // Mul computes the matrix product m·o. m.Cols() must equal o.Rows().

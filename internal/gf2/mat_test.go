@@ -50,6 +50,12 @@ func TestMulVecMatchesMul(t *testing.T) {
 			t.Fatalf("MulVec mismatch at %d", i)
 		}
 	}
+	// MulVecInto overwrites a dirty destination completely.
+	dst := randVec(src, 17)
+	m.MulVecInto(dst, v)
+	if !dst.Equal(got) {
+		t.Fatal("MulVecInto into a dirty vector disagrees with MulVec")
+	}
 }
 
 func TestMulAssociativity(t *testing.T) {

@@ -170,32 +170,33 @@ func (l *LFSR) Step(state gf2.Vec) gf2.Vec {
 }
 
 // StepInto writes the successor of state into dst without allocating.
-// dst and state must be distinct n-bit vectors.
+// dst and state must be distinct n-bit vectors. The shift is word-parallel:
+// a Fibonacci clock is one parity of state∧coeffs plus a multi-word shift
+// towards cell 0; a Galois clock is a multi-word shift towards cell n-1
+// plus the coefficient mask XORed in when the feedback bit is set.
 func (l *LFSR) StepInto(dst, state gf2.Vec) {
 	if dst.Len() != l.n || state.Len() != l.n {
 		panic("lfsr: StepInto length mismatch")
 	}
+	d, s := dst.Words(), state.Words()
+	last := len(s) - 1
+	top := uint(l.n-1) % 64 // bit of cell n-1 within the last word
 	switch l.form {
 	case Fibonacci:
-		var fb uint8
-		for j := 0; j < l.n; j++ {
-			if l.coeffs.Bit(j) != 0 {
-				fb ^= state.Bit(j)
-			}
+		fb := uint64(state.Dot(l.coeffs))
+		for i := 0; i < last; i++ {
+			d[i] = s[i]>>1 | s[i+1]<<63
 		}
-		for i := 0; i < l.n-1; i++ {
-			dst.SetBit(i, state.Bit(i+1))
-		}
-		dst.SetBit(l.n-1, fb)
+		d[last] = s[last]>>1 | fb<<top
 	case Galois:
-		f := state.Bit(l.n - 1)
-		dst.SetBit(0, f)
-		for i := 1; i < l.n; i++ {
-			b := state.Bit(i - 1)
-			if l.coeffs.Bit(i) != 0 {
-				b ^= f
-			}
-			dst.SetBit(i, b)
+		f := -(s[last] >> top & 1) // all ones iff the feedback bit is set
+		for i := last; i > 0; i-- {
+			d[i] = s[i]<<1 | s[i-1]>>63
+		}
+		d[0] = s[0] << 1
+		d[last] &= ^uint64(0) >> (63 - top) // drop the bit shifted past cell n-1
+		for i, c := range l.coeffs.Words() {
+			d[i] ^= c & f
 		}
 	}
 }

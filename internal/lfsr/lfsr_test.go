@@ -107,23 +107,60 @@ func TestFig2StateSkipRelations(t *testing.T) {
 	}
 }
 
+// stepIntoBitwise is the bit-at-a-time register clock StepInto replaced,
+// kept as the reference its word-parallel shifts are checked against.
+func stepIntoBitwise(l *LFSR, dst, state gf2.Vec) {
+	switch l.form {
+	case Fibonacci:
+		var fb uint8
+		for j := 0; j < l.n; j++ {
+			if l.coeffs.Bit(j) != 0 {
+				fb ^= state.Bit(j)
+			}
+		}
+		for i := 0; i < l.n-1; i++ {
+			dst.SetBit(i, state.Bit(i+1))
+		}
+		dst.SetBit(l.n-1, fb)
+	case Galois:
+		f := state.Bit(l.n - 1)
+		dst.SetBit(0, f)
+		for i := 1; i < l.n; i++ {
+			b := state.Bit(i - 1)
+			if l.coeffs.Bit(i) != 0 {
+				b ^= f
+			}
+			dst.SetBit(i, b)
+		}
+	}
+}
+
+// TestStepIntoMatchesMatrix checks the word-parallel clock against the
+// transition matrix and the bitwise reference, on the paper's n=16 example
+// and on curated sizes either side of every word boundary up to two words.
 func TestStepIntoMatchesMatrix(t *testing.T) {
 	for _, form := range []Form{Fibonacci, Galois} {
-		l := mustNew(t, form, 16, []int{15, 13, 4})
-		src := prng.New(uint64(form) + 9)
-		state := gf2.NewVec(16)
-		for i := 0; i < 16; i++ {
-			state.SetBit(i, src.Bit())
-		}
-		state.SetBit(0, 1) // ensure nonzero
-		dst := gf2.NewVec(16)
-		for i := 0; i < 100; i++ {
-			l.StepInto(dst, state)
-			viaMatrix := l.Transition().MulVec(state)
-			if !dst.Equal(viaMatrix) {
-				t.Fatalf("%v: StepInto disagrees with transition matrix at step %d", form, i)
+		for _, n := range []int{16, 24, 44, 63, 64, 65, 85, 100, 128} {
+			l, err := NewStandard(form, n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			state.CopyFrom(dst)
+			src := prng.New(uint64(form)*1000 + uint64(n) + 9)
+			state := gf2.NewVec(n)
+			for i := 0; i < n; i++ {
+				state.SetBit(i, src.Bit())
+			}
+			state.SetBit(0, 1) // ensure nonzero
+			tm := l.Transition()
+			dst, ref := gf2.NewVec(n), gf2.NewVec(n)
+			for i := 0; i < 3*n; i++ {
+				l.StepInto(dst, state)
+				stepIntoBitwise(l, ref, state)
+				if !dst.Equal(tm.MulVec(state)) || !dst.Equal(ref) {
+					t.Fatalf("%v n=%d: StepInto disagrees with the transition matrix or the bitwise clock at step %d", form, n, i)
+				}
+				state.CopyFrom(dst)
+			}
 		}
 	}
 }

@@ -13,16 +13,23 @@ package phaseshifter
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/gf2"
 	"repro/internal/lfsr"
 	"repro/internal/prng"
+	"repro/internal/scan"
 )
 
 // PhaseShifter is an immutable XOR network from n LFSR cells to m outputs.
 type PhaseShifter struct {
-	n    int
-	taps [][]int // taps[out] = LFSR cell indices XORed into that output
+	n     int
+	words int     // words per n-bit tap mask
+	taps  [][]int // taps[out] = LFSR cell indices XORed into that output
+	// masks holds one n-bit tap mask per output, output o at words
+	// [o·words, (o+1)·words): a concrete output bit is the parity of the
+	// state under its mask.
+	masks []uint64
 }
 
 // New builds a phase shifter with explicit taps. Every output must have at
@@ -34,7 +41,9 @@ func New(n int, taps [][]int) (*PhaseShifter, error) {
 	if len(taps) == 0 {
 		return nil, fmt.Errorf("phaseshifter: need at least one output")
 	}
+	words := (n + 63) / 64
 	cp := make([][]int, len(taps))
+	masks := make([]uint64, len(taps)*words)
 	for o, ts := range taps {
 		if len(ts) == 0 {
 			return nil, fmt.Errorf("phaseshifter: output %d has no taps", o)
@@ -48,10 +57,11 @@ func New(n int, taps [][]int) (*PhaseShifter, error) {
 				return nil, fmt.Errorf("phaseshifter: output %d taps cell %d twice", o, c)
 			}
 			seen[c] = true
+			masks[o*words+c/64] |= 1 << (uint(c) % 64)
 		}
 		cp[o] = append([]int(nil), ts...)
 	}
-	return &PhaseShifter{n: n, taps: cp}, nil
+	return &PhaseShifter{n: n, words: words, taps: cp, masks: masks}, nil
 }
 
 // NewSeparated builds a 3-tap-per-output phase shifter whose output
@@ -99,9 +109,10 @@ func NewSeparatedVariant(l *lfsr.LFSR, outputs, windowCycles int, variant uint64
 	for o := range taps {
 		taps[o] = randomTaps(src, n)
 	}
+	cs := newCollisionSet(n, outputs*windowCycles)
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
-		colliding := findCollision(l, taps, windowCycles)
+		colliding := findCollision(l, taps, windowCycles, cs)
 		if colliding < 0 {
 			return New(n, taps)
 		}
@@ -131,44 +142,88 @@ func randomTaps(src *prng.Source, n int) []int {
 // findCollision symbolically simulates windowCycles clocks and returns the
 // index of an output whose expression at some cycle duplicates another
 // output's expression at any cycle, or -1 if all expressions are distinct.
-func findCollision(l *lfsr.LFSR, taps [][]int, windowCycles int) int {
-	n := l.Size()
-	type slot struct {
-		out  int
-		expr gf2.Vec
-	}
-	seen := make(map[uint64][]slot, windowCycles*len(taps))
+// cs is reset and reused; it must be sized for len(taps)·windowCycles
+// expressions.
+func findCollision(l *lfsr.LFSR, taps [][]int, windowCycles int, cs *collisionSet) int {
+	cs.reset()
 	sym := lfsr.NewSymbolic(l)
-	scratch := gf2.NewVec(n)
+	scratch := gf2.NewVec(l.Size())
 	for cyc := 0; cyc < windowCycles; cyc++ {
 		for o, ts := range taps {
 			scratch.Zero()
 			for _, c := range ts {
 				scratch.Xor(sym.Expr(c))
 			}
-			h := hashWords(scratch.Words())
-			for _, s := range seen[h] {
-				if s.out != o && s.expr.Equal(scratch) {
-					return o
-				}
+			if cs.insert(o, scratch.Words()) {
+				return o
 			}
-			seen[h] = append(seen[h], slot{out: o, expr: scratch.Clone()})
 		}
 		sym.Step()
 	}
 	return -1
 }
 
-func hashWords(ws []uint64) uint64 {
-	// FNV-1a over the words.
-	h := uint64(0xcbf29ce484222325)
-	for _, w := range ws {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= 0x100000001b3
+// collisionSet records the (output, expression) pairs of one separation
+// round: the expressions in one flat word arena, indexed by an
+// open-addressing hash table of entry numbers, so a round allocates
+// nothing once the set is sized.
+type collisionSet struct {
+	words int
+	arena []uint64 // entry e's expression at words [e·words, (e+1)·words)
+	outs  []int32  // entry e's output
+	slots []int32  // entry numbers by hash, linear probing; -1 = empty
+	shift uint     // 64 − log2(len(slots)): the hash's top bits index slots
+}
+
+func newCollisionSet(n, entries int) *collisionSet {
+	logSlots := uint(bits.Len(uint(2*entries - 1))) // load factor ≤ 1/2
+	words := (n + 63) / 64
+	return &collisionSet{
+		words: words,
+		arena: make([]uint64, 0, entries*words),
+		outs:  make([]int32, 0, entries),
+		slots: make([]int32, 1<<logSlots),
+		shift: 64 - logSlots,
+	}
+}
+
+func (cs *collisionSet) reset() {
+	cs.arena = cs.arena[:0]
+	cs.outs = cs.outs[:0]
+	for i := range cs.slots {
+		cs.slots[i] = -1
+	}
+}
+
+// insert reports whether an earlier entry of another output holds expr;
+// otherwise it records expr as an entry of output o.
+func (cs *collisionSet) insert(o int, expr []uint64) bool {
+	h := uint64(0)
+	for _, w := range expr {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	mask := len(cs.slots) - 1
+	for i := int(h >> cs.shift); ; i = (i + 1) & mask {
+		e := int(cs.slots[i])
+		if e < 0 {
+			cs.slots[i] = int32(len(cs.outs))
+			cs.outs = append(cs.outs, int32(o))
+			cs.arena = append(cs.arena, expr...)
+			return false
+		}
+		if int(cs.outs[e]) != o && equalWords(cs.arena[e*cs.words:(e+1)*cs.words], expr) {
+			return true
 		}
 	}
-	return h
+}
+
+func equalWords(a, b []uint64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Outputs returns the number of outputs m.
@@ -182,28 +237,53 @@ func (p *PhaseShifter) Taps(out int) []int { return p.taps[out] }
 
 // Apply computes the m concrete output bits for a concrete LFSR state.
 func (p *PhaseShifter) Apply(state gf2.Vec) gf2.Vec {
-	if state.Len() != p.n {
-		panic(fmt.Sprintf("phaseshifter: state width %d != %d", state.Len(), p.n))
-	}
 	out := gf2.NewVec(len(p.taps))
-	for o, ts := range p.taps {
-		var b uint8
-		for _, c := range ts {
-			b ^= state.Bit(c)
-		}
-		out.SetBit(o, b)
-	}
+	p.ApplyInto(out, state)
 	return out
 }
 
 // ApplyInto is Apply without allocation; dst must have m bits.
 func (p *PhaseShifter) ApplyInto(dst, state gf2.Vec) {
-	for o, ts := range p.taps {
-		var b uint8
-		for _, c := range ts {
-			b ^= state.Bit(c)
-		}
-		dst.SetBit(o, b)
+	p.checkState(state)
+	sw := state.Words()
+	for o := range p.taps {
+		dst.SetBit(o, p.output(o, sw))
+	}
+}
+
+// ShiftInto writes the bits the phase shifter feeds the scan chains at
+// shift clock cyc (0 ≤ cyc < geo.Length) of a vector load, for the given
+// concrete LFSR state, into dst (geo.Width bits): chain ch's bit lands on
+// cell geo.CellAtCycle(ch, cyc), and padding slots are dropped. The
+// geometry's chain count must equal the output count. This is the one
+// concrete shift-clock kernel behind window generation, the State Skip
+// applied-vector stream and the decompressor simulator.
+func (p *PhaseShifter) ShiftInto(dst gf2.Vec, geo scan.Geometry, cyc int, state gf2.Vec) {
+	p.checkState(state)
+	sw, dw := state.Words(), dst.Words()
+	// Chain-major cells: chain ch's cell at this cycle is ch·r + depth, so
+	// the cells rise with ch and the first padding slot ends the loop.
+	pos := geo.DepthAt(cyc)
+	for ch := 0; ch < geo.Chains && pos < geo.Width; ch++ {
+		w, sh := pos/64, uint(pos)%64
+		dw[w] = dw[w]&^(1<<sh) | uint64(p.output(ch, sw))<<sh
+		pos += geo.Length
+	}
+}
+
+// output is the concrete bit of output o: the parity of the state words
+// under the output's tap mask.
+func (p *PhaseShifter) output(o int, state []uint64) uint8 {
+	var acc uint64
+	for i, m := range p.masks[o*p.words : (o+1)*p.words] {
+		acc ^= m & state[i]
+	}
+	return uint8(bits.OnesCount64(acc) & 1)
+}
+
+func (p *PhaseShifter) checkState(state gf2.Vec) {
+	if state.Len() != p.n {
+		panic(fmt.Sprintf("phaseshifter: state width %d != %d", state.Len(), p.n))
 	}
 }
 

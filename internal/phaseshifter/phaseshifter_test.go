@@ -158,3 +158,76 @@ func TestSeparatedRejectsBadArgs(t *testing.T) {
 		t.Error("0 window accepted")
 	}
 }
+
+// findCollisionMap is the map-based separation check findCollision
+// replaced: every expression cloned into buckets keyed by an FNV-1a hash.
+// It is the reference the arena and open-addressing table are checked
+// against.
+func findCollisionMap(l *lfsr.LFSR, taps [][]int, windowCycles int) int {
+	type slot struct {
+		out  int
+		expr gf2.Vec
+	}
+	seen := make(map[uint64][]slot, windowCycles*len(taps))
+	sym := lfsr.NewSymbolic(l)
+	scratch := gf2.NewVec(l.Size())
+	for cyc := 0; cyc < windowCycles; cyc++ {
+		for o, ts := range taps {
+			scratch.Zero()
+			for _, c := range ts {
+				scratch.Xor(sym.Expr(c))
+			}
+			h := uint64(0xcbf29ce484222325)
+			for _, w := range scratch.Words() {
+				for i := 0; i < 8; i++ {
+					h ^= (w >> (8 * i)) & 0xff
+					h *= 0x100000001b3
+				}
+			}
+			for _, s := range seen[h] {
+				if s.out != o && s.expr.Equal(scratch) {
+					return o
+				}
+			}
+			seen[h] = append(seen[h], slot{out: o, expr: scratch.Clone()})
+		}
+		sym.Step()
+	}
+	return -1
+}
+
+// TestFindCollisionMatchesMap runs the arena-backed separation check
+// against the map-based reference over random tap sets, reusing one
+// collision set across trials the way NewSeparatedVariant reuses it across
+// rounds. The small registers collide often, so both outcomes are hit,
+// and a lone output over more than its period repeats its own expression,
+// which is no collision.
+func TestFindCollisionMatchesMap(t *testing.T) {
+	src := prng.New(21)
+	for _, c := range []struct{ n, outputs, window int }{
+		{8, 4, 40}, {8, 1, 300}, {20, 8, 300}, {24, 8, 200}, {85, 32, 60},
+	} {
+		l := std(t, c.n)
+		cs := newCollisionSet(c.n, c.outputs*c.window)
+		collided := 0
+		for trial := 0; trial < 40; trial++ {
+			taps := make([][]int, c.outputs)
+			for o := range taps {
+				taps[o] = randomTaps(src, c.n)
+			}
+			if c.outputs == 4 && trial%2 == 0 {
+				taps[c.outputs-1] = append([]int(nil), taps[0]...) // certain collision
+			}
+			want := findCollisionMap(l, taps, c.window)
+			if got := findCollision(l, taps, c.window, cs); got != want {
+				t.Fatalf("n=%d trial %d: findCollision = %d, reference %d", c.n, trial, got, want)
+			}
+			if want >= 0 {
+				collided++
+			}
+		}
+		if c.outputs == 4 && (collided == 0 || collided == 40) {
+			t.Errorf("n=8: %d/40 trials collided; want both outcomes", collided)
+		}
+	}
+}

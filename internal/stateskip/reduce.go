@@ -15,6 +15,7 @@ package stateskip
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -96,7 +97,8 @@ type VecEmbeddings struct {
 // several scans concurrently.
 func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 	nCubes := enc.Set.Len()
-	perSeed := make([][][]int, len(enc.Seeds)) // [seed][cube] = vector indices
+	tests := newCubeTests(enc)
+	perSeed := make([][]hit, len(enc.Seeds)) // cube-major embeddings per seed
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -120,11 +122,11 @@ func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 					return
 				}
 				encoder.GenerateWindowInto(window, enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, enc.Seeds[si].Value, enc.Cfg.WindowLen)
-				found := make([][]int, nCubes)
-				for v, vec := range window {
-					for ci := 0; ci < nCubes; ci++ {
-						if enc.Set.Cubes[ci].Matches(vec) {
-							found[ci] = append(found[ci], v)
+				var found []hit
+				for ci := 0; ci < nCubes; ci++ {
+					for v, vec := range window {
+						if tests.matches(ci, vec.Words()) {
+							found = append(found, hit{cube: int32(ci), vec: int32(v)})
 						}
 					}
 				}
@@ -133,15 +135,78 @@ func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 		}()
 	}
 	wg.Wait()
+	// Gather in (seed, vector) order per cube, into one exactly sized arena.
+	counts := make([]int, nCubes)
+	total := 0
+	for _, found := range perSeed {
+		for _, h := range found {
+			counts[h.cube]++
+		}
+		total += len(found)
+	}
+	arena := make([]VecRef, total)
 	idx := &VecEmbeddings{PerCube: make([][]VecRef, nCubes)}
-	for si := range perSeed {
-		for ci, vecs := range perSeed[si] {
-			for _, v := range vecs {
-				idx.PerCube[ci] = append(idx.PerCube[ci], VecRef{Seed: si, Vec: v})
-			}
+	for ci, c := range counts {
+		if c > 0 {
+			idx.PerCube[ci] = arena[:0:c]
+			arena = arena[c:]
+		}
+	}
+	for si, found := range perSeed {
+		for _, h := range found {
+			idx.PerCube[h.cube] = append(idx.PerCube[h.cube], VecRef{Seed: si, Vec: int(h.vec)})
 		}
 	}
 	return idx
+}
+
+// hit is one (cube, window vector) embedding found in a seed's window.
+type hit struct{ cube, vec int32 }
+
+// wordTest is one word of a cube's match condition: the vector word w
+// agrees with the cube iff (w ⊕ val) ∧ mask = 0.
+type wordTest struct {
+	word      int
+	mask, val uint64
+}
+
+// cubeTests is the sparse form of a cube set for the embedding scan:
+// cube ci's non-zero mask words at tests[start[ci]:start[ci+1]], densest
+// word first, so most non-matching vectors are rejected by one test
+// instead of a walk over every word of Cube.Matches.
+type cubeTests struct {
+	tests []wordTest
+	start []int
+}
+
+func newCubeTests(enc *encoder.Encoding) *cubeTests {
+	ct := &cubeTests{start: make([]int, 1, enc.Set.Len()+1)}
+	for _, c := range enc.Set.Cubes {
+		from := len(ct.tests)
+		vals := c.Value.Words()
+		for w, m := range c.Mask.Words() {
+			if m != 0 {
+				ct.tests = append(ct.tests, wordTest{word: w, mask: m, val: vals[w]})
+			}
+		}
+		own := ct.tests[from:]
+		sort.SliceStable(own, func(a, b int) bool {
+			return bits.OnesCount64(own[a].mask) > bits.OnesCount64(own[b].mask)
+		})
+		ct.start = append(ct.start, len(ct.tests))
+	}
+	return ct
+}
+
+// matches reports whether the vector words agree with every specified
+// bit of cube ci (Cube.Matches on the sparse form).
+func (ct *cubeTests) matches(ci int, vec []uint64) bool {
+	for _, t := range ct.tests[ct.start[ci]:ct.start[ci+1]] {
+		if (vec[t.word]^t.val)&t.mask != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Reduce analyses fortuitous embeddings and selects useful segments per the
@@ -502,18 +567,7 @@ func (r *Reduction) seedApplied(seed int) []gf2.Vec {
 	fill := 0 // Bit Counter: shift clocks since the last segment boundary
 
 	shiftClock := func() {
-		cyc := fill % geo.Length
-		for ch := 0; ch < geo.Chains; ch++ {
-			pos := geo.CellAtCycle(ch, cyc)
-			if pos < 0 {
-				continue
-			}
-			var b uint8
-			for _, c := range ps.Taps(ch) {
-				b ^= state.Bit(c)
-			}
-			cur.SetBit(pos, b)
-		}
+		ps.ShiftInto(cur, geo, fill%geo.Length, state)
 		fill++
 		if fill%geo.Length == 0 {
 			vecs = append(vecs, cur.Clone())
@@ -538,7 +592,8 @@ func (r *Reduction) seedApplied(seed int) []gf2.Vec {
 		} else {
 			for c := 0; c < run.States/k; c++ {
 				shiftClock()
-				state = skip.MulVec(state)
+				skip.MulVecInto(next, state)
+				state, next = next, state
 			}
 			for c := 0; c < run.States%k; c++ {
 				shiftClock()

@@ -1,6 +1,7 @@
 package stateskip
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/benchprofile"
@@ -300,5 +301,40 @@ func TestNaiveSelectionAblation(t *testing.T) {
 		if !found {
 			t.Errorf("naive selection: cube %d not applied", ci)
 		}
+	}
+}
+
+// TestScanEmbeddingsExact pins the embedding index to a naive scan —
+// regenerate every window and test every cube against every vector with
+// Cube.Matches — on the full CI s13207 and s38417 profiles, for one and
+// for several scan workers.
+func TestScanEmbeddingsExact(t *testing.T) {
+	for _, name := range []string{"s13207", "s38417"} {
+		enc := encodeProfile(t, name, 0, 16)
+		want := make([][]VecRef, enc.Set.Len())
+		for si, seed := range enc.Seeds {
+			window := encoder.GenerateWindow(enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, seed.Value, enc.Cfg.WindowLen)
+			for ci, c := range enc.Set.Cubes {
+				for v, vec := range window {
+					if c.Matches(vec) {
+						want[ci] = append(want[ci], VecRef{Seed: si, Vec: v})
+					}
+				}
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			got := ScanEmbeddingsWorkers(enc, workers).PerCube
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: embedding index differs from the naive scan", name, workers)
+			}
+		}
+	}
+}
+
+func BenchmarkScanEmbeddings(b *testing.B) {
+	enc := encodeProfile(b, "s38417", 0, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ScanEmbeddingsWorkers(enc, 1)
 	}
 }
