@@ -256,9 +256,10 @@ func BenchmarkCompressPhases(b *testing.B) {
 }
 
 // BenchmarkCoverage measures fault-universe coverage of a fixed random
-// core, serial (workers=1) versus chunked across every CPU. Detection
-// results are bit-identical for any worker count (asserted by the
-// differential tests in internal/faultsim); only the wall clock differs.
+// core, serial (workers=1) versus chunked across every CPU, at the sweep
+// width CoverageCtx chooses itself (Options.LaneWords left 0). Detection
+// results are bit-identical for any worker count and width (asserted by
+// the differential tests in internal/faultsim); only the wall clock differs.
 // At paper scale the core and pattern count grow to the size of the
 // paper's larger ISCAS'89-class circuits.
 func BenchmarkCoverage(b *testing.B) {

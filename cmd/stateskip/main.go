@@ -14,9 +14,10 @@
 // the default CI scale runs in seconds. -workers bounds the goroutines the
 // experiment drivers, the ATPG pipeline and the fault simulator fan out
 // across (0, the default, uses every CPU; results are identical for any
-// value). -lanewords widens the fault simulator to that many 64-bit words
-// of pattern lanes per sweep — 64×N patterns per batch; results are
-// bit-identical for any width. -cpuprofile/-memprofile write
+// value). -lanewords widens the ATPG fault-drop simulator to that many
+// 64-bit words of pattern lanes per sweep — 64×N patterns per batch; 0
+// keeps the engine default of one word, and results are bit-identical for
+// any width. -cpuprofile/-memprofile write
 // runtime/pprof profiles of any
 // subcommand, so the ATPG and encoder hot paths can be measured directly:
 //
@@ -80,7 +81,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("stateskip", flag.ContinueOnError)
 	scaleFlag := fs.String("scale", scaleFromEnv(), "experiment scale: ci or paper")
 	workersFlag := fs.Int("workers", 0, "worker goroutines for experiments, ATPG and fault simulation (0 = all CPUs)")
-	laneFlag := fs.Int("lanewords", 0, "fault-simulator lane words: 64×N patterns per sweep (0 = 1 word; results identical for any width)")
+	laneFlag := fs.Int("lanewords", 0, "fault-simulator lane words for ATPG fault dropping: 64×N patterns per sweep (0 = engine default, 1 word; results identical for any width)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the subcommand to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file when the subcommand finishes")
 	if err := fs.Parse(args); err != nil {

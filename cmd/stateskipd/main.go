@@ -63,7 +63,7 @@ func run(args []string) error {
 	scaleFlag := fs.String("scale", "ci", "benchmark scale: ci or paper")
 	jobWorkers := fs.Int("job-workers", 2, "jobs run concurrently")
 	workers := fs.Int("workers", 0, "engine goroutines per job (0 = all CPUs)")
-	laneWords := fs.Int("lanewords", 0, "default fault-simulator lane words: 64×N patterns per sweep (0 = 1 word; jobs override via lane_words)")
+	laneWords := fs.Int("lanewords", 0, "default fault-simulator lane words: 64×N patterns per sweep (0 = engine default: 1 word for ATPG, up to 8 chosen from the pattern count for coverage; jobs override via lane_words)")
 	queue := fs.Int("queue", 64, "queued-job backlog bound")
 	timeout := fs.Duration("timeout", 0, "default per-job deadline (0 = none)")
 	retries := fs.Int("retries", 2, "retries per failed job attempt")

@@ -1173,6 +1173,8 @@ func (r *runner) sweep() error {
 	}
 	n, err := faultsim.DetectAllCtx(r.ctx, r.sims, r.u.Faults, r.done)
 	r.res.Detected += n
-	r.sims[0].ResetPatterns()
+	if rerr := r.sims[0].ResetPatterns(); rerr != nil {
+		return rerr
+	}
 	return err
 }

@@ -17,7 +17,9 @@ type Options struct {
 	Workers int
 	// LaneWords widens every simulator to that many 64-bit words of
 	// pattern lanes, so each sweep covers up to 64×LaneWords patterns
-	// (256/512 at 4/8). 0 or negative selects the single-word engine.
+	// (256/512 at 4/8). 0 or negative lets the engine choose: CoverageCtx
+	// picks up to 8 words from the pattern count (see CoverageCtx), while
+	// the ATPG drop loop (LaneWordCount) uses the single-word engine.
 	// Results are bit-identical for any value — only the batch cadence
 	// changes.
 	LaneWords int
@@ -31,13 +33,38 @@ func (o Options) WorkerCount() int {
 	return runtime.NumCPU()
 }
 
-// LaneWordCount resolves the LaneWords field to an effective lane width.
+// LaneWordCount resolves the LaneWords field to an effective lane width
+// for callers that do not know their pattern count up front (the ATPG drop
+// loop): 0 or negative means one word.
 func (o Options) LaneWordCount() int {
 	if o.LaneWords > 0 {
 		return o.LaneWords
 	}
 	return 1
 }
+
+// autoLaneWords caps the lane width CoverageCtx chooses itself. It is a
+// constant, not a knob: 16 words graded the benchmark's grade-random
+// workload 20–29 % faster but allocated 52 % more per op, and every
+// pool's planes grow with the width.
+const autoLaneWords = 8
+
+// coverageLaneWords resolves the LaneWords field for grading n patterns.
+// An explicit width wins; otherwise the engine takes the fewest batches of
+// at most autoLaneWords words, each as narrow as that allows, so 65
+// patterns sweep as one 2-word batch and 513 as two 5-word batches.
+func (o Options) coverageLaneWords(n int) int {
+	if o.LaneWords > 0 {
+		return o.LaneWords
+	}
+	if n <= 0 {
+		return 1
+	}
+	batches := ceilDiv(n, 64*autoLaneWords)
+	return ceilDiv(ceilDiv(n, batches), 64)
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // PoolSize is WorkerCount clamped to the fault universe being swept:
 // never more workers than faults, never fewer than one.
@@ -54,9 +81,12 @@ func (o Options) PoolSize(numFaults int) int {
 
 // CoverageCtx runs every fault of the universe against the given fully
 // specified patterns and returns per-fault detection plus the coverage
-// fraction. Patterns are batched 64×LaneWords at a time, and each batch is
-// swept over the universe by DetectAllCtx across a pool of Workers
-// simulators. The result is bit-identical for any Workers and any
+// fraction. Patterns are batched 64×W at a time, and each batch is swept
+// over the universe by DetectAllCtx across a pool of Workers simulators
+// that share one fault-free plane. W is Options.LaneWords when positive;
+// otherwise the engine picks it: the fewest batches of at most 8 words,
+// each as narrow as that allows (batches = ⌈n/512⌉, W = ⌈⌈n/batches⌉/64⌉
+// for n patterns). The result is bit-identical for any Workers and any
 // LaneWords.
 //
 // The context is polled between pattern batches and once per fault chunk
@@ -64,7 +94,7 @@ func (o Options) PoolSize(numFaults int) int {
 // microseconds. A cancelled run returns a nil detected slice and an error
 // wrapping context.Canceled or context.DeadlineExceeded.
 func CoverageCtx(ctx context.Context, u *Universe, patterns [][]uint8, opt Options) (detected []bool, coverage float64, err error) {
-	sims, err := NewSimulatorPoolLanes(u, opt.PoolSize(len(u.Faults)), opt.LaneWordCount())
+	sims, err := NewSimulatorPoolLanes(u, opt.PoolSize(len(u.Faults)), opt.coverageLaneWords(len(patterns)))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -96,15 +126,20 @@ func CoverageCtx(ctx context.Context, u *Universe, patterns [][]uint8, opt Optio
 
 // NewSimulatorPoolLanes builds n simulators of the given lane width over
 // one universe (see NewSimulatorLanes). The shared topology is computed
-// once, so the per-simulator cost is only the scratch arenas.
+// once, and the followers sims[1:] read the leader sims[0]'s fault-free
+// plane instead of holding their own, so the per-follower cost is only the
+// faulty-plane scratch. Load patterns into the leader only (a follower's
+// loading methods return ErrSharedPlane), then AdoptPatterns each follower
+// from it before every sweep.
 func NewSimulatorPoolLanes(u *Universe, n, laneWords int) ([]*Simulator, error) {
 	sims := make([]*Simulator, n)
+	var good []uint64
 	for i := range sims {
-		sim, err := NewSimulatorLanes(u, laneWords)
+		sim, err := newSimulator(u, laneWords, good)
 		if err != nil {
 			return nil, err
 		}
-		sims[i] = sim
+		sims[i], good = sim, sim.good
 	}
 	return sims, nil
 }

@@ -243,3 +243,56 @@ func TestDetectAllMatchesSerialDrop(t *testing.T) {
 		}
 	}
 }
+
+// TestCoverageAutoLaneWidthBitIdentical pins the engine-chosen sweep width:
+// LaneWords 0 must grade exactly like explicit 1 and 8 — same per-fault
+// marks, same coverage — for pattern counts on both sides of every word
+// and batch boundary, on c17 and seeded random circuits, serial and
+// pooled. Run it with -race and -cpu 1,4,8: the pooled runs share one
+// fault-free plane across the workers.
+func TestCoverageAutoLaneWidthBitIdentical(t *testing.T) {
+	for n, want := range map[int]int{0: 1, 1: 1, 64: 1, 65: 2, 511: 8, 512: 8, 513: 5, 1000: 8, 4097: 8, 65536: 8} {
+		if got := (Options{}).coverageLaneWords(n); got != want {
+			t.Errorf("%d patterns: engine chose %d lane words, want %d", n, got, want)
+		}
+	}
+	if got := (Options{LaneWords: 3}).coverageLaneWords(4097); got != 3 {
+		t.Errorf("explicit LaneWords 3 resolved to %d", got)
+	}
+	circuits := map[string]*netlist.Netlist{"c17": c17(t)}
+	for _, seed := range []uint64{3, 11} {
+		nl, err := netlist.Random(netlist.RandomConfig{Inputs: 32, Outputs: 12, Gates: 300, MaxFan: 3, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits[fmt.Sprintf("random-%d", seed)] = nl
+	}
+	for name, nl := range circuits {
+		u := NewUniverse(nl)
+		for _, count := range []int{1, 63, 64, 65, 511, 512, 513, 1000, 4097} {
+			patterns := randomPatterns(prng.New(uint64(count)), count, len(nl.Inputs))
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/n=%d/workers=%d", name, count, workers), func(t *testing.T) {
+					auto, autoCov, err := CoverageCtx(context.Background(), u, patterns, Options{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, lw := range []int{1, 8} {
+						got, cov, err := CoverageCtx(context.Background(), u, patterns, Options{Workers: workers, LaneWords: lw})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if cov != autoCov {
+							t.Fatalf("LaneWords=%d: coverage %v, auto width %v", lw, cov, autoCov)
+						}
+						for fi := range got {
+							if got[fi] != auto[fi] {
+								t.Fatalf("LaneWords=%d fault %v: detected=%v, auto width says %v", lw, u.Faults[fi], got[fi], auto[fi])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}

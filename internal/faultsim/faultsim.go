@@ -4,13 +4,14 @@
 // package uses it to drop detected faults, and tests use it to confirm that
 // every cube the flow produces really detects its target fault.
 //
-// A Simulator evaluates W 64-bit lane words at once (Options.LaneWords,
-// default 1), so one event-driven sweep covers up to 64×W patterns — 256 or
-// 512 at W=4/8 — while staying bit-identical, lane for lane, to the W=1
-// engine. Its per-gate planes live in contiguous arenas (one slab for the
-// whole circuit, indexed gate×W) and the shared topology stores fan-out
-// lists in index-based CSR form, so building a 100k-gate simulator costs a
-// handful of allocations instead of one per gate.
+// A Simulator evaluates W 64-bit lane words at once (Options.LaneWords;
+// CoverageCtx picks up to 8 itself, the ATPG drop loop defaults to 1), so one
+// event-driven sweep covers up to 64×W patterns — 256 or 512 at W=4/8 —
+// while staying bit-identical, lane for lane, to the W=1 engine. Its
+// per-gate planes live in contiguous arenas (one slab for the whole
+// circuit, indexed gate×W) and the shared topology stores fan-out lists in
+// index-based CSR form, so building a 100k-gate simulator costs a handful
+// of allocations instead of one per gate.
 //
 // The simulator is event-driven: injecting a fault only re-evaluates the
 // gates inside the fault's output cone (scheduled level by level over the
@@ -18,8 +19,9 @@
 // a primary output are rejected without simulating a single gate. CoverageCtx
 // sweeps the fault universe across a worker pool (see Options) with one
 // Simulator of scratch state per worker: workers claim fixed-size chunks of
-// the fault list (DetectAllCtx), and the per-universe topology (levels, CSR
-// fan-out, output reachability) is computed once and shared.
+// the fault list (DetectAllCtx), the per-universe topology (levels, CSR
+// fan-out, output reachability) is computed once and shared, and so is the
+// pool's one fault-free plane.
 package faultsim
 
 import (
@@ -80,21 +82,32 @@ func NewUniverse(n *netlist.Netlist) *Universe {
 	for _, o := range n.Outputs {
 		loads[o]++
 	}
-	u := &Universe{Net: n}
+	// Count first, then fill: the list is one exactly sized allocation.
+	nf := 0
+	forEachFaultSite(n, loads, func(int, int) { nf += 2 })
+	u := &Universe{Net: n, Faults: make([]Fault, 0, nf)}
+	forEachFaultSite(n, loads, func(gi, pin int) {
+		u.Faults = append(u.Faults, Fault{Gate: gi, Pin: pin, Stuck: 0}, Fault{Gate: gi, Pin: pin, Stuck: 1})
+	})
+	return u
+}
+
+// forEachFaultSite calls site for every collapsed fault site (pin -1 = the
+// gate output) in canonical gate order; each site carries sa0 and sa1.
+func forEachFaultSite(n *netlist.Netlist, loads []int32, site func(gi, pin int)) {
 	for gi, g := range n.Gates {
 		if g.Type != netlist.Input || loads[gi] > 0 {
-			u.Faults = append(u.Faults, Fault{Gate: gi, Pin: -1, Stuck: 0}, Fault{Gate: gi, Pin: -1, Stuck: 1})
+			site(gi, -1)
 		}
 		if g.Type == netlist.Buf || g.Type == netlist.Not {
 			continue
 		}
 		for pin, f := range g.Fanin {
 			if loads[f] > 1 {
-				u.Faults = append(u.Faults, Fault{Gate: gi, Pin: pin, Stuck: 0}, Fault{Gate: gi, Pin: pin, Stuck: 1})
+				site(gi, pin)
 			}
 		}
 	}
-	return u
 }
 
 // topology holds the per-circuit structures every Simulator shares: the
@@ -198,19 +211,27 @@ const MaxLaneWords = 64
 // patterns via LoadPatterns, LoadPacked or AppendPattern.
 var ErrLaneOverflow = errors.New("faultsim: pattern count exceeds lane capacity")
 
+// ErrSharedPlane is returned by the pattern-loading methods of a pool
+// follower (see NewSimulatorPoolLanes): its fault-free plane is the pool
+// leader's arena, read-only here. Load the leader and AdoptPatterns instead.
+var ErrSharedPlane = errors.New("faultsim: simulator shares its pool leader's fault-free plane; load the leader and AdoptPatterns")
+
 // Simulator evaluates up to 64×W test patterns at once against the
 // fault-free circuit and, fault by fault, against the faulty one (serial
 // fault, parallel pattern — Atalanta's scheme, widened to W lane words).
 // All per-gate planes are flat arenas: gate gi's lanes occupy words
 // [gi*W, (gi+1)*W), so a simulator is a fixed handful of slab allocations
 // regardless of circuit size. It is not safe for concurrent use; build one
-// per worker (they share the universe's topology).
+// per worker (they share the universe's topology), or a pool with
+// NewSimulatorPoolLanes (whose followers also share the leader's
+// fault-free plane).
 type Simulator struct {
 	u    *Universe
 	topo *topology
 	w    int // lane words per gate; capacity = 64*w patterns
 
 	good   []uint64 // fault-free plane arena, gate gi at [gi*w:(gi+1)*w], bit i of word k = pattern 64k+i
+	shared bool     // good is a pool leader's arena: read it, never write it
 	bad    []uint64 // faulty plane arena, valid only where stamp == epoch
 	stamp  []uint32 // epoch stamp marking gates with a diverged faulty value
 	queued []uint32 // epoch stamp marking gates scheduled for evaluation
@@ -232,6 +253,13 @@ type Simulator struct {
 // laneWords must be in [1, MaxLaneWords]; laneWords = 1 selects the
 // single-word engine every wider lane width is tested bit-identical against.
 func NewSimulatorLanes(u *Universe, laneWords int) (*Simulator, error) {
+	return newSimulator(u, laneWords, nil)
+}
+
+// newSimulator builds a simulator over u. A nil good allocates a private
+// fault-free arena; otherwise good is a pool leader's arena of the same
+// shape, and the simulator only ever reads it.
+func newSimulator(u *Universe, laneWords int, good []uint64) (*Simulator, error) {
 	if laneWords < 1 || laneWords > MaxLaneWords {
 		return nil, fmt.Errorf("faultsim: LaneWords %d (want 1..%d)", laneWords, MaxLaneWords)
 	}
@@ -240,11 +268,16 @@ func NewSimulatorLanes(u *Universe, laneWords int) (*Simulator, error) {
 		return nil, err
 	}
 	ng := u.Net.NumGates()
+	shared := good != nil
+	if !shared {
+		good = make([]uint64, ng*laneWords)
+	}
 	return &Simulator{
 		u:      u,
 		topo:   topo,
 		w:      laneWords,
-		good:   make([]uint64, ng*laneWords),
+		good:   good,
+		shared: shared,
 		bad:    make([]uint64, ng*laneWords),
 		stamp:  make([]uint32, ng),
 		queued: make([]uint32, ng),
@@ -273,8 +306,12 @@ func (s *Simulator) Capacity() int { return 64 * s.w }
 
 // LoadPatterns bit-slices up to Capacity fully specified patterns (each of
 // length len(Inputs)) into a fresh batch. The fault-free simulation is
-// deferred to the first use (see AppendPattern).
+// deferred to the first use (see AppendPattern). A pool follower returns
+// ErrSharedPlane.
 func (s *Simulator) LoadPatterns(patterns [][]uint8) error {
+	if s.shared {
+		return ErrSharedPlane
+	}
 	if len(patterns) > s.Capacity() {
 		return fmt.Errorf("%w: %d patterns, capacity %d (LaneWords=%d)",
 			ErrLaneOverflow, len(patterns), s.Capacity(), s.w)
@@ -282,7 +319,7 @@ func (s *Simulator) LoadPatterns(patterns [][]uint8) error {
 	if len(patterns) == 0 {
 		return fmt.Errorf("faultsim: %d patterns (want 1..%d)", len(patterns), s.Capacity())
 	}
-	s.ResetPatterns()
+	s.reset()
 	for _, p := range patterns {
 		if err := s.AppendPattern(p); err != nil {
 			return err
@@ -292,8 +329,16 @@ func (s *Simulator) LoadPatterns(patterns [][]uint8) error {
 }
 
 // ResetPatterns empties the pattern batch so AppendPattern can build a new
-// one lane by lane.
-func (s *Simulator) ResetPatterns() {
+// one lane by lane. A pool follower returns ErrSharedPlane.
+func (s *Simulator) ResetPatterns() error {
+	if s.shared {
+		return ErrSharedPlane
+	}
+	s.reset()
+	return nil
+}
+
+func (s *Simulator) reset() {
 	clear(s.good)
 	clear(s.loaded)
 	s.count = 0
@@ -305,8 +350,12 @@ func (s *Simulator) ResetPatterns() {
 // loaded. The fault-free evaluation is deferred until the next Detect call
 // (or AdoptPatterns), so appending k patterns back to back costs one
 // circuit evaluation, not k — the primitive RunAllCtx's drop loop builds its
-// 64×W-wide batches with.
+// 64×W-wide batches with. Bit i of the lane is p[i]&1. A pool follower
+// returns ErrSharedPlane.
 func (s *Simulator) AppendPattern(p []uint8) error {
+	if s.shared {
+		return ErrSharedPlane
+	}
 	if s.count >= s.Capacity() {
 		return fmt.Errorf("%w: batch already holds %d patterns (LaneWords=%d)",
 			ErrLaneOverflow, s.Capacity(), s.w)
@@ -315,15 +364,12 @@ func (s *Simulator) AppendPattern(p []uint8) error {
 	if len(p) != len(n.Inputs) {
 		return fmt.Errorf("faultsim: pattern %d has %d bits, want %d", s.count, len(p), len(n.Inputs))
 	}
-	word := s.count >> 6
-	bit := uint64(1) << uint(s.count&63)
+	word, lane := s.count>>6, uint(s.count&63)
 	for ii, gi := range n.Inputs {
-		if p[ii]&1 != 0 {
-			s.good[gi*s.w+word] |= bit
-		}
+		s.good[gi*s.w+word] |= uint64(p[ii]&1) << lane
 	}
 	s.count++
-	s.loaded[word] |= bit
+	s.loaded[word] |= 1 << lane
 	s.dirty = true
 	return nil
 }
@@ -332,8 +378,12 @@ func (s *Simulator) AppendPattern(p []uint8) error {
 // word k of input i (bit p of word k = pattern 64k+p), count the number of
 // valid lanes, at most Capacity (ErrLaneOverflow past it). Callers that
 // keep patterns packed skip the per-bit slicing of LoadPatterns entirely;
-// lanes at or above count are masked off.
+// lanes at or above count are masked off. A pool follower returns
+// ErrSharedPlane.
 func (s *Simulator) LoadPacked(words []uint64, count int) error {
+	if s.shared {
+		return ErrSharedPlane
+	}
 	n := s.u.Net
 	if len(words) != len(n.Inputs)*s.w {
 		return fmt.Errorf("faultsim: %d packed words, want %d (%d inputs × LaneWords=%d)",
@@ -346,7 +396,7 @@ func (s *Simulator) LoadPacked(words []uint64, count int) error {
 	if count < 1 {
 		return fmt.Errorf("faultsim: %d patterns (want 1..%d)", count, s.Capacity())
 	}
-	s.ResetPatterns()
+	s.reset()
 	fillLoadedMask(s.loaded, count)
 	for ii, gi := range n.Inputs {
 		for k := 0; k < s.w; k++ {
@@ -393,16 +443,30 @@ func (s *Simulator) ensureEval() {
 	}
 }
 
-// AdoptPatterns copies the fault-free state of src, which must be a
+// AdoptPatterns takes over the fault-free state of src, which must be a
 // simulator over the same universe with the same lane width and patterns
 // loaded. A worker pool uses it to pay the fault-free simulation once per
-// batch.
+// batch. A pool follower adopting from its leader copies only the lane
+// mask and count: the plane is already shared. A follower must be
+// re-adopted after every new leader batch before it detects again, and it
+// may not adopt from a simulator outside its pool (that panics).
 func (s *Simulator) AdoptPatterns(src *Simulator) {
 	src.ensureEval()
-	copy(s.good, src.good)
+	if !sameArena(s.good, src.good) {
+		if s.shared {
+			panic("faultsim: AdoptPatterns from a simulator outside the follower's pool")
+		}
+		copy(s.good, src.good)
+	}
 	copy(s.loaded, src.loaded)
 	s.count = src.count
 	s.dirty = false
+}
+
+// sameArena reports whether two plane arenas are one slab (an empty arena
+// has nothing to copy, so it counts as shared).
+func sameArena(a, b []uint64) bool {
+	return len(a) == 0 || len(b) > 0 && &a[0] == &b[0]
 }
 
 // evalInto evaluates the whole circuit into the dst arena. If faultGate ≥ 0,

@@ -130,61 +130,79 @@ func TestCoverageExhaustivePatterns(t *testing.T) {
 }
 
 // TestLoadPackedMatchesLoadPatterns asserts the three batch-building paths
-// are interchangeable: bit-sliced LoadPatterns, incremental AppendPattern
-// (including appends split around Detect calls, which force the lazy
-// fault-free evaluation mid-batch), and pre-packed LoadPacked must yield
-// identical detect masks for every fault.
+// are interchangeable at lane widths 1, 3 and 8, with full and partial last
+// words: bit-sliced LoadPatterns, incremental AppendPattern (including
+// appends split around Detect calls, which force the lazy fault-free
+// evaluation mid-batch), and pre-packed LoadPacked must leave the
+// hand-packed input planes and the same lane mask, and yield identical
+// detect masks for every fault.
 func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 16, Outputs: 5, Gates: 80, MaxFan: 3, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := NewUniverse(nl)
-	for _, count := range []int{1, 3, 64} {
-		patterns := randomPatterns(prng.New(uint64(count)), count, 16)
-		ref, _ := NewSimulatorLanes(u, 1)
-		if err := ref.LoadPatterns(patterns); err != nil {
-			t.Fatal(err)
-		}
-		packed := make([]uint64, 16)
-		for pi, p := range patterns {
-			for ii, b := range p {
-				if b != 0 {
-					packed[ii] |= 1 << uint(pi)
-				}
-			}
-		}
-		viaPacked, _ := NewSimulatorLanes(u, 1)
-		// Lanes at or above count must be masked off even if set.
-		if count < 64 {
-			packed[0] |= 1 << uint(count)
-		}
-		if err := viaPacked.LoadPacked(packed, count); err != nil {
-			t.Fatal(err)
-		}
-		viaAppend, _ := NewSimulatorLanes(u, 1)
-		viaAppend.ResetPatterns()
-		for pi, p := range patterns {
-			if err := viaAppend.AppendPattern(p); err != nil {
+	ni := len(nl.Inputs)
+	for _, w := range []int{1, 3, 8} {
+		for _, count := range []int{1, 3, 64, 64*w - 5, 64 * w} {
+			patterns := randomPatterns(prng.New(uint64(100*w+count)), count, ni)
+			ref, _ := NewSimulatorLanes(u, w)
+			if err := ref.LoadPatterns(patterns); err != nil {
 				t.Fatal(err)
 			}
-			if pi == 0 {
-				viaAppend.DetectLanes(u.Faults[0]) // force a mid-batch evaluation
+			packed := make([]uint64, ni*w)
+			for pi, p := range patterns {
+				for ii, b := range p {
+					packed[ii*w+pi/64] |= uint64(b) << uint(pi%64)
+				}
 			}
-		}
-		if got := viaPacked.PatternCount(); got != count {
-			t.Fatalf("count=%d: LoadPacked PatternCount %d", count, got)
-		}
-		if got := viaAppend.PatternCount(); got != count {
-			t.Fatalf("count=%d: AppendPattern PatternCount %d", count, got)
-		}
-		for _, f := range u.Faults {
-			want := ref.DetectLanes(f)[0]
-			if got := viaPacked.DetectLanes(f)[0]; got != want {
-				t.Fatalf("count=%d fault %v: LoadPacked mask %064b, want %064b", count, f, got, want)
+			viaPacked, _ := NewSimulatorLanes(u, w)
+			// Lanes at or above count must be masked off even if set.
+			if count < 64*w {
+				packed[count/64] |= 1 << uint(count%64)
 			}
-			if got := viaAppend.DetectLanes(f)[0]; got != want {
-				t.Fatalf("count=%d fault %v: AppendPattern mask %064b, want %064b", count, f, got, want)
+			if err := viaPacked.LoadPacked(packed, count); err != nil {
+				t.Fatal(err)
+			}
+			viaAppend, _ := NewSimulatorLanes(u, w)
+			if err := viaAppend.ResetPatterns(); err != nil {
+				t.Fatal(err)
+			}
+			for pi, p := range patterns {
+				if err := viaAppend.AppendPattern(p); err != nil {
+					t.Fatal(err)
+				}
+				if pi == 0 {
+					viaAppend.DetectLanes(u.Faults[0]) // force a mid-batch evaluation
+				}
+			}
+			for name, sim := range map[string]*Simulator{"LoadPacked": viaPacked, "AppendPattern": viaAppend} {
+				if got := sim.PatternCount(); got != count {
+					t.Fatalf("W=%d count=%d: %s PatternCount %d", w, count, name, got)
+				}
+				for k := range ref.loaded {
+					if sim.loaded[k] != ref.loaded[k] {
+						t.Fatalf("W=%d count=%d: %s lane mask word %d %016x, want %016x", w, count, name, k, sim.loaded[k], ref.loaded[k])
+					}
+				}
+				for ii, gi := range nl.Inputs {
+					for k := 0; k < w; k++ {
+						if got, want := sim.good[gi*w+k], packed[ii*w+k]&ref.loaded[k]; got != want {
+							t.Fatalf("W=%d count=%d: %s input %d word %d %016x, hand-packed %016x", w, count, name, ii, k, got, want)
+						}
+					}
+				}
+			}
+			for _, f := range u.Faults {
+				want := append([]uint64(nil), ref.DetectLanes(f)...)
+				for name, sim := range map[string]*Simulator{"LoadPacked": viaPacked, "AppendPattern": viaAppend} {
+					got := sim.DetectLanes(f)
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("W=%d count=%d fault %v: %s mask word %d %064b, want %064b", w, count, f, name, k, got[k], want[k])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -314,4 +332,53 @@ func BenchmarkDetectEngine(b *testing.B) {
 			sim.detectLanesFull(u.Faults[i%len(u.Faults)])
 		}
 	})
+}
+
+// TestUniverseExactSize pins NewUniverse's count-then-fill build: the
+// fault list is one exactly sized allocation (no append growth), and the
+// whole universe costs a fixed handful of allocations however large the
+// circuit is.
+func TestUniverseExactSize(t *testing.T) {
+	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 96, Outputs: 32, Gates: 4000, MaxFan: 3, Seed: 2008})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*netlist.Netlist{"andOr": andOr(t), "random-4000": nl} {
+		u := NewUniverse(n)
+		if len(u.Faults) == 0 || cap(u.Faults) != len(u.Faults) {
+			t.Errorf("%s: %d faults in a slice of capacity %d", name, len(u.Faults), cap(u.Faults))
+		}
+		// The loads scratch, the Universe and its fault list.
+		if allocs := testing.AllocsPerRun(5, func() { NewUniverse(n) }); allocs > 3 {
+			t.Errorf("%s: NewUniverse made %v allocations, want at most 3", name, allocs)
+		}
+	}
+}
+
+// TestAppendPatternLowBit keeps AppendPattern's p[i]&1 rule: a pattern
+// byte loads as its low bit, so 2 loads as 0 and 3 as 1, in every lane and
+// without spilling into the next one.
+func TestAppendPatternLowBit(t *testing.T) {
+	n := andOr(t)
+	u := NewUniverse(n)
+	for _, w := range []int{1, 2} {
+		sim, _ := NewSimulatorLanes(u, w)
+		want := make([]uint64, len(n.Inputs)*w)
+		for lane := 0; lane < 64*w; lane++ {
+			p := []uint8{2 + uint8(lane%2), 3 - uint8(lane%2), uint8(lane % 4)}
+			if err := sim.AppendPattern(p); err != nil {
+				t.Fatal(err)
+			}
+			for ii, b := range p {
+				want[ii*w+lane/64] |= uint64(b&1) << uint(lane%64)
+			}
+		}
+		for ii, gi := range n.Inputs {
+			for k := 0; k < w; k++ {
+				if got := sim.good[gi*w+k]; got != want[ii*w+k] {
+					t.Errorf("W=%d input %d word %d: %016x, want %016x", w, ii, k, got, want[ii*w+k])
+				}
+			}
+		}
+	}
 }

@@ -374,3 +374,78 @@ func BenchmarkDetectAllLaneWidth(b *testing.B) {
 
 // benchSink defeats dead-code elimination of the benchmarked detect masks.
 var benchSink uint64
+
+// TestPoolFollowerSharedPlane guards the pool's one fault-free plane: a
+// follower reads the leader's arena, so every way of loading patterns into
+// a follower must fail without touching it, adopting from a simulator
+// outside the pool must panic, and a follower re-adopted after the
+// leader's next batch must detect exactly like a private simulator loaded
+// with that batch.
+func TestPoolFollowerSharedPlane(t *testing.T) {
+	nl := laneCircuit(t, 7)
+	u := NewUniverse(nl)
+	const w = 2
+	sims, err := NewSimulatorPoolLanes(u, 3, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, follower := sims[0], sims[2]
+	first := randomPatterns(prng.New(1), 100, len(nl.Inputs))
+	if err := leader.LoadPatterns(first); err != nil {
+		t.Fatal(err)
+	}
+	follower.AdoptPatterns(leader)
+	before := append([]uint64(nil), leader.good...)
+	for name, err := range map[string]error{
+		"LoadPatterns":  follower.LoadPatterns(first[:1]),
+		"AppendPattern": follower.AppendPattern(first[0]),
+		"LoadPacked":    follower.LoadPacked(make([]uint64, len(nl.Inputs)*w), 1),
+		"ResetPatterns": follower.ResetPatterns(),
+	} {
+		if !errors.Is(err, ErrSharedPlane) {
+			t.Errorf("follower %s: err %v, want ErrSharedPlane", name, err)
+		}
+	}
+	for i := range before {
+		if leader.good[i] != before[i] {
+			t.Fatalf("a follower load wrote leader plane word %d", i)
+		}
+	}
+	if follower.PatternCount() != len(first) {
+		t.Fatalf("a failed follower load changed its pattern count to %d", follower.PatternCount())
+	}
+	outsider, _ := NewSimulatorLanes(u, w)
+	if err := outsider.LoadPatterns(first); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("follower adopted from a simulator outside its pool")
+			}
+		}()
+		follower.AdoptPatterns(outsider)
+	}()
+
+	next := randomPatterns(prng.New(2), 37, len(nl.Inputs))
+	if err := leader.LoadPatterns(next); err != nil {
+		t.Fatal(err)
+	}
+	follower.AdoptPatterns(leader)
+	ref, _ := NewSimulatorLanes(u, w)
+	if err := ref.LoadPatterns(next); err != nil {
+		t.Fatal(err)
+	}
+	if follower.PatternCount() != len(next) {
+		t.Fatalf("re-adopted follower holds %d patterns, want %d", follower.PatternCount(), len(next))
+	}
+	for _, f := range u.Faults {
+		want := append([]uint64(nil), ref.DetectLanes(f)...)
+		got := follower.DetectLanes(f)
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("fault %v word %d: re-adopted follower mask %016x, private simulator %016x", f, k, got[k], want[k])
+			}
+		}
+	}
+}

@@ -49,8 +49,9 @@ type Request struct {
 	Backtrace string `json:"backtrace,omitempty"` // "scoap" (default) or "multi"
 	Patterns  int    `json:"patterns,omitempty"`  // coverage: pseudorandom patterns (default 256)
 	// LaneWords widens the fault simulator to 64×N pattern lanes per sweep
-	// (0 = server default). Results are bit-identical for any width; only
-	// throughput changes.
+	// (0 = server default; when that is 0 too, the engine chooses: one
+	// word for ATPG, up to 8 from the pattern count for coverage). Results
+	// are bit-identical for any width; only throughput changes.
 	LaneWords int `json:"lane_words,omitempty"`
 
 	// TimeoutMS overrides the server's default per-job deadline in

@@ -64,7 +64,9 @@ type Config struct {
 	EngineWorkers int
 	// LaneWords is the default fault-simulator lane width in 64-bit words
 	// (experiments.Session.LaneWords); requests override it per job via
-	// lane_words. 0 = single-word; results are bit-identical for any width.
+	// lane_words. 0 = engine default: one word for ATPG fault dropping, up
+	// to 8 chosen from the pattern count for coverage (faultsim.CoverageCtx).
+	// Results are bit-identical for any width.
 	// New rejects values outside 0..faultsim.MaxLaneWords.
 	LaneWords int
 	// QueueSize bounds the backlog of queued jobs (0 = 64). A full queue
