@@ -55,10 +55,11 @@ func session() *experiments.Session {
 // BenchmarkTable1 regenerates Table 1 (classical vs window-based
 // reseeding: TDV and TSL per circuit and window length).
 func BenchmarkTable1(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table1()
+		rows, err := s.Table1(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,10 +76,11 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates Table 2 (TSL improvement of State Skip over
 // full windows, best (S,k) per circuit and L).
 func BenchmarkTable2(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table2()
+		rows, err := s.Table2(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,10 +97,11 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkFig4 regenerates both sweeps of Fig. 4 (TSL improvement vs k
 // for several S at fixed L, and for several L at fixed S, on s13207).
 func BenchmarkFig4(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		bars, curves, err := s.Fig4()
+		bars, curves, err := s.Fig4(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,10 +115,11 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkTable3 regenerates Table 3 (comparison against the published
 // test set embedding methods [11] and [22]).
 func BenchmarkTable3(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table3()
+		rows, err := s.Table3(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,10 +136,11 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates Table 4 (test data compression vs the
 // proposed embedding: classical L=1 and State-Skip-shortened windows).
 func BenchmarkTable4(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table4()
+		rows, err := s.Table4(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,6 +164,7 @@ func BenchmarkTable4(b *testing.B) {
 // for any worker count (TestEncodeWorkersBitIdentical) and to the
 // pre-reduced-basis engine (TestEncodeGolden).
 func BenchmarkEncode(b *testing.B) {
+	ctx := context.Background()
 	L := 32
 	if benchScale() == benchprofile.ScalePaper {
 		L = 50
@@ -175,7 +181,7 @@ func BenchmarkEncode(b *testing.B) {
 				b.ReportAllocs()
 				var enc *encoder.Encoding
 				for i := 0; i < b.N; i++ {
-					e, _, err := encoder.EncodeAutoCached(p.LFSRSize, p.Width, p.Chains, L, set, workers, cache)
+					e, _, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, L, set, workers, cache)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -196,6 +202,7 @@ func BenchmarkEncode(b *testing.B) {
 // and the decompressor run. Set STATESKIP_SCALE=paper for the workload's
 // sizes; at CI scale the same circuits run at small L.
 func BenchmarkCompressPhases(b *testing.B) {
+	ctx := context.Background()
 	cases := []struct {
 		circuit string
 		L       int
@@ -223,7 +230,7 @@ func BenchmarkCompressPhases(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if enc, err = encoder.Encode(cfg, set); err != nil {
+					if enc, err = encoder.EncodeCtx(ctx, cfg, set); err != nil {
 						failed += time.Since(t0)
 					} else {
 						accepted += time.Since(t0)
@@ -358,10 +365,11 @@ func BenchmarkRunAll(b *testing.B) {
 // BenchmarkHWSkipCircuit regenerates the §4 State-Skip-circuit overhead
 // sweep (GE vs k on the s13207 register), including the CSE ablation.
 func BenchmarkHWSkipCircuit(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		pts, err := s.SkipCircuitSweep([]int{4, 8, 12, 16, 20, 24, 28, 32})
+		pts, err := s.SkipCircuitSweep(ctx, []int{4, 8, 12, 16, 20, 24, 28, 32})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,10 +381,11 @@ func BenchmarkHWSkipCircuit(b *testing.B) {
 // BenchmarkHWDecompressor regenerates the §4 decompressor cost breakdown
 // and the Mode Select (L,S) range.
 func BenchmarkHWDecompressor(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rep, err := s.HWOverhead()
+		rep, err := s.HWOverhead(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,10 +397,11 @@ func BenchmarkHWDecompressor(b *testing.B) {
 
 // BenchmarkHWSoC regenerates the §4 five-core SoC synthesis experiment.
 func BenchmarkHWSoC(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	var md string
 	for i := 0; i < b.N; i++ {
-		rep, err := s.SoC()
+		rep, err := s.SoC(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -406,23 +416,24 @@ func BenchmarkHWSoC(b *testing.B) {
 // against naive assignment-based labelling. The reported metric is the
 // TSL saved by the smart selection, in percent.
 func BenchmarkAblationSelection(b *testing.B) {
+	ctx := context.Background()
 	s := session()
 	circuit := "s38584" // the sparsest profile: most fortuitous embeddings
 	L := s.Params.Table2Ls[len(s.Params.Table2Ls)-1]
 	S, k := s.Params.Fig4CurveS, 12
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		enc, err := s.Encoding(circuit, L)
+		enc, err := s.EncodingCtx(ctx, circuit, L)
 		if err != nil {
 			b.Fatal(err)
 		}
-		smart, err := s.Reduce(circuit, L, S, k)
+		smart, err := s.Reduce(ctx, circuit, L, S, k)
 		if err != nil {
 			b.Fatal(err)
 		}
 		naiveOpt := stateskip.DefaultOptions(S, k)
 		naiveOpt.NaiveSelection = true
-		naive, err := stateskip.Reduce(enc, naiveOpt)
+		naive, err := stateskip.ReduceWithIndex(enc, nil, naiveOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -436,6 +447,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 // The result is identical either way (asserted by the encoder tests); only
 // the work differs.
 func BenchmarkAblationPruning(b *testing.B) {
+	ctx := context.Background()
 	p, err := benchprofile.ByName("s13207", benchScale())
 	if err != nil {
 		b.Fatal(err)
@@ -448,20 +460,20 @@ func BenchmarkAblationPruning(b *testing.B) {
 	if benchScale() == benchprofile.ScalePaper {
 		L = 100
 	}
-	cfg, err := encoder.StandardConfig(p.LFSRSize, p.Width, p.Chains, L)
+	cfg, err := encoder.StandardConfigVariant(p.LFSRSize, p.Width, p.Chains, L, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var pruned, full int64
 	for i := 0; i < b.N; i++ {
-		encP, err := encoder.Encode(cfg, set)
+		encP, err := encoder.EncodeCtx(ctx, cfg, set)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pruned = encP.ChecksPerformed
 		cfgNP := cfg
 		cfgNP.NoPruning = true
-		encF, err := encoder.Encode(cfgNP, set)
+		encF, err := encoder.EncodeCtx(ctx, cfgNP, set)
 		if err != nil {
 			b.Fatal(err)
 		}

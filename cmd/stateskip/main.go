@@ -49,13 +49,6 @@ import (
 	"repro/internal/verilog"
 )
 
-// encTables memoizes the encoder's shared symbolic tables for the lifetime
-// of the process. A single CLI invocation encodes once, so the cache pays
-// off when this binary grows multi-encode subcommands (or is driven as a
-// library); today it mainly routes `encode` through the same
-// EncodeAutoCached path the experiment drivers use.
-var encTables = encoder.NewTablesCache()
-
 func main() {
 	// First ^C cancels the context: every engine (ATPG pipeline, encoder
 	// candidate scan, fault-simulator pool) polls it cooperatively, so the
@@ -155,7 +148,6 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 	s := experiments.NewSession(scale)
 	s.Workers = workers
 	s.LaneWords = laneWords
-	s.Ctx = ctx // ^C aborts the drivers mid-sweep (see main)
 	start := time.Now()
 	do := func(name string, f func() error) error {
 		if which != "all" && which != name {
@@ -169,7 +161,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return nil
 	}
 	if err := do("table1", func() error {
-		rows, err := s.Table1()
+		rows, err := s.Table1(ctx)
 		if err != nil {
 			return err
 		}
@@ -179,7 +171,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("table2", func() error {
-		rows, err := s.Table2()
+		rows, err := s.Table2(ctx)
 		if err != nil {
 			return err
 		}
@@ -189,7 +181,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("fig4", func() error {
-		bars, curves, err := s.Fig4()
+		bars, curves, err := s.Fig4(ctx)
 		if err != nil {
 			return err
 		}
@@ -199,7 +191,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("table3", func() error {
-		rows, err := s.Table3()
+		rows, err := s.Table3(ctx)
 		if err != nil {
 			return err
 		}
@@ -209,7 +201,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("table4", func() error {
-		rows, err := s.Table4()
+		rows, err := s.Table4(ctx)
 		if err != nil {
 			return err
 		}
@@ -219,7 +211,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("hw", func() error {
-		rep, err := s.HWOverhead()
+		rep, err := s.HWOverhead(ctx)
 		if err != nil {
 			return err
 		}
@@ -229,7 +221,7 @@ func runExperiments(ctx context.Context, scale benchprofile.Scale, workers, lane
 		return err
 	}
 	if err := do("soc", func() error {
-		rep, err := s.SoC()
+		rep, err := s.SoC(ctx)
 		if err != nil {
 			return err
 		}
@@ -300,15 +292,15 @@ func runEncode(ctx context.Context, scale benchprofile.Scale, args []string) err
 	fmt.Printf("%s: %d cubes, width %d, s_max %d, %d specified bits\n",
 		*circuit, st.Cubes, st.Width, st.MaxSpecified, st.TotalSpecified)
 	t0 := time.Now()
-	enc, variant, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, *L, set, 0, encTables)
+	enc, variant, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, *L, set, 0, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("encoded: %d seeds (PS variant %d), TDV %d bits, full-window TSL %d vectors (%.1fs)\n",
 		len(enc.Seeds), variant, enc.TDV(), enc.TSL(), time.Since(t0).Seconds())
-	fmt.Printf("encoder effort: %d consistency checks, symbolic tables built in %.1fms (shared via cache)\n",
+	fmt.Printf("encoder effort: %d consistency checks, symbolic tables built in %.1fms\n",
 		enc.ChecksPerformed, enc.TableBuildTime.Seconds()*1000)
-	red, err := stateskip.Reduce(enc, stateskip.DefaultOptions(*S, *k))
+	red, err := stateskip.ReduceWithIndex(enc, nil, stateskip.DefaultOptions(*S, *k))
 	if err != nil {
 		return err
 	}

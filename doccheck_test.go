@@ -21,8 +21,10 @@ import (
 // they enforce, so their godoc is part of the contract; internal/benchrun
 // likewise, since its snapshot schema is what CI diffs run over run;
 // internal/faultsim since the lane/arena/sweep surface is what the ATPG
-// pipeline and the coverage jobs program against.
-var docCheckedPackages = []string{".", "internal/atpg", "internal/lint", "internal/benchrun", "internal/journal", "internal/faultsim"}
+// pipeline and the coverage jobs program against; internal/encoder and
+// internal/stateskip since they carry the paper's compression chain that
+// the facade, the daemon and the benchmark call into.
+var docCheckedPackages = []string{".", "internal/atpg", "internal/lint", "internal/benchrun", "internal/journal", "internal/faultsim", "internal/encoder", "internal/stateskip"}
 
 func TestExportedIdentifiersDocumented(t *testing.T) {
 	for _, dir := range docCheckedPackages {

@@ -86,7 +86,7 @@ func main() {
 	n := sum.MaxSpecified + 12
 	const chains, L = 8, 24
 	encTables := stateskiplfsr.NewEncoderTablesCache()
-	enc, variant, err := stateskiplfsr.EncodeAutoCached(n, sum.Width, chains, L, res.Cubes, encTables)
+	enc, variant, err := stateskiplfsr.EncodeAuto(ctx, n, sum.Width, chains, L, res.Cubes, encTables)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -37,7 +38,7 @@ func main() {
 	// Encode into seeds of a 16-bit LFSR feeding 4 scan chains, each seed
 	// expanding into a window of L=12 vectors.
 	const n, chains, L = 16, 4, 12
-	enc, variant, err := stateskiplfsr.EncodeAuto(n, set.Width, chains, L, set)
+	enc, variant, err := stateskiplfsr.EncodeAuto(context.Background(), n, set.Width, chains, L, set, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -34,7 +35,7 @@ func main() {
 	)
 	for _, p := range benchprofile.All(scale) {
 		set := p.Generate()
-		enc, _, err := stateskiplfsr.EncodeAuto(p.LFSRSize, p.Width, p.Chains, L, set)
+		enc, _, err := stateskiplfsr.EncodeAuto(context.Background(), p.LFSRSize, p.Width, p.Chains, L, set, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -22,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	set := p.Generate()
-	enc, _, err := stateskiplfsr.EncodeAuto(p.LFSRSize, p.Width, p.Chains, L, set)
+	enc, _, err := stateskiplfsr.EncodeAuto(context.Background(), p.LFSRSize, p.Width, p.Chains, L, set, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

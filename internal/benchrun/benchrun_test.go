@@ -70,7 +70,7 @@ func TestRunAndSnapshot(t *testing.T) {
 	// the harness adds measurement, never behaviour.
 	sess := experiments.NewSession(benchprofile.ScaleCI)
 	for _, c := range snap.Encode[:2] {
-		enc, err := sess.Encoding(c.Circuit, c.L)
+		enc, err := sess.EncodingCtx(context.Background(), c.Circuit, c.L)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestAnalyzeTable1MatchesSession(t *testing.T) {
 	}
 
 	sess := experiments.NewSession(benchprofile.ScaleCI)
-	want, err := sess.Table1()
+	want, err := sess.Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,6 @@ func Run(ctx context.Context, opt RunOptions) (*Snapshot, error) {
 func runSession(ctx context.Context, st *runState, g Grid, dir string, workers, repeat int, tables bool) error {
 	sess := experiments.NewSession(g.BenchScale())
 	sess.Workers = workers
-	sess.Ctx = ctx
 
 	for _, circuit := range g.Circuits {
 		for _, L := range g.WindowLengths {
@@ -172,7 +171,7 @@ func runSession(ctx context.Context, st *runState, g Grid, dir string, workers, 
 	}
 
 	if tables {
-		if err := runTables(st, sess, dir); err != nil {
+		if err := runTables(ctx, st, sess, dir); err != nil {
 			return err
 		}
 	}
@@ -215,25 +214,25 @@ func atpgCore(circuit string, g Grid) (*netlist.Netlist, error) {
 // runTables regenerates the paper's Tables 1–4 and Fig. 4 in the given
 // session and writes them as CSVs into the run directory (the analyzer
 // renders Markdown and LaTeX from these).
-func runTables(st *runState, sess *experiments.Session, dir string) error {
+func runTables(ctx context.Context, st *runState, sess *experiments.Session, dir string) error {
 	t0 := time.Now()
-	t1, err := sess.Table1()
+	t1, err := sess.Table1(ctx)
 	if err != nil {
 		return err
 	}
-	t2, err := sess.Table2()
+	t2, err := sess.Table2(ctx)
 	if err != nil {
 		return err
 	}
-	t3, err := sess.Table3()
+	t3, err := sess.Table3(ctx)
 	if err != nil {
 		return err
 	}
-	t4, err := sess.Table4()
+	t4, err := sess.Table4(ctx)
 	if err != nil {
 		return err
 	}
-	bars, curves, err := sess.Fig4()
+	bars, curves, err := sess.Fig4(ctx)
 	if err != nil {
 		return err
 	}

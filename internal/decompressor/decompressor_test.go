@@ -1,6 +1,7 @@
 package decompressor
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/benchprofile"
@@ -18,11 +19,11 @@ func buildSchedule(t testing.TB, name string, numCubes, L, S, k int) *Schedule {
 		p.NumCubes = numCubes
 	}
 	set := p.Generate()
-	enc, _, err := encoder.EncodeAuto(p.LFSRSize, p.Width, p.Chains, L, set)
+	enc, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, L, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := stateskip.Reduce(enc, stateskip.DefaultOptions(S, k))
+	red, err := stateskip.ReduceWithIndex(enc, nil, stateskip.DefaultOptions(S, k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestCostBreakdownSane(t *testing.T) {
 		t.Error("TotalGE does not decompose")
 	}
 	// Skip circuit grows with k (same encoding, higher speedup).
-	red2, err := stateskip.Reduce(sched.Red.Enc, stateskip.DefaultOptions(5, 24))
+	red2, err := stateskip.ReduceWithIndex(sched.Red.Enc, nil, stateskip.DefaultOptions(5, 24))
 	if err != nil {
 		t.Fatal(err)
 	}

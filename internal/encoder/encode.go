@@ -19,9 +19,9 @@ import (
 
 // Config describes one encoding run.
 type Config struct {
-	LFSR *lfsr.LFSR
-	PS   *phaseshifter.PhaseShifter
-	Geo  scan.Geometry
+	LFSR *lfsr.LFSR                 // the register each seed is loaded into
+	PS   *phaseshifter.PhaseShifter // spreads LFSR cells onto the scan chains
+	Geo  scan.Geometry              // scan chains the vectors are shifted into
 	// WindowLen is L, the number of vectors each seed expands into.
 	// L = 1 is classical reseeding.
 	WindowLen int
@@ -47,15 +47,15 @@ type Assignment struct {
 
 // Seed is one computed LFSR seed together with the cubes it encodes.
 type Seed struct {
-	Value       gf2.Vec
-	Assignments []Assignment
+	Value       gf2.Vec      // the n-bit LFSR state loaded at window start
+	Assignments []Assignment // cubes deliberately embedded in this window
 }
 
 // Encoding is the result of compressing a cube set.
 type Encoding struct {
-	Cfg   Config
-	Set   *cube.Set
-	Seeds []Seed
+	Cfg   Config    // the decompressor the seeds were computed for
+	Set   *cube.Set // the encoded cube set; Assignment.Cube indexes it
+	Seeds []Seed    // in the order the decompressor loads them
 	// ChecksPerformed counts the seed loop's linear-system consistency
 	// checks, a measure of encoder effort used by the pruning ablation.
 	// The fresh-window screen that runs before the loop is not counted.
@@ -73,19 +73,17 @@ func (e *Encoding) TDV() int { return len(e.Seeds) * e.Cfg.LFSR.Size() }
 // window-based scheme: every seed expands into a full window.
 func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.WindowLen }
 
-// Encode compresses the cube set into LFSR seeds. The input set is not
-// modified. Encode fails if some cube cannot be embedded anywhere even by a
-// dedicated seed (the LFSR is too small for the test set).
-func Encode(cfg Config, set *cube.Set) (*Encoding, error) {
-	return EncodeCtx(context.Background(), cfg, set)
-}
-
-// EncodeCtx is Encode with cooperative cancellation: every candidate-scan
-// worker polls the context once per checkStride consistency checks and the
+// EncodeCtx compresses the cube set into LFSR seeds. The input set is not
+// modified. EncodeCtx fails if some cube cannot be embedded anywhere even by
+// a dedicated seed (the LFSR is too small for the test set).
+//
+// Cancellation is cooperative: every candidate-scan worker polls the
+// context once per checkStride consistency checks and the
 // seed-construction loop polls it at every tier boundary, so a cancel or
 // deadline stops the encoder within microseconds of the engines noticing.
 // A cancelled encode returns an error wrapping context.Canceled or
-// context.DeadlineExceeded; an uncancelled run is bit-identical to Encode.
+// context.DeadlineExceeded; an uncancelled run is bit-identical for any
+// live context.
 func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error) {
 	if cfg.WindowLen < 1 {
 		return nil, fmt.Errorf("encoder: window length %d must be ≥ 1", cfg.WindowLen)

@@ -18,7 +18,7 @@ import (
 
 func smallConfig(t testing.TB, n, width, chains, L int) Config {
 	t.Helper()
-	cfg, err := StandardConfig(n, width, chains, L)
+	cfg, err := StandardConfigVariant(n, width, chains, L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func smallConfig(t testing.TB, n, width, chains, L int) Config {
 // else in the repository rests on this equality.
 func TestTableMatchesGeneration(t *testing.T) {
 	cfg := smallConfig(t, 16, 50, 4, 6)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	table, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func genSet(t testing.TB, name string, scaleCubes int) *cube.Set {
 func TestEncodeRoundTrip(t *testing.T) {
 	set := genSet(t, "s13207", 40)
 	cfg := smallConfig(t, 16, set.Width, 8, 12)
-	enc, err := Encode(cfg, set)
+	enc, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 func TestClassicalReseedingL1(t *testing.T) {
 	set := genSet(t, "s9234", 30)
 	cfg := smallConfig(t, 24, set.Width, 8, 1)
-	enc, err := Encode(cfg, set)
+	enc, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWindowEncodingNeedsFewerSeeds(t *testing.T) {
 	var prevSeeds int
 	for i, L := range []int{1, 8, 32} {
 		cfg := smallConfig(t, 16, set.Width, 8, L)
-		enc, err := Encode(cfg, set)
+		enc, err := EncodeCtx(context.Background(), cfg, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func assertEncodingsIdentical(t *testing.T, label string, a, b *Encoding) {
 func TestEncodeDeterministic(t *testing.T) {
 	set := genSet(t, "s15850", 30)
 	cfg := smallConfig(t, 20, set.Width, 8, 10)
-	a, err := Encode(cfg, set)
+	a, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(cfg, set)
+	b, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,13 @@ func TestEncodeWorkersBitIdentical(t *testing.T) {
 	set := genSet(t, "s38417", 0)
 	cfg := smallConfig(t, 32, set.Width, 8, 12)
 	cfg.Workers = 1
-	want, err := Encode(cfg, set)
+	want, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 0} {
 		cfg.Workers = workers
-		got, err := Encode(cfg, set)
+		got, err := EncodeCtx(context.Background(), cfg, set)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -218,7 +218,7 @@ func TestEncodeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			set := p.Generate()
-			enc, variant, err := EncodeAuto(p.LFSRSize, p.Width, p.Chains, g.L, set)
+			enc, variant, err := EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, g.L, set, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,13 +240,14 @@ func TestEncodeGolden(t *testing.T) {
 }
 
 // TestEncodeSharedTablesIdentical runs the same encoding with private
-// tables, with explicitly shared tables, and through the TablesCache path;
-// all three must agree bit for bit, and the shared runs must report ~zero
-// table-build time on reuse.
+// tables, with explicitly shared tables, and through EncodeAutoCtx's
+// TablesCache path (shared and nil cache); all must agree bit for bit,
+// and the shared runs must report ~zero table-build time on reuse.
 func TestEncodeSharedTablesIdentical(t *testing.T) {
+	ctx := context.Background()
 	set := genSet(t, "s13207", 40)
 	cfg := smallConfig(t, 16, set.Width, 8, 12)
-	want, err := Encode(cfg, set)
+	want, err := EncodeCtx(ctx, cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +256,12 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Tables = tabs
-	first, err := Encode(cfg, set)
+	first, err := EncodeCtx(ctx, cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertEncodingsIdentical(t, "shared tables", want, first)
-	again, err := Encode(cfg, set)
+	again, err := EncodeCtx(ctx, cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,19 +272,52 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 		t.Errorf("reused tables reported %v build time", again.TableBuildTime)
 	}
 
-	cache := NewTablesCache()
-	a, va, err := EncodeAutoCached(16, set.Width, 8, 12, set, 0, cache)
+	// The cache path must equal a plain encode on a freshly assembled
+	// standard configuration of the variant it settled on — including a
+	// profile (s38584, L=24) whose variant 0 fails and variant 1 encodes.
+	p, err := benchprofile.ByName("s38584", benchprofile.ScaleCI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, vb, err := EncodeAutoCached(16, set.Width, 8, 12, set, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name         string
+		n, chains, L int
+		set          *cube.Set
+		variant      uint64
+	}{
+		{"s13207", 16, 8, 12, set, 0},
+		{"s38584", p.LFSRSize, p.Chains, 24, p.Generate(), 1},
 	}
-	if va != vb {
-		t.Fatalf("cached variant %d != uncached %d", va, vb)
+	for _, tc := range cases {
+		cache := NewTablesCache()
+		a, va, err := EncodeAutoCtx(ctx, tc.n, tc.set.Width, tc.chains, tc.L, tc.set, 0, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if va != tc.variant {
+			t.Fatalf("%s: settled on variant %d, want %d", tc.name, va, tc.variant)
+		}
+		fresh, err := StandardConfigVariant(tc.n, tc.set.Width, tc.chains, tc.L, va)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := EncodeCtx(ctx, fresh, tc.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEncodingsIdentical(t, tc.name+": cache vs fresh config", b, a)
+		c, vc, err := EncodeAutoCtx(ctx, tc.n, tc.set.Width, tc.chains, tc.L, tc.set, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vc != va {
+			t.Fatalf("%s: nil-cache variant %d != cached %d", tc.name, vc, va)
+		}
+		assertEncodingsIdentical(t, tc.name+": nil cache vs cache", a, c)
+		if got := cache.Len(); got != int(va)+1 {
+			t.Fatalf("%s: cache holds %d variants, want %d (every variant tried)", tc.name, got, va+1)
+		}
 	}
-	assertEncodingsIdentical(t, "cache vs fresh", b, a)
 }
 
 // TestEncodeRejectsForeignTables guards the Config.Tables validation: a
@@ -297,7 +331,7 @@ func TestEncodeRejectsForeignTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Tables = tabs
-	if _, err := Encode(cfg, set); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
 		t.Error("foreign tables accepted")
 	}
 }
@@ -307,12 +341,12 @@ func TestPruningAblationIdentical(t *testing.T) {
 	// number of consistency checks performed.
 	set := genSet(t, "s9234", 25)
 	cfg := smallConfig(t, 24, set.Width, 8, 8)
-	pruned, err := Encode(cfg, set)
+	pruned, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.NoPruning = true
-	full, err := Encode(cfg, set)
+	full, err := EncodeCtx(context.Background(), cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,15 +367,15 @@ func TestEncodeRejectsBadInput(t *testing.T) {
 	set := genSet(t, "s9234", 10)
 	cfg := smallConfig(t, 24, set.Width, 8, 4)
 	cfg.WindowLen = 0
-	if _, err := Encode(cfg, set); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
 		t.Error("L=0 accepted")
 	}
 	cfg = smallConfig(t, 24, set.Width+10, 8, 4)
-	if _, err := Encode(cfg, set); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
 		t.Error("width mismatch accepted")
 	}
 	cfg = smallConfig(t, 24, set.Width, 8, 4)
-	if _, err := Encode(cfg, cube.NewSet(set.Width)); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, cube.NewSet(set.Width)); err == nil {
 		t.Error("empty set accepted")
 	}
 }
@@ -356,7 +390,7 @@ func TestEncodeFailsWhenLFSRTooSmall(t *testing.T) {
 	}
 	set.Add(dense)
 	cfg := smallConfig(t, 12, 64, 4, 2)
-	if _, err := Encode(cfg, set); err == nil {
+	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
 		t.Error("expected failure for oversized cube, got success")
 	}
 }
@@ -391,7 +425,7 @@ func unembeddableCube(t *testing.T, table *ExprTable, width, bits int, src *prng
 func TestEncodeScreen(t *testing.T) {
 	set := genSet(t, "s9234", 30)
 	cfg := smallConfig(t, 24, set.Width, 8, 6)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	table, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +437,7 @@ func TestEncodeScreen(t *testing.T) {
 	set.Add(dense)
 	want := set.Len() - 1
 	set.Add(denseTwin)
-	_, err = Encode(cfg, set)
+	_, err = EncodeCtx(context.Background(), cfg, set)
 	msg := fmt.Sprintf("encoder: cube %d (%d specified bits) cannot be embedded anywhere in a fresh window; increase the LFSR size (n=%d)", want, 50, 24)
 	if err == nil || err.Error() != msg {
 		t.Fatalf("err = %v, want %q", err, msg)
@@ -417,7 +451,7 @@ func TestEncodeScreen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := long.Tables.EnsureLen(long.WindowLen); err != nil {
+	if _, err := long.Tables.EnsureLenCtx(context.Background(), long.WindowLen); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -438,7 +472,7 @@ func TestAllCIProfilesEncodable(t *testing.T) {
 			t.Parallel()
 			set := p.Generate()
 			cfg := smallConfig(t, p.LFSRSize, p.Width, p.Chains, 16)
-			enc, err := Encode(cfg, set)
+			enc, err := EncodeCtx(context.Background(), cfg, set)
 			if err != nil {
 				t.Fatal(err)
 			}

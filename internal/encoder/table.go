@@ -21,8 +21,6 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/gf2"
-	"repro/internal/lfsr"
-	"repro/internal/phaseshifter"
 	"repro/internal/scan"
 )
 
@@ -33,23 +31,11 @@ import (
 // row set. Built once per (LFSR, phase shifter, geometry, L) and shared by
 // every seed computation.
 type ExprTable struct {
-	L   int
-	N   int
-	Geo scan.Geometry
+	L   int           // window length: vectors per seed
+	N   int           // LFSR size: seed variables per expression
+	Geo scan.Geometry // scan geometry the expressions feed
 
 	rows gf2.RowSet
-}
-
-// BuildExprTable symbolically simulates the LFSR through L·r cycles and
-// materialises the phase-shifter output expressions. Callers that probe
-// several window lengths of one decompressor should hold a Tables value
-// instead and let EnsureLen extend the shared arena incrementally.
-func BuildExprTable(l *lfsr.LFSR, ps *phaseshifter.PhaseShifter, geo scan.Geometry, L int) (*ExprTable, error) {
-	t, err := NewTables(l, ps, geo)
-	if err != nil {
-		return nil, err
-	}
-	return t.EnsureLen(L)
 }
 
 // Rows exposes the expression arena as an indexed row set; row t·m+ch is

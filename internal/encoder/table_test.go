@@ -1,6 +1,7 @@
 package encoder
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/benchprofile"
@@ -12,6 +13,16 @@ import (
 	"repro/internal/scan"
 )
 
+// buildExprTable symbolically simulates the LFSR through L·r cycles in
+// fresh tables and materialises the phase-shifter output expressions.
+func buildExprTable(l *lfsr.LFSR, ps *phaseshifter.PhaseShifter, geo scan.Geometry, L int) (*ExprTable, error) {
+	t, err := NewTables(l, ps, geo)
+	if err != nil {
+		return nil, err
+	}
+	return t.EnsureLenCtx(context.Background(), L)
+}
+
 // TestDependenciesPositionInvariant pins the structural fact the whole
 // encoder-robustness story rests on: the coefficient
 // matrix of a cube's system at window position v is the position-0 matrix
@@ -19,7 +30,7 @@ import (
 // among a fixed set of slots are identical at every window position.
 func TestDependenciesPositionInvariant(t *testing.T) {
 	cfg := smallConfig(t, 16, 60, 4, 8)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	table, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +97,12 @@ func TestExprTableIncrementalExtension(t *testing.T) {
 			// and re-checking earlier snapshots after later extensions.
 			var snaps []*ExprTable
 			for _, L := range []int{4, 7, 13} {
-				snap, err := tabs.EnsureLen(L)
+				snap, err := tabs.EnsureLenCtx(context.Background(), L)
 				if err != nil {
 					t.Fatal(err)
 				}
 				snaps = append(snaps, snap)
-				fresh, err := BuildExprTable(l, ps, geo, L)
+				fresh, err := buildExprTable(l, ps, geo, L)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +117,7 @@ func TestExprTableIncrementalExtension(t *testing.T) {
 				}
 			}
 			// Shrinking requests reuse the prefix without re-simulating.
-			small, err := tabs.EnsureLen(2)
+			small, err := tabs.EnsureLenCtx(context.Background(), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,20 +130,20 @@ func TestExprTableIncrementalExtension(t *testing.T) {
 
 func TestBuildExprTableValidation(t *testing.T) {
 	cfg := smallConfig(t, 16, 50, 4, 4)
-	if _, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, 0); err == nil {
+	if _, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, 0); err == nil {
 		t.Error("L=0 accepted")
 	}
 	// Phase shifter with the wrong output count.
 	geo2 := cfg.Geo
 	geo2.Chains = 5
-	if _, err := BuildExprTable(cfg.LFSR, cfg.PS, geo2, 4); err == nil {
+	if _, err := buildExprTable(cfg.LFSR, cfg.PS, geo2, 4); err == nil {
 		t.Error("chain-count mismatch accepted")
 	}
 }
 
 func TestExprTableMemoryBounded(t *testing.T) {
 	cfg := smallConfig(t, 24, 100, 8, 10)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	table, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +157,7 @@ func TestExprTableMemoryBounded(t *testing.T) {
 
 func TestEquationsMatchCubeBits(t *testing.T) {
 	cfg := smallConfig(t, 16, 40, 4, 6)
-	table, err := BuildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	table, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // length-L prefix of symbolic cycles verbatim, so sweeps over L against a
 // fixed decompressor pay only for the new cycles.
 //
-// Tables is safe for concurrent use. EnsureLen returns immutable snapshots:
+// Tables is safe for concurrent use. EnsureLenCtx returns immutable snapshots:
 // extension only appends cycles past every previously returned snapshot's
 // view, so outstanding readers are never invalidated. The two regimes are
 // machine-checked (internal/lint): the decompressor identity below is
@@ -44,12 +44,12 @@ type Tables struct {
 	// Single-slot system-index cache: re-encodes of one set (benchmark
 	// loops, sweeps over L) hit it, while Tables held in process-lifetime
 	// caches never pin more than the last set encoded.
-	lastSet *cube.Set     // guarded by mu
-	lastSys *systemIndex  // guarded by mu
+	lastSet *cube.Set    // guarded by mu
+	lastSys *systemIndex // guarded by mu
 }
 
 // NewTables validates the decompressor wiring and returns empty shared
-// tables for it; the symbolic arena is filled on demand by EnsureLen.
+// tables for it; the symbolic arena is filled on demand by EnsureLenCtx.
 func NewTables(l *lfsr.LFSR, ps *phaseshifter.PhaseShifter, geo scan.Geometry) (*Tables, error) {
 	if ps.Outputs() != geo.Chains {
 		return nil, fmt.Errorf("encoder: phase shifter outputs %d != scan chains %d", ps.Outputs(), geo.Chains)
@@ -75,24 +75,20 @@ func (t *Tables) PS() *phaseshifter.PhaseShifter { return t.ps }
 // Geo returns the scan geometry these tables were built for.
 func (t *Tables) Geo() scan.Geometry { return t.geo }
 
-// EnsureLen returns the expression table for window length L, simulating
-// only the symbolic cycles not yet materialised. The returned snapshot is
-// immutable and remains valid across later extensions.
-func (t *Tables) EnsureLen(L int) (*ExprTable, error) {
-	return t.EnsureLenCtx(context.Background(), L)
-}
-
 // symStride is how many symbolic cycles EnsureLenCtx materialises between
 // context polls. A cycle is m·words XOR words plus one symbolic step, so
 // 16 cycles keeps the poll below measurement noise while bounding
 // cancellation latency to microseconds even on the largest cores.
 const symStride = 16
 
-// EnsureLenCtx is EnsureLen with cooperative cancellation: the symbolic
-// simulation polls the context every symStride cycles. An aborted
-// extension leaves the tables fully consistent at the cycles completed so
-// far — the partial work is kept (a later call resumes from it), and every
-// previously returned snapshot stays valid.
+// EnsureLenCtx returns the expression table for window length L,
+// simulating only the symbolic cycles not yet materialised. The returned
+// snapshot is immutable and remains valid across later extensions.
+//
+// The symbolic simulation polls the context every symStride cycles. An
+// aborted extension leaves the tables fully consistent at the cycles
+// completed so far — the partial work is kept (a later call resumes from
+// it), and every previously returned snapshot stays valid.
 func (t *Tables) EnsureLenCtx(ctx context.Context, L int) (*ExprTable, error) {
 	if L < 1 {
 		return nil, fmt.Errorf("encoder: window length %d must be ≥ 1", L)
@@ -175,8 +171,8 @@ func newSystemIndex(set *cube.Set, geo scan.Geometry) *systemIndex {
 }
 
 // TablesCache memoizes shared Tables per standard decompressor
-// configuration, so experiment sweeps, EncodeAuto variant retries and
-// repeated CLI/benchmark encodes stop recomputing identical symbolic
+// configuration, so experiment sweeps, EncodeAutoCtx variant retries and
+// repeated benchmark encodes stop recomputing identical symbolic
 // simulations. It is safe for concurrent use: the first caller of a key
 // builds (singleflight) while later callers of the same key block on that
 // slot, so every configuration is built exactly once no matter how many

@@ -67,7 +67,7 @@ func TestTablesCacheSetMaxEvicts(t *testing.T) {
 // internally consistent, and (c) a later uncancelled call resumes and
 // produces a table identical to one built in a single shot.
 func TestEnsureLenCtxAbortResumes(t *testing.T) {
-	cfg, err := StandardConfig(24, 64, 8, 8)
+	cfg, err := StandardConfigVariant(24, 64, 8, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestEnsureLenCtxAbortResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.EnsureLen(8)
+	want, err := fresh.EnsureLenCtx(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

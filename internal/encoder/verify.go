@@ -1,21 +1,6 @@
 package encoder
 
-import (
-	"fmt"
-
-	"repro/internal/gf2"
-)
-
-// Windows expands every seed into its L-vector window. The result is
-// indexed [seed][windowPos]; it is the exact stimulus stream the CUT sees
-// when every window is generated in full in Normal mode.
-func (e *Encoding) Windows() [][]gf2.Vec {
-	out := make([][]gf2.Vec, len(e.Seeds))
-	for i, s := range e.Seeds {
-		out[i] = GenerateWindow(e.Cfg.LFSR, e.Cfg.PS, e.Cfg.Geo, s.Value, e.Cfg.WindowLen)
-	}
-	return out
-}
+import "fmt"
 
 // Verify regenerates every seed's window and confirms that each cube
 // matches the vector at its assigned position and that every input cube was

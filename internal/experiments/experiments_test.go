@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/atpg"
 	"repro/internal/benchprofile"
 	"repro/internal/litdata"
 	"repro/internal/netlist"
@@ -13,7 +18,7 @@ func ciSession() *Session { return NewSession(benchprofile.ScaleCI) }
 
 func TestTable1Trends(t *testing.T) {
 	s := ciSession()
-	rows, err := s.Table1()
+	rows, err := s.Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +48,7 @@ func TestTable1Trends(t *testing.T) {
 
 func TestTable2Improvements(t *testing.T) {
 	s := ciSession()
-	rows, err := s.Table2()
+	rows, err := s.Table2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +74,7 @@ func TestTable2Improvements(t *testing.T) {
 
 func TestFig4Trends(t *testing.T) {
 	s := ciSession()
-	bars, curves, err := s.Fig4()
+	bars, curves, err := s.Fig4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func TestFig4Trends(t *testing.T) {
 
 func TestTable3Shape(t *testing.T) {
 	s := ciSession()
-	rows, err := s.Table3()
+	rows, err := s.Table3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ func TestTable3Shape(t *testing.T) {
 
 func TestTable4Shape(t *testing.T) {
 	s := ciSession()
-	rows, err := s.Table4()
+	rows, err := s.Table4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestTable4Shape(t *testing.T) {
 
 func TestHWOverheadAndSoC(t *testing.T) {
 	s := ciSession()
-	rep, err := s.HWOverhead()
+	rep, err := s.HWOverhead(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +162,7 @@ func TestHWOverheadAndSoC(t *testing.T) {
 	}
 	_ = s.HWMarkdown(rep)
 
-	soc, err := s.SoC()
+	soc, err := s.SoC(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +177,19 @@ func TestHWOverheadAndSoC(t *testing.T) {
 
 func TestSessionCaching(t *testing.T) {
 	s := ciSession()
-	a, err := s.Encoding("s9234", 8)
+	a, err := s.EncodingCtx(context.Background(), "s9234", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Encoding("s9234", 8)
+	b, err := s.EncodingCtx(context.Background(), "s9234", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("encoding not cached")
 	}
-	ia, _ := s.Index("s9234", 8)
-	ib, _ := s.Index("s9234", 8)
+	ia, _ := s.IndexCtx(context.Background(), "s9234", 8)
+	ib, _ := s.IndexCtx(context.Background(), "s9234", 8)
 	if ia != ib {
 		t.Error("index not cached")
 	}
@@ -197,7 +202,7 @@ func TestSessionATPGWorkersIdentical(t *testing.T) {
 	}
 	serial := ciSession()
 	serial.Workers = 1
-	_, want, err := serial.ATPG(core, 11)
+	_, want, err := serial.ATPGOptsCtx(context.Background(), core, atpg.Options{FaultDrop: true, FillSeed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestSessionATPGWorkersIdentical(t *testing.T) {
 	}
 	par := ciSession()
 	par.Workers = 3
-	_, got, err := par.ATPG(core, 11)
+	_, got, err := par.ATPGOptsCtx(context.Background(), core, atpg.Options{FaultDrop: true, FillSeed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +261,11 @@ func TestSessionTablesRebuiltAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := s.Tables(core)
+	t1, err := s.TablesCtx(context.Background(), core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t2, err := s.Tables(core); err != nil || t2 != t1 {
+	if t2, err := s.TablesCtx(context.Background(), core); err != nil || t2 != t1 {
 		t.Fatalf("unmutated core: cached tables not reused (%p vs %p, err %v)", t2, t1, err)
 	}
 	if _, err := core.AddGate("extra", netlist.And, "pi0", "pi1"); err != nil {
@@ -269,14 +274,81 @@ func TestSessionTablesRebuiltAfterMutation(t *testing.T) {
 	if err := core.MarkOutput("extra"); err != nil {
 		t.Fatal(err)
 	}
-	t3, err := s.Tables(core)
+	t3, err := s.TablesCtx(context.Background(), core)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t3 == t1 || !t3.Valid(core) {
 		t.Fatal("mutated core: stale tables served from the cache")
 	}
-	if _, _, err := s.ATPG(core, 1); err != nil {
+	if _, _, err := s.ATPGOptsCtx(context.Background(), core, atpg.Options{FaultDrop: true, FillSeed: 1}); err != nil {
 		t.Fatalf("ATPG after mutation: %v", err)
+	}
+}
+
+// cellCtx is a context that cancels itself once the session starts
+// building its nth encoding: the tables' parallelFor and the encoder both
+// poll Err, so a table sweep run under it completes its first n−1
+// encodings' cells and is stopped inside the next, deterministically.
+type cellCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	s      *Session
+	n      int64
+}
+
+func (c cellCtx) Err() error {
+	if c.s.Stats().EncodingBuilds >= c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestSweepCancelledMidway cancels Table2 and Fig4 after their first
+// cell: the call must fail with an error wrapping context.Canceled, and a
+// second call on the same session with a live context must return rows
+// deep-equal to a fresh session's — the cancelled build poisons nothing.
+func TestSweepCancelledMidway(t *testing.T) {
+	sweeps := []struct {
+		name string
+		run  func(context.Context, *Session) (any, error)
+	}{
+		{"Table2", func(ctx context.Context, s *Session) (any, error) { return s.Table2(ctx) }},
+		{"Fig4", func(ctx context.Context, s *Session) (any, error) {
+			bars, curves, err := s.Fig4(ctx)
+			return [][]Fig4Series{bars, curves}, err
+		}},
+	}
+	for _, d := range sweeps {
+		t.Run(d.name, func(t *testing.T) {
+			s := ciSession()
+			s.Workers = 1 // cells run in order, so "the first cell" is well defined
+			parent, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx := cellCtx{Context: parent, cancel: cancel, s: s, n: 2}
+			if _, err := d.run(ctx, s); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled after the first cell: err = %v, want context.Canceled", err)
+			}
+			// The first cell's index was built; the second cell's encode
+			// was stopped by the engines, so its index never was.
+			if st := s.Stats(); st.IndexBuilds != 1 {
+				t.Fatalf("IndexBuilds = %d after the cancel, want 1 (stats %+v)", st.IndexBuilds, st)
+			}
+			// A poisoned memo slot would make the rerun spin; the deadline
+			// turns that into a failure instead of a hang.
+			live, stop := context.WithTimeout(context.Background(), time.Minute)
+			defer stop()
+			got, err := d.run(live, s)
+			if err != nil {
+				t.Fatalf("rerun on the cancelled session: %v", err)
+			}
+			want, err := d.run(context.Background(), ciSession())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("rerun after cancel differs from a fresh session:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -21,7 +22,7 @@ type SkipCostPoint struct {
 // SkipCircuitSweep reproduces the paper's §4 State-Skip-circuit overhead
 // trend on the s13207 register (n=24 at paper scale): GE versus k, with and
 // without common-subexpression sharing (the CSE ablation).
-func (s *Session) SkipCircuitSweep(ks []int) ([]SkipCostPoint, error) {
+func (s *Session) SkipCircuitSweep(ctx context.Context, ks []int) ([]SkipCostPoint, error) {
 	p, err := benchprofile.ByName("s13207", s.Scale)
 	if err != nil {
 		return nil, err
@@ -32,6 +33,9 @@ func (s *Session) SkipCircuitSweep(ks []int) ([]SkipCostPoint, error) {
 	}
 	var pts []SkipCostPoint
 	for _, k := range ks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		net := hwcost.CostLinear(l.SkipMatrix(uint64(k)))
 		pts = append(pts, SkipCostPoint{K: k, NaiveGE: net.NaiveGE(), CSEGE: net.GE()})
 	}
@@ -48,11 +52,11 @@ type HWReport struct {
 }
 
 // HWOverhead runs the hardware cost experiments on s13207.
-func (s *Session) HWOverhead() (*HWReport, error) {
+func (s *Session) HWOverhead(ctx context.Context) (*HWReport, error) {
 	rep := &HWReport{}
 	ks := []int{4, 8, 12, 16, 20, 24, 28, 32}
 	var err error
-	rep.SkipSweep, err = s.SkipCircuitSweep(ks)
+	rep.SkipSweep, err = s.SkipCircuitSweep(ctx, ks)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +66,7 @@ func (s *Session) HWOverhead() (*HWReport, error) {
 	if s.Scale != benchprofile.ScalePaper {
 		L, S, k = 16, 4, 8
 	}
-	red, err := s.Reduce("s13207", L, S, k)
+	red, err := s.Reduce(ctx, "s13207", L, S, k)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +86,7 @@ func (s *Session) HWOverhead() (*HWReport, error) {
 			if S > L {
 				continue
 			}
-			red, err := s.Reduce("s13207", L, S, k)
+			red, err := s.Reduce(ctx, "s13207", L, S, k)
 			if err != nil {
 				return nil, err
 			}
@@ -154,7 +158,7 @@ var coreGateEstimates = map[string]float64{
 }
 
 // SoC runs the five-core SoC experiment (paper: L=200, S=10, k=10).
-func (s *Session) SoC() (*SoCReport, error) {
+func (s *Session) SoC(ctx context.Context) (*SoCReport, error) {
 	L, S, k := 200, 10, 10
 	if s.Scale != benchprofile.ScalePaper {
 		L, S, k = 16, 4, 8
@@ -162,7 +166,7 @@ func (s *Session) SoC() (*SoCReport, error) {
 	rep := &SoCReport{}
 	var maxShared float64
 	for _, name := range benchprofile.Names() {
-		red, err := s.Reduce(name, L, S, k)
+		red, err := s.Reduce(ctx, name, L, S, k)
 		if err != nil {
 			return nil, err
 		}

@@ -119,14 +119,6 @@ type Session struct {
 	// the encoding-side analogue of the ATPG Tables cache below.
 	EncTables *encoder.TablesCache
 
-	// Ctx optionally scopes the session's no-context convenience methods
-	// (Set, Encoding, Index, Tables, ATPG, parallelFor): when non-nil its
-	// cancellation aborts artefact builds and engine runs exactly as the
-	// explicit *Ctx variants do. cmd/stateskip's SIGINT handling rides
-	// this. Per-job callers (the stateskipd server) should pass explicit
-	// contexts to the *Ctx methods instead.
-	Ctx context.Context
-
 	mu   sync.Mutex
 	sets *lru.Cache[string, *memo[*cube.Set]]                // guarded by mu
 	encs *lru.Cache[encKey, *memo[*encoder.Encoding]]        // guarded by mu
@@ -296,15 +288,6 @@ func NewSession(scale benchprofile.Scale) *Session {
 	}
 }
 
-// ctx resolves the session's ambient context for the no-context
-// convenience methods.
-func (s *Session) ctx() context.Context {
-	if s.Ctx != nil {
-		return s.Ctx
-	}
-	return context.Background()
-}
-
 // workerCount resolves the session's worker budget for n independent work
 // items.
 func (s *Session) workerCount(n int) int {
@@ -322,12 +305,11 @@ func (s *Session) workerCount(n int) int {
 }
 
 // parallelFor runs fn(0..n-1) on the session's worker pool and returns the
-// lowest-index error, if any. Once an item fails, workers stop claiming new
-// indices (in-flight items finish). Callers must write results into
-// index-addressed slots so the assembled output is deterministic regardless
-// of scheduling.
-func (s *Session) parallelFor(n int, fn func(i int) error) error {
-	ctx := s.ctx()
+// lowest-index error, if any. Once an item fails or ctx fires, workers stop
+// claiming new indices (in-flight items finish). Callers must write results
+// into index-addressed slots so the assembled output is deterministic
+// regardless of scheduling.
+func (s *Session) parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 	workers := s.workerCount(n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
@@ -368,17 +350,13 @@ func (s *Session) parallelFor(n int, fn func(i int) error) error {
 	return ctx.Err()
 }
 
-// Tables returns the (cached) shared ATPG tables of a core — levelization,
-// fan-out lists and SCOAP weights, built once per netlist and reused by
-// every ATPG run the session performs over it. A core mutated since the
-// tables were cached (gates or outputs added) is detected and rebuilt, so
-// mutate-then-rerun flows keep working.
-func (s *Session) Tables(core *netlist.Netlist) (*atpg.Tables, error) {
-	return s.TablesCtx(s.ctx(), core)
-}
-
-// TablesCtx is Tables with an explicit context: a cancelled leader's
-// build is not cached, and waiters whose context fires stop waiting.
+// TablesCtx returns the (cached) shared ATPG tables of a core —
+// levelization, fan-out lists and SCOAP weights, built once per netlist
+// and reused by every ATPG run the session performs over it. A core
+// mutated since the tables were cached (gates or outputs added) is
+// detected and rebuilt, so mutate-then-rerun flows keep working. A
+// cancelled leader's build is not cached, and waiters whose context fires
+// stop waiting.
 func (s *Session) TablesCtx(ctx context.Context, core *netlist.Netlist) (*atpg.Tables, error) {
 	build := timed(&s.stats.tabNS, func() (*atpg.Tables, error) { return atpg.NewTables(core) })
 	t, err := cached(ctx, &s.mu, s.tabs, &s.stats.tabBuilds, &s.stats.hits, core, build)
@@ -391,30 +369,14 @@ func (s *Session) TablesCtx(ctx context.Context, core *netlist.Netlist) (*atpg.T
 	return cached(ctx, &s.mu, s.tabs, &s.stats.tabBuilds, &s.stats.hits, core, build)
 }
 
-// ATPG runs the full PODEM + fault-drop flow over a gate-level core with
-// the session's Workers budget forwarded into atpg.Options, so the cube
-// generation pipeline, the drop-loop simulator pool and the experiment
-// drivers all share one knob. cmd/stateskip's `atpg` subcommand goes
-// through here. Results are bit-identical for any Workers value.
-func (s *Session) ATPG(core *netlist.Netlist, fillSeed uint64) (*faultsim.Universe, *atpg.Result, error) {
-	return s.ATPGOpts(core, atpg.Options{FaultDrop: true, FillSeed: fillSeed})
-}
-
-// ATPGOpts is ATPG with caller-controlled options (backtrack limit,
-// backtrace strategy, fault dropping, fill seed). The session injects its
-// Workers budget and the cached shared Tables of the core, so repeated
-// runs over one netlist pay levelization and SCOAP once; everything else —
-// including Options.Backtrace, which cmd/stateskip's `atpg -backtrace`
-// flag rides through here — passes straight to atpg.RunAllCtx.
-func (s *Session) ATPGOpts(core *netlist.Netlist, opt atpg.Options) (*faultsim.Universe, *atpg.Result, error) {
-	return s.ATPGOptsCtx(s.ctx(), core, opt)
-}
-
-// ATPGOptsCtx is ATPGOpts with cooperative cancellation threaded into the
-// PODEM pipeline and the fault-drop simulator pool (see atpg.RunAllCtx).
-// On cancellation or deadline it returns the universe and the partial
-// Result alongside the typed context error, so callers can report
-// progress made before the stop.
+// ATPGOptsCtx runs the full PODEM + fault-drop flow over a gate-level core.
+// The session injects its Workers budget, its LaneWords default (when opt
+// leaves LaneWords unset) and the cached shared Tables of the core, so
+// repeated runs over one netlist pay levelization and SCOAP once;
+// everything else in opt passes straight to atpg.RunAllCtx. Results are
+// bit-identical for any Workers value. On cancellation or deadline it
+// returns the universe and the partial Result alongside the typed context
+// error, so callers can report progress made before the stop.
 func (s *Session) ATPGOptsCtx(ctx context.Context, core *netlist.Netlist, opt atpg.Options) (*faultsim.Universe, *atpg.Result, error) {
 	t, err := s.TablesCtx(ctx, core)
 	if err != nil {
@@ -427,18 +389,11 @@ func (s *Session) ATPGOptsCtx(ctx context.Context, core *netlist.Netlist, opt at
 	opt.Tables = t
 	u := faultsim.NewUniverse(core)
 	res, err := atpg.RunAllCtx(ctx, u, opt)
-	if err != nil {
-		return u, res, err // res is the partial progress on a ctx error, nil otherwise
-	}
-	return u, res, nil
+	return u, res, err // res is the partial progress on a ctx error, nil on others
 }
 
-// Set returns the (cached) synthetic cube set of one circuit.
-func (s *Session) Set(circuit string) (*cube.Set, error) {
-	return s.SetCtx(s.ctx(), circuit)
-}
-
-// SetCtx is Set with an explicit context scoping the singleflight build.
+// SetCtx returns the (cached) synthetic cube set of one circuit; the
+// context scopes the singleflight build.
 func (s *Session) SetCtx(ctx context.Context, circuit string) (*cube.Set, error) {
 	return cached(ctx, &s.mu, s.sets, &s.stats.setBuilds, &s.stats.hits, circuit, timed(&s.stats.setNS, func() (*cube.Set, error) {
 		p, err := benchprofile.ByName(circuit, s.Scale)
@@ -449,15 +404,10 @@ func (s *Session) SetCtx(ctx context.Context, circuit string) (*cube.Set, error)
 	}))
 }
 
-// Encoding returns the (cached) window encoding of one circuit at window
-// length L.
-func (s *Session) Encoding(circuit string, L int) (*encoder.Encoding, error) {
-	return s.EncodingCtx(s.ctx(), circuit, L)
-}
-
-// EncodingCtx is Encoding with cooperative cancellation threaded into the
-// encoder's candidate scan (see encoder.EncodeCtx). The leader's context
-// governs the build; a cancelled build is not cached.
+// EncodingCtx returns the (cached) window encoding of one circuit at window
+// length L. Cancellation is threaded into the encoder (see
+// encoder.EncodeAutoCtx); the leader's context governs the build, and a
+// cancelled build is not cached.
 func (s *Session) EncodingCtx(ctx context.Context, circuit string, L int) (*encoder.Encoding, error) {
 	return cached(ctx, &s.mu, s.encs, &s.stats.encBuilds, &s.stats.hits, encKey{circuit, L}, timed(&s.stats.encNS, func() (*encoder.Encoding, error) {
 		set, err := s.SetCtx(ctx, circuit)
@@ -476,13 +426,9 @@ func (s *Session) EncodingCtx(ctx context.Context, circuit string, L int) (*enco
 	}))
 }
 
-// Index returns the (cached) vector-level embedding index of one encoding.
-func (s *Session) Index(circuit string, L int) (*stateskip.VecEmbeddings, error) {
-	return s.IndexCtx(s.ctx(), circuit, L)
-}
-
-// IndexCtx is Index with an explicit context scoping the singleflight
-// build and the encoding it depends on.
+// IndexCtx returns the (cached) vector-level embedding index of one
+// encoding; the context scopes the singleflight build and the encoding it
+// depends on.
 func (s *Session) IndexCtx(ctx context.Context, circuit string, L int) (*stateskip.VecEmbeddings, error) {
 	return cached(ctx, &s.mu, s.idxs, &s.stats.idxBuilds, &s.stats.hits, encKey{circuit, L}, timed(&s.stats.idxNS, func() (*stateskip.VecEmbeddings, error) {
 		enc, err := s.EncodingCtx(ctx, circuit, L)
@@ -495,12 +441,12 @@ func (s *Session) IndexCtx(ctx context.Context, circuit string, L int) (*statesk
 
 // Reduce runs useful-segment selection for a cached encoding, reusing the
 // cached embedding index.
-func (s *Session) Reduce(circuit string, L, S, k int) (*stateskip.Reduction, error) {
-	enc, err := s.Encoding(circuit, L)
+func (s *Session) Reduce(ctx context.Context, circuit string, L, S, k int) (*stateskip.Reduction, error) {
+	enc, err := s.EncodingCtx(ctx, circuit, L)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := s.Index(circuit, L)
+	idx, err := s.IndexCtx(ctx, circuit, L)
 	if err != nil {
 		return nil, err
 	}
@@ -512,14 +458,14 @@ func (s *Session) Reduce(circuit string, L, S, k int) (*stateskip.Reduction, err
 // BestReduction tries every (S, k) combination and returns the reduction
 // with the shortest TSL — the "best results for the various values of S, k"
 // selection of the paper's Table 2.
-func (s *Session) BestReduction(circuit string, L int, Ss, Ks []int) (*stateskip.Reduction, error) {
+func (s *Session) BestReduction(ctx context.Context, circuit string, L int, Ss, Ks []int) (*stateskip.Reduction, error) {
 	var best *stateskip.Reduction
 	for _, S := range Ss {
 		if S > L {
 			continue
 		}
 		for _, k := range Ks {
-			red, err := s.Reduce(circuit, L, S, k)
+			red, err := s.Reduce(ctx, circuit, L, S, k)
 			if err != nil {
 				return nil, err
 			}

@@ -102,7 +102,7 @@ func TestSetMaxCachedBoundsMemos(t *testing.T) {
 	s := NewSession(benchprofile.ScaleCI)
 	s.SetMaxCached(2)
 	for _, L := range []int{4, 6, 8} {
-		if _, err := s.Encoding("s13207", L); err != nil {
+		if _, err := s.EncodingCtx(context.Background(), "s13207", L); err != nil {
 			t.Fatalf("L=%d: %v", L, err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestSetMaxCachedBoundsMemos(t *testing.T) {
 		t.Fatalf("EncodingBuilds = %d, want 3", st.EncodingBuilds)
 	}
 	// L=4 was evicted (LRU); re-requesting it must rebuild, not fail.
-	if _, err := s.Encoding("s13207", 4); err != nil {
+	if _, err := s.EncodingCtx(context.Background(), "s13207", 4); err != nil {
 		t.Fatalf("rebuild after eviction: %v", err)
 	}
 	if got := s.Stats().EncodingBuilds; got != 4 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -26,7 +27,7 @@ type Table1Row struct {
 // Table1 reproduces the paper's Table 1: classical (L=1) vs window-based
 // reseeding TDV/TSL per circuit. The (circuit, L) cells are independent and
 // run on the session's worker pool.
-func (s *Session) Table1() ([]Table1Row, error) {
+func (s *Session) Table1(ctx context.Context) ([]Table1Row, error) {
 	names := benchprofile.Names()
 	Ls := s.Params.Table1Ls
 	rows := make([]Table1Row, len(names))
@@ -37,9 +38,9 @@ func (s *Session) Table1() ([]Table1Row, error) {
 		}
 		rows[i] = Table1Row{Circuit: name, LFSRSize: p.LFSRSize, Cells: make([]Table1Cell, len(Ls))}
 	}
-	err := s.parallelFor(len(names)*len(Ls), func(i int) error {
+	err := s.parallelFor(ctx, len(names)*len(Ls), func(i int) error {
 		ci, li := i/len(Ls), i%len(Ls)
-		enc, err := s.Encoding(names[ci], Ls[li])
+		enc, err := s.EncodingCtx(ctx, names[ci], Ls[li])
 		if err != nil {
 			return err
 		}
@@ -107,16 +108,16 @@ type Table2Row struct {
 // Table2 reproduces the paper's Table 2: TSL improvement of the State Skip
 // scheme over full windows, best over the (S, k) grid. The (circuit, L)
 // cells are independent and run on the session's worker pool.
-func (s *Session) Table2() ([]Table2Row, error) {
+func (s *Session) Table2(ctx context.Context) ([]Table2Row, error) {
 	names := benchprofile.Names()
 	Ls := s.Params.Table2Ls
 	rows := make([]Table2Row, len(names))
 	for i, name := range names {
 		rows[i] = Table2Row{Circuit: name, Cells: make([]Table2Cell, len(Ls))}
 	}
-	err := s.parallelFor(len(names)*len(Ls), func(i int) error {
+	err := s.parallelFor(ctx, len(names)*len(Ls), func(i int) error {
 		ci, li := i/len(Ls), i%len(Ls)
-		best, err := s.BestReduction(names[ci], Ls[li], s.Params.Table2Ss, s.Params.Table2Ks)
+		best, err := s.BestReduction(ctx, names[ci], Ls[li], s.Params.Table2Ss, s.Params.Table2Ks)
 		if err != nil {
 			return err
 		}
@@ -186,7 +187,7 @@ type Fig4Series struct {
 // Fig4 reproduces both sweeps of the paper's Fig. 4 on s13207: TSL
 // improvement vs k for several segment sizes at fixed L (bars), and for
 // several window lengths at fixed S (curves).
-func (s *Session) Fig4() (bars, curves []Fig4Series, err error) {
+func (s *Session) Fig4(ctx context.Context) (bars, curves []Fig4Series, err error) {
 	const circuit = "s13207"
 	// Flatten both sweeps into one list of (L, S) series so they all run
 	// concurrently on the session's worker pool; the k-points of one series
@@ -208,10 +209,10 @@ func (s *Session) Fig4() (bars, curves []Fig4Series, err error) {
 		specs = append(specs, spec{fmt.Sprintf("L=%d (S=%d)", L, S), L, S})
 	}
 	series := make([]Fig4Series, len(specs))
-	err = s.parallelFor(len(specs), func(i int) error {
+	err = s.parallelFor(ctx, len(specs), func(i int) error {
 		serie := Fig4Series{Label: specs[i].label}
 		for _, k := range s.Params.Fig4Ks {
-			red, err := s.Reduce(circuit, specs[i].L, specs[i].S, k)
+			red, err := s.Reduce(ctx, circuit, specs[i].L, specs[i].S, k)
 			if err != nil {
 				return err
 			}
@@ -270,12 +271,12 @@ type Table3Row struct {
 
 // Table3 reproduces the paper's Table 3 comparison (L=300 at paper scale):
 // our measured TDV/TSL against the published values of [11] and [22].
-func (s *Session) Table3() ([]Table3Row, error) {
+func (s *Session) Table3(ctx context.Context) ([]Table3Row, error) {
 	names := benchprofile.Names()
 	rows := make([]Table3Row, len(names))
-	err := s.parallelFor(len(names), func(i int) error {
+	err := s.parallelFor(ctx, len(names), func(i int) error {
 		name := names[i]
-		best, err := s.BestReduction(name, s.Params.Table3L, s.Params.Table2Ss, s.Params.Table2Ks)
+		best, err := s.BestReduction(ctx, name, s.Params.Table3L, s.Params.Table2Ss, s.Params.Table2Ks)
 		if err != nil {
 			return err
 		}
@@ -330,16 +331,16 @@ type Table4Row struct {
 // Table4 reproduces the paper's Table 4: the two options for IP cores —
 // test data compression (published TDVs) vs the proposed embedding
 // (classical L=1 and State-Skip-shortened L=200, both measured here).
-func (s *Session) Table4() ([]Table4Row, error) {
+func (s *Session) Table4(ctx context.Context) ([]Table4Row, error) {
 	names := benchprofile.Names()
 	rows := make([]Table4Row, len(names))
-	err := s.parallelFor(len(names), func(i int) error {
+	err := s.parallelFor(ctx, len(names), func(i int) error {
 		name := names[i]
-		classical, err := s.Encoding(name, 1)
+		classical, err := s.EncodingCtx(ctx, name, 1)
 		if err != nil {
 			return err
 		}
-		best, err := s.BestReduction(name, s.Params.Table4PropL, s.Params.Table2Ss, s.Params.Table2Ks)
+		best, err := s.BestReduction(ctx, name, s.Params.Table4PropL, s.Params.Table2Ss, s.Params.Table2Ks)
 		if err != nil {
 			return err
 		}

@@ -95,7 +95,7 @@ func NewSeparated(l *lfsr.LFSR, outputs, windowCycles int) (*PhaseShifter, error
 // relation with odd parity, that cube is structurally unencodable under
 // this particular shifter and the flow retries with the next variant —
 // mirroring real DFT practice, where the phase shifter is iterated until
-// the test set encodes. See encoder.EncodeAuto.
+// the test set encodes. See encoder.EncodeAutoCtx.
 func NewSeparatedVariant(l *lfsr.LFSR, outputs, windowCycles int, variant uint64) (*PhaseShifter, error) {
 	n := l.Size()
 	if outputs < 1 {

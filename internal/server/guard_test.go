@@ -113,6 +113,42 @@ func TestGuardOverCap422(t *testing.T) {
 	s.Close()
 }
 
+// TestGuardEncodeParams400: encode requests no run could ever satisfy — a
+// segment longer than the window, an unknown circuit, negative S and k —
+// are refused at admission with a 400 naming the defect, instead of being
+// queued and then failing every retry (or, for negative S and k, finishing
+// "done" with the reduction silently skipped).
+func TestGuardEncodeParams400(t *testing.T) {
+	s, ts := guardServer(t)
+	cases := []struct {
+		name, wantSub string
+		req           Request
+	}{
+		{"segment-over-window", "exceeds window length", Request{Kind: KindEncode, L: 4, S: 10, K: 5}},
+		{"unknown-circuit", "unknown circuit", Request{Kind: KindEncode, Circuit: "nope"}},
+		{"negative-S-k", "must not be negative", Request{Kind: KindEncode, S: -1, K: -1}},
+	}
+	for _, tc := range cases {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, rbody := postJob(t, ts, string(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d %s, want 400", tc.name, resp.StatusCode, rbody)
+		}
+		if !strings.Contains(string(rbody), tc.wantSub) {
+			t.Fatalf("%s: error %s does not name %q", tc.name, rbody, tc.wantSub)
+		}
+	}
+	// The boundary S = L is a valid reduction and still runs to completion.
+	st, err := s.Submit(Request{Kind: KindEncode, Circuit: "s9234", L: 4, S: 4, K: 5})
+	if err != nil {
+		t.Fatalf("S = L rejected: %v", err)
+	}
+	waitState(t, s, st.ID, StateDone)
+}
+
 // TestGuardMalformedBench400: structurally bad .bench text surfaces the
 // typed parse errors as 400s naming the defect, decided at admission.
 func TestGuardMalformedBench400(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/benchprofile"
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
 )
@@ -77,8 +79,17 @@ func (r *Request) validate() error {
 		if r.L < 1 {
 			return fmt.Errorf("server: encode: window length %d must be ≥ 1", r.L)
 		}
+		if !slices.Contains(benchprofile.Names(), r.Circuit) {
+			return fmt.Errorf("server: encode: unknown circuit %q (want one of %s)", r.Circuit, strings.Join(benchprofile.Names(), ", "))
+		}
+		if r.S < 0 || r.K < 0 {
+			return fmt.Errorf("server: encode: S %d and k %d must not be negative", r.S, r.K)
+		}
 		if (r.S > 0) != (r.K > 0) {
 			return fmt.Errorf("server: encode: S and k must be set together")
+		}
+		if r.S > r.L {
+			return fmt.Errorf("server: encode: segment size S %d exceeds window length L %d", r.S, r.L)
 		}
 	case KindATPG, KindCoverage:
 		if r.Bench == "" {

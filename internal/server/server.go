@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/benchprofile"
+	"repro/internal/encoder"
 	"repro/internal/experiments"
 	"repro/internal/faultsim"
 	"repro/internal/journal"
@@ -702,7 +703,18 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (res *Result,
 }
 
 func (s *Server) runEncode(ctx context.Context, req *Request) (*Result, error) {
-	enc, err := s.session.EncodingCtx(ctx, req.Circuit, req.L)
+	var (
+		enc *encoder.Encoding
+		red *stateskip.Reduction
+		err error
+	)
+	if req.S > 0 && req.K > 0 {
+		if red, err = s.session.Reduce(ctx, req.Circuit, req.L, req.S, req.K); err == nil {
+			enc = red.Enc
+		}
+	} else {
+		enc, err = s.session.EncodingCtx(ctx, req.Circuit, req.L)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -711,17 +723,7 @@ func (s *Server) runEncode(ctx context.Context, req *Request) (*Result, error) {
 		Seeds: len(enc.Seeds), TDV: enc.TDV(), TSL: enc.TSL(),
 		Checks: enc.ChecksPerformed,
 	}
-	if req.S > 0 && req.K > 0 {
-		idx, err := s.session.IndexCtx(ctx, req.Circuit, req.L)
-		if err != nil {
-			return nil, err
-		}
-		opt := stateskip.DefaultOptions(req.S, req.K)
-		opt.Workers = s.cfg.EngineWorkers
-		red, err := stateskip.ReduceWithIndex(enc, idx, opt)
-		if err != nil {
-			return nil, err
-		}
+	if red != nil {
 		r.S, r.K = req.S, req.K
 		r.ReducedTSL = red.TSL()
 		r.Improvement = red.Improvement()

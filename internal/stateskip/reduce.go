@@ -54,15 +54,15 @@ func DefaultOptions(s, k int) Options {
 
 // SegRef identifies one segment of one seed's window.
 type SegRef struct {
-	Seed    int
-	Segment int
+	Seed    int // index into Encoding.Seeds
+	Segment int // segment index within the window, in [0, Segs)
 }
 
 // Reduction is the outcome of useful-segment selection for one encoding.
 type Reduction struct {
-	Enc  *encoder.Encoding
-	Opt  Options
-	Segs int // segments per window: ceil(L/S)
+	Enc  *encoder.Encoding // the encoding being shortened
+	Opt  Options           // the S, k and selection options used
+	Segs int               // segments per window: ceil(L/S)
 
 	// Useful[seed][segment] marks segments generated in Normal mode.
 	Useful [][]bool
@@ -79,8 +79,8 @@ type Reduction struct {
 
 // VecRef identifies one vector of one seed's window.
 type VecRef struct {
-	Seed int
-	Vec  int
+	Seed int // index into Encoding.Seeds
+	Vec  int // window position, in [0, L)
 }
 
 // VecEmbeddings is the vector-level fortuitous-embedding index of one
@@ -88,6 +88,7 @@ type VecRef struct {
 // matches it. It is independent of the segmentation (S) and the speedup
 // (k), so parameter sweeps compute it once per encoding and reuse it.
 type VecEmbeddings struct {
+	// PerCube[cube] lists the embedding vectors in (seed, position) order.
 	PerCube [][]VecRef
 }
 
@@ -209,16 +210,12 @@ func (ct *cubeTests) matches(ci int, vec []uint64) bool {
 	return true
 }
 
-// Reduce analyses fortuitous embeddings and selects useful segments per the
-// paper's algorithm: segments holding single-option cubes (set A) first,
-// then a greedy cover for the multi-option cubes (set B).
-func Reduce(enc *encoder.Encoding, opt Options) (*Reduction, error) {
-	return ReduceWithIndex(enc, nil, opt)
-}
-
-// ReduceWithIndex is Reduce with a precomputed vector-level embedding index
-// (pass nil to scan internally). Sharing one index across an (S, k) sweep
-// avoids rescanning seeds × L vectors × cubes for every combination.
+// ReduceWithIndex analyses fortuitous embeddings and selects useful
+// segments per the paper's algorithm: segments holding single-option cubes
+// (set A) first, then a greedy cover for the multi-option cubes (set B).
+// idx is a precomputed vector-level embedding index (nil scans
+// internally); sharing one index across an (S, k) sweep avoids rescanning
+// seeds × L vectors × cubes for every combination.
 func ReduceWithIndex(enc *encoder.Encoding, idx *VecEmbeddings, opt Options) (*Reduction, error) {
 	L := enc.Cfg.WindowLen
 	if opt.SegmentSize < 1 || opt.SegmentSize > L {
@@ -427,12 +424,12 @@ func (r *Reduction) lastUseful(seed int) int {
 // seed's window, ending at the last useful segment (§3.3's early
 // termination).
 type Run struct {
-	Useful   bool
-	FirstSeg int
-	LastSeg  int
-	States   int // LFSR states the run spans (= segment vectors × r)
-	Clocks   int // shift clocks the decompressor spends on the run
-	Vectors  int // test vectors applied while traversing the run
+	Useful   bool // Normal mode (true) or State Skip mode (false)
+	FirstSeg int  // first segment of the run
+	LastSeg  int  // last segment of the run, inclusive
+	States   int  // LFSR states the run spans (= segment vectors × r)
+	Clocks   int  // shift clocks the decompressor spends on the run
+	Vectors  int  // test vectors applied while traversing the run
 }
 
 // Runs decomposes one seed's shortened window into mode runs.

@@ -1,6 +1,7 @@
 package stateskip
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,7 @@ func encodeProfile(t testing.TB, name string, numCubes, L int) *encoder.Encoding
 		p.NumCubes = numCubes
 	}
 	set := p.Generate()
-	enc, _, err := encoder.EncodeAuto(p.LFSRSize, p.Width, p.Chains, L, set)
+	enc, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, L, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func encodeProfile(t testing.TB, name string, numCubes, L int) *encoder.Encoding
 
 func TestReduceBasicInvariants(t *testing.T) {
 	enc := encodeProfile(t, "s13207", 50, 20)
-	red, err := Reduce(enc, DefaultOptions(5, 8))
+	red, err := ReduceWithIndex(enc, nil, DefaultOptions(5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestEveryCubeAppliedInShortenedSequence(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			enc := encodeProfile(t, cfg.name, 40, cfg.L)
-			red, err := Reduce(enc, DefaultOptions(cfg.S, cfg.k))
+			red, err := ReduceWithIndex(enc, nil, DefaultOptions(cfg.S, cfg.k))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +97,7 @@ func TestEveryCubeAppliedInShortenedSequence(t *testing.T) {
 
 func TestKeepFirstSegment(t *testing.T) {
 	enc := encodeProfile(t, "s9234", 40, 16)
-	red, err := Reduce(enc, DefaultOptions(4, 8))
+	red, err := ReduceWithIndex(enc, nil, DefaultOptions(4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestKeepFirstSegment(t *testing.T) {
 	}
 	// Without pinning, coverage must still hold.
 	opt := Options{SegmentSize: 4, Speedup: 8}
-	red2, err := Reduce(enc, opt)
+	red2, err := ReduceWithIndex(enc, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +122,11 @@ func TestKeepFirstSegment(t *testing.T) {
 
 func TestSpeedupShortensSequence(t *testing.T) {
 	enc := encodeProfile(t, "s13207", 60, 20)
-	base, err := Reduce(enc, DefaultOptions(5, 1))
+	base, err := ReduceWithIndex(enc, nil, DefaultOptions(5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Reduce(enc, DefaultOptions(5, 12))
+	fast, err := ReduceWithIndex(enc, nil, DefaultOptions(5, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestSpeedupShortensSequence(t *testing.T) {
 
 func TestGroupOrderSorted(t *testing.T) {
 	enc := encodeProfile(t, "s15850", 50, 20)
-	red, err := Reduce(enc, DefaultOptions(5, 8))
+	red, err := ReduceWithIndex(enc, nil, DefaultOptions(5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestGroupOrderSorted(t *testing.T) {
 
 func TestReduceDeterministic(t *testing.T) {
 	enc := encodeProfile(t, "s9234", 40, 16)
-	a, err := Reduce(enc, DefaultOptions(4, 6))
+	a, err := ReduceWithIndex(enc, nil, DefaultOptions(4, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Reduce(enc, DefaultOptions(4, 6))
+	b, err := ReduceWithIndex(enc, nil, DefaultOptions(4, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,20 +189,20 @@ func TestReduceDeterministic(t *testing.T) {
 
 func TestReduceRejectsBadOptions(t *testing.T) {
 	enc := encodeProfile(t, "s9234", 10, 8)
-	if _, err := Reduce(enc, DefaultOptions(0, 4)); err == nil {
+	if _, err := ReduceWithIndex(enc, nil, DefaultOptions(0, 4)); err == nil {
 		t.Error("S=0 accepted")
 	}
-	if _, err := Reduce(enc, DefaultOptions(9, 4)); err == nil {
+	if _, err := ReduceWithIndex(enc, nil, DefaultOptions(9, 4)); err == nil {
 		t.Error("S>L accepted")
 	}
-	if _, err := Reduce(enc, DefaultOptions(4, 0)); err == nil {
+	if _, err := ReduceWithIndex(enc, nil, DefaultOptions(4, 0)); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
 
 func TestSegmentAccounting(t *testing.T) {
 	enc := encodeProfile(t, "s13207", 30, 20)
-	red, err := Reduce(enc, DefaultOptions(6, 4)) // L=20, S=6 → segs 6,6,6,2
+	red, err := ReduceWithIndex(enc, nil, DefaultOptions(6, 4)) // L=20, S=6 → segs 6,6,6,2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestFortuitousEmbeddingsFound(t *testing.T) {
 	// that is the property §3.2's set B exploits. With CI-scale windows this
 	// must occur for at least one cube.
 	enc := encodeProfile(t, "s38584", 60, 24) // sparsest profile
-	red, err := Reduce(enc, DefaultOptions(4, 8))
+	red, err := ReduceWithIndex(enc, nil, DefaultOptions(4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +271,13 @@ func TestNaiveSelectionAblation(t *testing.T) {
 	// must never be worse than naive assignment-based labelling, and the
 	// naive variant must still apply every cube.
 	enc := encodeProfile(t, "s38584", 60, 24)
-	smart, err := Reduce(enc, DefaultOptions(4, 8))
+	smart, err := ReduceWithIndex(enc, nil, DefaultOptions(4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	naiveOpt := DefaultOptions(4, 8)
 	naiveOpt.NaiveSelection = true
-	naive, err := Reduce(enc, naiveOpt)
+	naive, err := ReduceWithIndex(enc, nil, naiveOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

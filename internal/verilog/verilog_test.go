@@ -1,6 +1,7 @@
 package verilog
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -110,11 +111,11 @@ func TestModeSelectEmission(t *testing.T) {
 	}
 	p.NumCubes = 40
 	set := p.Generate()
-	enc, _, err := encoder.EncodeAuto(p.LFSRSize, p.Width, p.Chains, 16, set)
+	enc, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, 16, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := stateskip.Reduce(enc, stateskip.DefaultOptions(4, 8))
+	red, err := stateskip.ReduceWithIndex(enc, nil, stateskip.DefaultOptions(4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,11 @@ func TestDecompressorTopEmission(t *testing.T) {
 	}
 	p.NumCubes = 30
 	set := p.Generate()
-	enc, _, err := encoder.EncodeAuto(p.LFSRSize, p.Width, p.Chains, 8, set)
+	enc, _, err := encoder.EncodeAutoCtx(context.Background(), p.LFSRSize, p.Width, p.Chains, 8, set, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := stateskip.Reduce(enc, stateskip.DefaultOptions(2, 6))
+	red, err := stateskip.ReduceWithIndex(enc, nil, stateskip.DefaultOptions(2, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // The quick path from a pre-computed test set to a shortened test schedule:
 //
 //	set, _ := stateskiplfsr.ReadCubes(f)                 // or a benchprofile workload
-//	enc, _, _ := stateskiplfsr.EncodeAuto(n, set.Width, 32, 200, set)
+//	enc, _, _ := stateskiplfsr.EncodeAuto(ctx, n, set.Width, 32, 200, set, nil)
 //	red, _ := stateskiplfsr.Reduce(enc, stateskiplfsr.ReduceOptions(10, 10))
 //	fmt.Println(red.TSL(), red.Improvement())
 //
@@ -20,6 +20,7 @@
 package stateskiplfsr
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cube"
@@ -46,7 +47,7 @@ type (
 	// reusable across encodings via EncoderConfig.Tables.
 	EncoderTables = encoder.Tables
 	// EncoderTablesCache memoizes EncoderTables per decompressor
-	// configuration for EncodeAutoCached.
+	// configuration for EncodeAuto.
 	EncoderTablesCache = encoder.TablesCache
 	// Encoding is a computed set of seeds.
 	Encoding = encoder.Encoding
@@ -66,29 +67,28 @@ func ParseCube(s string) (Cube, error) { return cube.Parse(s) }
 // polynomial table (Fibonacci form).
 func NewLFSR(size int) (*LFSR, error) { return lfsr.NewStandard(lfsr.Fibonacci, size) }
 
-// Encode compresses a cube set with an explicit decompressor configuration.
-func Encode(cfg EncoderConfig, set *CubeSet) (*Encoding, error) { return encoder.Encode(cfg, set) }
+// Encode compresses a cube set with an explicit decompressor
+// configuration. A cancelled context stops the encoder with an error
+// wrapping the context's.
+func Encode(ctx context.Context, cfg EncoderConfig, set *CubeSet) (*Encoding, error) {
+	return encoder.EncodeCtx(ctx, cfg, set)
+}
 
 // EncodeAuto compresses a cube set with the standard decompressor (LFSR
 // size n, the given scan-chain count, window length L), retrying
 // phase-shifter design variants when the test set is structurally
 // unencodable under one (see phaseshifter.NewSeparatedVariant). It returns
-// the encoding and the variant used.
-func EncodeAuto(n, width, chains, L int, set *CubeSet) (*Encoding, uint64, error) {
-	return encoder.EncodeAuto(n, width, chains, L, set)
+// the encoding and the variant used. A non-nil cache serves the symbolic
+// tables of every variant a repeated encode of the same configuration
+// re-tries instead of rebuilding them; nil builds private tables. The
+// encodings are identical either way.
+func EncodeAuto(ctx context.Context, n, width, chains, L int, set *CubeSet, cache *EncoderTablesCache) (*Encoding, uint64, error) {
+	return encoder.EncodeAutoCtx(ctx, n, width, chains, L, set, 0, cache)
 }
 
 // NewEncoderTablesCache returns an empty shared-tables cache for
-// EncodeAutoCached.
+// EncodeAuto.
 func NewEncoderTablesCache() *EncoderTablesCache { return encoder.NewTablesCache() }
-
-// EncodeAutoCached is EncodeAuto backed by a shared-tables cache: repeated
-// encodes of the same decompressor configuration serve the symbolic tables
-// of every variant they re-try from the cache instead of rebuilding them.
-// The encodings are identical to EncodeAuto's.
-func EncodeAutoCached(n, width, chains, L int, set *CubeSet, cache *EncoderTablesCache) (*Encoding, uint64, error) {
-	return encoder.EncodeAutoCached(n, width, chains, L, set, 0, cache)
-}
 
 // ReduceOptions returns the standard State Skip options for segment size S
 // and speedup factor k.
@@ -97,7 +97,7 @@ func ReduceOptions(s, k int) stateskip.Options { return stateskip.DefaultOptions
 // Reduce shortens an encoding's test sequence with a State Skip LFSR:
 // fortuitous-embedding analysis, useful-segment selection, seed grouping.
 func Reduce(enc *Encoding, opt stateskip.Options) (*Reduction, error) {
-	return stateskip.Reduce(enc, opt)
+	return stateskip.ReduceWithIndex(enc, nil, opt)
 }
 
 // NewSchedule programs the decompression architecture of the paper's

@@ -2,6 +2,7 @@ package stateskiplfsr
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -20,13 +21,31 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, variant, err := EncodeAuto(14, set.Width, 4, 8, set)
+	ctx := context.Background()
+	enc, variant, err := EncodeAuto(ctx, 14, set.Width, 4, 8, set, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = variant
 	if err := enc.Verify(); err != nil {
 		t.Fatal(err)
+	}
+	// A shared cache and an explicit Encode of the same standard
+	// decompressor give the same seeds as the private-tables path.
+	cached, cachedVariant, err := EncodeAuto(ctx, 14, set.Width, 4, 8, set, NewEncoderTablesCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := Encode(ctx, enc.Cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []*Encoding{cached, explicit} {
+		if len(other.Seeds) != len(enc.Seeds) || other.Seeds[0].Value.String() != enc.Seeds[0].Value.String() {
+			t.Fatalf("encodings differ: %d vs %d seeds", len(other.Seeds), len(enc.Seeds))
+		}
+	}
+	if cachedVariant != variant {
+		t.Fatalf("cached variant %d != %d", cachedVariant, variant)
 	}
 	red, err := Reduce(enc, ReduceOptions(2, 6))
 	if err != nil {
