@@ -868,15 +868,15 @@ type Options struct {
 	// Workers parallelizes RunAllCtx: cube generation runs speculatively
 	// on a pool of per-worker Generators over a sliding window of upcoming
 	// faults, and the fault-drop sweep of each committed batch is chunked
-	// across a pool of fault simulators. 0 or negative means one worker
-	// per CPU. Results commit strictly in fault-index order, so
-	// the emitted cubes, patterns and counters are bit-identical for any
-	// value.
+	// across a pool of fault simulators. 0 or negative means
+	// runtime.GOMAXPROCS(0) workers. Results commit strictly in
+	// fault-index order, so the emitted cubes, patterns and counters are
+	// bit-identical for any value.
 	Workers int
 	// LaneWords widens every fault-drop simulator to that many 64-bit
 	// pattern words (faultsim.Options.LaneWords), so committed patterns
 	// accumulate into 64×LaneWords-wide batches — 256/512 at 4/8 — before
-	// each drop sweep. 0 or negative keeps the single-word engine. Cubes,
+	// each drop sweep. 0 or negative keeps one word per sweep. Cubes,
 	// patterns and every counter are bit-identical for any value: a fault
 	// reaches PODEM exactly when no earlier committed pattern detects it,
 	// regardless of sweep cadence (pending lanes are checked at each

@@ -100,13 +100,14 @@ type Session struct {
 
 	// Workers bounds the concurrency of the table/figure drivers and is
 	// forwarded to the encoder's candidate scan and the embedding scan, so
-	// 1 runs strictly serially. 0 or negative lets every layer use all
-	// CPUs. The rendered tables are identical for any value.
+	// 1 runs strictly serially. 0 or negative lets every layer use
+	// runtime.GOMAXPROCS(0) workers. The rendered tables are identical for
+	// any value.
 	Workers int
 
 	// LaneWords is the session's default fault-simulator lane width for
 	// ATPG fault dropping (atpg.Options.LaneWords): 64×LaneWords patterns
-	// per drop sweep, 0 = the single-word engine. It is injected only when
+	// per drop sweep, 0 = one word. It is injected only when
 	// the caller's options leave LaneWords unset, so per-call overrides
 	// (the bench harness sweeping the lane axis) win over the session
 	// default. Results are bit-identical for any value.
@@ -293,7 +294,7 @@ func NewSession(scale benchprofile.Scale) *Session {
 func (s *Session) workerCount(n int) int {
 	w := s.Workers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n {
 		w = n

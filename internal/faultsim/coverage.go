@@ -13,24 +13,16 @@ import (
 type Options struct {
 	// Workers is the number of goroutines a fault sweep is spread across,
 	// each with its own Simulator scratch state. 0 or negative
-	// means runtime.NumCPU(). Results are bit-identical for any value.
+	// means runtime.GOMAXPROCS(0). Results are bit-identical for any value.
 	Workers int
 	// LaneWords widens every simulator to that many 64-bit words of
 	// pattern lanes, so each sweep covers up to 64×LaneWords patterns
 	// (256/512 at 4/8). 0 or negative lets the engine choose: CoverageCtx
 	// picks up to 8 words from the pattern count (see CoverageCtx), while
-	// the ATPG drop loop (LaneWordCount) uses the single-word engine.
+	// the ATPG drop loop (LaneWordCount) sweeps one word at a time.
 	// Results are bit-identical for any value — only the batch cadence
 	// changes.
 	LaneWords int
-}
-
-// WorkerCount resolves the Workers field to an effective pool size.
-func (o Options) WorkerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.NumCPU()
 }
 
 // LaneWordCount resolves the LaneWords field to an effective lane width
@@ -66,10 +58,15 @@ func (o Options) coverageLaneWords(n int) int {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// PoolSize is WorkerCount clamped to the fault universe being swept:
-// never more workers than faults, never fewer than one.
+// PoolSize resolves the Workers field to an effective pool size for a
+// sweep over numFaults faults: Workers when positive, else
+// runtime.GOMAXPROCS(0), clamped to never more workers than faults and
+// never fewer than one.
 func (o Options) PoolSize(numFaults int) int {
-	w := o.WorkerCount()
+	w := o.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
 	if w > numFaults {
 		w = numFaults
 	}

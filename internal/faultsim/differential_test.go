@@ -57,12 +57,32 @@ func randomPatterns(src *prng.Source, count, width int) [][]uint8 {
 }
 
 // detectLanesFull is the full-circuit (non-event-driven) reference for
-// DetectLanes: evaluate the whole faulty circuit into the bad arena and
-// XOR the outputs. Returns scratch valid until the next Detect call.
+// DetectLanes: evaluate the whole faulty circuit, gate by gate in
+// topological order with the fault injected, into the bad arena and XOR
+// the outputs against the fault-free plane. Returns scratch valid until the
+// next Detect call.
 func (s *Simulator) detectLanesFull(f Fault) []uint64 {
 	s.ensureEval()
-	s.evalInto(s.bad, f.Gate, f)
 	w := s.w
+	for _, gi := range s.topo.order {
+		g := &s.u.Net.Gates[gi]
+		dst := s.bad[gi*w : gi*w+w]
+		switch {
+		case gi == f.Gate && f.Pin < 0:
+			copy(dst, s.stuckPlane(f.Stuck))
+		case g.Type == netlist.Input:
+			copy(dst, s.good[gi*w:gi*w+w])
+		default:
+			in := make([][]uint64, len(g.Fanin))
+			for pin, fi := range g.Fanin {
+				in[pin] = s.bad[fi*w : fi*w+w]
+				if gi == f.Gate && pin == f.Pin {
+					in[pin] = s.stuckPlane(f.Stuck)
+				}
+			}
+			g.Type.EvalWords(dst, in)
+		}
+	}
 	diff := s.dbuf
 	clear(diff)
 	for _, o := range s.u.Net.Outputs {
@@ -76,10 +96,11 @@ func (s *Simulator) detectLanesFull(f Fault) []uint64 {
 	return diff
 }
 
-// TestEventDrivenMatchesFullEval asserts that the event-driven W=1 detect
-// mask equals exactly the mask of the original full-circuit evaluation for
-// every fault of c17 and of randomized circuits, across several pattern
-// batches.
+// TestEventDrivenMatchesFullEval asserts that the event-driven detect masks
+// equal exactly the masks of full-circuit evaluation, and that DetectAny
+// agrees with them, for every fault of c17 and of randomized circuits, at
+// lane widths 1, 2, 4 and 8, over several batches: full ones, ones whose
+// last lane word is partial, and one shorter than a lane word.
 func TestEventDrivenMatchesFullEval(t *testing.T) {
 	circuits := map[string]*netlist.Netlist{"c17": c17(t)}
 	for _, seed := range []uint64{7, 21, 1999} {
@@ -92,32 +113,37 @@ func TestEventDrivenMatchesFullEval(t *testing.T) {
 	for name, nl := range circuits {
 		t.Run(name, func(t *testing.T) {
 			u := NewUniverse(nl)
-			event, err := NewSimulatorLanes(u, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := NewSimulatorLanes(u, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := prng.New(42)
-			for batch := 0; batch < 3; batch++ {
-				patterns := randomPatterns(src, 64, len(nl.Inputs))
-				if err := event.LoadPatterns(patterns); err != nil {
+			for _, w := range []int{1, 2, 4, 8} {
+				event, err := NewSimulatorLanes(u, w)
+				if err != nil {
 					t.Fatal(err)
 				}
-				full.AdoptPatterns(event)
-				for _, f := range u.Faults {
-					got := event.DetectLanes(f)[0]
-					want := full.detectLanesFull(f)[0]
-					if got != want {
-						t.Fatalf("batch %d fault %v: event-driven mask %064b, full-eval mask %064b", batch, f, got, want)
+				full, err := NewSimulatorLanes(u, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := prng.New(42)
+				for batch, count := range []int{64 * w, 64*w - 13, 64*(w-1) + 1, 37} {
+					patterns := randomPatterns(src, count, len(nl.Inputs))
+					if err := event.LoadPatterns(patterns); err != nil {
+						t.Fatal(err)
 					}
-					// The early-exit boolean must agree with the full mask;
-					// interleaving it here also checks the two share the
-					// simulator's epoch state cleanly.
-					if any := event.DetectAny(f); any != (want != 0) {
-						t.Fatalf("batch %d fault %v: DetectAny %v, mask %064b", batch, f, any, want)
+					full.AdoptPatterns(event)
+					for _, f := range u.Faults {
+						got := event.DetectLanes(f)
+						want := full.detectLanesFull(f)
+						for k := range want {
+							if got[k] != want[k] {
+								t.Fatalf("w=%d batch %d (%d patterns) fault %v word %d: event-driven mask %064b, full-eval mask %064b",
+									w, batch, count, f, k, got[k], want[k])
+							}
+						}
+						// The early-exit boolean must agree with the full mask;
+						// interleaving it here also checks the two share the
+						// simulator's epoch state cleanly.
+						if any := event.DetectAny(f); any != anyNonzero(want) {
+							t.Fatalf("w=%d batch %d fault %v: DetectAny %v, masks %x", w, batch, f, any, want)
+						}
 					}
 				}
 			}

@@ -6,12 +6,13 @@
 //
 // A Simulator evaluates W 64-bit lane words at once (Options.LaneWords;
 // CoverageCtx picks up to 8 itself, the ATPG drop loop defaults to 1), so one
-// event-driven sweep covers up to 64×W patterns — 256 or 512 at W=4/8 —
-// while staying bit-identical, lane for lane, to the W=1 engine. Its
-// per-gate planes live in contiguous arenas (one slab for the whole
-// circuit, indexed gate×W) and the shared topology stores fan-out lists in
-// index-based CSR form, so building a 100k-gate simulator costs a handful
-// of allocations instead of one per gate.
+// event-driven sweep covers up to 64×W patterns — 256 or 512 at W=4/8. One
+// event loop and one gate kernel (netlist.GateType.EvalWords) serve every
+// width, and a pattern's detect bit does not depend on the width it is
+// simulated at. Its per-gate planes live in contiguous arenas (one slab for
+// the whole circuit, indexed gate×W) and the shared topology stores fan-out
+// lists in index-based CSR form, so building a 100k-gate simulator costs a
+// handful of allocations instead of one per gate.
 //
 // The simulator is event-driven: injecting a fault only re-evaluates the
 // gates inside the fault's output cone (scheduled level by level over the
@@ -27,6 +28,7 @@ package faultsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/netlist"
@@ -208,7 +210,7 @@ const MaxLaneWords = 64
 
 // ErrLaneOverflow is returned (wrapped) when a pattern batch would exceed
 // the simulator's lane capacity — more than Capacity() = 64×LaneWords
-// patterns via LoadPatterns, LoadPacked or AppendPattern.
+// patterns via LoadPatterns or AppendPattern.
 var ErrLaneOverflow = errors.New("faultsim: pattern count exceeds lane capacity")
 
 // ErrSharedPlane is returned by the pattern-loading methods of a pool
@@ -237,9 +239,7 @@ type Simulator struct {
 	queued []uint32 // epoch stamp marking gates scheduled for evaluation
 	epoch  uint32
 	levels [][]int    // per-level worklist buckets, reused across faults
-	buf    []uint64   // fan-in word gather scratch (w==1 fast path)
-	planes [][]uint64 // fan-in plane gather scratch (lane path)
-	fbuf   []uint64   // w-word faulty-value scratch (lane path)
+	planes [][]uint64 // fan-in plane gather scratch
 	dbuf   []uint64   // w-word DetectLanes result scratch
 	zeros  []uint64   // constant all-zero stuck plane
 	ones   []uint64   // constant all-one stuck plane
@@ -250,8 +250,8 @@ type Simulator struct {
 
 // NewSimulatorLanes prepares a simulator with laneWords 64-bit words of
 // pattern lanes, for a batch capacity of 64×laneWords patterns per sweep.
-// laneWords must be in [1, MaxLaneWords]; laneWords = 1 selects the
-// single-word engine every wider lane width is tested bit-identical against.
+// laneWords must be in [1, MaxLaneWords]; every width runs the same event
+// loop.
 func NewSimulatorLanes(u *Universe, laneWords int) (*Simulator, error) {
 	return newSimulator(u, laneWords, nil)
 }
@@ -282,7 +282,6 @@ func newSimulator(u *Universe, laneWords int, good []uint64) (*Simulator, error)
 		stamp:  make([]uint32, ng),
 		queued: make([]uint32, ng),
 		levels: make([][]int, topo.numLevels),
-		fbuf:   make([]uint64, laneWords),
 		dbuf:   make([]uint64, laneWords),
 		zeros:  make([]uint64, laneWords),
 		ones:   newOnes(laneWords),
@@ -374,71 +373,13 @@ func (s *Simulator) AppendPattern(p []uint8) error {
 	return nil
 }
 
-// LoadPacked installs an already bit-sliced batch: words[i*W+k] holds lane
-// word k of input i (bit p of word k = pattern 64k+p), count the number of
-// valid lanes, at most Capacity (ErrLaneOverflow past it). Callers that
-// keep patterns packed skip the per-bit slicing of LoadPatterns entirely;
-// lanes at or above count are masked off. A pool follower returns
-// ErrSharedPlane.
-func (s *Simulator) LoadPacked(words []uint64, count int) error {
-	if s.shared {
-		return ErrSharedPlane
-	}
-	n := s.u.Net
-	if len(words) != len(n.Inputs)*s.w {
-		return fmt.Errorf("faultsim: %d packed words, want %d (%d inputs × LaneWords=%d)",
-			len(words), len(n.Inputs)*s.w, len(n.Inputs), s.w)
-	}
-	if count > s.Capacity() {
-		return fmt.Errorf("%w: %d patterns, capacity %d (LaneWords=%d)",
-			ErrLaneOverflow, count, s.Capacity(), s.w)
-	}
-	if count < 1 {
-		return fmt.Errorf("faultsim: %d patterns (want 1..%d)", count, s.Capacity())
-	}
-	s.reset()
-	fillLoadedMask(s.loaded, count)
-	for ii, gi := range n.Inputs {
-		for k := 0; k < s.w; k++ {
-			s.good[gi*s.w+k] = words[ii*s.w+k] & s.loaded[k]
-		}
-	}
-	s.count = count
-	s.dirty = true
-	return nil
-}
-
 // PatternCount returns the number of pattern lanes currently loaded.
 func (s *Simulator) PatternCount() int { return s.count }
-
-func laneMask(count int) uint64 {
-	if count >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(count) - 1
-}
-
-// fillLoadedMask sets the valid-lane mask for count patterns across the
-// given lane words: full words below the boundary, a partial mask at it,
-// zero above.
-func fillLoadedMask(loaded []uint64, count int) {
-	for k := range loaded {
-		rem := count - 64*k
-		switch {
-		case rem >= 64:
-			loaded[k] = ^uint64(0)
-		case rem > 0:
-			loaded[k] = laneMask(rem)
-		default:
-			loaded[k] = 0
-		}
-	}
-}
 
 // ensureEval runs the deferred fault-free evaluation of the loaded batch.
 func (s *Simulator) ensureEval() {
 	if s.dirty {
-		s.evalInto(s.good, -1, Fault{})
+		s.evalGood()
 		s.dirty = false
 	}
 }
@@ -469,32 +410,27 @@ func sameArena(a, b []uint64) bool {
 	return len(a) == 0 || len(b) > 0 && &a[0] == &b[0]
 }
 
-// evalInto evaluates the whole circuit into the dst arena. If faultGate ≥ 0,
-// the given fault is injected. It is the full (non-event-driven) evaluation,
-// used for the fault-free load and as the reference in differential tests.
-func (s *Simulator) evalInto(dst []uint64, faultGate int, f Fault) {
-	n := s.u.Net
+// evalGood evaluates the whole fault-free circuit over the loaded input
+// lanes, in topological order, into the good arena.
+func (s *Simulator) evalGood() {
 	w := s.w
 	for _, gi := range s.topo.order {
-		g := &n.Gates[gi]
-		db := dst[gi*w : gi*w+w]
-		if g.Type == netlist.Input {
-			copy(db, s.good[gi*w:gi*w+w]) // inputs always take the pattern values
-		} else {
-			s.planes = s.planes[:0]
-			for pin, fi := range g.Fanin {
-				fp := dst[fi*w : fi*w+w]
-				if faultGate == gi && f.Pin == pin {
-					fp = s.stuckPlane(f.Stuck)
-				}
-				s.planes = append(s.planes, fp)
-			}
-			g.Type.EvalWords(db, s.planes)
-		}
-		if faultGate == gi && f.Pin == -1 {
-			copy(db, s.stuckPlane(f.Stuck))
+		g := &s.u.Net.Gates[gi]
+		if g.Type != netlist.Input { // inputs hold the pattern values
+			g.Type.EvalWords(s.good[gi*w:gi*w+w], s.goodPlanes(g))
 		}
 	}
+}
+
+// goodPlanes gathers the fault-free planes of g's fan-ins, pin by pin, into
+// the simulator's scratch list.
+func (s *Simulator) goodPlanes(g *netlist.Gate) [][]uint64 {
+	w := s.w
+	s.planes = s.planes[:0]
+	for _, fi := range g.Fanin {
+		s.planes = append(s.planes, s.good[fi*w:fi*w+w])
+	}
+	return s.planes
 }
 
 // stuckPlane returns the constant all-0 or all-1 lane plane for a stuck
@@ -504,13 +440,6 @@ func (s *Simulator) stuckPlane(b uint8) []uint64 {
 		return s.ones
 	}
 	return s.zeros
-}
-
-func stuckWord(b uint8) uint64 {
-	if b != 0 {
-		return ^uint64(0)
-	}
-	return 0
 }
 
 // DetectLanes simulates one fault against the loaded patterns and returns
@@ -524,11 +453,7 @@ func stuckWord(b uint8) uint64 {
 // the faulty value reconverges with the fault-free one. Gates that cannot
 // reach a primary output are never scheduled.
 func (s *Simulator) DetectLanes(f Fault) []uint64 {
-	if s.w == 1 {
-		s.dbuf[0] = s.detectWord(f, false)
-	} else {
-		s.detectLanes(f, false)
-	}
+	s.detectLanes(f, false)
 	return s.dbuf
 }
 
@@ -539,18 +464,19 @@ func (s *Simulator) DetectLanes(f Fault) []uint64 {
 // loops only need the boolean, and detected faults are exactly the ones
 // whose cones propagate furthest.
 func (s *Simulator) DetectAny(f Fault) bool {
-	if s.w == 1 {
-		return s.detectWord(f, true) != 0
-	}
 	return s.detectLanes(f, true)
 }
 
-// beginFault opens a new epoch for one fault and schedules its site. It
-// reports false — nothing to simulate — when no pattern is loaded or the
-// site cannot reach a primary output.
-func (s *Simulator) beginFault(f Fault) bool {
+// detectLanes is the event-driven engine behind DetectLanes and DetectAny,
+// at every lane width: each plane comparison, reconvergence check and
+// output diff runs over all W lane words. The per-word detect masks
+// accumulate into s.dbuf; with early set it stops at the first level where
+// any lane word shows an output difference. It reports whether any lane
+// detects the fault.
+func (s *Simulator) detectLanes(f Fault, early bool) bool {
+	clear(s.dbuf)
 	if s.count == 0 || !s.topo.observable[f.Gate] {
-		return false
+		return false // no pattern loaded, or the site reaches no output
 	}
 	s.ensureEval()
 	s.epoch++
@@ -559,8 +485,30 @@ func (s *Simulator) beginFault(f Fault) bool {
 		clear(s.queued)
 		s.epoch = 1
 	}
-	s.schedule(f.Gate)
-	return true
+	// The fault site is the only gate evaluated at its level, so the fault
+	// is injected there once and the walk above it reads plain fan-in
+	// planes. pending counts the gates scheduled but not yet evaluated: the
+	// walk ends when it drains, not at the top level.
+	s.evalSite(f)
+	hit, pending := s.settle(f.Gate)
+	any := hit
+	for lv := s.topo.level[f.Gate] + 1; pending > 0; lv++ {
+		if early && hit {
+			s.dropLevels(lv)
+			return true
+		}
+		bucket := s.levels[lv]
+		hit = false
+		for _, gi := range bucket {
+			s.evalBad(gi)
+			h, queued := s.settle(gi)
+			hit = hit || h
+			pending += queued - 1
+		}
+		s.levels[lv] = bucket[:0]
+		any = any || hit
+	}
+	return any
 }
 
 // dropLevels empties the worklist buckets from level lv up, after an early
@@ -571,173 +519,68 @@ func (s *Simulator) dropLevels(lv int) {
 	}
 }
 
-// detectWord is the W=1 event-driven engine behind DetectLanes and
-// DetectAny. It returns the lane-masked detect mask of patterns 0..63;
-// with early set it stops at the first level where a primary output shows
-// a difference, so the mask is then only meaningful as zero vs non-zero.
-// It is a scalar specialisation of detectLanes: a uint64 per gate instead
-// of a W-word plane, which PERFORMANCE.md measures as worth keeping.
-func (s *Simulator) detectWord(f Fault, early bool) uint64 {
-	if !s.beginFault(f) {
-		return 0
-	}
-	t := s.topo
-	var diff uint64
-	for lv := t.level[f.Gate]; lv < len(s.levels); lv++ {
-		bucket := s.levels[lv]
-		if len(bucket) == 0 {
-			continue
-		}
-		for _, gi := range bucket {
-			v := s.evalFaulty(gi, f)
-			if v == s.good[gi] {
-				continue // reconverged: nothing propagates
-			}
-			s.bad[gi] = v
-			s.stamp[gi] = s.epoch
-			if t.isOutput[gi] {
-				diff |= (s.good[gi] ^ v) & s.loaded[0]
-			}
-			for _, fo := range t.fanouts(gi) {
-				if t.observable[fo] {
-					s.schedule(int(fo))
-				}
-			}
-		}
-		s.levels[lv] = bucket[:0]
-		if early && diff != 0 {
-			s.dropLevels(lv + 1)
-			return diff
-		}
-	}
-	return diff
-}
-
-// detectLanes is the W>1 event-driven engine behind DetectLanes and
-// DetectAny: identical propagation to detectWord, with every plane
-// comparison, reconvergence check and output diff running over all W lane
-// words. The per-word detect masks accumulate into s.dbuf; with early set
-// it stops at the first level where any lane word shows an output
-// difference. It reports whether any lane detects the fault.
-func (s *Simulator) detectLanes(f Fault, early bool) bool {
+// evalSite writes the faulty plane of the fault's own gate: the constant
+// stuck plane for an output fault, otherwise the gate function over the
+// fault-free fan-in planes with the stuck plane on the faulty pin.
+func (s *Simulator) evalSite(f Fault) {
 	w := s.w
-	diff := s.dbuf
-	clear(diff)
-	if !s.beginFault(f) {
-		return false
-	}
-	t := s.topo
-	any := false
-	for lv := t.level[f.Gate]; lv < len(s.levels); lv++ {
-		bucket := s.levels[lv]
-		if len(bucket) == 0 {
-			continue
-		}
-		levelHit := false
-		for _, gi := range bucket {
-			s.evalFaultyLanes(gi, f, s.fbuf)
-			gp := s.good[gi*w : gi*w+w]
-			same := true
-			for k, v := range s.fbuf {
-				if v != gp[k] {
-					same = false
-					break
-				}
-			}
-			if same {
-				continue // reconverged in every lane: nothing propagates
-			}
-			copy(s.bad[gi*w:gi*w+w], s.fbuf)
-			s.stamp[gi] = s.epoch
-			if t.isOutput[gi] {
-				for k, v := range s.fbuf {
-					if d := (gp[k] ^ v) & s.loaded[k]; d != 0 {
-						diff[k] |= d
-						levelHit = true
-						any = true
-					}
-				}
-			}
-			for _, fo := range t.fanouts(gi) {
-				if t.observable[fo] {
-					s.schedule(int(fo))
-				}
-			}
-		}
-		s.levels[lv] = bucket[:0]
-		if early && levelHit {
-			s.dropLevels(lv + 1)
-			return true
-		}
-	}
-	return any
-}
-
-// schedule queues a gate for evaluation in the current epoch. Fan-out gates
-// are always at a strictly higher level than their driver, so buckets below
-// the cursor are never appended to.
-func (s *Simulator) schedule(gi int) {
-	if s.queued[gi] == s.epoch {
-		return
-	}
-	s.queued[gi] = s.epoch
-	lv := s.topo.level[gi]
-	s.levels[lv] = append(s.levels[lv], gi)
-}
-
-// evalFaulty computes the faulty value of one gate from the current-epoch
-// faulty values of its fan-ins (falling back to the fault-free values) with
-// the fault injected. W=1 fast path; the lane engine uses evalFaultyLanes.
-func (s *Simulator) evalFaulty(gi int, f Fault) uint64 {
-	if f.Gate == gi && f.Pin == -1 {
-		return stuckWord(f.Stuck)
-	}
-	g := &s.u.Net.Gates[gi]
-	if g.Type == netlist.Input {
-		return s.good[gi]
-	}
-	s.buf = s.buf[:0]
-	for pin, fi := range g.Fanin {
-		var fv uint64
-		switch {
-		case f.Gate == gi && f.Pin == pin:
-			fv = stuckWord(f.Stuck)
-		case s.stamp[fi] == s.epoch:
-			fv = s.bad[fi]
-		default:
-			fv = s.good[fi]
-		}
-		s.buf = append(s.buf, fv)
-	}
-	return g.Type.EvalWord(s.buf)
-}
-
-// evalFaultyLanes is evalFaulty over W lane words: it gathers each fan-in's
-// current plane (bad where stamped this epoch, good otherwise, the constant
-// stuck plane on the faulty pin) and evaluates the gate function into dst.
-func (s *Simulator) evalFaultyLanes(gi int, f Fault, dst []uint64) {
-	w := s.w
-	if f.Gate == gi && f.Pin == -1 {
+	dst := s.bad[f.Gate*w : f.Gate*w+w]
+	if f.Pin < 0 {
 		copy(dst, s.stuckPlane(f.Stuck))
 		return
 	}
+	g := &s.u.Net.Gates[f.Gate]
+	in := s.goodPlanes(g)
+	in[f.Pin] = s.stuckPlane(f.Stuck)
+	g.Type.EvalWords(dst, in)
+}
+
+// evalBad evaluates gate gi straight into its faulty plane from the
+// current plane of each fan-in: bad where stamped this epoch, good
+// otherwise. The plane is only read back if settle stamps the gate.
+func (s *Simulator) evalBad(gi int) {
+	w := s.w
 	g := &s.u.Net.Gates[gi]
-	if g.Type == netlist.Input {
-		copy(dst, s.good[gi*w:gi*w+w])
-		return
-	}
 	s.planes = s.planes[:0]
-	for pin, fi := range g.Fanin {
-		var fp []uint64
-		switch {
-		case f.Gate == gi && f.Pin == pin:
-			fp = s.stuckPlane(f.Stuck)
-		case s.stamp[fi] == s.epoch:
-			fp = s.bad[fi*w : fi*w+w]
-		default:
-			fp = s.good[fi*w : fi*w+w]
+	for _, fi := range g.Fanin {
+		if s.stamp[fi] == s.epoch {
+			s.planes = append(s.planes, s.bad[fi*w:fi*w+w])
+		} else {
+			s.planes = append(s.planes, s.good[fi*w:fi*w+w])
 		}
-		s.planes = append(s.planes, fp)
 	}
-	g.Type.EvalWords(dst, s.planes)
+	g.Type.EvalWords(s.bad[gi*w:gi*w+w], s.planes)
+}
+
+// settle finishes gate gi after its faulty plane is written. If the plane
+// reconverged with the fault-free one in every lane nothing propagates.
+// Otherwise it stamps the gate, adds a primary output's lane-masked
+// difference to the detect masks and schedules the observable fan-outs not
+// yet queued this epoch (fan-outs always sit at a strictly higher level).
+// It reports whether an output lane differs and how many gates it queued.
+func (s *Simulator) settle(gi int) (hit bool, queued int) {
+	w := s.w
+	bp, gp := s.bad[gi*w:gi*w+w], s.good[gi*w:gi*w+w]
+	if slices.Equal(bp, gp) {
+		return false, 0
+	}
+	s.stamp[gi] = s.epoch
+	t := s.topo
+	if t.isOutput[gi] {
+		for k, v := range bp {
+			if d := (gp[k] ^ v) & s.loaded[k]; d != 0 {
+				s.dbuf[k] |= d
+				hit = true
+			}
+		}
+	}
+	for _, fo := range t.fanouts(gi) {
+		if t.observable[fo] && s.queued[fo] != s.epoch {
+			s.queued[fo] = s.epoch
+			lv := t.level[fo]
+			s.levels[lv] = append(s.levels[lv], int(fo))
+			queued++
+		}
+	}
+	return hit, queued
 }

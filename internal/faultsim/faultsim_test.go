@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/netlist"
@@ -129,14 +130,14 @@ func TestCoverageExhaustivePatterns(t *testing.T) {
 	}
 }
 
-// TestLoadPackedMatchesLoadPatterns asserts the three batch-building paths
-// are interchangeable at lane widths 1, 3 and 8, with full and partial last
-// words: bit-sliced LoadPatterns, incremental AppendPattern (including
-// appends split around Detect calls, which force the lazy fault-free
-// evaluation mid-batch), and pre-packed LoadPacked must leave the
-// hand-packed input planes and the same lane mask, and yield identical
-// detect masks for every fault.
-func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
+// TestAppendPatternMatchesLoadPatterns asserts the two batch-building
+// paths are interchangeable at lane widths 1, 3 and 8, with full and
+// partial last words: bit-sliced LoadPatterns and incremental
+// AppendPattern (including appends split around Detect calls, which force
+// the lazy fault-free evaluation mid-batch) must both leave the hand-packed
+// input planes and lane mask, and yield identical detect masks for every
+// fault.
+func TestAppendPatternMatchesLoadPatterns(t *testing.T) {
 	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 16, Outputs: 5, Gates: 80, MaxFan: 3, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
@@ -146,22 +147,18 @@ func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 	for _, w := range []int{1, 3, 8} {
 		for _, count := range []int{1, 3, 64, 64*w - 5, 64 * w} {
 			patterns := randomPatterns(prng.New(uint64(100*w+count)), count, ni)
-			ref, _ := NewSimulatorLanes(u, w)
-			if err := ref.LoadPatterns(patterns); err != nil {
-				t.Fatal(err)
-			}
 			packed := make([]uint64, ni*w)
 			for pi, p := range patterns {
 				for ii, b := range p {
 					packed[ii*w+pi/64] |= uint64(b) << uint(pi%64)
 				}
 			}
-			viaPacked, _ := NewSimulatorLanes(u, w)
-			// Lanes at or above count must be masked off even if set.
-			if count < 64*w {
-				packed[count/64] |= 1 << uint(count%64)
+			wantLoaded := make([]uint64, w)
+			for pi := range patterns {
+				wantLoaded[pi/64] |= 1 << uint(pi%64)
 			}
-			if err := viaPacked.LoadPacked(packed, count); err != nil {
+			viaLoad, _ := NewSimulatorLanes(u, w)
+			if err := viaLoad.LoadPatterns(patterns); err != nil {
 				t.Fatal(err)
 			}
 			viaAppend, _ := NewSimulatorLanes(u, w)
@@ -176,31 +173,29 @@ func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 					viaAppend.DetectLanes(u.Faults[0]) // force a mid-batch evaluation
 				}
 			}
-			for name, sim := range map[string]*Simulator{"LoadPacked": viaPacked, "AppendPattern": viaAppend} {
+			for name, sim := range map[string]*Simulator{"LoadPatterns": viaLoad, "AppendPattern": viaAppend} {
 				if got := sim.PatternCount(); got != count {
 					t.Fatalf("W=%d count=%d: %s PatternCount %d", w, count, name, got)
 				}
-				for k := range ref.loaded {
-					if sim.loaded[k] != ref.loaded[k] {
-						t.Fatalf("W=%d count=%d: %s lane mask word %d %016x, want %016x", w, count, name, k, sim.loaded[k], ref.loaded[k])
+				for k := range wantLoaded {
+					if sim.loaded[k] != wantLoaded[k] {
+						t.Fatalf("W=%d count=%d: %s lane mask word %d %016x, want %016x", w, count, name, k, sim.loaded[k], wantLoaded[k])
 					}
 				}
 				for ii, gi := range nl.Inputs {
 					for k := 0; k < w; k++ {
-						if got, want := sim.good[gi*w+k], packed[ii*w+k]&ref.loaded[k]; got != want {
+						if got, want := sim.good[gi*w+k], packed[ii*w+k]; got != want {
 							t.Fatalf("W=%d count=%d: %s input %d word %d %016x, hand-packed %016x", w, count, name, ii, k, got, want)
 						}
 					}
 				}
 			}
 			for _, f := range u.Faults {
-				want := append([]uint64(nil), ref.DetectLanes(f)...)
-				for name, sim := range map[string]*Simulator{"LoadPacked": viaPacked, "AppendPattern": viaAppend} {
-					got := sim.DetectLanes(f)
-					for k := range want {
-						if got[k] != want[k] {
-							t.Fatalf("W=%d count=%d fault %v: %s mask word %d %064b, want %064b", w, count, f, name, k, got[k], want[k])
-						}
+				want := append([]uint64(nil), viaLoad.DetectLanes(f)...)
+				got := viaAppend.DetectLanes(f)
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("W=%d count=%d fault %v: AppendPattern mask word %d %064b, LoadPatterns %064b", w, count, f, k, got[k], want[k])
 					}
 				}
 			}
@@ -208,7 +203,7 @@ func TestLoadPackedMatchesLoadPatterns(t *testing.T) {
 	}
 }
 
-func TestAppendAndPackedValidation(t *testing.T) {
+func TestAppendPatternValidation(t *testing.T) {
 	n := andOr(t)
 	sim, _ := NewSimulatorLanes(NewUniverse(n), 1)
 	if err := sim.AppendPattern([]uint8{1, 0}); err == nil {
@@ -221,15 +216,6 @@ func TestAppendAndPackedValidation(t *testing.T) {
 	}
 	if err := sim.AppendPattern([]uint8{1, 0, 1}); err == nil {
 		t.Error("65th pattern accepted")
-	}
-	if err := sim.LoadPacked(make([]uint64, 2), 4); err == nil {
-		t.Error("wrong word count accepted by LoadPacked")
-	}
-	if err := sim.LoadPacked(make([]uint64, 3), 0); err == nil {
-		t.Error("zero-lane LoadPacked accepted")
-	}
-	if err := sim.LoadPacked(make([]uint64, 3), 65); err == nil {
-		t.Error("65-lane LoadPacked accepted")
 	}
 }
 
@@ -299,7 +285,7 @@ func BenchmarkDetectAllBatchWidth(b *testing.B) {
 	})
 }
 
-// BenchmarkDetectEngine compares the event-driven W=1 DetectLanes against
+// BenchmarkDetectEngine compares the event-driven one-word DetectLanes against
 // the full-circuit reference evaluation on the same universe — the
 // single-core speedup of the cone-limited hot path, independent of the
 // worker pool.
@@ -380,5 +366,23 @@ func TestAppendPatternLowBit(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPoolSizeFollowsGOMAXPROCS pins the Workers ≤ 0 default to the
+// scheduler's parallelism, not the host's CPU count: under GOMAXPROCS=1 a
+// default pool is one simulator, whatever the machine has.
+func TestPoolSizeFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, workers := range []int{0, -1} {
+		if got := (Options{Workers: workers}).PoolSize(1000); got != 1 {
+			t.Errorf("Workers=%d under GOMAXPROCS=1: PoolSize(1000)=%d, want 1", workers, got)
+		}
+	}
+	if got := (Options{Workers: 3}).PoolSize(1000); got != 3 {
+		t.Errorf("explicit Workers=3: PoolSize(1000)=%d", got)
+	}
+	if got := (Options{Workers: 3}).PoolSize(2); got != 2 {
+		t.Errorf("Workers=3 over 2 faults: PoolSize=%d, want 2", got)
 	}
 }

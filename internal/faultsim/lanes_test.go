@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -40,7 +41,7 @@ func effPlaneWord(s *Simulator, gi, k int) uint64 {
 }
 
 // diffLanesAgainstReference loads count patterns into one wide simulator and
-// into ceil(count/64) single-word reference simulators (one per lane word)
+// into ceil(count/64) one-word reference simulators (one per lane word)
 // and, for every fault, requires the wide engine's detect mask AND its full
 // good/bad plane state to match the reference lane word by lane word.
 func diffLanesAgainstReference(t *testing.T, nl *netlist.Netlist, w, count int, patSeed uint64) {
@@ -110,11 +111,13 @@ func anyNonzero(words []uint64) bool {
 	return false
 }
 
-// TestSimulatorLaneWidthDifferential is the lane-width lock: across c17 and
-// 200 randomized circuits, every lane width in {2,4,8} must reproduce the
-// single-word engine's detect masks and full good/bad plane state lane word
-// by lane word, including batches whose last lane word is partially loaded.
-// Run with -race (CI does) to confirm the engines share no hidden state.
+// TestSimulatorLaneWidthDifferential is the lane-width invariance lock:
+// across c17 and 200 randomized circuits, a simulator at every lane width
+// in {2,4,8} must reproduce, lane word by lane word, the detect masks and
+// the full good/bad plane state of one-word simulators loaded with the
+// same patterns 64 at a time, including batches whose last lane word is
+// partially loaded. Run with -race (CI does) to confirm the simulators
+// share no hidden state.
 func TestSimulatorLaneWidthDifferential(t *testing.T) {
 	widths := []int{2, 4, 8}
 	// c17 at every width, full and partial batches.
@@ -141,10 +144,11 @@ func TestSimulatorLaneWidthDifferential(t *testing.T) {
 	}
 }
 
-// TestLaneOverflowBoundaries pins the typed capacity error on every loading
-// path: counts of exactly Capacity load fine, Capacity+1 fails with
-// ErrLaneOverflow (checkable via errors.Is), and empty batches are rejected
-// with a plain validation error, not an overflow.
+// TestLaneOverflowBoundaries pins the typed capacity error on both loading
+// paths: batches of exactly Capacity load fine and Capacity+1 fails with
+// ErrLaneOverflow (checkable via errors.Is). An empty LoadPatterns batch is
+// rejected with a plain validation error, not an overflow; an empty batch
+// built with ResetPatterns is legal and detects nothing.
 func TestLaneOverflowBoundaries(t *testing.T) {
 	nl := c17(t)
 	u := NewUniverse(nl)
@@ -161,7 +165,7 @@ func TestLaneOverflowBoundaries(t *testing.T) {
 			name     string
 			count    int
 			overflow bool // expect ErrLaneOverflow
-			ok       bool // expect success
+			ok       bool // expect LoadPatterns to succeed
 		}{
 			{"zero", 0, false, false},
 			{"one", 1, false, true},
@@ -169,27 +173,32 @@ func TestLaneOverflowBoundaries(t *testing.T) {
 			{"capacity-plus-one", cap + 1, true, false},
 		}
 		for _, tc := range cases {
+			patterns := randomPatterns(prng.New(1), tc.count, len(nl.Inputs))
 			t.Run(fmt.Sprintf("w=%d/LoadPatterns/%s", w, tc.name), func(t *testing.T) {
-				err := s.LoadPatterns(randomPatterns(prng.New(1), tc.count, len(nl.Inputs)))
-				checkOverflow(t, err, tc.overflow, tc.ok)
+				checkOverflow(t, s.LoadPatterns(patterns), tc.overflow, tc.ok)
 			})
-			t.Run(fmt.Sprintf("w=%d/LoadPacked/%s", w, tc.name), func(t *testing.T) {
-				err := s.LoadPacked(make([]uint64, len(nl.Inputs)*w), tc.count)
-				checkOverflow(t, err, tc.overflow, tc.ok)
+			t.Run(fmt.Sprintf("w=%d/AppendPattern/%s", w, tc.name), func(t *testing.T) {
+				if err := s.ResetPatterns(); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				for _, p := range patterns {
+					if err = s.AppendPattern(p); err != nil {
+						break
+					}
+				}
+				checkOverflow(t, err, tc.overflow, !tc.overflow)
+				if got, want := s.PatternCount(), min(tc.count, cap); got != want {
+					t.Fatalf("PatternCount %d, want %d", got, want)
+				}
+				if tc.count == 0 {
+					for _, f := range u.Faults {
+						if s.DetectAny(f) || anyNonzero(s.DetectLanes(f)) {
+							t.Fatalf("empty batch detects %v", f)
+						}
+					}
+				}
 			})
-		}
-		// LoadPacked also validates the packed word count itself.
-		if err := s.LoadPacked(make([]uint64, len(nl.Inputs)*w+1), 1); err == nil {
-			t.Fatalf("w=%d: LoadPacked accepted a wrong word count", w)
-		} else if errors.Is(err, ErrLaneOverflow) {
-			t.Fatalf("w=%d: word-count error misreported as ErrLaneOverflow: %v", w, err)
-		}
-		// The Capacity+1-th AppendPattern must overflow with the typed error.
-		if err := s.LoadPatterns(randomPatterns(prng.New(2), cap, len(nl.Inputs))); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AppendPattern(make([]uint8, len(nl.Inputs))); !errors.Is(err, ErrLaneOverflow) {
-			t.Fatalf("w=%d: AppendPattern past capacity returned %v, want ErrLaneOverflow", w, err)
 		}
 	}
 	if _, err := NewSimulatorLanes(u, 0); err == nil {
@@ -221,11 +230,11 @@ func checkOverflow(t *testing.T, err error, wantOverflow, wantOK bool) {
 	}
 }
 
-// FuzzDetectLanes cross-checks the wide-lane engine against the single-word
-// engine on fuzzer-shaped circuits and pattern batches: for every fault of
-// the generated netlist, DetectLanes at W ∈ {2,4,8} must equal the W=1
-// masks chunk by chunk, and DetectAny must agree with the mask. CI runs a
-// 10-second smoke over the seed corpus.
+// FuzzDetectLanes cross-checks the event-driven loop against full-circuit
+// evaluation on fuzzer-shaped circuits and pattern batches: for every fault
+// of the generated netlist, DetectLanes at W ∈ {1,2,4,8} must equal the
+// full-evaluation masks of a simulator of the same width, and DetectAny
+// must agree with them. CI runs a 10-second smoke over the seed corpus.
 func FuzzDetectLanes(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(100))
 	f.Add(uint64(42), uint8(1), uint8(7))
@@ -242,44 +251,32 @@ func FuzzDetectLanes(f *testing.F) {
 		if err != nil {
 			t.Skip() // unbuildable parameter combination
 		}
-		w := []int{2, 4, 8}[int(wsel)%3]
+		w := []int{1, 2, 4, 8}[int(wsel)%4]
 		count := 1 + int(countSel)%(64*w)
 		u := NewUniverse(nl)
-		wide, err := NewSimulatorLanes(u, w)
+		event, err := NewSimulatorLanes(u, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := NewSimulatorLanes(u, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		patterns := randomPatterns(prng.New(seed^0x9e3779b97f4a7c15), count, len(nl.Inputs))
-		if err := wide.LoadPatterns(patterns); err != nil {
+		if err := event.LoadPatterns(patterns); err != nil {
 			t.Fatal(err)
 		}
-		chunks := (count + 63) / 64
-		refs := make([]*Simulator, chunks)
-		for k := range refs {
-			ref, err := NewSimulatorLanes(u, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.LoadPatterns(patterns[64*k : min(64*(k+1), count)]); err != nil {
-				t.Fatal(err)
-			}
-			refs[k] = ref
-		}
+		full.AdoptPatterns(event)
 		for _, fault := range u.Faults {
-			got := wide.DetectLanes(fault)
-			anyWant := false
-			for k := 0; k < w; k++ {
-				var want uint64
-				if k < chunks {
-					want = refs[k].DetectLanes(fault)[0]
+			got := event.DetectLanes(fault)
+			want := full.detectLanesFull(fault)
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("w=%d count=%d fault %v word %d: event-driven %064b, full evaluation %064b", w, count, fault, k, got[k], want[k])
 				}
-				if got[k] != want {
-					t.Fatalf("w=%d count=%d fault %v word %d: wide %064b, reference %064b", w, count, fault, k, got[k], want)
-				}
-				anyWant = anyWant || want != 0
 			}
-			if any := wide.DetectAny(fault); any != anyWant {
-				t.Fatalf("w=%d count=%d fault %v: DetectAny=%v, reference %v", w, count, fault, any, anyWant)
+			if any := event.DetectAny(fault); any != anyNonzero(want) {
+				t.Fatalf("w=%d count=%d fault %v: DetectAny=%v, full evaluation %v", w, count, fault, any, want)
 			}
 		}
 	})
@@ -317,8 +314,8 @@ func BenchmarkSimulatorArenaBuild(b *testing.B) {
 // shape). W=1 walks each fault's cone eight times — paying the per-gate
 // scheduling, stamping and reconvergence overhead on every pass — where
 // W=8 walks it once with eight-word planes; -benchmem shows the arena
-// layout keeps allocations flat across widths (the slabs are built outside
-// the loop).
+// layout keeps allocations flat across widths (the slabs are built and
+// loaded outside the loop).
 func BenchmarkDetectAllLaneWidth(b *testing.B) {
 	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 96, Outputs: 32, Gates: 4000, MaxFan: 3, Seed: 2008})
 	if err != nil {
@@ -329,37 +326,25 @@ func BenchmarkDetectAllLaneWidth(b *testing.B) {
 	patterns := randomPatterns(prng.New(9), total, len(nl.Inputs))
 	for _, w := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("lanewords=%d", w), func(b *testing.B) {
-			sim, err := NewSimulatorLanes(u, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Pre-pack each 64×w batch so the timed loop measures the
-			// sweeps, not the bit slicing.
-			batch := sim.Capacity()
-			var packed [][]uint64
-			var counts []int
-			for start := 0; start < total; start += batch {
-				end := min(start+batch, total)
-				words := make([]uint64, len(nl.Inputs)*w)
-				for p := start; p < end; p++ {
-					word, bit := (p-start)>>6, uint64(1)<<uint((p-start)&63)
-					for ii := range nl.Inputs {
-						if patterns[p][ii] != 0 {
-							words[ii*w+word] |= bit
-						}
-					}
+			// One simulator per 64×w batch, loaded outside the timed loop,
+			// so it measures the sweeps, not the bit slicing.
+			var sims []*Simulator
+			for start := 0; start < total; start += 64 * w {
+				sim, err := NewSimulatorLanes(u, w)
+				if err != nil {
+					b.Fatal(err)
 				}
-				packed = append(packed, words)
-				counts = append(counts, end-start)
+				if err := sim.LoadPatterns(patterns[start:min(start+64*w, total)]); err != nil {
+					b.Fatal(err)
+				}
+				sim.ensureEval()
+				sims = append(sims, sim)
 			}
 			var sink uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for bi := range packed {
-					if err := sim.LoadPacked(packed[bi], counts[bi]); err != nil {
-						b.Fatal(err)
-					}
+				for _, sim := range sims {
 					for _, f := range u.Faults {
 						for _, m := range sim.DetectLanes(f) {
 							sink ^= m
@@ -369,6 +354,31 @@ func BenchmarkDetectAllLaneWidth(b *testing.B) {
 			}
 			benchSink = sink
 		})
+	}
+}
+
+// BenchmarkCoverageLaneWidth grades the same 4000-gate core serially
+// (Workers=1) through CoverageCtx at an explicit one-word width and at the
+// engine-chosen width, for a short and a long pattern list: the one-word
+// runs time the event loop's per-gate-visit cost, the engine-chosen ones
+// what CoverageCtx does by default.
+func BenchmarkCoverageLaneWidth(b *testing.B) {
+	nl, err := netlist.Random(netlist.RandomConfig{Inputs: 96, Outputs: 32, Gates: 4000, MaxFan: 3, Seed: 2008})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := NewUniverse(nl)
+	for _, n := range []int{256, 2048} {
+		patterns := randomPatterns(prng.New(77), n, len(nl.Inputs))
+		for _, lw := range []int{1, 0} {
+			b.Run(fmt.Sprintf("patterns=%d/lanewords=%d", n, lw), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := CoverageCtx(context.Background(), u, patterns, Options{Workers: 1, LaneWords: lw}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -399,7 +409,6 @@ func TestPoolFollowerSharedPlane(t *testing.T) {
 	for name, err := range map[string]error{
 		"LoadPatterns":  follower.LoadPatterns(first[:1]),
 		"AppendPattern": follower.AppendPattern(first[0]),
-		"LoadPacked":    follower.LoadPacked(make([]uint64, len(nl.Inputs)*w), 1),
 		"ResetPatterns": follower.ResetPatterns(),
 	} {
 		if !errors.Is(err, ErrSharedPlane) {

@@ -82,50 +82,12 @@ func (g GateType) Eval(in []uint8) uint8 {
 	}
 }
 
-// EvalWord is Eval on 64 test patterns in parallel (bit-sliced).
-func (g GateType) EvalWord(in []uint64) uint64 {
-	switch g {
-	case Buf:
-		return in[0]
-	case Not:
-		return ^in[0]
-	case And, Nand:
-		v := ^uint64(0)
-		for _, b := range in {
-			v &= b
-		}
-		if g == Nand {
-			v = ^v
-		}
-		return v
-	case Or, Nor:
-		v := uint64(0)
-		for _, b := range in {
-			v |= b
-		}
-		if g == Nor {
-			v = ^v
-		}
-		return v
-	case Xor, Xnor:
-		v := uint64(0)
-		for _, b := range in {
-			v ^= b
-		}
-		if g == Xnor {
-			v = ^v
-		}
-		return v
-	default:
-		panic(fmt.Sprintf("netlist: EvalWord on %v", g))
-	}
-}
-
-// EvalWords is EvalWord over multi-word pattern lanes: it computes the
-// gate function across len(dst)×64 bit-sliced patterns at once, reading
-// fan-in pin p's lane words from in[p] and writing the result into dst.
-// Every slice must have length len(dst); dst must not alias any fan-in
-// plane. The fault simulator's wide-lane engine is built on this.
+// EvalWords is Eval on bit-sliced pattern lanes: it computes the gate
+// function across len(dst)×64 patterns at once, reading fan-in pin p's
+// lane words from in[p] and writing the result into dst. Every slice must
+// have length len(dst); dst must not alias any fan-in plane. It is the one
+// gate kernel of the fault simulator, for the fault-free evaluation and
+// the event-driven fault loop at every lane width.
 func (g GateType) EvalWords(dst []uint64, in [][]uint64) {
 	switch g {
 	case Buf:

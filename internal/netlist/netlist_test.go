@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -52,15 +53,39 @@ func TestFullAdderTruthTable(t *testing.T) {
 	}
 }
 
+// TestGateEvalWordMatchesScalar checks the word-parallel gate kernel
+// EvalWords against the scalar Eval, pattern by pattern, for all eight
+// gate types (Buf and Not on one fan-in, the rest on three) at lane widths
+// 1 and 3.
 func TestGateEvalWordMatchesScalar(t *testing.T) {
-	// EvalWord on 64 packed patterns must agree with Eval per pattern.
-	f := func(a, b, c uint64) bool {
-		for _, typ := range []GateType{And, Nand, Or, Nor, Xor, Xnor} {
-			w := typ.EvalWord([]uint64{a, b, c})
-			for bit := 0; bit < 64; bit++ {
-				s := typ.Eval([]uint8{uint8(a >> uint(bit) & 1), uint8(b >> uint(bit) & 1), uint8(c >> uint(bit) & 1)})
-				if uint8(w>>uint(bit)&1) != s {
-					return false
+	types := []GateType{Buf, Not, And, Nand, Or, Nor, Xor, Xnor}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for _, w := range []int{1, 3} {
+			for _, typ := range types {
+				pins := 3
+				if typ == Buf || typ == Not {
+					pins = 1
+				}
+				in := make([][]uint64, pins)
+				for p := range in {
+					in[p] = make([]uint64, w)
+					for k := range in[p] {
+						in[p][k] = rng.Uint64()
+					}
+				}
+				dst := make([]uint64, w)
+				typ.EvalWords(dst, in)
+				bits := make([]uint8, pins)
+				for lane := 0; lane < 64*w; lane++ {
+					k, bit := lane/64, uint(lane%64)
+					for p := range in {
+						bits[p] = uint8(in[p][k] >> bit & 1)
+					}
+					if got, want := uint8(dst[k]>>bit&1), typ.Eval(bits); got != want {
+						t.Logf("%v w=%d lane %d: EvalWords %d, Eval %d", typ, w, lane, got, want)
+						return false
+					}
 				}
 			}
 		}
