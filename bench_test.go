@@ -199,8 +199,11 @@ func BenchmarkEncode(b *testing.B) {
 // variants that turn out unencodable (each with its own phase shifter and
 // tables, in EncodeAutoCtx's order), the accepted variant's phase shifter
 // and encode, the embedding index, the reduction (S = min(10, L), k = 10)
-// and the decompressor run. Set STATESKIP_SCALE=paper for the workload's
-// sizes; at CI scale the same circuits run at small L.
+// and the decompressor run. Beside the phase times it reports two exact
+// work counts per case: checks, the accepted encode's ChecksPerformed, and
+// embeddings, the total of the index's PerCube hits. Set
+// STATESKIP_SCALE=paper for the workload's sizes; at CI scale the same
+// circuits run at small L.
 func BenchmarkCompressPhases(b *testing.B) {
 	ctx := context.Background()
 	cases := []struct {
@@ -219,6 +222,8 @@ func BenchmarkCompressPhases(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/L=%d", c.circuit, c.L), func(b *testing.B) {
 			b.ReportAllocs()
 			var failed, accepted, index, reduce, run time.Duration
+			var checks int64
+			var embeddings int
 			for i := 0; i < b.N; i++ {
 				var enc *encoder.Encoding
 				for v := uint64(0); enc == nil; v++ {
@@ -239,6 +244,10 @@ func BenchmarkCompressPhases(b *testing.B) {
 				t0 := time.Now()
 				idx := stateskip.ScanEmbeddingsWorkers(enc, 0)
 				t1 := time.Now()
+				checks, embeddings = enc.ChecksPerformed, 0
+				for _, refs := range idx.PerCube {
+					embeddings += len(refs)
+				}
 				red, err := stateskip.ReduceWithIndex(enc, idx, stateskip.DefaultOptions(min(10, c.L), 10))
 				if err != nil {
 					b.Fatal(err)
@@ -258,6 +267,8 @@ func BenchmarkCompressPhases(b *testing.B) {
 			b.ReportMetric(float64(index)/perOp, "index-ms")
 			b.ReportMetric(float64(reduce)/perOp, "reduce-ms")
 			b.ReportMetric(float64(run)/perOp, "run-ms")
+			b.ReportMetric(float64(checks), "checks")
+			b.ReportMetric(float64(embeddings), "embeddings")
 		})
 	}
 }

@@ -3,6 +3,7 @@ package encoder
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -109,7 +110,7 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 	if err != nil {
 		return nil, err
 	}
-	sys := tabs.Systems(set)
+	sys := tabs.Systems(set, table)
 	built := time.Since(t0)
 	enc, err := encodeWithTable(ctx, cfg, set, table, sys)
 	if err != nil {
@@ -167,17 +168,21 @@ type encodeState struct {
 	sys     *systemIndex
 	n       int
 	L       int
-	stride  int32 // expression rows per window position
 	workers int
 
-	// order holds cube indices sorted by descending specified count; tiers
-	// are contiguous runs of equal counts.
+	// spec[cube] is the cube's specified-bit count. order holds cube
+	// indices sorted by descending spec; tiers are contiguous runs of
+	// equal counts.
+	spec      []int
 	order     []int
 	remaining []bool // indexed by cube: still to be encoded
 	nRemain   int
 
-	// feasible[cube][pos]: not yet proven unsolvable for the current seed.
-	feasible [][]bool
+	// feasible is one bitset row of feasWords words per cube: bit p of
+	// row ci is set while position p is not yet proven unsolvable for the
+	// current seed.
+	feasible  []uint64
+	feasWords int
 
 	solver *gf2.Solver
 	views  []*scanView
@@ -203,28 +208,27 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 		sys:     sys,
 		n:       cfg.LFSR.Size(),
 		L:       cfg.WindowLen,
-		stride:  int32(table.Stride()),
 		workers: cfg.Workers,
 	}
 	if st.workers <= 0 {
 		st.workers = runtime.GOMAXPROCS(0)
 	}
+	st.spec = make([]int, set.Len())
 	st.order = make([]int, set.Len())
 	for i := range st.order {
+		st.spec[i] = set.Cubes[i].SpecifiedCount()
 		st.order[i] = i
 	}
 	sort.SliceStable(st.order, func(a, b int) bool {
-		return set.Cubes[st.order[a]].SpecifiedCount() > set.Cubes[st.order[b]].SpecifiedCount()
+		return st.spec[st.order[a]] > st.spec[st.order[b]]
 	})
 	st.remaining = make([]bool, set.Len())
 	for i := range st.remaining {
 		st.remaining[i] = true
 	}
 	st.nRemain = set.Len()
-	st.feasible = make([][]bool, set.Len())
-	for i := range st.feasible {
-		st.feasible[i] = make([]bool, st.L)
-	}
+	st.feasWords = (st.L + 63) / 64
+	st.feasible = make([]uint64, set.Len()*st.feasWords)
 	st.solver = gf2.NewSolver(st.n)
 	st.views = make([]*scanView, st.workers)
 
@@ -275,7 +279,7 @@ func (st *encodeState) screen() error {
 			return fmt.Errorf("encoder: encode stopped screening cube %d: %w", ci, err)
 		}
 		if pos < 0 {
-			return fmt.Errorf("encoder: cube %d (%d specified bits) cannot be embedded anywhere in a fresh window; increase the LFSR size (n=%d)", ci, st.set.Cubes[ci].SpecifiedCount(), st.n)
+			return fmt.Errorf("encoder: cube %d (%d specified bits) cannot be embedded anywhere in a fresh window; increase the LFSR size (n=%d)", ci, st.spec[ci], st.n)
 		}
 	}
 	return nil
@@ -291,7 +295,7 @@ func (st *encodeState) firstSolvable(v *scanView, ci int) (pos int, checks int64
 			return -1, checks, st.ctx.Err()
 		}
 		checks++
-		if _, ok := v.view.CheckSystem(st.sys.base[ci], int32(p)*st.stride, st.sys.rhs[ci], &v.scratch); ok {
+		if _, ok := v.view.CheckSystem(st.sys.base[ci], int32(p), st.sys.rhs[ci], &v.scratch); ok {
 			return p, checks, nil
 		}
 	}
@@ -303,11 +307,14 @@ func (st *encodeState) firstSolvable(v *scanView, ci int) (pos int, checks int64
 // per the paper's criteria until nothing else fits.
 func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	st.solver.Reset()
-	for _, ci := range st.order {
-		if st.remaining[ci] {
-			for p := range st.feasible[ci] {
-				st.feasible[ci][p] = true
+	for ci, rem := range st.remaining {
+		if rem {
+			feas := st.feasRow(ci)
+			for i := range feas {
+				feas[i] = ^uint64(0)
 			}
+			// Positions past L stay clear in the last word.
+			feas[len(feas)-1] >>= uint(len(feas)*64 - st.L)
 		}
 	}
 
@@ -372,9 +379,9 @@ func (st *encodeState) scanTiers() (candidate, bool, error) {
 		if i >= len(st.order) {
 			return candidate{}, false, nil
 		}
-		spec := st.set.Cubes[st.order[i]].SpecifiedCount()
+		spec := st.spec[st.order[i]]
 		st.tier = st.tier[:0]
-		for i < len(st.order) && st.set.Cubes[st.order[i]].SpecifiedCount() == spec {
+		for i < len(st.order) && st.spec[st.order[i]] == spec {
 			if st.remaining[st.order[i]] {
 				st.tier = append(st.tier, st.order[i])
 			}
@@ -391,28 +398,37 @@ func (st *encodeState) scanTiers() (candidate, bool, error) {
 	return candidate{}, false, nil
 }
 
+// feasRow returns cube ci's feasibility bitset row.
+func (st *encodeState) feasRow(ci int) []uint64 {
+	return st.feasible[ci*st.feasWords : (ci+1)*st.feasWords]
+}
+
 // scanCube probes every still-feasible position of one cube through a
-// worker's reduced view. Positions proven unsolvable are pruned for the
-// rest of this seed's construction (constraints only grow, so unsolvable
-// stays unsolvable).
+// worker's reduced view, in ascending position order. Positions proven
+// unsolvable are pruned for the rest of this seed's construction
+// (constraints only grow, so unsolvable stays unsolvable); under
+// NoPruning the row keeps every position of the window set.
 func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
-	feas := st.feasible[ci]
+	feas := st.feasRow(ci)
 	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
 	var local int64
-	for p := 0; p < st.L; p++ {
-		if !feas[p] && !st.cfg.NoPruning {
-			continue
+	for wi := range feas {
+		for m := feas[wi]; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if st.pollCtx(v) {
+				return local // cancelled: the caller discards this tier's scan
+			}
+			local++
+			p := wi*64 + b
+			inc, ok := v.view.CheckSystem(base, int32(p), rhs, &v.scratch)
+			if !ok {
+				if !st.cfg.NoPruning {
+					feas[wi] &^= 1 << uint(b)
+				}
+				continue
+			}
+			*out = append(*out, candidate{cube: ci, pos: p, rankInc: inc})
 		}
-		if st.pollCtx(v) {
-			return local // cancelled: the caller discards this tier's scan
-		}
-		local++
-		inc, ok := v.view.CheckSystem(base, int32(p)*st.stride, rhs, &v.scratch)
-		if !ok {
-			feas[p] = false
-			continue
-		}
-		*out = append(*out, candidate{cube: ci, pos: p, rankInc: inc})
 	}
 	return local
 }

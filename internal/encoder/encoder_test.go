@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -336,30 +337,90 @@ func TestEncodeRejectsForeignTables(t *testing.T) {
 	}
 }
 
+// TestPruningAblationIdentical checks that monotone feasibility pruning
+// changes only the number of consistency checks performed, never seeds or
+// assignments — at a one-word window and at L = 130, whose feasibility
+// rows span three words with a partial last word.
 func TestPruningAblationIdentical(t *testing.T) {
-	// Monotone feasibility pruning must not change the result, only the
-	// number of consistency checks performed.
 	set := genSet(t, "s9234", 25)
-	cfg := smallConfig(t, 24, set.Width, 8, 8)
-	pruned, err := EncodeCtx(context.Background(), cfg, set)
-	if err != nil {
-		t.Fatal(err)
+	for _, L := range []int{8, 130} {
+		cfg := smallConfig(t, 24, set.Width, 8, L)
+		pruned, err := EncodeCtx(context.Background(), cfg, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.NoPruning = true
+		full, err := EncodeCtx(context.Background(), cfg, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Equal check counts would make the comparison vacuous.
+		if pruned.ChecksPerformed >= full.ChecksPerformed {
+			t.Errorf("L=%d: pruning performed %d checks, full scan %d", L, pruned.ChecksPerformed, full.ChecksPerformed)
+		}
+		full.ChecksPerformed = pruned.ChecksPerformed
+		assertEncodingsIdentical(t, fmt.Sprintf("L=%d pruned vs NoPruning", L), pruned, full)
 	}
-	cfg.NoPruning = true
-	full, err := EncodeCtx(context.Background(), cfg, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pruned.Seeds) != len(full.Seeds) {
-		t.Fatalf("pruning changed seed count: %d vs %d", len(pruned.Seeds), len(full.Seeds))
-	}
-	for i := range pruned.Seeds {
-		if !pruned.Seeds[i].Value.Equal(full.Seeds[i].Value) {
-			t.Fatalf("pruning changed seed %d", i)
+}
+
+// TestEncodeExtendedTablesIdentical encodes one set through one Tables
+// value at a sequence of window lengths that re-lays the arena out on every
+// extension (3 → 4 → 5 → 9 → 70) and then reads a short window from the
+// wide arena (12 after 70). Every encode must equal
+// one with fresh private tables: seeds, assignments and ChecksPerformed.
+// The same encodes then run at once through new shared tables, so
+// extensions and re-layouts race with encodes still reading earlier
+// snapshots.
+func TestEncodeExtendedTablesIdentical(t *testing.T) {
+	ctx := context.Background()
+	set := genSet(t, "s9234", 25)
+	cfg := smallConfig(t, 24, set.Width, 8, 70)
+	lengths := []int{3, 4, 5, 9, 70, 12}
+	want := make([]*Encoding, len(lengths))
+	for i, L := range lengths {
+		c := cfg
+		c.WindowLen = L
+		var err error
+		if want[i], err = EncodeCtx(ctx, c, set); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if pruned.ChecksPerformed > full.ChecksPerformed {
-		t.Errorf("pruning performed more checks (%d) than full scan (%d)", pruned.ChecksPerformed, full.ChecksPerformed)
+	tabs, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, L := range lengths {
+		c := cfg
+		c.WindowLen, c.Tables = L, tabs
+		got, err := EncodeCtx(ctx, c, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEncodingsIdentical(t, fmt.Sprintf("L=%d shared vs fresh tables", L), want[i], got)
+	}
+
+	if tabs, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Encoding, len(lengths))
+	var wg sync.WaitGroup
+	for i, L := range lengths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.WindowLen, c.Tables = L, tabs
+			var err error
+			if got[i], err = EncodeCtx(ctx, c, set); err != nil {
+				t.Errorf("L=%d: %v", L, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, L := range lengths {
+		if got[i] != nil {
+			assertEncodingsIdentical(t, fmt.Sprintf("L=%d concurrent shared vs fresh tables", L), want[i], got[i])
+		}
 	}
 }
 

@@ -27,30 +27,31 @@ import (
 // ExprTable holds, for every window position and cube bit position, the
 // linear expression (over the n seed variables) that the decompressor
 // produces there. It is an immutable snapshot over the shared arena of a
-// Tables value: the expression for (cycle t, chain ch) is row t·m+ch of the
-// row set. Built once per (LFSR, phase shifter, geometry, L) and shared by
-// every seed computation.
+// Tables value, laid out position-minor: a window vector is loaded by
+// Length·Chains output slots, slot s = t·m+ch being chain ch at shift clock
+// t of the vector, and the expression of slot s at window position p is
+// row s·Pitch()+p of the row set. One cube bit probed at successive window
+// positions therefore reads successive rows. Built once per (LFSR, phase
+// shifter, geometry, L) and shared by every seed computation.
 type ExprTable struct {
 	L   int           // window length: vectors per seed
 	N   int           // LFSR size: seed variables per expression
 	Geo scan.Geometry // scan geometry the expressions feed
 
-	rows gf2.RowSet
+	pitch int // window positions per slot band, ≥ L
+	rows  gf2.RowSet
 }
 
-// Rows exposes the expression arena as an indexed row set; row t·m+ch is
-// the expression of chain ch at absolute cycle t.
+// Rows exposes the expression arena as an indexed row set; row s·Pitch()+p
+// is the expression of output slot s at window position p. Rows at
+// positions p ≥ L belong to longer windows and are not part of this
+// snapshot.
 func (t *ExprTable) Rows() gf2.RowSet { return t.rows }
 
-// Stride returns the row-index distance between the same scan cell at
-// consecutive window positions: Length·Chains rows per window vector.
-func (t *ExprTable) Stride() int { return t.Geo.Length * t.Geo.Chains }
-
-// exprAt returns the (arena-backed) expression for output ch at absolute
-// cycle t. Read-only by convention.
-func (t *ExprTable) exprAt(cyc, ch int) gf2.Vec {
-	return t.rows.Row(cyc*t.Geo.Chains + ch)
-}
+// Pitch returns the row-index distance between consecutive output slots:
+// the number of window positions the arena holds per slot, at least L.
+// The same slot at consecutive window positions is consecutive rows.
+func (t *ExprTable) Pitch() int { return t.pitch }
 
 // Expr returns the seed-variable expression of cube bit position pos within
 // window vector v. The returned vector is a read-only view; do not modify.
@@ -59,8 +60,8 @@ func (t *ExprTable) Expr(v, pos int) gf2.Vec {
 		panic(fmt.Sprintf("encoder: window position %d out of range [0,%d)", v, t.L))
 	}
 	ch, depth := t.Geo.Cell(pos)
-	cyc := v*t.Geo.Length + t.Geo.ShiftCycle(depth)
-	return t.exprAt(cyc, ch)
+	slot := t.Geo.ShiftCycle(depth)*t.Geo.Chains + ch
+	return t.rows.Row(slot*t.pitch + v)
 }
 
 // Equations appends to buf the linear system that embeds c at window
@@ -73,5 +74,6 @@ func (t *ExprTable) Equations(c cube.Cube, v int, buf []gf2.Equation) []gf2.Equa
 	return buf
 }
 
-// MemoryBytes reports the arena size, for diagnostics.
+// MemoryBytes reports the size of the arena the snapshot spans, all
+// Pitch() positions of every slot, for diagnostics.
 func (t *ExprTable) MemoryBytes() int { return t.rows.Count() * ((t.N + 63) / 64) * 8 }

@@ -93,13 +93,17 @@ func TestExprTableIncrementalExtension(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Grow 4 → 7 → 13, checking every snapshot against a fresh build
-			// and re-checking earlier snapshots after later extensions.
+			// Grow 4 → 6 → 7 → 13, checking every snapshot against a fresh
+			// build and re-checking earlier snapshots after later
+			// extensions. Every extension re-lays the arena out at pitch L.
 			var snaps []*ExprTable
-			for _, L := range []int{4, 7, 13} {
+			for _, L := range []int{4, 6, 7, 13} {
 				snap, err := tabs.EnsureLenCtx(context.Background(), L)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if snap.Pitch() != L {
+					t.Fatalf("L=%d: pitch %d", L, snap.Pitch())
 				}
 				snaps = append(snaps, snap)
 				fresh, err := buildExprTable(l, ps, geo, L)
@@ -116,13 +120,15 @@ func TestExprTableIncrementalExtension(t *testing.T) {
 					}
 				}
 			}
-			// Shrinking requests reuse the prefix without re-simulating.
+			// Shrinking requests reuse the arena without re-simulating or
+			// re-laying it: the snapshot spans every slot's band of the
+			// longest window's Pitch() positions, not L.
 			small, err := tabs.EnsureLenCtx(context.Background(), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if small.L != 2 || small.Rows().Count() != 2*geo.Length*geo.Chains {
-				t.Fatalf("L=2 snapshot has %d rows", small.Rows().Count())
+			if small.L != 2 || small.Pitch() != 13 || small.Rows().Count() != small.Pitch()*geo.Length*geo.Chains {
+				t.Fatalf("L=2 snapshot has pitch %d and %d rows", small.Pitch(), small.Rows().Count())
 			}
 		})
 	}

@@ -16,15 +16,18 @@ import (
 
 // Tables holds the shared symbolic artefacts of one decompressor (LFSR +
 // phase shifter + scan geometry), mirroring atpg.Tables: the expression
-// arena behind every ExprTable, extended in place as longer windows are
-// requested, plus per-cube-set equation indices. Building the arena is the
+// arena behind every ExprTable, extended as longer windows are requested,
+// plus per-cube-set equation indices. Building the arena is the
 // symbolic simulation of Section 3.1; a window of length L+k reuses the
 // length-L prefix of symbolic cycles verbatim, so sweeps over L against a
 // fixed decompressor pay only for the new cycles.
 //
-// Tables is safe for concurrent use. EnsureLenCtx returns immutable snapshots:
-// extension only appends cycles past every previously returned snapshot's
-// view, so outstanding readers are never invalidated. The two regimes are
+// The arena is position-minor (see ExprTable): each output slot owns a band
+// of pitch rows, one per window position, and the pitch is the longest L
+// requested so far. A longer window lays the rows out afresh in a new arena
+// of pitch L and leaves the old one to the snapshots that hold it; a
+// shorter one reads the existing arena. Either way outstanding readers are
+// never invalidated, and Tables is safe for concurrent use. The two regimes are
 // machine-checked (internal/lint): the decompressor identity below is
 // frozen after NewTables, and the mutable arena/cache state is only
 // touched under mu.
@@ -39,7 +42,8 @@ type Tables struct {
 
 	mu     sync.Mutex
 	sym    *lfsr.Symbolic // guarded by mu
-	arena  []uint64       // guarded by mu; (cycle, chain) expressions, cycle-major
+	arena  []uint64       // guarded by mu; slot s at position p is row s·pitch+p
+	pitch  int            // guarded by mu; window positions the arena holds per slot
 	cycles int            // guarded by mu; symbolic cycles materialised so far
 	// Single-slot system-index cache: re-encodes of one set (benchmark
 	// loops, sweeps over L) hit it, while Tables held in process-lifetime
@@ -85,6 +89,11 @@ const symStride = 16
 // simulating only the symbolic cycles not yet materialised. The returned
 // snapshot is immutable and remains valid across later extensions.
 //
+// The arena holds exactly as many positions per slot as the longest window
+// requested so far: a longer L re-lays the rows out at pitch L, and a
+// shorter one returns a snapshot over the whole arena, whose reduced
+// tables (one per encode worker) are sized by the pitch, not by L.
+//
 // The symbolic simulation polls the context every symStride cycles. An
 // aborted extension leaves the tables fully consistent at the cycles
 // completed so far — the partial work is kept (a later call resumes from
@@ -93,66 +102,74 @@ func (t *Tables) EnsureLenCtx(ctx context.Context, L int) (*ExprTable, error) {
 	if L < 1 {
 		return nil, fmt.Errorf("encoder: window length %d must be ≥ 1", L)
 	}
-	need := L * t.geo.Length
-	m := t.geo.Chains
+	r, m, w := t.geo.Length, t.geo.Chains, t.words
+	slots := r * m
+	need := L * r
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if need > t.cycles {
-		t.arena = append(t.arena, make([]uint64, (need-t.cycles)*m*t.words)...)
-		for cyc := t.cycles; cyc < need; cyc++ {
-			if (cyc-t.cycles)%symStride == symStride-1 && ctx.Err() != nil {
-				// Keep sym, arena and cycles in lockstep at the abort
-				// point: cyc cycles are filled and sym has stepped cyc
-				// times.
-				t.arena = t.arena[:cyc*m*t.words]
-				t.cycles = cyc
-				return nil, fmt.Errorf("encoder: table build stopped at cycle %d/%d: %w", cyc, need, ctx.Err())
-			}
-			base := cyc * m * t.words
-			for ch := 0; ch < m; ch++ {
-				dst := gf2.VecView(t.n, t.arena[base+ch*t.words:base+(ch+1)*t.words])
-				for _, cell := range t.ps.Taps(ch) {
-					dst.Xor(t.sym.Expr(cell))
-				}
-			}
-			t.sym.Step()
+	if L > t.pitch {
+		pitch := L
+		arena := make([]uint64, slots*pitch*w)
+		for s := 0; s < slots; s++ {
+			copy(arena[s*pitch*w:], t.arena[s*t.pitch*w:(s+1)*t.pitch*w])
 		}
-		t.cycles = need
+		t.arena, t.pitch = arena, pitch
 	}
+	for cyc := t.cycles; cyc < need; cyc++ {
+		if (cyc-t.cycles)%symStride == symStride-1 && ctx.Err() != nil {
+			// Cycles at or past cyc are not written yet, and sym has
+			// stepped cyc times: a later call resumes exactly here.
+			t.cycles = cyc
+			return nil, fmt.Errorf("encoder: table build stopped at cycle %d/%d: %w", cyc, need, ctx.Err())
+		}
+		p, tc := cyc/r, cyc%r
+		for ch := 0; ch < m; ch++ {
+			row := (tc*m+ch)*t.pitch + p
+			dst := gf2.VecView(t.n, t.arena[row*w:(row+1)*w])
+			for _, cell := range t.ps.Taps(ch) {
+				dst.Xor(t.sym.Expr(cell))
+			}
+		}
+		t.sym.Step()
+	}
+	t.cycles = max(t.cycles, need)
 	return &ExprTable{
-		L: L, N: t.n, Geo: t.geo,
-		rows: gf2.NewRowSet(t.n, t.arena[:need*m*t.words]),
+		L: L, N: t.n, Geo: t.geo, pitch: t.pitch,
+		rows: gf2.NewRowSet(t.n, t.arena[:slots*t.pitch*w]),
 	}, nil
 }
 
-// Systems returns the per-cube equation index of one cube set: for every
-// cube, the position-0 expression-row indices and right-hand sides of its
-// embedding system. The most recent set's index is cached. Sets are
-// treated as immutable once handed to the encoder.
-func (t *Tables) Systems(set *cube.Set) *systemIndex {
+// Systems returns the per-cube equation index of one cube set against a
+// snapshot of these tables: for every cube, the position-0 expression-row
+// indices and right-hand sides of its embedding system. The most recent
+// set's index is cached per arena pitch. Sets are treated as immutable
+// once handed to the encoder.
+func (t *Tables) Systems(set *cube.Set, table *ExprTable) *systemIndex {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.lastSet != set {
+	if t.lastSet != set || t.lastSys.pitch != table.pitch {
 		t.lastSet = set
-		t.lastSys = newSystemIndex(set, t.geo)
+		t.lastSys = newSystemIndex(set, t.geo, table.pitch)
 	}
 	return t.lastSys
 }
 
 // systemIndex precomputes, for every cube of a set, the expression-row
 // indices (at window position 0) and right-hand sides of its equation
-// system. Probing the cube at window position v shifts every index by
-// v·Length·Chains — the table is cycle-major, so one window position is one
-// contiguous band of rows.
+// system. A row index is the bit's output slot times the arena pitch, so
+// probing the cube at window position p adds p to every index: the
+// system's rows at successive positions are adjacent in the arena.
 type systemIndex struct {
-	base [][]int32
-	rhs  [][]uint8
+	pitch int
+	base  [][]int32
+	rhs   [][]uint8
 }
 
-func newSystemIndex(set *cube.Set, geo scan.Geometry) *systemIndex {
+func newSystemIndex(set *cube.Set, geo scan.Geometry, pitch int) *systemIndex {
 	si := &systemIndex{
-		base: make([][]int32, set.Len()),
-		rhs:  make([][]uint8, set.Len()),
+		pitch: pitch,
+		base:  make([][]int32, set.Len()),
+		rhs:   make([][]uint8, set.Len()),
 	}
 	for ci := range set.Cubes {
 		c := set.Cubes[ci]
@@ -161,7 +178,7 @@ func newSystemIndex(set *cube.Set, geo scan.Geometry) *systemIndex {
 		rhs := make([]uint8, 0, spec)
 		for pos := c.Mask.FirstSet(); pos >= 0; pos = c.Mask.NextSet(pos + 1) {
 			ch, depth := geo.Cell(pos)
-			base = append(base, int32(geo.ShiftCycle(depth)*geo.Chains+ch))
+			base = append(base, int32((geo.ShiftCycle(depth)*geo.Chains+ch)*pitch))
 			rhs = append(rhs, c.Value.Bit(pos))
 		}
 		si.base[ci] = base

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,45 +94,74 @@ type VecEmbeddings struct {
 }
 
 // ScanEmbeddingsWorkers regenerates every window and records, for every
-// cube, all vectors that embed it. The scan parallelises over seeds, with
-// at most workers goroutines (0 = GOMAXPROCS) for callers that already run
-// several scans concurrently.
+// cube, all vectors that embed it. The scan parallelises over runs of
+// seeds, with at most workers goroutines (0 = GOMAXPROCS) for callers that
+// already run several scans concurrently.
+//
+// The test is bit-sliced. The applied vectors, in (seed, position) order
+// across seeds, are packed 64 to a lane word: at L = 1 one word holds 64
+// seeds. Each block of 64 vectors is transposed into per-cell planes, and a
+// cube ANDs the planes of its specified cells, each inverted where the
+// cube's bit is 0, until the word is zero; the bits left set are the
+// block's vectors that embed it. A worker claims a run of seeds whose
+// vectors fill whole blocks, so no block straddles two workers; with fewer
+// such runs than workers, the runs shrink to one per worker and end in a
+// partial block.
 func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 	nCubes := enc.Set.Len()
-	tests := newCubeTests(enc)
-	perSeed := make([][]hit, len(enc.Seeds)) // cube-major embeddings per seed
+	L := enc.Cfg.WindowLen
+	cells := newCubeCells(enc)
+	words := (enc.Cfg.Geo.Width + 63) / 64
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(enc.Seeds) {
-		workers = len(enc.Seeds)
-	}
+	// A run is the fewest seeds whose vectors fill whole blocks,
+	// 64/gcd(L, 64), unless that leaves a worker without a run.
+	runSeeds := min(64>>bits.TrailingZeros(uint(L|64)), (len(enc.Seeds)+workers-1)/workers)
+	runSeeds = max(runSeeds, 1)
+	runs := (len(enc.Seeds) + runSeeds - 1) / runSeeds
+	perRun := make([][]hit, runs) // block-major, then cube, then vector
+	workers = min(workers, runs)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One persistent window buffer per worker: the scan regenerates
-			// every seed's full window, so buffer reuse removes L vector
-			// allocations per seed. Results are index-addressed, hence
-			// identical for any worker count.
-			window := make([]gf2.Vec, enc.Cfg.WindowLen)
+			// Per-worker buffers, reused for every run: one window, one
+			// block of 64 vectors stored word-major (block[w·64+j] is word w
+			// of vector j) so that each word column transposes in place
+			// into the planes of its 64 cells, and the run's hits, of which
+			// each run keeps an exactly sized copy. Results are
+			// index-addressed, hence identical for any worker count.
+			window := make([]gf2.Vec, L)
+			block := make([]uint64, words*64)
+			var found []hit
 			for {
-				si := int(next.Add(1)) - 1
-				if si >= len(enc.Seeds) {
+				ri := int(next.Add(1)) - 1
+				if ri >= runs {
 					return
 				}
-				encoder.GenerateWindowInto(window, enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, enc.Seeds[si].Value, enc.Cfg.WindowLen)
-				var found []hit
-				for ci := 0; ci < nCubes; ci++ {
-					for v, vec := range window {
-						if tests.matches(ci, vec.Words()) {
-							found = append(found, hit{cube: int32(ci), vec: int32(v)})
+				first := ri * runSeeds
+				last := min(first+runSeeds, len(enc.Seeds))
+				found = found[:0]
+				j, start := 0, int32(first*L)
+				for si := first; si < last; si++ {
+					encoder.GenerateWindowInto(window, enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, enc.Seeds[si].Value, L)
+					for _, vec := range window {
+						for w, x := range vec.Words() {
+							block[w*64+j] = x
+						}
+						if j++; j == 64 {
+							found = cells.scanBlock(block, ^uint64(0), start, found)
+							j, start = 0, start+64
 						}
 					}
 				}
-				perSeed[si] = found
+				if j > 0 {
+					found = cells.scanBlock(block, 1<<uint(j)-1, start, found)
+				}
+				perRun[ri] = slices.Clone(found)
 			}
 		}()
 	}
@@ -139,7 +169,7 @@ func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 	// Gather in (seed, vector) order per cube, into one exactly sized arena.
 	counts := make([]int, nCubes)
 	total := 0
-	for _, found := range perSeed {
+	for _, found := range perRun {
 		for _, h := range found {
 			counts[h.cube]++
 		}
@@ -153,61 +183,78 @@ func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 			arena = arena[c:]
 		}
 	}
-	for si, found := range perSeed {
+	for _, found := range perRun {
 		for _, h := range found {
-			idx.PerCube[h.cube] = append(idx.PerCube[h.cube], VecRef{Seed: si, Vec: int(h.vec)})
+			v := int(h.vec)
+			idx.PerCube[h.cube] = append(idx.PerCube[h.cube], VecRef{Seed: v / L, Vec: v % L})
 		}
 	}
 	return idx
 }
 
-// hit is one (cube, window vector) embedding found in a seed's window.
+// hit is one (cube, applied vector) embedding; vec counts vectors in
+// (seed, position) order from the first seed's first vector.
 type hit struct{ cube, vec int32 }
 
-// wordTest is one word of a cube's match condition: the vector word w
-// agrees with the cube iff (w ⊕ val) ∧ mask = 0.
-type wordTest struct {
-	word      int
-	mask, val uint64
-}
-
-// cubeTests is the sparse form of a cube set for the embedding scan:
-// cube ci's non-zero mask words at tests[start[ci]:start[ci+1]], densest
-// word first, so most non-matching vectors are rejected by one test
-// instead of a walk over every word of Cube.Matches.
-type cubeTests struct {
-	tests []wordTest
+// cubeCells is the bit-sliced form of a cube set for the embedding scan:
+// cube ci's specified cells at tests[start[ci]:start[ci+1]], in ascending
+// cell order, each packed as cell<<1 | bit. The cube agrees with a block's
+// vectors where plane[cell] ⊕ (bit − 1) is set: the plane itself where the
+// cube's bit is 1, its complement where it is 0.
+type cubeCells struct {
+	tests []int32
 	start []int
 }
 
-func newCubeTests(enc *encoder.Encoding) *cubeTests {
-	ct := &cubeTests{start: make([]int, 1, enc.Set.Len()+1)}
+func newCubeCells(enc *encoder.Encoding) *cubeCells {
+	total := 0
 	for _, c := range enc.Set.Cubes {
-		from := len(ct.tests)
-		vals := c.Value.Words()
-		for w, m := range c.Mask.Words() {
-			if m != 0 {
-				ct.tests = append(ct.tests, wordTest{word: w, mask: m, val: vals[w]})
-			}
-		}
-		own := ct.tests[from:]
-		sort.SliceStable(own, func(a, b int) bool {
-			return bits.OnesCount64(own[a].mask) > bits.OnesCount64(own[b].mask)
-		})
-		ct.start = append(ct.start, len(ct.tests))
+		total += c.SpecifiedCount()
 	}
-	return ct
+	cc := &cubeCells{tests: make([]int32, 0, total), start: make([]int, 1, enc.Set.Len()+1)}
+	for _, c := range enc.Set.Cubes {
+		for pos := c.Mask.FirstSet(); pos >= 0; pos = c.Mask.NextSet(pos + 1) {
+			cc.tests = append(cc.tests, int32(pos<<1)|int32(c.Value.Bit(pos)))
+		}
+		cc.start = append(cc.start, len(cc.tests))
+	}
+	return cc
 }
 
-// matches reports whether the vector words agree with every specified
-// bit of cube ci (Cube.Matches on the sparse form).
-func (ct *cubeTests) matches(ci int, vec []uint64) bool {
-	for _, t := range ct.tests[ct.start[ci]:ct.start[ci+1]] {
-		if (vec[t.word]^t.val)&t.mask != 0 {
-			return false
+// scanBlock transposes one word-major block of vectors into cell planes
+// in place and appends, cube by cube, a hit for every vector under valid
+// that embeds the cube; start numbers the block's first vector.
+func (cc *cubeCells) scanBlock(block []uint64, valid uint64, start int32, found []hit) []hit {
+	for w := 0; w < len(block); w += 64 {
+		transpose64((*[64]uint64)(block[w : w+64]))
+	}
+	for ci := 0; ci+1 < len(cc.start); ci++ {
+		acc := valid
+		for _, t := range cc.tests[cc.start[ci]:cc.start[ci+1]] {
+			if acc &= block[t>>1] ^ (uint64(t&1) - 1); acc == 0 {
+				break
+			}
+		}
+		for ; acc != 0; acc &= acc - 1 {
+			found = append(found, hit{cube: int32(ci), vec: start + int32(bits.TrailingZeros64(acc))})
 		}
 	}
-	return true
+	return found
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: bit j of a[i] moves
+// to bit i of a[j]. Each round swaps the off-diagonal k×k blocks of every
+// 2k×2k block, halving k from 32 to 1.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF)
+	for k := 32; k != 0; k >>= 1 {
+		for i := 0; i < 64; i = (i + k + 1) &^ k {
+			t := (a[i]>>uint(k) ^ a[i+k]) & m
+			a[i+k] ^= t
+			a[i] ^= t << uint(k)
+		}
+		m ^= m << uint(k>>1)
+	}
 }
 
 // ReduceWithIndex analyses fortuitous embeddings and selects useful

@@ -308,25 +308,31 @@ func TestNaiveSelectionAblation(t *testing.T) {
 // TestScanEmbeddingsExact pins the embedding index to a naive scan —
 // regenerate every window and test every cube against every vector with
 // Cube.Matches — on the full CI s13207 and s38417 profiles, for one and
-// for several scan workers.
+// for several scan workers. The window lengths cover classical reseeding
+// (L = 1: one lane word holds 64 seeds), lane words that cross seed
+// boundaries (16, 63, 65, 130), runs that end in a partial word and
+// windows that fill words exactly (64). These sets have 4 to 36 seeds, so
+// at four workers the runs shrink to one per worker.
 func TestScanEmbeddingsExact(t *testing.T) {
 	for _, name := range []string{"s13207", "s38417"} {
-		enc := encodeProfile(t, name, 0, 16)
-		want := make([][]VecRef, enc.Set.Len())
-		for si, seed := range enc.Seeds {
-			window := encoder.GenerateWindow(enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, seed.Value, enc.Cfg.WindowLen)
-			for ci, c := range enc.Set.Cubes {
-				for v, vec := range window {
-					if c.Matches(vec) {
-						want[ci] = append(want[ci], VecRef{Seed: si, Vec: v})
+		for _, L := range []int{1, 16, 63, 64, 65, 130} {
+			enc := encodeProfile(t, name, 0, L)
+			want := make([][]VecRef, enc.Set.Len())
+			for si, seed := range enc.Seeds {
+				window := encoder.GenerateWindow(enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, seed.Value, enc.Cfg.WindowLen)
+				for ci, c := range enc.Set.Cubes {
+					for v, vec := range window {
+						if c.Matches(vec) {
+							want[ci] = append(want[ci], VecRef{Seed: si, Vec: v})
+						}
 					}
 				}
 			}
-		}
-		for _, workers := range []int{1, 4} {
-			got := ScanEmbeddingsWorkers(enc, workers).PerCube
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s workers=%d: embedding index differs from the naive scan", name, workers)
+			for _, workers := range []int{1, 4} {
+				got := ScanEmbeddingsWorkers(enc, workers).PerCube
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s L=%d workers=%d: embedding index differs from the naive scan", name, L, workers)
+				}
 			}
 		}
 	}
