@@ -18,9 +18,17 @@
 // assignment propagates 3-valued good/faulty values only through the
 // changed cone via a levelized event queue, every change is recorded on a
 // trail so backtracking undoes exactly the changed gates, and the
-// D-frontier is maintained incrementally from the same change events. The
-// old full-resimulation engine is kept in reference_test.go as the oracle
-// the differential and fuzz tests compare states and results against.
+// D-frontier is maintained incrementally from the same change events.
+//
+// Each implication step is kept cheap. Engine walks read the netlist's
+// flat int32 fan-in/fan-out lists held in Tables. A gate is evaluated by
+// folding its fan-in values into a 4-bit index into one 3-valued truth
+// table (gateTable) instead of a per-type branchy loop. Frontier
+// bookkeeping over a changed gate's fan-outs runs only next to the fault
+// cone, the one place it can mark anything. The old full-resimulation
+// engine and the branchy eval3 are kept in reference_test.go as the
+// oracles the differential and fuzz tests compare states and results
+// against.
 package atpg
 
 import (
@@ -84,9 +92,13 @@ type Generator struct {
 
 	// Fault output cone (unordered) — the only gates where good and faulty
 	// values can differ, hence the only candidates for the D-frontier and
-	// the only gates whose faulty value needs evaluating at all.
+	// the only gates whose faulty value needs evaluating at all. nearCone
+	// marks the fan-ins of cone gates: only a change on such a gate can
+	// move a frontier candidate through its fan-outs, so every other gate
+	// skips that walk.
 	cone     []int
 	coneMark []bool
+	nearCone []bool
 
 	// detCount tracks how many primary outputs currently show a definite
 	// good/faulty difference, maintained incrementally by every value
@@ -113,8 +125,7 @@ type Generator struct {
 	seen      []uint32
 	seenEpoch uint32
 
-	gbuf, bbuf []uint8
-	decisions  []decision
+	decisions []decision
 
 	// mb is the multiple-backtrace scratch (vote counters, forced-chain
 	// marks), allocated on the first BacktraceMulti decision.
@@ -299,9 +310,9 @@ func (g *Generator) begin(f faultsim.Fault) {
 		// part of the base state, below every undo mark.
 		g.bad[f.Gate] = f.Stuck
 		g.markDirty(f.Gate)
-		for _, fo := range g.t.fanout[f.Gate] {
-			g.markDirty(fo)
-			g.schedule(fo)
+		for _, fo := range g.t.adj.Fanouts(f.Gate) {
+			g.markDirty(int(fo))
+			g.schedule(int(fo))
 		}
 	} else {
 		// An input-pin fault only changes how f.Gate evaluates.
@@ -339,10 +350,15 @@ func (g *Generator) schedule(gi int) {
 
 // computeCone collects the fault site's output cone — unordered; only
 // membership matters here, for confining faulty-value evaluation and
-// frontier maintenance.
+// frontier maintenance — and marks the gates near it (every cone gate's
+// fan-ins).
 func (g *Generator) computeCone(f faultsim.Fault) {
+	adj := &g.t.adj
 	for _, gi := range g.cone {
 		g.coneMark[gi] = false
+		for _, fi := range adj.Fanins(gi) {
+			g.nearCone[fi] = false
+		}
 	}
 	g.cone = g.cone[:0]
 	stack := g.dfStack[:0]
@@ -352,11 +368,14 @@ func (g *Generator) computeCone(f faultsim.Fault) {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, fo := range g.t.fanout[cur] {
+		for _, fi := range adj.Fanins(cur) {
+			g.nearCone[fi] = true
+		}
+		for _, fo := range adj.Fanouts(cur) {
 			if !g.coneMark[fo] {
 				g.coneMark[fo] = true
-				g.cone = append(g.cone, fo)
-				stack = append(stack, fo)
+				g.cone = append(g.cone, int(fo))
+				stack = append(stack, int(fo))
 			}
 		}
 	}
@@ -376,15 +395,22 @@ func (g *Generator) markDirty(gi int) {
 
 // setValue applies one gate's new 3-valued pair, records the old pair on
 // the trail, and wakes the gate's fan-out cone (events + frontier checks).
+// markDirty is a no-op on fan-outs outside the fault cone, so the frontier
+// walk over the fan-outs runs only for gates near the cone.
 func (g *Generator) setValue(gi int, ng, nb uint8) {
 	g.trail = append(g.trail, trailEntry{gate: int32(gi), good: g.good[gi], bad: g.bad[gi]})
 	g.detDelta(gi, g.good[gi], g.bad[gi], ng, nb)
 	g.good[gi] = ng
 	g.bad[gi] = nb
 	g.markDirty(gi)
-	for _, fo := range g.t.fanout[gi] {
-		g.markDirty(fo)
-		g.schedule(fo)
+	fanouts := g.t.adj.Fanouts(gi)
+	if g.nearCone[gi] {
+		for _, fo := range fanouts {
+			g.markDirty(int(fo))
+		}
+	}
+	for _, fo := range fanouts {
+		g.schedule(int(fo))
 	}
 }
 
@@ -439,33 +465,41 @@ func (g *Generator) run() {
 // evalGate recomputes one gate's good/faulty pair with the fault injected
 // and emits a change event if the pair moved. Outside the fault cone the
 // faulty circuit is indistinguishable from the good one (every fan-in has
-// bad == good), so only one evaluation is needed there.
+// bad == good), so only one evaluation is needed there. Each evaluation
+// folds the fan-in values into a gateTable index (see gateTable); an
+// input-pin fault substitutes its stuck value at f.Pin in the faulty fold.
 func (g *Generator) evalGate(gi int) {
-	gate := &g.t.net.Gates[gi]
-	f := g.fault
+	row := &gateTable[g.t.typ[gi]]
+	fin := g.t.adj.Fanins(gi)
 	if !g.coneMark[gi] {
-		g.gbuf = g.gbuf[:0]
-		for _, fi := range gate.Fanin {
-			g.gbuf = append(g.gbuf, g.good[fi])
+		var seen, par uint8
+		for _, fi := range fin {
+			v := g.good[fi]
+			seen |= 1 << (v & 3) // &3 keeps 0, 1, 2 and drops the compiler's oversized-shift check
+			par ^= v
 		}
-		ng := eval3(gate.Type, g.gbuf)
+		ng := row[seen|par&1<<3]
 		if ng == g.good[gi] {
 			return // reconverged: nothing propagates
 		}
 		g.setValue(gi, ng, ng)
 		return
 	}
-	g.gbuf, g.bbuf = g.gbuf[:0], g.bbuf[:0]
-	for pin, fi := range gate.Fanin {
+	f := g.fault
+	stuckPin := g.stuckPin(gi)
+	var gSeen, gPar, bSeen, bPar uint8
+	for pin, fi := range fin {
 		gv, bv := g.good[fi], g.bad[fi]
-		if f.Gate == gi && f.Pin == pin {
+		if pin == stuckPin {
 			bv = f.Stuck
 		}
-		g.gbuf = append(g.gbuf, gv)
-		g.bbuf = append(g.bbuf, bv)
+		gSeen |= 1 << (gv & 3)
+		gPar ^= gv
+		bSeen |= 1 << (bv & 3)
+		bPar ^= bv
 	}
-	ng := eval3(gate.Type, g.gbuf)
-	nb := eval3(gate.Type, g.bbuf)
+	ng := row[gSeen|gPar&1<<3]
+	nb := row[bSeen|bPar&1<<3]
 	if f.Gate == gi && f.Pin == -1 {
 		nb = f.Stuck
 	}
@@ -473,6 +507,15 @@ func (g *Generator) evalGate(gi int) {
 		return // reconverged: nothing propagates
 	}
 	g.setValue(gi, ng, nb)
+}
+
+// stuckPin returns the fan-in pin of gate gi the fault sticks, or -1 when
+// the fault is not on one of gi's input pins.
+func (g *Generator) stuckPin(gi int) int {
+	if g.fault.Gate == gi {
+		return g.fault.Pin
+	}
+	return -1
 }
 
 // undoTo rewinds the trail to a decision mark, restoring exactly the gates
@@ -488,8 +531,10 @@ func (g *Generator) undoTo(mark int) {
 		g.good[gi] = e.good
 		g.bad[gi] = e.bad
 		g.markDirty(gi)
-		for _, fo := range g.t.fanout[gi] {
-			g.markDirty(fo)
+		if g.nearCone[gi] {
+			for _, fo := range g.t.adj.Fanouts(gi) {
+				g.markDirty(int(fo))
+			}
 		}
 	}
 	g.flushFrontier()
@@ -519,16 +564,13 @@ func (g *Generator) flushFrontier() {
 // isFrontier reports whether a gate is on the D-frontier: output still X
 // (good or faulty) with a definite good/faulty difference on some input.
 func (g *Generator) isFrontier(gi int) bool {
-	gate := &g.t.net.Gates[gi]
-	if gate.Type == netlist.Input {
-		return false
-	}
 	if g.good[gi] != vX && g.bad[gi] != vX {
 		return false
 	}
-	for pin, fi := range gate.Fanin {
+	stuckPin := g.stuckPin(gi)
+	for pin, fi := range g.t.adj.Fanins(gi) {
 		gv, bv := g.good[fi], g.bad[fi]
-		if g.fault.Gate == gi && g.fault.Pin == pin {
+		if pin == stuckPin {
 			bv = g.fault.Stuck
 		}
 		if gv != vX && bv != vX && gv != bv {
@@ -564,61 +606,61 @@ func (g *Generator) dFrontier() []int {
 	return out
 }
 
-// eval3 is 3-valued gate evaluation.
-func eval3(t netlist.GateType, in []uint8) uint8 {
-	switch t {
-	case netlist.Buf:
-		return in[0]
-	case netlist.Not:
-		if in[0] == vX {
-			return vX
-		}
-		return in[0] ^ 1
-	case netlist.And, netlist.Nand:
-		v := v1
-		for _, b := range in {
-			if b == v0 {
-				v = v0
-				break
+// gateTable is the 3-valued truth table of every gate type, indexed by a
+// fold of the fan-in values: bit v of the low three bits is set when some
+// fan-in holds v (v0, v1 or vX), and bit 3 is the parity of the v1 fan-ins
+// (the low bit of the XOR of all values; vX = 2 adds nothing). Those four
+// bits decide every gate function — AND/OR-type gates need only which
+// values occur, XOR-type gates that plus the parity — so one lookup
+// replaces a branchy per-type loop. Row netlist.Input is never read:
+// inputs have no fan-in and are never evaluated.
+var gateTable = buildGateTable()
+
+// buildGateTable fills gateTable. Buf and Not are one-input AND and NAND.
+func buildGateTable() (tab [netlist.Xnor + 1][16]uint8) {
+	for typ := netlist.Buf; typ <= netlist.Xnor; typ++ {
+		for idx := range tab[typ] {
+			has0, has1, hasX, odd := idx&1 != 0, idx&2 != 0, idx&4 != 0, idx&8 != 0
+			var v uint8
+			switch typ {
+			case netlist.Buf, netlist.Not, netlist.And, netlist.Nand:
+				switch {
+				case has0:
+					v = v0
+				case hasX:
+					v = vX
+				default:
+					v = v1
+				}
+			case netlist.Or, netlist.Nor:
+				switch {
+				case has1:
+					v = v1
+				case hasX:
+					v = vX
+				default:
+					v = v0
+				}
+			case netlist.Xor, netlist.Xnor:
+				switch {
+				case hasX:
+					v = vX
+				case odd:
+					v = v1
+				default:
+					v = v0
+				}
 			}
-			if b == vX {
-				v = vX
+			switch typ {
+			case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor:
+				if v != vX {
+					v ^= 1
+				}
 			}
+			tab[typ][idx] = v
 		}
-		if v != vX && t == netlist.Nand {
-			v ^= 1
-		}
-		return v
-	case netlist.Or, netlist.Nor:
-		v := v0
-		for _, b := range in {
-			if b == v1 {
-				v = v1
-				break
-			}
-			if b == vX {
-				v = vX
-			}
-		}
-		if v != vX && t == netlist.Nor {
-			v ^= 1
-		}
-		return v
-	case netlist.Xor, netlist.Xnor:
-		v := v0
-		for _, b := range in {
-			if b == vX {
-				return vX
-			}
-			v ^= b
-		}
-		if t == netlist.Xnor {
-			v ^= 1
-		}
-		return v
-	default:
-		panic(fmt.Sprintf("atpg: eval3 on %v", t))
 	}
+	return tab
 }
 
 // detected reports whether some primary output shows a definite
@@ -633,10 +675,7 @@ func (g *Generator) objective() (gate int, val uint8, feasible bool) {
 	f := g.fault
 	// Activation: the fault site's good value must be the complement of
 	// the stuck value.
-	site := f.Gate
-	if f.Pin >= 0 {
-		site = g.t.net.Gates[f.Gate].Fanin[f.Pin]
-	}
+	site := g.faultSite()
 	switch g.good[site] {
 	case vX:
 		return site, f.Stuck ^ 1, true
@@ -675,24 +714,33 @@ func (g *Generator) objective() (gate int, val uint8, feasible bool) {
 	if best < 0 {
 		return g.badXObjective(bestAny)
 	}
-	gate2 := &g.t.net.Gates[best]
-	nc, ok := nonControlling(gate2.Type)
+	nc, ok := nonControlling(g.t.gateType(best))
 	if !ok {
 		// XOR-ish gate: any X input can take either value; pick 0.
 		nc = v0
 	}
-	for _, fi := range gate2.Fanin {
+	for _, fi := range g.t.adj.Fanins(best) {
 		if g.good[fi] == vX {
-			return fi, nc, true
+			return int(fi), nc, true
 		}
 	}
 	return 0, 0, false
 }
 
+// faultSite returns the signal the fault's activation is justified on:
+// the gate itself for a stem fault, the driver of the stuck pin otherwise.
+func (g *Generator) faultSite() int {
+	f := g.fault
+	if f.Pin >= 0 {
+		return int(g.t.adj.Fanins(f.Gate)[f.Pin])
+	}
+	return f.Gate
+}
+
 // hasGoodXFanin reports whether some fan-in of gi is still good-side X —
 // the kind of fan-in a backtrace can justify.
 func (g *Generator) hasGoodXFanin(gi int) bool {
-	for _, fi := range g.t.net.Gates[gi].Fanin {
+	for _, fi := range g.t.adj.Fanins(gi) {
 		if g.good[fi] == vX {
 			return true
 		}
@@ -708,16 +756,15 @@ func (g *Generator) hasGoodXFanin(gi int) bool {
 // the good side turns X again; justifying that signal (either value — both
 // get tried) resolves the faulty side and un-sticks the frontier.
 func (g *Generator) badXObjective(gi int) (gate int, val uint8, feasible bool) {
-	n := g.t.net
 	cur := gi
-	for steps := 0; steps < n.NumGates()+1; steps++ {
+	for steps := 0; steps < len(g.good)+1; steps++ {
 		if g.good[cur] == vX {
 			return cur, v0, true
 		}
 		next := -1
-		for _, fi := range n.Gates[cur].Fanin {
+		for _, fi := range g.t.adj.Fanins(cur) {
 			if g.bad[fi] == vX {
-				next = fi
+				next = int(fi)
 				break
 			}
 		}
@@ -746,7 +793,7 @@ func (g *Generator) xPathToOutput(gi int) bool {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, fo := range g.t.fanout[cur] {
+		for _, fo := range g.t.adj.Fanouts(cur) {
 			if g.seen[fo] == g.seenEpoch {
 				continue
 			}
@@ -758,7 +805,7 @@ func (g *Generator) xPathToOutput(gi int) bool {
 				g.dfStack = stack
 				return true
 			}
-			stack = append(stack, fo)
+			stack = append(stack, int(fo))
 		}
 	}
 	g.dfStack = stack
@@ -781,11 +828,10 @@ func nonControlling(t netlist.GateType) (uint8, bool) {
 // primary input, inverting the target value through inverting gates and
 // choosing the easiest-to-control fan-in by the SCOAP weights.
 func (g *Generator) backtrace(gate int, val uint8) (piIdx int, piVal uint8, ok bool) {
-	n := g.t.net
 	cur, want := gate, val
-	for steps := 0; steps < n.NumGates()+1; steps++ {
-		gt := &n.Gates[cur]
-		if gt.Type == netlist.Input {
+	for steps := 0; steps < len(g.good)+1; steps++ {
+		typ := g.t.gateType(cur)
+		if typ == netlist.Input {
 			if g.good[cur] != vX {
 				return 0, 0, false // already assigned; objective unreachable
 			}
@@ -797,12 +843,12 @@ func (g *Generator) backtrace(gate int, val uint8) (piIdx int, piVal uint8, ok b
 		// Choose the X fan-in that is cheapest for the required value,
 		// flipping the wanted value through inverting gates.
 		nextWant := want
-		switch gt.Type {
+		switch typ {
 		case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor:
 			nextWant = want ^ 1
 		}
 		bestFi, bestCost := -1, 1<<30
-		for _, fi := range gt.Fanin {
+		for _, fi := range g.t.adj.Fanins(cur) {
 			if g.good[fi] != vX {
 				continue
 			}
@@ -812,7 +858,7 @@ func (g *Generator) backtrace(gate int, val uint8) (piIdx int, piVal uint8, ok b
 			}
 			if cost < bestCost {
 				bestCost = cost
-				bestFi = fi
+				bestFi = int(fi)
 			}
 		}
 		if bestFi < 0 {

@@ -146,10 +146,7 @@ func (g *Generator) ensureMulti() {
 func (g *Generator) multiDecision() (piIdx int, piVal uint8, ok, forced bool) {
 	g.ensureMulti()
 	f := g.fault
-	site := f.Gate
-	if f.Pin >= 0 {
-		site = g.t.net.Gates[f.Gate].Fanin[f.Pin]
-	}
+	site := g.faultSite()
 	switch g.good[site] {
 	case f.Stuck:
 		return 0, 0, false, false // activation impossible under current assignment
@@ -294,14 +291,13 @@ func (g *Generator) vote(gi int, v uint8, w int64) {
 // their side inputs vote for 0, the same arbitrary preference the classic
 // objective uses.
 func (g *Generator) voteFrontier(gi int, w int64) {
-	gate := &g.t.net.Gates[gi]
-	nc, hasNC := nonControlling(gate.Type)
+	nc, hasNC := nonControlling(g.t.gateType(gi))
 	if !hasNC {
 		nc = v0
 	}
-	for _, fi := range gate.Fanin {
+	for _, fi := range g.t.adj.Fanins(gi) {
 		if g.good[fi] == vX {
-			g.vote(fi, nc, w)
+			g.vote(int(fi), nc, w)
 		}
 	}
 }
@@ -313,7 +309,6 @@ func (g *Generator) voteFrontier(gi int, w int64) {
 // processed after all its demand has arrived.
 func (g *Generator) runVotes() (piIdx int, piVal uint8, ok bool) {
 	m := g.mb
-	n := g.t.net
 	bestPi, bestTotal := -1, int64(0)
 	var bestVal uint8
 	for lv := len(m.levels) - 1; lv >= 0; lv-- {
@@ -323,8 +318,7 @@ func (g *Generator) runVotes() (piIdx int, piVal uint8, ok bool) {
 		}
 		for _, gi := range bucket {
 			d0, d1 := m.n0[gi], m.n1[gi]
-			gate := &n.Gates[gi]
-			if gate.Type == netlist.Input {
+			if g.t.gateType(gi) == netlist.Input {
 				total := d0 + d1
 				ii := g.t.inputIdx[gi]
 				// Deterministic pick: highest total demand, then the
@@ -348,7 +342,7 @@ func (g *Generator) runVotes() (piIdx int, piVal uint8, ok bool) {
 				}
 				continue
 			}
-			g.propagateVotes(gi, gate, d0, d1)
+			g.propagateVotes(gi, d0, d1)
 		}
 		m.levels[lv] = bucket[:0]
 	}
@@ -362,35 +356,37 @@ func (g *Generator) runVotes() (piIdx int, piVal uint8, ok bool) {
 // function to its X fan-ins: non-controlling demand to all of them,
 // controlling demand to the cheapest one only, with inverting gates
 // swapping the sides first.
-func (g *Generator) propagateVotes(gi int, gate *netlist.Gate, d0, d1 int64) {
-	switch gate.Type {
+func (g *Generator) propagateVotes(gi int, d0, d1 int64) {
+	typ := g.t.gateType(gi)
+	fin := g.t.adj.Fanins(gi)
+	switch typ {
 	case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor:
 		d0, d1 = d1, d0
 	}
-	switch gate.Type {
+	switch typ {
 	case netlist.Buf, netlist.Not:
-		g.vote(gate.Fanin[0], v0, d0)
-		g.vote(gate.Fanin[0], v1, d1)
+		g.vote(int(fin[0]), v0, d0)
+		g.vote(int(fin[0]), v1, d1)
 	case netlist.And, netlist.Nand:
 		// Output 1 needs every fan-in at 1; output 0 takes one fan-in at 0.
 		if d1 > 0 {
-			for _, fi := range gate.Fanin {
-				g.vote(fi, v1, d1)
+			for _, fi := range fin {
+				g.vote(int(fi), v1, d1)
 			}
 		}
 		if d0 > 0 {
-			if fi := g.cheapestXFanin(gate, v0); fi >= 0 {
+			if fi := g.cheapestXFanin(fin, v0); fi >= 0 {
 				g.vote(fi, v0, d0)
 			}
 		}
 	case netlist.Or, netlist.Nor:
 		if d0 > 0 {
-			for _, fi := range gate.Fanin {
-				g.vote(fi, v0, d0)
+			for _, fi := range fin {
+				g.vote(int(fi), v0, d0)
 			}
 		}
 		if d1 > 0 {
-			if fi := g.cheapestXFanin(gate, v1); fi >= 0 {
+			if fi := g.cheapestXFanin(fin, v1); fi >= 0 {
 				g.vote(fi, v1, d1)
 			}
 		}
@@ -400,13 +396,13 @@ func (g *Generator) propagateVotes(gi int, gate *netlist.Gate, d0, d1 int64) {
 		// to the cheapest X fan-in with both sides intact, so the contention
 		// (not a fabricated value) survives to the decision point.
 		single, parity := -1, uint8(0)
-		for _, fi := range gate.Fanin {
+		for _, fi := range fin {
 			if g.good[fi] == vX {
 				if single >= 0 {
 					single = -2
 					break
 				}
-				single = fi
+				single = int(fi)
 			} else {
 				parity ^= g.good[fi]
 			}
@@ -414,27 +410,27 @@ func (g *Generator) propagateVotes(gi int, gate *netlist.Gate, d0, d1 int64) {
 		if single >= 0 {
 			g.vote(single, parity, d0)
 			g.vote(single, parity^1, d1)
-		} else if fi := g.cheapestXFaninEither(gate); fi >= 0 {
+		} else if fi := g.cheapestXFaninEither(fin); fi >= 0 {
 			g.vote(fi, v0, d0)
 			g.vote(fi, v1, d1)
 		}
 	}
 }
 
-// cheapestXFanin returns the X fan-in with the lowest SCOAP cost for value
-// v, or -1 when none is left.
-func (g *Generator) cheapestXFanin(gate *netlist.Gate, v uint8) int {
+// cheapestXFanin returns the X fan-in among fin with the lowest SCOAP cost
+// for value v, or -1 when none is left.
+func (g *Generator) cheapestXFanin(fin []int32, v uint8) int {
 	cc := g.t.cc0
 	if v == v1 {
 		cc = g.t.cc1
 	}
 	best, bestCost := -1, int(1)<<30
-	for _, fi := range gate.Fanin {
+	for _, fi := range fin {
 		if g.good[fi] != vX {
 			continue
 		}
 		if cc[fi] < bestCost {
-			best, bestCost = fi, cc[fi]
+			best, bestCost = int(fi), cc[fi]
 		}
 	}
 	return best
@@ -442,9 +438,9 @@ func (g *Generator) cheapestXFanin(gate *netlist.Gate, v uint8) int {
 
 // cheapestXFaninEither is cheapestXFanin with the cost of a gate's easier
 // side, for parity gates where either value serves.
-func (g *Generator) cheapestXFaninEither(gate *netlist.Gate) int {
+func (g *Generator) cheapestXFaninEither(fin []int32) int {
 	best, bestCost := -1, int(1)<<30
-	for _, fi := range gate.Fanin {
+	for _, fi := range fin {
 		if g.good[fi] != vX {
 			continue
 		}
@@ -453,7 +449,7 @@ func (g *Generator) cheapestXFaninEither(gate *netlist.Gate) int {
 			c = g.t.cc1[fi]
 		}
 		if c < bestCost {
-			best, bestCost = fi, c
+			best, bestCost = int(fi), c
 		}
 	}
 	return best
@@ -468,17 +464,16 @@ func (g *Generator) cheapestXFaninEither(gate *netlist.Gate) int {
 // force, so they are never blocked here.
 func (g *Generator) frontierBlocked(gi int) bool {
 	g.ensureMulti()
-	gate := &g.t.net.Gates[gi]
-	nc, hasNC := nonControlling(gate.Type)
+	nc, hasNC := nonControlling(g.t.gateType(gi))
 	if !hasNC {
 		return false
 	}
 	g.beginForced()
-	for _, fi := range gate.Fanin {
+	for _, fi := range g.t.adj.Fanins(gi) {
 		if g.good[fi] != vX || g.coneMark[fi] {
 			continue
 		}
-		if !g.require(fi, nc) {
+		if !g.require(int(fi), nc) {
 			return true
 		}
 	}
@@ -523,7 +518,7 @@ func (g *Generator) require(gi int, v uint8) bool {
 	m.reqStamp[gi] = m.reqEpoch
 	m.reqVal[gi] = v
 	m.reqStack = append(m.reqStack, int64(gi)<<1|int64(v))
-	if g.t.net.Gates[gi].Type == netlist.Input && g.t.inputIdx[gi] >= 0 {
+	if g.t.gateType(gi) == netlist.Input && g.t.inputIdx[gi] >= 0 {
 		m.forcedPIs = append(m.forcedPIs, gi)
 	}
 	return true
@@ -534,33 +529,33 @@ func (g *Generator) require(gi int, v uint8) bool {
 // require: this is the "conflict found" verdict).
 func (g *Generator) drainForced() bool {
 	m := g.mb
-	n := g.t.net
 	for len(m.reqStack) > 0 {
 		e := m.reqStack[len(m.reqStack)-1]
 		m.reqStack = m.reqStack[:len(m.reqStack)-1]
 		gi, want := int(e>>1), uint8(e&1)
-		gate := &n.Gates[gi]
-		if gate.Type == netlist.Input {
+		typ := g.t.gateType(gi)
+		if typ == netlist.Input {
 			continue // an unassigned input satisfies any requirement
 		}
-		switch gate.Type {
+		fin := g.t.adj.Fanins(gi)
+		switch typ {
 		case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor:
 			want ^= 1
 		}
-		switch gate.Type {
+		switch typ {
 		case netlist.Buf, netlist.Not:
-			if !g.require(gate.Fanin[0], want) {
+			if !g.require(int(fin[0]), want) {
 				return true
 			}
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
 			nc := v1 // non-controlling value of the AND core
-			if gate.Type == netlist.Or || gate.Type == netlist.Nor {
+			if typ == netlist.Or || typ == netlist.Nor {
 				nc = v0
 			}
 			if want == nc {
 				// Every fan-in must be non-controlling: all forced.
-				for _, fi := range gate.Fanin {
-					if g.good[fi] == vX && !g.require(fi, nc) {
+				for _, fi := range fin {
+					if g.good[fi] == vX && !g.require(int(fi), nc) {
 						return true
 					}
 				}
@@ -568,7 +563,7 @@ func (g *Generator) drainForced() bool {
 				// One controlling fan-in wins: forced only when a single X
 				// candidate remains.
 				forced := -1
-				for _, fi := range gate.Fanin {
+				for _, fi := range fin {
 					if g.good[fi] != vX {
 						continue
 					}
@@ -576,7 +571,7 @@ func (g *Generator) drainForced() bool {
 						forced = -2 // two candidates: a free choice, stop here
 						break
 					}
-					forced = fi
+					forced = int(fi)
 				}
 				if forced >= 0 && !g.require(forced, nc^1) {
 					return true
@@ -585,13 +580,13 @@ func (g *Generator) drainForced() bool {
 		case netlist.Xor, netlist.Xnor:
 			// Forced only when a single X fan-in fixes the parity.
 			forced, parity := -1, want
-			for _, fi := range gate.Fanin {
+			for _, fi := range fin {
 				switch g.good[fi] {
 				case vX:
 					if forced >= 0 {
 						forced = -2
 					} else {
-						forced = fi
+						forced = int(fi)
 					}
 				default:
 					parity ^= g.good[fi]

@@ -18,7 +18,8 @@ import (
 // fuzzSetup decodes a fuzzed circuit shape and fault selector into a
 // netlist, shared tables and one fault of its collapsed universe.
 // shape[0..4] select inputs, outputs, gates, max fan-in and the backtrack
-// budget; missing bytes default to zero.
+// budget; an odd shape[5] retypes Buf and Xnor gates in (retypeBufXnor,
+// with bit 1 as alt); missing bytes default to zero.
 func fuzzSetup(t *testing.T, seed, faultSel uint64, shape []byte) (*Tables, *faultsim.Universe, faultsim.Fault, int) {
 	t.Helper()
 	sb := func(i int) int {
@@ -37,6 +38,9 @@ func fuzzSetup(t *testing.T, seed, faultSel uint64, shape []byte) (*Tables, *fau
 	nl, err := netlist.Random(cfg)
 	if err != nil {
 		t.Skip("unbuildable fuzz config:", err)
+	}
+	if sb(5)&1 != 0 {
+		retypeBufXnor(nl, sb(5)>>1&1)
 	}
 	tables, err := NewTables(nl)
 	if err != nil {
@@ -109,6 +113,8 @@ func FuzzImply(f *testing.F) {
 	f.Add(uint64(1), uint64(0), []byte{12, 4, 48, 1}, []byte{0x02, 0x05, 0x81, 0x04, 0x80})
 	f.Add(uint64(42), uint64(33), []byte{8, 3, 60, 2}, []byte{0x01, 0x03, 0x07, 0x80, 0x80, 0x06})
 	f.Add(uint64(2008), uint64(5), []byte{14, 5, 30, 0}, []byte{0x10, 0x91, 0x12, 0x13})
+	f.Add(uint64(9), uint64(3), []byte{10, 4, 56, 1, 0, 1}, []byte{0x02, 0x05, 0x81, 0x0a, 0x80, 0x0c, 0x07})
+	f.Add(uint64(77), uint64(120), []byte{12, 6, 70, 2, 0, 3}, []byte{0x01, 0x06, 0x0b, 0x80, 0x10, 0x15, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, seed, faultSel uint64, shape, ops []byte) {
 		tables, _, fault, _ := fuzzSetup(t, seed, faultSel, shape)
 		nl := tables.Netlist()

@@ -8,6 +8,7 @@ package atpg
 // Generate results (cube, Status) for every fault.
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/cube"
@@ -140,6 +141,64 @@ func (g *refGenerator) simulate(f faultsim.Fault) {
 	}
 }
 
+// eval3 is branchy 3-valued gate evaluation over a fan-in value list —
+// the oracle gateTable is checked against (TestGateTableMatchesEval3).
+func eval3(t netlist.GateType, in []uint8) uint8 {
+	switch t {
+	case netlist.Buf:
+		return in[0]
+	case netlist.Not:
+		if in[0] == vX {
+			return vX
+		}
+		return in[0] ^ 1
+	case netlist.And, netlist.Nand:
+		v := v1
+		for _, b := range in {
+			if b == v0 {
+				v = v0
+				break
+			}
+			if b == vX {
+				v = vX
+			}
+		}
+		if v != vX && t == netlist.Nand {
+			v ^= 1
+		}
+		return v
+	case netlist.Or, netlist.Nor:
+		v := v0
+		for _, b := range in {
+			if b == v1 {
+				v = v1
+				break
+			}
+			if b == vX {
+				v = vX
+			}
+		}
+		if v != vX && t == netlist.Nor {
+			v ^= 1
+		}
+		return v
+	case netlist.Xor, netlist.Xnor:
+		v := v0
+		for _, b := range in {
+			if b == vX {
+				return vX
+			}
+			v ^= b
+		}
+		if t == netlist.Xnor {
+			v ^= 1
+		}
+		return v
+	default:
+		panic(fmt.Sprintf("atpg: eval3 on %v", t))
+	}
+}
+
 // detected reports whether some primary output shows a definite
 // good/faulty difference.
 func (g *refGenerator) detected() bool {
@@ -249,11 +308,11 @@ func (g *refGenerator) computeCone(f faultsim.Fault) {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, fo := range g.t.fanout[cur] {
+		for _, fo := range g.t.adj.Fanouts(cur) {
 			if !g.coneMark[fo] {
 				g.coneMark[fo] = true
-				g.cone = append(g.cone, fo)
-				stack = append(stack, fo)
+				g.cone = append(g.cone, int(fo))
+				stack = append(stack, int(fo))
 			}
 		}
 	}
@@ -305,7 +364,7 @@ func (g *refGenerator) xPathToOutput(gi int) bool {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, fo := range g.t.fanout[cur] {
+		for _, fo := range g.t.adj.Fanouts(cur) {
 			if g.seen[fo] == g.seenEpoch {
 				continue
 			}
@@ -317,7 +376,7 @@ func (g *refGenerator) xPathToOutput(gi int) bool {
 				g.dfStack = stack
 				return true
 			}
-			stack = append(stack, fo)
+			stack = append(stack, int(fo))
 		}
 	}
 	g.dfStack = stack

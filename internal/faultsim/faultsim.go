@@ -113,25 +113,17 @@ func forEachFaultSite(n *netlist.Netlist, loads []int32, site func(gi, pin int))
 }
 
 // topology holds the per-circuit structures every Simulator shares: the
-// topological order, per-gate levels, CSR fan-out lists and output
-// reachability. It is immutable once built; order and level are the
-// netlist's shared caches (netlist.Levelize/Levels), never mutated here.
-// The fan-out lists are stored index-based — one flat int32 adjacency slab
-// plus an offset array — so a 100k-gate topology is two allocations, not
-// one slice header per gate.
+// topological order, per-gate levels, fan-out lists and output
+// reachability. It is immutable once built; order, level and the fan-out
+// lists are the netlist's shared caches (netlist.Levelize/Levels/
+// Adjacency), never mutated here.
 type topology struct {
 	order      []int
 	level      []int
 	numLevels  int
-	fanoutOff  []int32 // CSR offsets; gate gi's fan-outs are fanoutList[fanoutOff[gi]:fanoutOff[gi+1]]
-	fanoutList []int32
+	adj        netlist.Adjacency // a copy of the shared slice headers: no pointer hop per lookup
 	isOutput   []bool
 	observable []bool // gate has a path to some primary output
-}
-
-// fanouts returns gate gi's fan-out list as a view into the CSR slab.
-func (t *topology) fanouts(gi int) []int32 {
-	return t.fanoutList[t.fanoutOff[gi]:t.fanoutOff[gi+1]]
 }
 
 // topology returns the (lazily computed, cached) circuit topology. Safe for
@@ -157,29 +149,9 @@ func newTopology(n *netlist.Netlist) (*topology, error) {
 		order:      order,
 		level:      level,
 		numLevels:  numLevels,
+		adj:        *n.Adjacency(),
 		isOutput:   make([]bool, ng),
 		observable: make([]bool, ng),
-	}
-	// CSR fan-out: count loads per signal, prefix-sum into offsets, then
-	// fill in ascending gate order — the same per-gate order the old
-	// slice-of-slices build produced.
-	t.fanoutOff = make([]int32, ng+1)
-	for _, g := range n.Gates {
-		for _, f := range g.Fanin {
-			t.fanoutOff[f+1]++
-		}
-	}
-	for gi := 0; gi < ng; gi++ {
-		t.fanoutOff[gi+1] += t.fanoutOff[gi]
-	}
-	t.fanoutList = make([]int32, t.fanoutOff[ng])
-	cur := make([]int32, ng)
-	copy(cur, t.fanoutOff[:ng])
-	for gi, g := range n.Gates {
-		for _, f := range g.Fanin {
-			t.fanoutList[cur[f]] = int32(gi)
-			cur[f]++
-		}
 	}
 	for _, o := range n.Outputs {
 		t.isOutput[o] = true
@@ -193,7 +165,7 @@ func newTopology(n *netlist.Netlist) (*topology, error) {
 			t.observable[gi] = true
 			continue
 		}
-		for _, fo := range t.fanouts(gi) {
+		for _, fo := range t.adj.Fanouts(gi) {
 			if t.observable[fo] {
 				t.observable[gi] = true
 				break
@@ -574,7 +546,7 @@ func (s *Simulator) settle(gi int) (hit bool, queued int) {
 			}
 		}
 	}
-	for _, fo := range t.fanouts(gi) {
+	for _, fo := range t.adj.Fanouts(gi) {
 		if t.observable[fo] && s.queued[fo] != s.epoch {
 			s.queued[fo] = s.epoch
 			lv := t.level[fo]

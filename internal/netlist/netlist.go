@@ -147,11 +147,12 @@ type Gate struct {
 // Netlist is a combinational circuit. Gates are stored in input order
 // followed by declaration order; Levelize sorts them topologically.
 //
-// The derived structures (topological order, fan-out lists, levels) are
-// computed lazily under a mutex, so read-only consumers — the ATPG tables
-// and the fault simulator's topology — may levelize the same netlist from
-// concurrent goroutines. Building the netlist (AddInput/AddGate/MarkOutput)
-// is not concurrency-safe and invalidates the caches.
+// The derived structures (the flat fan-in/fan-out adjacency, topological
+// order, levels) are computed lazily under a mutex, so read-only consumers
+// — the ATPG tables and the fault simulator's topology — may read them for
+// the same netlist from concurrent goroutines. Building the netlist
+// (AddInput/AddGate/MarkOutput) is not concurrency-safe and invalidates the
+// caches.
 type Netlist struct {
 	Gates   []Gate
 	Inputs  []int // gate indices of primary inputs
@@ -159,10 +160,10 @@ type Netlist struct {
 	byName  map[string]int
 
 	mu        sync.Mutex
-	order     []int   // guarded by mu; topological order (gate indices), nil until Levelize
-	fanouts   [][]int // guarded by mu; per-gate fan-out lists, nil until Fanouts
-	levels    []int   // guarded by mu; per-gate longest path from an input, nil until Levels
-	numLevels int     // guarded by mu
+	adj       *Adjacency // guarded by mu; flat fan-in/fan-out wiring, nil until Adjacency
+	order     []int      // guarded by mu; topological order (gate indices), nil until Levelize
+	levels    []int      // guarded by mu; per-gate longest path from an input, nil until Levels
+	numLevels int        // guarded by mu
 }
 
 // New returns an empty netlist.
@@ -185,14 +186,14 @@ func (n *Netlist) AddInput(name string) (int, error) {
 
 // invalidate drops the derived caches after a structural mutation. It
 // takes the cache mutex itself (no builder holds it), so a mutation
-// racing a concurrent Levelize/Fanouts/Levels reader corrupts nothing —
+// racing a concurrent Adjacency/Levelize/Levels reader corrupts nothing —
 // the reader sees either the old caches or the cleared ones, never a
 // torn mix. Interleaving builds with reads is still a logic error, but
 // it now fails loudly (stale-table checks) instead of via data races.
 func (n *Netlist) invalidate() {
 	n.mu.Lock()
+	n.adj = nil
 	n.order = nil
-	n.fanouts = nil
 	n.levels = nil
 	n.numLevels = 0
 	n.mu.Unlock()
@@ -273,13 +274,10 @@ func (n *Netlist) levelizeLocked() ([]int, error) {
 	if n.order != nil {
 		return n.order, nil
 	}
+	adj := n.adjacencyLocked()
 	indeg := make([]int, len(n.Gates))
-	fanout := make([][]int, len(n.Gates))
 	for gi, g := range n.Gates {
 		indeg[gi] = len(g.Fanin)
-		for _, f := range g.Fanin {
-			fanout[f] = append(fanout[f], gi)
-		}
 	}
 	queue := make([]int, 0, len(n.Gates))
 	for gi, d := range indeg {
@@ -293,10 +291,10 @@ func (n *Netlist) levelizeLocked() ([]int, error) {
 		gi := queue[0]
 		queue = queue[1:]
 		order = append(order, gi)
-		for _, fo := range fanout[gi] {
+		for _, fo := range adj.Fanouts(gi) {
 			indeg[fo]--
 			if indeg[fo] == 0 {
-				queue = append(queue, fo)
+				queue = append(queue, int(fo))
 			}
 		}
 	}
@@ -307,41 +305,71 @@ func (n *Netlist) levelizeLocked() ([]int, error) {
 	return order, nil
 }
 
-// Fanouts returns the (cached) per-gate fan-out lists: Fanouts()[gi] holds
-// the indices of every gate that reads gi. The per-gate slices are carved
-// out of one contiguous arena slab (two-pass CSR build), so the whole
-// structure costs two allocations regardless of gate count — a 100k-gate
-// netlist does not scatter 100k little slices across the heap. The slices
-// are shared and must be treated as read-only.
-func (n *Netlist) Fanouts() [][]int {
+// Adjacency is a netlist's wiring in flat compressed-sparse-row form: one
+// int32 list per direction plus an offset array, so a 100k-gate circuit is
+// four allocations, not one slice header per gate, and an engine walking
+// fan-ins or fan-outs reads contiguous memory instead of chasing each
+// Gate's Fanin pointer. Fan-ins are in pin order; fan-outs are in
+// ascending gate order (a gate reading one signal on two pins appears
+// twice). It is shared and must be treated as read-only.
+type Adjacency struct {
+	faninOff, fanin   []int32
+	fanoutOff, fanout []int32
+}
+
+// Fanins returns gate gi's fan-in gate indices in pin order. Like Fanouts
+// it returns a full-capacity view, so an accidental append cannot
+// overwrite the next gate's list.
+func (a *Adjacency) Fanins(gi int) []int32 {
+	lo, hi := a.faninOff[gi], a.faninOff[gi+1]
+	return a.fanin[lo:hi:hi]
+}
+
+// Fanouts returns the indices of every gate that reads gi, ascending.
+func (a *Adjacency) Fanouts(gi int) []int32 {
+	lo, hi := a.fanoutOff[gi], a.fanoutOff[gi+1]
+	return a.fanout[lo:hi:hi]
+}
+
+// Adjacency returns the (cached) flat fan-in/fan-out wiring of the
+// netlist — the one adjacency the ATPG tables and the fault simulator's
+// topology share.
+func (n *Netlist) Adjacency() *Adjacency {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.fanouts == nil {
-		counts := make([]int, len(n.Gates))
-		total := 0
-		for _, g := range n.Gates {
-			for _, f := range g.Fanin {
-				counts[f]++
-				total++
-			}
-		}
-		slab := make([]int, total)
-		fanouts := make([][]int, len(n.Gates))
-		off := 0
-		for gi, c := range counts {
-			// Full-capacity sub-slice: an accidental append on one gate's
-			// list cannot silently overwrite its neighbour's slab region.
-			fanouts[gi] = slab[off : off : off+c]
-			off += c
-		}
-		for gi, g := range n.Gates {
-			for _, f := range g.Fanin {
-				fanouts[f] = append(fanouts[f], gi)
-			}
-		}
-		n.fanouts = fanouts
+	return n.adjacencyLocked()
+}
+
+// adjacencyLocked builds the cached adjacency; callers must hold n.mu.
+func (n *Netlist) adjacencyLocked() *Adjacency {
+	if n.adj != nil {
+		return n.adj
 	}
-	return n.fanouts
+	ng := len(n.Gates)
+	a := &Adjacency{faninOff: make([]int32, ng+1), fanoutOff: make([]int32, ng+1)}
+	for gi, g := range n.Gates {
+		a.faninOff[gi+1] = a.faninOff[gi] + int32(len(g.Fanin))
+		for _, f := range g.Fanin {
+			a.fanoutOff[f+1]++
+		}
+	}
+	for gi := 0; gi < ng; gi++ {
+		a.fanoutOff[gi+1] += a.fanoutOff[gi]
+	}
+	a.fanin = make([]int32, a.faninOff[ng])
+	a.fanout = make([]int32, a.fanoutOff[ng])
+	// Filling in ascending gate order leaves every fan-out list sorted.
+	cur := make([]int32, ng)
+	copy(cur, a.fanoutOff[:ng])
+	for gi, g := range n.Gates {
+		for pin, f := range g.Fanin {
+			a.fanin[a.faninOff[gi]+int32(pin)] = int32(f)
+			a.fanout[cur[f]] = int32(gi)
+			cur[f]++
+		}
+	}
+	n.adj = a
+	return a
 }
 
 // Levels returns the (cached) per-gate level — the longest path from any

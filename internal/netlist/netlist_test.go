@@ -234,3 +234,53 @@ func TestLevelizeDetectsLoop(t *testing.T) {
 		t.Error("combinational loop not detected")
 	}
 }
+
+// TestAdjacencyMatchesGates checks the flat wiring against the gate array:
+// fan-ins in pin order, fan-outs in ascending gate order with one entry
+// per reading pin (a gate reading a signal twice lists it twice), and a
+// rebuilt adjacency after a structural mutation.
+func TestAdjacencyMatchesGates(t *testing.T) {
+	n, err := Random(RandomConfig{Inputs: 12, Outputs: 4, Gates: 60, MaxFan: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.AddGate("twice", And, "pi0", "pi0"); err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		t.Helper()
+		adj := n.Adjacency()
+		want := make([][]int32, n.NumGates())
+		for gi, g := range n.Gates {
+			fin := adj.Fanins(gi)
+			if len(fin) != len(g.Fanin) {
+				t.Fatalf("gate %d: %d fan-ins, want %d", gi, len(fin), len(g.Fanin))
+			}
+			for pin, f := range g.Fanin {
+				if int(fin[pin]) != f {
+					t.Fatalf("gate %d pin %d: fan-in %d, want %d", gi, pin, fin[pin], f)
+				}
+				want[f] = append(want[f], int32(gi))
+			}
+		}
+		for gi := range n.Gates {
+			got := adj.Fanouts(gi)
+			if len(got) != len(want[gi]) {
+				t.Fatalf("gate %d: fan-outs %v, want %v", gi, got, want[gi])
+			}
+			for i := range got {
+				if got[i] != want[gi][i] {
+					t.Fatalf("gate %d: fan-outs %v, want %v", gi, got, want[gi])
+				}
+			}
+		}
+	}
+	check()
+	if got := n.Adjacency().Fanouts(0); len(got) < 2 || got[len(got)-1] != got[len(got)-2] {
+		t.Fatalf("pi0 fan-outs %v: the two-pin reader should appear twice", got)
+	}
+	if _, err := n.AddGate("late", Or, "twice", "pi1"); err != nil {
+		t.Fatal(err)
+	}
+	check()
+}
