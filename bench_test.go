@@ -156,8 +156,10 @@ func BenchmarkTable4(b *testing.B) {
 
 // BenchmarkEncode measures window-based seed computation end to end on the
 // two extreme workloads (s13207 conflict-bound, s38417 rank-bound and
-// densest), serial versus the candidate scan fanned out across every CPU.
-// The shared-tables cache is reused across iterations, exactly as
+// densest), serial versus the candidate scan fanned out across every CPU,
+// plus s38417 at L = 1 (classical reseeding), where thousands of tiers of
+// a few checks each must not pay for spawning scan workers. The
+// shared-tables cache is reused across iterations, exactly as
 // experiments.Session reuses it across a sweep, so the loop measures the
 // reduced-basis candidate-scan hot path; the first iteration also pays the
 // symbolic table build. Seeds, assignments and check counts are identical
@@ -169,19 +171,23 @@ func BenchmarkEncode(b *testing.B) {
 	if benchScale() == benchprofile.ScalePaper {
 		L = 50
 	}
-	for _, name := range []string{"s13207", "s38417"} {
-		p, err := benchprofile.ByName(name, benchScale())
+	cases := []struct {
+		circuit string
+		L       int
+	}{{"s13207", L}, {"s38417", L}, {"s38417", 1}}
+	for _, c := range cases {
+		p, err := benchprofile.ByName(c.circuit, benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
 		set := p.Generate()
 		cache := encoder.NewTablesCache()
 		for _, workers := range []int{1, runtime.NumCPU()} {
-			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/L=%d/workers=%d", c.circuit, c.L, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				var enc *encoder.Encoding
 				for i := 0; i < b.N; i++ {
-					e, _, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, L, set, workers, cache)
+					e, _, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, c.L, set, workers, cache)
 					if err != nil {
 						b.Fatal(err)
 					}

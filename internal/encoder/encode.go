@@ -139,6 +139,25 @@ type scanView struct {
 	tick    int
 }
 
+// inlineScanPairs is the fewest still-feasible (cube, position) pairs a
+// tier must hold before scanTier splits it across workers; smaller tiers
+// are scanned on view 0 by the calling goroutine. A split pays for
+// spawning the workers and for each private view catching its cached rows
+// up to the basis, which a tier of a few dozen checks does not repay:
+// s38417 at L = 1 on the paper scale runs 21,348 tiers of 19 checks on
+// average, and two workers encoded it 25–35 % slower than one when every
+// tier was split. On a 2-vCPU Xeon (Go 1.24, eight alternating rounds),
+// the paper-scale compress-paper encodes at two workers took a median
+// 964 ms in total with a cut-off of 128, against 983 ms splitting every
+// tier, 1,017 ms at 512 and 1,011 ms at 2,048.
+const inlineScanPairs = 128
+
+// scanTierHook, when non-nil, is called by every scanTier with the tier's
+// feasible pair count (counted only when more than one worker could take
+// the tier, 0 otherwise) and whether the tier was split across workers.
+// Tests set it to prove both scan paths ran.
+var scanTierHook func(pairs int, split bool)
+
 // checkStride is how many consistency checks a scan worker performs
 // between context polls. One CheckSystem costs tens of nanoseconds at
 // minimum, so polling every 256 checks keeps cancellation latency in the
@@ -355,10 +374,16 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	return seed, nil
 }
 
+// commit folds the system of cube ci at window position pos into the
+// basis and records the assignment. The system was verified consistent by
+// the check that nominated it, against this same basis, so each equation
+// is added directly; an inconsistency is a bug.
 func (st *encodeState) commit(ci, pos int, seed *Seed) {
 	st.eqBuf = st.table.Equations(st.set.Cubes[ci], pos, st.eqBuf[:0])
-	if _, ok := st.solver.AddSystem(st.eqBuf); !ok {
-		panic("encoder: committing a system that was just verified solvable")
+	for _, eq := range st.eqBuf {
+		if _, ok := st.solver.Add(eq); !ok {
+			panic("encoder: committing a system that was just verified solvable")
+		}
 	}
 	seed.Assignments = append(seed.Assignments, Assignment{Cube: ci, Pos: pos})
 	st.remaining[ci] = false
@@ -433,11 +458,12 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 	return local
 }
 
-// scanTier checks every still-feasible (cube, position) pair of one tier,
-// fanned out over the persistent worker views. The basis is immutable for
+// scanTier checks every still-feasible (cube, position) pair of one tier:
+// fanned out over the persistent worker views when the tier holds at least
+// inlineScanPairs pairs, on view 0 otherwise. The basis is immutable for
 // the whole scan, each view and each cube's feasibility row is owned by
-// exactly one goroutine at a time, and results are index-addressed — so the
-// tie-breaks below see the same candidate set for any worker count.
+// exactly one goroutine at a time, and results are index-addressed — so
+// the tie-breaks below see the same candidate set for any worker count.
 func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	for len(st.results) < len(tier) {
 		st.results = append(st.results, nil)
@@ -450,6 +476,20 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	workers := st.workers
 	if workers > len(tier) {
 		workers = len(tier)
+	}
+	pairs := 0
+	if workers > 1 {
+		for _, ci := range tier {
+			for _, w := range st.feasRow(ci) {
+				pairs += bits.OnesCount64(w)
+			}
+		}
+		if pairs < inlineScanPairs {
+			workers = 1
+		}
+	}
+	if scanTierHook != nil {
+		scanTierHook(pairs, workers > 1)
 	}
 	if workers <= 1 {
 		v := st.viewFor(0)

@@ -168,22 +168,44 @@ func TestEncodeDeterministic(t *testing.T) {
 // contract: seeds, assignments and even the number of consistency checks
 // are identical for any Workers value (the scan fans out over per-worker
 // reduced views, but every (cube, position) verdict is value-deterministic
-// and the tie-breaks are index-addressed).
+// and the tie-breaks are index-addressed). Tiers below inlineScanPairs run
+// on view 0 and larger ones are split across workers; the longer window
+// holds many tiers of each kind, and the test proves through scanTierHook
+// that both paths ran in every multi-worker encode.
 func TestEncodeWorkersBitIdentical(t *testing.T) {
 	set := genSet(t, "s38417", 0)
-	cfg := smallConfig(t, 32, set.Width, 8, 12)
-	cfg.Workers = 1
-	want, err := EncodeCtx(context.Background(), cfg, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 7, 0} {
-		cfg.Workers = workers
-		got, err := EncodeCtx(context.Background(), cfg, set)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	var split, inline int
+	scanTierHook = func(pairs int, s bool) {
+		if s != (pairs >= inlineScanPairs) {
+			t.Errorf("tier of %d pairs: split = %v", pairs, s)
 		}
-		assertEncodingsIdentical(t, fmt.Sprintf("workers=%d", workers), want, got)
+		if s {
+			split++
+		} else {
+			inline++
+		}
+	}
+	t.Cleanup(func() { scanTierHook = nil })
+	for _, L := range []int{12, 32} {
+		cfg := smallConfig(t, 32, set.Width, 8, L)
+		cfg.Workers = 1
+		want, err := EncodeCtx(context.Background(), cfg, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 7, 0} {
+			cfg.Workers = workers
+			split, inline = 0, 0
+			got, err := EncodeCtx(context.Background(), cfg, set)
+			if err != nil {
+				t.Fatalf("L=%d workers=%d: %v", L, workers, err)
+			}
+			label := fmt.Sprintf("L=%d workers=%d", L, workers)
+			assertEncodingsIdentical(t, label, want, got)
+			if workers > 1 && (split == 0 || inline == 0) {
+				t.Errorf("%s: %d tiers split, %d inline; want both paths", label, split, inline)
+			}
+		}
 	}
 }
 
@@ -468,7 +490,14 @@ func unembeddableCube(t *testing.T, table *ExprTable, width, bits int, src *prng
 		}
 		embeddable := false
 		for pos := 0; pos < table.L && !embeddable; pos++ {
-			_, embeddable = gf2.NewSolver(table.N).AddSystem(table.Equations(c, pos, nil))
+			s := gf2.NewSolver(table.N)
+			embeddable = true
+			for _, eq := range table.Equations(c, pos, nil) {
+				if _, ok := s.Add(eq); !ok {
+					embeddable = false
+					break
+				}
+			}
 		}
 		if !embeddable {
 			return c

@@ -156,6 +156,9 @@ func FuzzSolver(f *testing.F) {
 				if !ok || inc != wantInc {
 					t.Fatalf("step %d: AddSystem (%d,%v) after Check said (%d,true)", step, inc, ok, wantInc)
 				}
+				if err := basisRREFError(s); err != nil {
+					t.Fatalf("step %d: basis not in RREF: %v", step, err)
+				}
 				ref.committed = append(ref.committed, sys...)
 				wantRank, _ := ref.eliminate(ref.committed)
 				if s.Rank() != wantRank {

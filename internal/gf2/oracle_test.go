@@ -1,0 +1,68 @@
+package gf2
+
+// The naive consistency oracle of the incremental solver. Production code
+// tests systems only through ReducedTable.CheckSystem and commits them with
+// Add; these methods re-eliminate every equation against the full basis,
+// so the tests and FuzzSolver compare the reduced path against them.
+
+// Check tests whether the system eqs is consistent with the basis without
+// mutating the basis. It returns the rank increase the system would cause
+// and whether it is consistent. Equations within eqs may depend on each
+// other; the overlay in scratch tracks that.
+//
+// Check re-eliminates every equation against the full basis; when the
+// coefficient rows come from a fixed table that is probed repeatedly as the
+// basis grows (the encoder's candidate scan), ReducedTable.CheckSystem does
+// the same test in O(spec) by caching reduced rows.
+func (s *Solver) Check(eqs []Equation, scratch *CheckScratch) (rankIncrease int, consistent bool) {
+	scratch.init(s.n)
+	defer scratch.release()
+	for _, eq := range eqs {
+		dst := scratch.getRow(s.n)
+		dst.CopyFrom(eq.Coeffs)
+		r := eq.RHS & 1
+		// Reduce against the basis, then the overlay. Two phases suffice:
+		// overlay rows are stored fully reduced, so XORing them never
+		// reintroduces a basis-pivot bit.
+		for b := dst.FirstSetAnd(s.piv); b >= 0; b = dst.FirstSetAnd(s.piv) {
+			dst.Xor(s.row(b))
+			r ^= s.rhs[b]
+		}
+		for b := dst.FirstSetAnd(scratch.overlayMask); b >= 0; b = dst.FirstSetAnd(scratch.overlayMask) {
+			dst.Xor(scratch.overlay[b])
+			r ^= scratch.overlayRHS[b]
+		}
+		if dst.IsZero() {
+			if r != 0 {
+				return 0, false
+			}
+			scratch.rowPoolNext-- // recycle immediately
+			continue
+		}
+		p := dst.FirstSet()
+		scratch.overlay[p] = dst
+		scratch.overlayRHS[p] = r
+		scratch.overlayMask.SetBit(p, 1)
+		scratch.overlaySet = append(scratch.overlaySet, p)
+	}
+	return len(scratch.overlaySet), true
+}
+
+// AddSystem folds a set of equations in atomically: either all equations
+// are consistent (some may be dependent) and the basis absorbs them,
+// returning (rankIncrease, true) — or the system contradicts the basis and
+// the basis is left untouched, returning (0, false).
+func (s *Solver) AddSystem(eqs []Equation) (rankIncrease int, consistent bool) {
+	var sc CheckScratch
+	inc, ok := s.Check(eqs, &sc)
+	if !ok {
+		return 0, false
+	}
+	for _, eq := range eqs {
+		if _, ok := s.Add(eq); !ok {
+			// Cannot happen: Check just validated the whole system.
+			panic("gf2: AddSystem inconsistency after successful Check")
+		}
+	}
+	return inc, true
+}

@@ -109,33 +109,30 @@ func (rt *ReducedTable) Residual(i int) (Vec, uint8) {
 		rt.delta[i] = 0
 		rt.gen[i] = rt.s.gen
 	}
-	// Masked catch-up on raw words: scan for pivot hits and fold in the
-	// current basis row of each. A basis row's words below its pivot word
-	// are zero (the pivot is its lowest set bit) and XORing it cannot
-	// create hits below the pivot, so the scan resumes at the hit's word.
+	// Masked catch-up on raw words, one pass over the pivot hits. The basis
+	// is in reduced row-echelon form: a basis row's lowest set bit is its
+	// pivot and it holds no other pivot bit, so folding it clears exactly
+	// its own hit and creates none, and the words below its pivot word are
+	// zero. Each word's hit mask is therefore final once computed.
 	d := rt.delta[i]
 	pv := rt.s.piv.words
-	for wi := 0; wi < w; {
-		m := cw[wi] & pv[wi]
-		if m == 0 {
-			wi++
-			continue
+	for wi := 0; wi < w; wi++ {
+		for m := cw[wi] & pv[wi]; m != 0; m &= m - 1 {
+			b := wi*wordBits + bits.TrailingZeros64(m)
+			row := rt.s.basis[b*w : (b+1)*w]
+			for j := wi; j < w; j++ {
+				cw[j] ^= row[j]
+			}
+			d ^= rt.s.rhs[b]
 		}
-		b := wi*wordBits + bits.TrailingZeros64(m)
-		row := rt.s.basis[b*w : (b+1)*w]
-		for j := wi; j < w; j++ {
-			cw[j] ^= row[j]
-		}
-		d ^= rt.s.rhs[b]
 	}
 	rt.delta[i] = d
 	return VecView(rt.src.n, cw), d
 }
 
 // CheckSystem tests whether the system {(src row idx[k]+offset, rhs[k])} is
-// consistent with the solver's basis, without mutating it — the reduced
-// counterpart of Solver.Check. It returns the rank increase the system
-// would cause and whether it is consistent.
+// consistent with the solver's basis, without mutating it. It returns the
+// rank increase the system would cause and whether it is consistent.
 //
 // Rows already determined by the basis (zero residual) degenerate to a
 // word-masked RHS comparison; only rows still carrying free dimensions pay
@@ -143,12 +140,17 @@ func (rt *ReducedTable) Residual(i int) (Vec, uint8) {
 // The offset parameter shifts every index by the same amount, so callers
 // probing one cube at successive window positions pass the position-0
 // indices plus a per-position stride.
+//
+// Registers of at most 64 and of 65–128 cells run word-specialised
+// kernels whose overlay lives in scratch's fixed arrays; wider ones run
+// the generic path over scratch's pooled rows. No path allocates once
+// scratch has served one check of the table's width.
 func (rt *ReducedTable) CheckSystem(idx []int32, offset int32, rhs []uint8, scratch *CheckScratch) (rankIncrease int, consistent bool) {
 	switch rt.words {
 	case 1:
-		return rt.checkSystem1(idx, offset, rhs)
+		return rt.checkSystem1(idx, offset, rhs, scratch)
 	case 2:
-		return rt.checkSystem2(idx, offset, rhs)
+		return rt.checkSystem2(idx, offset, rhs, scratch)
 	}
 	n := rt.src.n
 	scratch.init(n)
@@ -200,16 +202,15 @@ func (rt *ReducedTable) CheckSystem(idx []int32, offset int32, rhs []uint8, scra
 }
 
 // checkSystem1 is CheckSystem for registers of at most 64 cells (every
-// CI-scale circuit and most of the paper's): rows, pivot masks and the
-// whole overlay collapse to single words on the stack, so one equation is
-// a handful of word operations with no scratch traffic at all.
-func (rt *ReducedTable) checkSystem1(idx []int32, offset int32, rhs []uint8) (rankIncrease int, consistent bool) {
+// CI-scale circuit and most of the paper's): rows and pivot masks collapse
+// to single words, so one equation is a handful of word operations. The
+// overlay rows live in sc.ov1 and only entries under ovMask are read.
+func (rt *ReducedTable) checkSystem1(idx []int32, offset int32, rhs []uint8, sc *CheckScratch) (rankIncrease int, consistent bool) {
 	s := rt.s
 	pv := s.piv.words[0]
 	g := s.gen
+	ov, ovRHS := &sc.ov1, &sc.ov1RHS
 	var ovMask uint64
-	var ovRows [64]uint64 // only entries under ovMask are ever read
-	var ovRHS [64]uint8
 	rank := 0
 	for k, ri := range idx {
 		i := int(ri + offset)
@@ -220,7 +221,9 @@ func (rt *ReducedTable) checkSystem1(idx []int32, offset int32, rhs []uint8) (ra
 			d = 0
 			rt.gen[i] = g
 		}
-		for m := x & pv; m != 0; m = x & pv {
+		// One pass over the pivot hits: RREF basis rows clear their own
+		// hit and create none (see Residual).
+		for m := x & pv; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
 			x ^= s.basis[b]
 			d ^= s.rhs[b]
@@ -234,9 +237,11 @@ func (rt *ReducedTable) checkSystem1(idx []int32, offset int32, rhs []uint8) (ra
 			}
 			continue
 		}
+		// Overlay rows are only echelon, so a fold can create new hits:
+		// recompute the mask after each one.
 		for m := x & ovMask; m != 0; m = x & ovMask {
-			b := bits.TrailingZeros64(m)
-			x ^= ovRows[b]
+			b := bits.TrailingZeros64(m) & 63
+			x ^= ov[b]
 			r ^= ovRHS[b]
 		}
 		if x == 0 {
@@ -245,8 +250,8 @@ func (rt *ReducedTable) checkSystem1(idx []int32, offset int32, rhs []uint8) (ra
 			}
 			continue
 		}
-		p := bits.TrailingZeros64(x)
-		ovRows[p] = x
+		p := bits.TrailingZeros64(x) & 63
+		ov[p] = x
 		ovRHS[p] = r
 		ovMask |= 1 << uint(p)
 		rank++
@@ -255,14 +260,13 @@ func (rt *ReducedTable) checkSystem1(idx []int32, offset int32, rhs []uint8) (ra
 }
 
 // checkSystem2 is checkSystem1's twin for registers of 65–128 cells (the
-// paper's s38417 at n=85): two-word rows and masks, overlay on the stack.
-func (rt *ReducedTable) checkSystem2(idx []int32, offset int32, rhs []uint8) (rankIncrease int, consistent bool) {
+// paper's s38417 at n=85): two-word rows and masks, overlay in sc.ov2.
+func (rt *ReducedTable) checkSystem2(idx []int32, offset int32, rhs []uint8, sc *CheckScratch) (rankIncrease int, consistent bool) {
 	s := rt.s
 	pv0, pv1 := s.piv.words[0], s.piv.words[1]
 	g := s.gen
+	ov, ovRHS := &sc.ov2, &sc.ov2RHS
 	var ovMask0, ovMask1 uint64
-	var ovRows [128][2]uint64 // only entries under the masks are ever read
-	var ovRHS [128]uint8
 	rank := 0
 	for k, ri := range idx {
 		i := int(ri+offset) * 2
@@ -273,16 +277,18 @@ func (rt *ReducedTable) checkSystem2(idx []int32, offset int32, rhs []uint8) (ra
 			d = 0
 			rt.gen[i/2] = g
 		}
-		for {
-			var b int
-			if m := x0 & pv0; m != 0 {
-				b = bits.TrailingZeros64(m)
-			} else if m := x1 & pv1; m != 0 {
-				b = wordBits + bits.TrailingZeros64(m)
-			} else {
-				break
-			}
+		// One pass over the pivot hits of each word, both masks taken up
+		// front: an RREF basis row creates no hit at another pivot, and a
+		// row pivoting in the high word has a zero low word.
+		m0, m1 := x0&pv0, x1&pv1
+		for ; m0 != 0; m0 &= m0 - 1 {
+			b := bits.TrailingZeros64(m0)
 			x0 ^= s.basis[b*2]
+			x1 ^= s.basis[b*2+1]
+			d ^= s.rhs[b]
+		}
+		for ; m1 != 0; m1 &= m1 - 1 {
+			b := wordBits + bits.TrailingZeros64(m1)
 			x1 ^= s.basis[b*2+1]
 			d ^= s.rhs[b]
 		}
@@ -304,8 +310,8 @@ func (rt *ReducedTable) checkSystem2(idx []int32, offset int32, rhs []uint8) (ra
 			} else {
 				break
 			}
-			x0 ^= ovRows[b][0]
-			x1 ^= ovRows[b][1]
+			x0 ^= ov[b][0]
+			x1 ^= ov[b][1]
 			r ^= ovRHS[b]
 		}
 		if x0 == 0 && x1 == 0 {
@@ -322,7 +328,7 @@ func (rt *ReducedTable) checkSystem2(idx []int32, offset int32, rhs []uint8) (ra
 			p = wordBits + bits.TrailingZeros64(x1)
 			ovMask1 |= 1 << uint(p-wordBits)
 		}
-		ovRows[p] = [2]uint64{x0, x1}
+		ov[p] = [2]uint64{x0, x1}
 		ovRHS[p] = r
 		rank++
 	}

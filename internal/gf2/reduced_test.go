@@ -115,6 +115,45 @@ func TestCheckSystemOffset(t *testing.T) {
 	}
 }
 
+// TestCheckSystemNoAllocs guards the scan's hot path: after one warm-up
+// check, CheckSystem allocates nothing on the 1-word (n = 24), 2-word
+// (n = 85) and generic (n = 130) kernels. The systems are consistent with
+// a hidden solution, so every row is folded and the overlay fills.
+func TestCheckSystemNoAllocs(t *testing.T) {
+	for _, n := range []int{24, 85, 130} {
+		src := prng.New(uint64(n))
+		hidden := randVec(src, n)
+		s := NewSolver(n)
+		for i := 0; i < n/2; i++ {
+			c := randVec(src, n)
+			s.Add(Equation{Coeffs: c, RHS: c.Dot(hidden)})
+		}
+		const spec = 20
+		rs, eqs := randRowSet(src, n, 2*spec)
+		idx := make([]int32, spec)
+		rhs := make([]uint8, spec)
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		rt := NewReducedTable(s, rs)
+		var sc CheckScratch
+		off := int32(0)
+		check := func() {
+			for i := range rhs {
+				rhs[i] = eqs[int(off)+i].Coeffs.Dot(hidden)
+			}
+			if _, ok := rt.CheckSystem(idx, off, rhs, &sc); !ok {
+				t.Fatalf("n=%d offset %d: consistent system rejected", n, off)
+			}
+			off = (off + 1) % spec
+		}
+		check()
+		if allocs := testing.AllocsPerRun(100, check); allocs != 0 {
+			t.Errorf("n=%d: CheckSystem allocates %.1f times per check", n, allocs)
+		}
+	}
+}
+
 func TestRowSetValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

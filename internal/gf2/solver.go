@@ -16,10 +16,10 @@ type Equation struct {
 // Solver is an incremental Gaussian eliminator over GF(2).
 //
 // It maintains a basis of constraint rows in reduced row-echelon form, keyed
-// by pivot column (the lowest set coefficient bit of each row). New
-// constraints can be tested for consistency against the current basis
-// without mutating it (Check/ReducedTable.CheckSystem) or folded in
-// permanently (Add/AddSystem).
+// by pivot column (the lowest set coefficient bit of each row). Systems
+// drawn from a fixed row table are tested for consistency against the
+// current basis without mutating it through ReducedTable.CheckSystem; Add
+// folds one constraint in permanently.
 //
 // The basis lives in one contiguous word arena (row p at word offset
 // p·words) with a pivot-column mask, so hot reductions jump straight to
@@ -155,29 +155,21 @@ func (s *Solver) Add(eq Equation) (added, consistent bool) {
 	return true, true
 }
 
-// AddSystem folds a set of equations in atomically: either all equations
-// are consistent (some may be dependent) and the basis absorbs them,
-// returning (rankIncrease, true) — or the system contradicts the basis and
-// the basis is left untouched, returning (0, false).
-func (s *Solver) AddSystem(eqs []Equation) (rankIncrease int, consistent bool) {
-	var sc CheckScratch
-	inc, ok := s.Check(eqs, &sc)
-	if !ok {
-		return 0, false
-	}
-	for _, eq := range eqs {
-		if _, ok := s.Add(eq); !ok {
-			// Cannot happen: Check just validated the whole system.
-			panic("gf2: AddSystem inconsistency after successful Check")
-		}
-	}
-	return inc, true
-}
-
-// CheckScratch holds reusable buffers for Check so that hot candidate scans
-// allocate nothing after warm-up. A CheckScratch must not be shared between
-// goroutines; give each worker its own.
+// CheckScratch holds the elimination buffers of ReducedTable.CheckSystem,
+// so that hot candidate scans allocate nothing after warm-up and clear
+// nothing per check. The 1-word and 2-word kernels keep their overlay
+// (the rows a system adds on top of the basis, keyed by pivot) in the
+// fixed arrays below, and read only the entries their occupancy mask marks
+// as written during the current check, so entries left by earlier checks
+// are never seen and never zeroed. Wider registers use the pooled n-bit
+// rows. A CheckScratch must not be shared between goroutines; give each
+// worker its own.
 type CheckScratch struct {
+	ov1    [64]uint64     // 1-word overlay rows by pivot
+	ov1RHS [64]uint8      // their right-hand sides
+	ov2    [128][2]uint64 // 2-word overlay rows by pivot
+	ov2RHS [128]uint8     // their right-hand sides
+
 	overlay     []Vec   // overlay rows keyed by pivot, lazily sized to n
 	overlayRHS  []uint8 // RHS of overlay rows
 	overlaySet  []int   // pivots currently occupied in overlay
@@ -198,7 +190,7 @@ func (sc *CheckScratch) init(n int) {
 	sc.rowPoolNext = 0
 }
 
-// release clears the overlay occupancy left by one Check/CheckSystem pass.
+// release clears the overlay occupancy left by one generic CheckSystem pass.
 func (sc *CheckScratch) release() {
 	for _, p := range sc.overlaySet {
 		sc.overlay[p] = Vec{}
@@ -217,49 +209,6 @@ func (sc *CheckScratch) getRow(n int) Vec {
 	sc.rowPool = append(sc.rowPool, v)
 	sc.rowPoolNext = len(sc.rowPool)
 	return v
-}
-
-// Check tests whether the system eqs is consistent with the basis without
-// mutating the basis. It returns the rank increase the system would cause
-// and whether it is consistent. Equations within eqs may depend on each
-// other; the overlay in scratch tracks that.
-//
-// Check re-eliminates every equation against the full basis; when the
-// coefficient rows come from a fixed table that is probed repeatedly as the
-// basis grows (the encoder's candidate scan), ReducedTable.CheckSystem does
-// the same test in O(spec) by caching reduced rows.
-func (s *Solver) Check(eqs []Equation, scratch *CheckScratch) (rankIncrease int, consistent bool) {
-	scratch.init(s.n)
-	defer scratch.release()
-	for _, eq := range eqs {
-		dst := scratch.getRow(s.n)
-		dst.CopyFrom(eq.Coeffs)
-		r := eq.RHS & 1
-		// Reduce against the basis, then the overlay. Two phases suffice:
-		// overlay rows are stored fully reduced, so XORing them never
-		// reintroduces a basis-pivot bit.
-		for b := dst.FirstSetAnd(s.piv); b >= 0; b = dst.FirstSetAnd(s.piv) {
-			dst.Xor(s.row(b))
-			r ^= s.rhs[b]
-		}
-		for b := dst.FirstSetAnd(scratch.overlayMask); b >= 0; b = dst.FirstSetAnd(scratch.overlayMask) {
-			dst.Xor(scratch.overlay[b])
-			r ^= scratch.overlayRHS[b]
-		}
-		if dst.IsZero() {
-			if r != 0 {
-				return 0, false
-			}
-			scratch.rowPoolNext-- // recycle immediately
-			continue
-		}
-		p := dst.FirstSet()
-		scratch.overlay[p] = dst
-		scratch.overlayRHS[p] = r
-		scratch.overlayMask.SetBit(p, 1)
-		scratch.overlaySet = append(scratch.overlaySet, p)
-	}
-	return len(scratch.overlaySet), true
 }
 
 // Solution produces one full assignment of the n variables satisfying every

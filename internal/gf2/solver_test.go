@@ -174,6 +174,51 @@ func TestAddSystemAtomic(t *testing.T) {
 	}
 }
 
+// basisRREFError reports the first basis row that breaks reduced
+// row-echelon form: each row's pivot must be its lowest set bit, and no
+// row may hold another row's pivot bit. The single-pass folds of
+// ReducedTable rely on exactly this.
+func basisRREFError(s *Solver) error {
+	for p := 0; p < s.n; p++ {
+		if !s.occ[p] {
+			continue
+		}
+		row := s.row(p)
+		if low := row.FirstSet(); low != p {
+			return fmt.Errorf("row %d: lowest set bit %d", p, low)
+		}
+		for q := 0; q < s.n; q++ {
+			if q != p && s.occ[q] && row.Bit(q) != 0 {
+				return fmt.Errorf("row %d holds pivot bit %d", p, q)
+			}
+		}
+	}
+	return nil
+}
+
+// TestSolverBasisRREF checks the RREF invariant after every Add on seeded
+// random systems at register widths covering one, two and three words.
+func TestSolverBasisRREF(t *testing.T) {
+	for _, n := range []int{24, 64, 85, 130} {
+		for seed := uint64(0); seed < 4; seed++ {
+			src := prng.New(seed*31 + uint64(n))
+			s := NewSolver(n)
+			for i := 0; i < 2*n; i++ {
+				// Sparse rows arrive in every pivot order; dense ones
+				// force back-substitution into most earlier rows.
+				coeffs := NewVec(n)
+				for k := 1 + src.Intn(n); k > 0; k-- {
+					coeffs.SetBit(src.Intn(n), 1)
+				}
+				s.Add(Equation{Coeffs: coeffs, RHS: src.Bit()})
+				if err := basisRREFError(s); err != nil {
+					t.Fatalf("n=%d seed %d after add %d (rank %d): %v", n, seed, i, s.Rank(), err)
+				}
+			}
+		}
+	}
+}
+
 func TestSolverReset(t *testing.T) {
 	s := NewSolver(4)
 	s.Add(eq("1000", 1))
