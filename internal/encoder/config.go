@@ -46,22 +46,18 @@ func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, err
 // workers bounds the encoder's candidate-scan parallelism (0 = GOMAXPROCS,
 // for callers that already run several encodings concurrently). Every
 // variant's symbolic tables come from cache, so repeated encodes of the
-// same (n, width, chains, L) configuration — a session sweep revisiting a
-// cell, a benchmark loop — serve every variant they re-try from it instead
-// of re-simulating. (Within a single call each variant has its own phase
-// shifter, so the first encode of a configuration builds each tried
-// variant's tables exactly once.) A nil cache stands for a private
-// one-entry cache, so a failed variant's tables are dropped when the next
-// variant is built. The encodings are identical with any cache.
+// same (n, width, chains, L) configuration, such as a benchmark loop,
+// serve every variant they re-try from it instead of re-simulating.
+// (Within a single call each variant has its own phase shifter, so the
+// first encode of a configuration builds each tried variant's tables
+// exactly once.) A nil cache builds every variant's tables afresh, so a
+// failed variant's tables are dropped when the next variant is built. The
+// encodings are identical with any cache.
 //
 // The context is checked between variants and threaded into every encode
 // attempt (see EncodeCtx); a fired context stops the variant iteration
 // instead of masquerading as "unencodable".
 func EncodeAutoCtx(ctx context.Context, n, width, chains, L int, set *cube.Set, workers int, cache *TablesCache) (*Encoding, uint64, error) {
-	if cache == nil {
-		cache = NewTablesCache()
-		cache.SetMax(1)
-	}
 	const maxVariants = 16
 	var lastErr error
 	for v := uint64(0); v < maxVariants; v++ {

@@ -34,9 +34,8 @@ type Config struct {
 	// result is identical, only slower).
 	NoPruning bool
 	// Tables optionally supplies prebuilt shared symbolic tables. They must
-	// wrap this Config's exact LFSR, PS and Geo values; the window is
-	// extended in place if the tables are shorter than WindowLen. Nil builds
-	// private tables.
+	// wrap this Config's exact LFSR, PS and Geo values and be built for
+	// WindowLen. Nil builds private tables.
 	Tables *Tables
 }
 
@@ -62,8 +61,8 @@ type Encoding struct {
 	// The fresh-window screen that runs before the loop is not counted.
 	ChecksPerformed int64
 	// TableBuildTime is the wall time this encoding spent materialising
-	// symbolic tables and equation indices — ~0 when Config.Tables served
-	// everything from the shared arena.
+	// symbolic tables and its equation index — only the index when
+	// Config.Tables already held the built arena.
 	TableBuildTime time.Duration
 }
 
@@ -98,19 +97,21 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 	tabs := cfg.Tables
 	if tabs == nil {
 		var err error
-		tabs, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
+		tabs, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 		if err != nil {
 			return nil, err
 		}
 	} else if tabs.l != cfg.LFSR || tabs.ps != cfg.PS || tabs.geo != cfg.Geo {
 		return nil, fmt.Errorf("encoder: Config.Tables built for a different decompressor")
+	} else if tabs.winLen != cfg.WindowLen {
+		return nil, fmt.Errorf("encoder: Config.Tables built for window length %d, not %d", tabs.winLen, cfg.WindowLen)
 	}
 	t0 := time.Now()
-	table, err := tabs.EnsureLenCtx(ctx, cfg.WindowLen)
+	table, err := tabs.ExprTableCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sys := tabs.Systems(set, table)
+	sys := newSystemIndex(set, cfg.Geo, cfg.WindowLen)
 	built := time.Since(t0)
 	enc, err := encodeWithTable(ctx, cfg, set, table, sys)
 	if err != nil {

@@ -265,7 +265,9 @@ func TestEncodeGolden(t *testing.T) {
 // TestEncodeSharedTablesIdentical runs the same encoding with private
 // tables, with explicitly shared tables, and through EncodeAutoCtx's
 // TablesCache path (shared and nil cache); all must agree bit for bit,
-// and the shared runs must report ~zero table-build time on reuse.
+// the shared runs must report ~zero table-build time on reuse, and a
+// second encode through the same cache must reuse the accepted variant's
+// tables.
 func TestEncodeSharedTablesIdentical(t *testing.T) {
 	ctx := context.Background()
 	set := genSet(t, "s13207", 40)
@@ -274,7 +276,7 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
+	tabs, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,25 +339,43 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 			t.Fatalf("%s: nil-cache variant %d != cached %d", tc.name, vc, va)
 		}
 		assertEncodingsIdentical(t, tc.name+": nil cache vs cache", a, c)
-		if got := cache.Len(); got != int(va)+1 {
-			t.Fatalf("%s: cache holds %d variants, want %d (every variant tried)", tc.name, got, va+1)
+		if c.Cfg.Tables == a.Cfg.Tables {
+			t.Fatalf("%s: nil cache reused the cached variant's tables", tc.name)
+		}
+		again, _, err := EncodeAutoCtx(ctx, tc.n, tc.set.Width, tc.chains, tc.L, tc.set, 0, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Cfg.Tables != a.Cfg.Tables {
+			t.Fatalf("%s: a second encode through the cache rebuilt variant %d's tables", tc.name, va)
 		}
 	}
 }
 
 // TestEncodeRejectsForeignTables guards the Config.Tables validation: a
-// Tables built for one decompressor must not silently encode another.
+// Tables built for one decompressor or window length must not silently
+// encode another.
 func TestEncodeRejectsForeignTables(t *testing.T) {
 	set := genSet(t, "s9234", 10)
 	cfg := smallConfig(t, 24, set.Width, 8, 4)
 	other := smallConfig(t, 24, set.Width, 8, 4)
-	tabs, err := NewTables(other.LFSR, other.PS, other.Geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Tables = tabs
-	if _, err := EncodeCtx(context.Background(), cfg, set); err == nil {
-		t.Error("foreign tables accepted")
+	for _, tc := range []struct {
+		name string
+		c    Config
+		L    int
+	}{
+		{"different decompressor", other, 4},
+		{"different window length", cfg, 5},
+	} {
+		tabs, err := NewTables(tc.c.LFSR, tc.c.PS, tc.c.Geo, tc.L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Tables = tabs
+		if _, err := EncodeCtx(context.Background(), c, set); err == nil {
+			t.Errorf("%s: foreign tables accepted", tc.name)
+		}
 	}
 }
 
@@ -385,14 +405,13 @@ func TestPruningAblationIdentical(t *testing.T) {
 	}
 }
 
-// TestEncodeExtendedTablesIdentical encodes one set through one Tables
-// value at a sequence of window lengths that re-lays the arena out on every
-// extension (3 → 4 → 5 → 9 → 70) and then reads a short window from the
-// wide arena (12 after 70). Every encode must equal
-// one with fresh private tables: seeds, assignments and ChecksPerformed.
-// The same encodes then run at once through new shared tables, so
-// extensions and re-layouts race with encodes still reading earlier
-// snapshots.
+// TestEncodeExtendedTablesIdentical encodes one set through shared Tables
+// at several window lengths (3, 4, 5, 9, 70 and 12), one Tables value per
+// length, whose arena the first encode extends from empty. Every encode,
+// and a second one reading the built arena, must equal one with fresh
+// private tables: seeds, assignments and ChecksPerformed. The same encodes
+// then run at once, three per length through new shared tables, so the
+// lazy build races with encodes waiting to read it.
 func TestEncodeExtendedTablesIdentical(t *testing.T) {
 	ctx := context.Background()
 	set := genSet(t, "s9234", 25)
@@ -407,41 +426,48 @@ func TestEncodeExtendedTablesIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tabs, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, L := range lengths {
+	shared := func(L int) Config {
+		t.Helper()
 		c := cfg
-		c.WindowLen, c.Tables = L, tabs
-		got, err := EncodeCtx(ctx, c, set)
-		if err != nil {
+		c.WindowLen = L
+		var err error
+		if c.Tables, err = NewTables(c.LFSR, c.PS, c.Geo, L); err != nil {
 			t.Fatal(err)
 		}
-		assertEncodingsIdentical(t, fmt.Sprintf("L=%d shared vs fresh tables", L), want[i], got)
+		return c
+	}
+	for i, L := range lengths {
+		c := shared(L)
+		for _, pass := range []string{"build", "reuse"} {
+			got, err := EncodeCtx(ctx, c, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEncodingsIdentical(t, fmt.Sprintf("L=%d shared vs fresh tables (%s)", L, pass), want[i], got)
+		}
 	}
 
-	if tabs, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]*Encoding, len(lengths))
+	const perLen = 3
+	got := make([]*Encoding, len(lengths)*perLen)
 	var wg sync.WaitGroup
 	for i, L := range lengths {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := cfg
-			c.WindowLen, c.Tables = L, tabs
-			var err error
-			if got[i], err = EncodeCtx(ctx, c, set); err != nil {
-				t.Errorf("L=%d: %v", L, err)
-			}
-		}()
+		c := shared(L)
+		for j := 0; j < perLen; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if got[i*perLen+j], err = EncodeCtx(ctx, c, set); err != nil {
+					t.Errorf("L=%d: %v", L, err)
+				}
+			}()
+		}
 	}
 	wg.Wait()
-	for i, L := range lengths {
-		if got[i] != nil {
-			assertEncodingsIdentical(t, fmt.Sprintf("L=%d concurrent shared vs fresh tables", L), want[i], got[i])
+	for k, enc := range got {
+		if enc != nil {
+			L := lengths[k/perLen]
+			assertEncodingsIdentical(t, fmt.Sprintf("L=%d concurrent shared vs fresh tables", L), want[k/perLen], enc)
 		}
 	}
 }
@@ -537,11 +563,11 @@ func TestEncodeScreen(t *testing.T) {
 	// densest cube alone polls the (already cancelled) context. Prebuilt
 	// tables keep the table build from noticing the cancel first.
 	long := smallConfig(t, 24, set.Width, 8, 2*checkStride)
-	long.Tables, err = NewTables(long.LFSR, long.PS, long.Geo)
+	long.Tables, err = NewTables(long.LFSR, long.PS, long.Geo, long.WindowLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := long.Tables.EnsureLenCtx(context.Background(), long.WindowLen); err != nil {
+	if _, err := long.Tables.ExprTableCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

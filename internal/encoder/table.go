@@ -26,11 +26,11 @@ import (
 
 // ExprTable holds, for every window position and cube bit position, the
 // linear expression (over the n seed variables) that the decompressor
-// produces there. It is an immutable snapshot over the shared arena of a
-// Tables value, laid out position-minor: a window vector is loaded by
+// produces there. It is an immutable snapshot over the arena of a Tables
+// value, laid out position-minor: a window vector is loaded by
 // Length·Chains output slots, slot s = t·m+ch being chain ch at shift clock
 // t of the vector, and the expression of slot s at window position p is
-// row s·Pitch()+p of the row set. One cube bit probed at successive window
+// row s·L+p of the row set. One cube bit probed at successive window
 // positions therefore reads successive rows. Built once per (LFSR, phase
 // shifter, geometry, L) and shared by every seed computation.
 type ExprTable struct {
@@ -38,20 +38,13 @@ type ExprTable struct {
 	N   int           // LFSR size: seed variables per expression
 	Geo scan.Geometry // scan geometry the expressions feed
 
-	pitch int // window positions per slot band, ≥ L
-	rows  gf2.RowSet
+	rows gf2.RowSet
 }
 
-// Rows exposes the expression arena as an indexed row set; row s·Pitch()+p
-// is the expression of output slot s at window position p. Rows at
-// positions p ≥ L belong to longer windows and are not part of this
-// snapshot.
+// Rows exposes the expression arena as an indexed row set of
+// L·Length·Chains rows; row s·L+p is the expression of output slot s at
+// window position p.
 func (t *ExprTable) Rows() gf2.RowSet { return t.rows }
-
-// Pitch returns the row-index distance between consecutive output slots:
-// the number of window positions the arena holds per slot, at least L.
-// The same slot at consecutive window positions is consecutive rows.
-func (t *ExprTable) Pitch() int { return t.pitch }
 
 // Expr returns the seed-variable expression of cube bit position pos within
 // window vector v. The returned vector is a read-only view; do not modify.
@@ -61,7 +54,7 @@ func (t *ExprTable) Expr(v, pos int) gf2.Vec {
 	}
 	ch, depth := t.Geo.Cell(pos)
 	slot := t.Geo.ShiftCycle(depth)*t.Geo.Chains + ch
-	return t.rows.Row(slot*t.pitch + v)
+	return t.rows.Row(slot*t.L + v)
 }
 
 // Equations appends to buf the linear system that embeds c at window
@@ -73,7 +66,3 @@ func (t *ExprTable) Equations(c cube.Cube, v int, buf []gf2.Equation) []gf2.Equa
 	}
 	return buf
 }
-
-// MemoryBytes reports the size of the arena the snapshot spans, all
-// Pitch() positions of every slot, for diagnostics.
-func (t *ExprTable) MemoryBytes() int { return t.rows.Count() * ((t.N + 63) / 64) * 8 }

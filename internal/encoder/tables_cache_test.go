@@ -5,11 +5,15 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/lfsr"
+	"repro/internal/phaseshifter"
+	"repro/internal/scan"
 )
 
 // TestTablesCacheBuildsOnceUnderRace hammers one configuration from many
-// goroutines and asserts exactly one Tables build happened, with every
-// caller receiving the same instance. Run with -race.
+// goroutines and asserts every caller received the same Tables instance,
+// so exactly one build happened. Run with -race.
 func TestTablesCacheBuildsOnceUnderRace(t *testing.T) {
 	cache := NewTablesCache()
 	const goroutines = 32
@@ -32,64 +36,56 @@ func TestTablesCacheBuildsOnceUnderRace(t *testing.T) {
 			t.Fatalf("goroutine %d received a different Tables instance", g)
 		}
 	}
-	if b := cache.Builds(); b != 1 {
-		t.Fatalf("Builds = %d, want exactly 1 (singleflight)", b)
-	}
 }
 
-// TestTablesCacheSetMaxEvicts bounds the cache below the number of
-// distinct configurations and checks LRU eviction plus rebuild-on-return.
-func TestTablesCacheSetMaxEvicts(t *testing.T) {
-	cache := NewTablesCache()
-	cache.SetMax(2)
-	for _, L := range []int{2, 3, 4} {
-		if _, err := cache.TablesFor(24, 64, 8, L, 0); err != nil {
-			t.Fatalf("L=%d: %v", L, err)
-		}
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (bounded)", cache.Len())
-	}
-	if cache.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", cache.Evictions())
-	}
-	// L=2 is the LRU victim; re-requesting it rebuilds.
-	if _, err := cache.TablesFor(24, 64, 8, 2, 0); err != nil {
-		t.Fatalf("rebuild after eviction: %v", err)
-	}
-	if b := cache.Builds(); b != 4 {
-		t.Fatalf("Builds = %d, want 4 (3 distinct + 1 rebuild)", b)
-	}
+// stopAfterPolls is a context whose Err reports context.Canceled from its
+// (polls+1)-th call on, so a table build stops at a chosen poll.
+type stopAfterPolls struct {
+	context.Context
+	polls int
 }
 
-// TestEnsureLenCtxAbortResumes cancels a symbolic-table extension midway
-// and verifies (a) the error wraps the context error, (b) the tables stay
-// internally consistent, and (c) a later uncancelled call resumes and
-// produces a table identical to one built in a single shot.
+func (c *stopAfterPolls) Err() error {
+	if c.polls == 0 {
+		return context.Canceled
+	}
+	c.polls--
+	return nil
+}
+
+// TestEnsureLenCtxAbortResumes cancels a symbolic table build before it
+// starts and verifies (a) the error wraps the context error, (b) the
+// tables stay internally consistent, and (c) a later uncancelled
+// ExprTableCtx call resumes and produces a table identical to one built in
+// a single shot.
 func TestEnsureLenCtxAbortResumes(t *testing.T) {
 	cfg, err := StandardConfigVariant(24, 64, 8, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aborted, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
+	aborted, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := aborted.EnsureLenCtx(canceled, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EnsureLenCtx(cancelled) err = %v, want context.Canceled", err)
+	if _, err := aborted.ExprTableCtx(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExprTableCtx(cancelled) err = %v, want context.Canceled", err)
 	}
-	snap, err := aborted.EnsureLenCtx(context.Background(), 8)
+	// The first poll comes after symStride-1 cycles, which are kept.
+	if aborted.cycles != symStride-1 {
+		t.Fatalf("cancelled build kept %d cycles, want %d", aborted.cycles, symStride-1)
+	}
+	snap, err := aborted.ExprTableCtx(context.Background())
 	if err != nil {
 		t.Fatalf("resume after abort: %v", err)
 	}
 
-	fresh, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo)
+	fresh, err := NewTables(cfg.LFSR, cfg.PS, cfg.Geo, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.EnsureLenCtx(context.Background(), 8)
+	want, err := fresh.ExprTableCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,5 +99,71 @@ func TestEnsureLenCtxAbortResumes(t *testing.T) {
 	}
 	if snap.L != want.L || snap.N != want.N {
 		t.Fatalf("snapshot header differs: %+v vs %+v", snap, want)
+	}
+}
+
+// TestExprTableIncrementalExtension stops a symbolic table build twice, at
+// cycles that split a window vector, and verifies (a) each error wraps
+// context.Canceled, (b) the build keeps exactly the cycles completed, and
+// (c) a later uncancelled call extends the kept prefix to a table
+// identical to one built in a single shot: the retained symbolic
+// simulation resumes exactly where the prefix ended. Checked for both
+// register forms, since their Step recurrences rotate the symbolic state
+// differently.
+func TestExprTableIncrementalExtension(t *testing.T) {
+	taps, ok := lfsr.Taps(18)
+	if !ok {
+		t.Fatal("no curated taps for n=18")
+	}
+	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
+		t.Run(form.String(), func(t *testing.T) {
+			l, err := lfsr.NewFromTaps(form, 18, taps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			geo, err := scan.New(60, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := phaseshifter.New(18, [][]int{{0, 5, 11}, {1, 7, 13}, {2, 9, 15}, {3, 6, 17}, {4, 10, 14}, {8, 12, 16}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const L = 13
+			aborted, err := NewTables(l, ps, geo, L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The build polls once per symStride = 16 cycles, counted
+			// from where it resumed: at cycle 15, then at 30, 46 and 62.
+			// Window vectors are 10 cycles long, so both stops split one.
+			for _, stop := range []struct{ polls, cycles int }{{0, 15}, {2, 62}} {
+				ctx := &stopAfterPolls{Context: context.Background(), polls: stop.polls}
+				if _, err := aborted.ExprTableCtx(ctx); !errors.Is(err, context.Canceled) {
+					t.Fatalf("ExprTableCtx(cancelled) err = %v, want context.Canceled", err)
+				}
+				if aborted.cycles != stop.cycles {
+					t.Fatalf("build stopped at cycle %d, want %d", aborted.cycles, stop.cycles)
+				}
+			}
+			got, err := aborted.ExprTableCtx(context.Background())
+			if err != nil {
+				t.Fatalf("resume after abort: %v", err)
+			}
+			want, err := buildExprTable(l, ps, geo, L)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.L != want.L || got.N != want.N || got.Rows().Count() != want.Rows().Count() {
+				t.Fatalf("snapshot header differs: %+v vs %+v", got, want)
+			}
+			for v := 0; v < L; v++ {
+				for pos := 0; pos < geo.Width; pos++ {
+					if !got.Expr(v, pos).Equal(want.Expr(v, pos)) {
+						t.Fatalf("expr (%d,%d) differs after abort+resume", v, pos)
+					}
+				}
+			}
+		})
 	}
 }

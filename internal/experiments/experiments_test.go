@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/benchprofile"
+	"repro/internal/encoder"
 	"repro/internal/litdata"
 	"repro/internal/netlist"
 )
@@ -192,6 +193,67 @@ func TestSessionCaching(t *testing.T) {
 	ib, _ := s.IndexCtx(context.Background(), "s9234", 8)
 	if ia != ib {
 		t.Error("index not cached")
+	}
+}
+
+// TestSessionEncTableBuilds renders every CI-scale table and figure
+// and checks Stats().EncTableBuilds against its definition: the sum of
+// variant+1 over the session's encodings, each encoding's variant taken
+// from a fresh EncodeAutoCtx of the same (circuit, L).
+func TestSessionEncTableBuilds(t *testing.T) {
+	ctx := context.Background()
+	s := ciSession()
+	if _, err := s.Table1(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Table2(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Fig4(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Table3(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Table4(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.HWOverhead(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SoC(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var encodings, want int64
+	for _, name := range benchprofile.Names() {
+		p, err := benchprofile.ByName(name, benchprofile.ScaleCI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for L := 1; L <= 64; L++ {
+			s.mu.Lock()
+			_, ok := s.encs.Get(encKey{name, L})
+			s.mu.Unlock()
+			if !ok {
+				continue
+			}
+			encodings++
+			_, v, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, L, p.Generate(), 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += int64(v) + 1
+		}
+	}
+	st := s.Stats()
+	if encodings != st.EncodingBuilds {
+		t.Fatalf("found %d memoized encodings, session built %d", encodings, st.EncodingBuilds)
+	}
+	if want <= encodings {
+		t.Fatalf("every encoding settled on variant 0; the sum %d does not test the variant count", want)
+	}
+	if st.EncTableBuilds != want {
+		t.Fatalf("EncTableBuilds = %d, want %d (variant+1 over %d encodings)", st.EncTableBuilds, want, encodings)
 	}
 }
 

@@ -113,13 +113,6 @@ type Session struct {
 	// default. Results are bit-identical for any value.
 	LaneWords int
 
-	// EncTables memoizes the encoder's shared symbolic tables per
-	// decompressor configuration (LFSR size, geometry, window length and
-	// phase-shifter variant), so every phase-shifter variant tried across
-	// the session's sweep pays for its symbolic simulation at most once —
-	// the encoding-side analogue of the ATPG Tables cache below.
-	EncTables *encoder.TablesCache
-
 	mu   sync.Mutex
 	sets *lru.Cache[string, *memo[*cube.Set]]                // guarded by mu
 	encs *lru.Cache[encKey, *memo[*encoder.Encoding]]        // guarded by mu
@@ -128,9 +121,9 @@ type Session struct {
 
 	// stats counts artefact builds and cache hits; see Stats.
 	stats struct {
-		setBuilds, encBuilds, idxBuilds, tabBuilds atomic.Int64
-		hits                                       atomic.Int64
-		setNS, encNS, idxNS, tabNS                 atomic.Int64
+		setBuilds, encBuilds, idxBuilds, tabBuilds, encTabBuilds atomic.Int64
+		hits                                                     atomic.Int64
+		setNS, encNS, idxNS, tabNS                               atomic.Int64
 	}
 }
 
@@ -140,6 +133,10 @@ type SessionStats struct {
 	// SetBuilds..TableBuilds count computations of each artefact kind —
 	// under singleflight, concurrent identical requests bump these once.
 	SetBuilds, EncodingBuilds, IndexBuilds, TableBuilds int64
+	// EncTableBuilds counts the encoder's symbolic table builds, one per
+	// phase-shifter variant an encoding build finished trying (variant+1
+	// for an accepted encoding).
+	EncTableBuilds int64
 	// Hits counts requests served from an existing memo slot.
 	Hits int64
 	// Evictions counts memo slots dropped by the MaxCached LRU bound.
@@ -168,6 +165,7 @@ func (s *Session) Stats() SessionStats {
 		EncodingBuilds:  s.stats.encBuilds.Load(),
 		IndexBuilds:     s.stats.idxBuilds.Load(),
 		TableBuilds:     s.stats.tabBuilds.Load(),
+		EncTableBuilds:  s.stats.encTabBuilds.Load(),
 		Hits:            s.stats.hits.Load(),
 		Evictions:       int64(ev),
 		Cached:          n,
@@ -279,13 +277,12 @@ func cached[K comparable, V any](ctx context.Context, mu *sync.Mutex, m *lru.Cac
 // default parameters. Caches start unbounded; see SetMaxCached.
 func NewSession(scale benchprofile.Scale) *Session {
 	return &Session{
-		Scale:     scale,
-		Params:    ParamsFor(scale),
-		EncTables: encoder.NewTablesCache(),
-		sets:      lru.New[string, *memo[*cube.Set]](0),
-		encs:      lru.New[encKey, *memo[*encoder.Encoding]](0),
-		idxs:      lru.New[encKey, *memo[*stateskip.VecEmbeddings]](0),
-		tabs:      lru.New[*netlist.Netlist, *memo[*atpg.Tables]](0),
+		Scale:  scale,
+		Params: ParamsFor(scale),
+		sets:   lru.New[string, *memo[*cube.Set]](0),
+		encs:   lru.New[encKey, *memo[*encoder.Encoding]](0),
+		idxs:   lru.New[encKey, *memo[*stateskip.VecEmbeddings]](0),
+		tabs:   lru.New[*netlist.Netlist, *memo[*atpg.Tables]](0),
 	}
 }
 
@@ -419,10 +416,12 @@ func (s *Session) EncodingCtx(ctx context.Context, circuit string, L int) (*enco
 		if err != nil {
 			return nil, err
 		}
-		enc, _, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, L, set, s.Workers, s.EncTables)
+		enc, variant, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, L, set, s.Workers, nil)
 		if err != nil {
+			s.stats.encTabBuilds.Add(int64(variant))
 			return nil, fmt.Errorf("experiments: %s L=%d: %w", circuit, L, err)
 		}
+		s.stats.encTabBuilds.Add(int64(variant) + 1)
 		return enc, nil
 	}))
 }

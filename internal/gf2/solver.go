@@ -9,8 +9,8 @@ import "fmt"
 // between many equations (e.g. the precomputed symbolic output table of an
 // LFSR + phase shifter).
 type Equation struct {
-	Coeffs Vec
-	RHS    uint8
+	Coeffs Vec   // coefficient of each seed variable, one bit per variable
+	RHS    uint8 // right-hand side, 0 or 1
 }
 
 // Solver is an incremental Gaussian eliminator over GF(2).

@@ -30,6 +30,7 @@ const (
 	Galois
 )
 
+// String returns the lower-case form name, "fibonacci" or "galois".
 func (f Form) String() string {
 	switch f {
 	case Fibonacci:

@@ -133,10 +133,10 @@ func TestNoDetSourceFixture(t *testing.T) {
 // positive paths stay covered as fixtures evolve.
 func TestFixturesSeedEnoughViolations(t *testing.T) {
 	for fixture, importPath := range map[string]string{
-		"detrange": DetPackages[0],
-		"frozen":   "example.com/frozen",
+		"detrange":  DetPackages[0],
+		"frozen":    "example.com/frozen",
 		"lockcheck": "example.com/lockcheck",
-		"nodet":    DetPackages[1],
+		"nodet":     DetPackages[1],
 	} {
 		if n := countWants(t, loadFixture(t, fixture, importPath)); n < 2 {
 			t.Errorf("fixture %s seeds %d violations, want at least 2", fixture, n)

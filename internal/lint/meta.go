@@ -28,8 +28,8 @@ var builderRe = regexp.MustCompile(`(?i)^(new|make|build|compute|derive|ensure|e
 // frozenType records the write policy of one lint:frozen struct type.
 type frozenType struct {
 	name   *types.TypeName
-	allow  map[string]bool      // extra allowed writer functions
-	fields map[*types.Var]bool  // frozen fields (guarded fields excluded)
+	allow  map[string]bool     // extra allowed writer functions
+	fields map[*types.Var]bool // frozen fields (guarded fields excluded)
 }
 
 // guardInfo records one "guarded by" relationship inside a struct.

@@ -62,8 +62,10 @@ func TestMetaCollected(t *testing.T) {
 			t.Errorf("expected %s to carry the lint:frozen marker", want)
 		}
 	}
-	// Session(4) + encoder.Tables(5) + TablesCache(1) + Netlist(4) + LFSR(1)
-	if guarded < 15 {
-		t.Errorf("expected at least 15 guarded fields across the pipeline, found %d", guarded)
+	// experiments.Session(4: sets, encs, idxs, tabs) + encoder.Tables(3:
+	// sym, arena, cycles) + encoder.TablesCache(1: m) + netlist.Netlist(4)
+	// + lfsr.LFSR(1)
+	if guarded != 13 {
+		t.Errorf("expected exactly 13 guarded fields across the pipeline, found %d", guarded)
 	}
 }

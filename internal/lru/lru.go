@@ -1,7 +1,7 @@
 // Package lru provides a small generic least-recently-used map used to
 // size-bound the repository's shared artefact caches (experiments.Session
-// memo maps, encoder.TablesCache, the server's core cache) under sustained
-// multi-tenant load. It is deliberately not goroutine-safe: every caller
+// memo maps and the server's core cache) under sustained multi-tenant
+// load. It is deliberately not goroutine-safe: every caller
 // already owns a mutex guarding its cache state, and keeping the locking
 // outside avoids double synchronization.
 package lru

@@ -35,7 +35,6 @@ type Metrics struct {
 		Evictions       int64 `json:"evictions"`
 		Cached          int   `json:"cached"`
 		EncTableBuilds  int64 `json:"enc_table_builds"`
-		EncTableCached  int   `json:"enc_table_cached"`
 		SetBuildNS      int64 `json:"set_build_ns"`
 		EncodingBuildNS int64 `json:"encoding_build_ns"`
 		IndexBuildNS    int64 `json:"index_build_ns"`
@@ -88,8 +87,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 	m.Session.Hits = st.Hits
 	m.Session.Evictions = st.Evictions
 	m.Session.Cached = st.Cached
-	m.Session.EncTableBuilds = s.session.EncTables.Builds()
-	m.Session.EncTableCached = s.session.EncTables.Len()
+	m.Session.EncTableBuilds = st.EncTableBuilds
 	m.Session.SetBuildNS = st.SetBuildNS
 	m.Session.EncodingBuildNS = st.EncodingBuildNS
 	m.Session.IndexBuildNS = st.IndexBuildNS

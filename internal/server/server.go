@@ -212,7 +212,6 @@ func New(cfg Config) (*Server, error) {
 	s.session.LaneWords = cfg.LaneWords
 	if cfg.MaxCached > 0 {
 		s.session.SetMaxCached(cfg.MaxCached)
-		s.session.EncTables.SetMax(cfg.MaxCached)
 	}
 
 	var requeue []*job

@@ -168,6 +168,41 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMetricsEncTableBuilds checks that /metrics enc_table_builds
+// reports the session's encoder table builds: one per phase-shifter
+// variant the encode job tried. CI s38584 at L = 24 settles on variant 1.
+func TestMetricsEncTableBuilds(t *testing.T) {
+	s := newTest(t, Config{JobWorkers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	st, err := s.Submit(Request{Kind: KindEncode, Circuit: "s38584", L: 24, S: 4, K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitState(t, s, st.ID, StateDone, StateFailed); final.State != StateDone {
+		t.Fatalf("job failed: %s", final.Error)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Session map[string]any `json:"session"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	got := m.Session["enc_table_builds"]
+	if got != 2.0 || s.session.Stats().EncTableBuilds != 2 {
+		t.Fatalf("enc_table_builds = %v, session %d, want 2 (variants 0 and 1)", got, s.session.Stats().EncTableBuilds)
+	}
+	if _, ok := m.Session["enc_table_cached"]; ok {
+		t.Fatal("/metrics still reports enc_table_cached")
+	}
+}
+
 // TestQueueBackpressure fills the bounded queue behind a stalled worker
 // and asserts the typed rejection plus the HTTP 503 + Retry-After
 // contract.

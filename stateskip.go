@@ -43,11 +43,12 @@ type (
 	PhaseShifter = phaseshifter.PhaseShifter
 	// EncoderConfig configures window-based reseeding.
 	EncoderConfig = encoder.Config
-	// EncoderTables are the shared symbolic tables of one decompressor,
-	// reusable across encodings via EncoderConfig.Tables.
+	// EncoderTables are the shared symbolic tables of one decompressor at
+	// one window length, reusable across encodings with that WindowLen
+	// via EncoderConfig.Tables.
 	EncoderTables = encoder.Tables
 	// EncoderTablesCache memoizes EncoderTables per decompressor
-	// configuration for EncodeAuto.
+	// configuration and window length for EncodeAuto.
 	EncoderTablesCache = encoder.TablesCache
 	// Encoding is a computed set of seeds.
 	Encoding = encoder.Encoding
