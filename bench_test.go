@@ -5,8 +5,9 @@
 //
 // By default the benchmarks run the reduced CI-scale workloads so the whole
 // suite finishes in seconds. Set STATESKIP_SCALE=paper to rerun the actual
-// DATE'08 experiment sizes (minutes; see EXPERIMENTS.md for the recorded
-// paper-scale outputs, or `go run ./cmd/stateskip -scale=paper all`).
+// DATE'08 experiment sizes (minutes). `go run ./cmd/stateskip -scale paper
+// all` prints every paper-scale table; table1, table2, table3, table4,
+// fig4, hw or soc in place of all prints one.
 package stateskiplfsr
 
 import (

@@ -240,12 +240,17 @@ func All(scale Scale) []Profile {
 // profiles holds the calibrated workloads.
 //
 // Paper-scale calibration targets (Table 1): seed counts 243/369/298/685/405
-// at L=1 shrinking to 152/112/159/553/92 at L=500. Achieved (see
-// EXPERIMENTS.md): 261/361/267/670/420 at L=1 and 182/77/179/~660/103 at
-// L=500 — the orderings, the direction of every trend, and the per-circuit
-// character (s38417 rank-bound and flat, s38584/s13207 conflict-bound and
-// steep) all match; absolute seed counts agree within ~35%. The knobs were
-// tuned against the L∈{1,50,200,500} seed-count targets per circuit.
+// at L=1 shrinking to 152/112/159/553/92 at L=500. Achieved (`go run
+// ./cmd/stateskip -scale paper table1`): 261/361/267/670/420 at L=1 and
+// 182/77/179/679/103 at L=500, within ~35% of the targets. The orderings
+// and the steep, conflict-bound fall of s13207 and s38584 match, but
+// s38417 does not: its seed count stays flat (670 → 679) where the paper's
+// falls by a fifth (685 → 553). Table 2 (`... table2`) shows the same two
+// circuits off the paper: at L=500 the State Skip sequence is 1,540
+// vectors for s38417 against the paper's 21,865, and 2,650 for s38584
+// against 9,054, while s9234, s13207 and s15850 land within ~25%. The
+// knobs were tuned against the L∈{1,50,200,500} seed-count targets per
+// circuit.
 func profiles(scale Scale) []Profile {
 	switch scale {
 	case ScalePaper:
@@ -288,7 +293,7 @@ func profiles(scale Scale) []Profile {
 }
 
 // SpecHistogramString renders a compact histogram of specified counts for
-// diagnostics and EXPERIMENTS.md.
+// diagnostics.
 func SpecHistogramString(s *cube.Set) string {
 	h := s.Histogram()
 	keys := make([]int, 0, len(h))

@@ -78,9 +78,11 @@ func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.WindowLen }
 // a dedicated seed (the LFSR is too small for the test set).
 //
 // Cancellation is cooperative: every candidate-scan worker polls the
-// context once per checkStride consistency checks and the
-// seed-construction loop polls it at every tier boundary, so a cancel or
-// deadline stops the encoder within microseconds of the engines noticing.
+// context once per checkStride consistency checks (on a seed the basis
+// already determines, whose window positions are decided up to 64 per
+// step, at least once per checkStride+63) and the seed-construction loop
+// polls it once per seed, so a cancel or deadline stops the encoder
+// within microseconds of the engines noticing.
 // A cancelled encode returns an error wrapping context.Canceled or
 // context.DeadlineExceeded; an uncancelled run is bit-identical for any
 // live context.
@@ -151,13 +153,27 @@ type scanView struct {
 // the paper-scale compress-paper encodes at two workers took a median
 // 964 ms in total with a cut-off of 128, against 983 ms splitting every
 // tier, 1,017 ms at 512 and 1,011 ms at 2,048.
+//
+// Tiers of a determined seed always run inline, whatever their size, so
+// one goroutine owns the seed's planes and can build each on first use
+// (see buildPlane). Splitting them bought nothing: with every plane built
+// up front, six alternating rounds of paper-scale BenchmarkCompressPhases
+// at two workers on the same host gave the s13207 L = 200 encode a median
+// 468 ms split at this cut-off and 462 ms inline; building on first use
+// then took it to 423 ms against 460 ms (six more rounds).
 const inlineScanPairs = 128
 
 // scanTierHook, when non-nil, is called by every scanTier with the tier's
 // feasible pair count (counted only when more than one worker could take
-// the tier, 0 otherwise) and whether the tier was split across workers.
-// Tests set it to prove both scan paths ran.
-var scanTierHook func(pairs int, split bool)
+// the tier, 0 otherwise), whether the tier was split across workers and
+// whether it scans a determined seed's planes. Tests set it to prove every
+// scan path ran.
+var scanTierHook func(pairs int, split, fixed bool)
+
+// symbolicScanOnly, when set, keeps every seed on the symbolic scan even
+// after its basis reaches full rank. Tests set it to run the determined-
+// seed shortcut (fixSeed, scanCubeFixed) against the scan it replaces.
+var symbolicScanOnly bool
 
 // checkStride is how many consistency checks a scan worker performs
 // between context polls. One CheckSystem costs tens of nanoseconds at
@@ -166,11 +182,12 @@ var scanTierHook func(pairs int, split bool)
 // measurement noise.
 const checkStride = 256
 
-// pollCtx advances a worker's poll tick and, once per checkStride calls,
-// checks the encode context. A fired context trips the shared stop flag so
-// every other worker bails at its next cube claim.
-func (st *encodeState) pollCtx(v *scanView) bool {
-	if v.tick++; v.tick >= checkStride {
+// pollCtx advances a worker's poll tick by the checks it is about to
+// perform and, once the tick reaches checkStride, checks the encode
+// context. A fired context trips the shared stop flag so every other
+// worker bails at its next cube claim.
+func (st *encodeState) pollCtx(v *scanView, checks int) bool {
+	if v.tick += checks; v.tick >= checkStride {
 		v.tick = 0
 		if st.ctx.Err() != nil {
 			st.stop.Store(true)
@@ -208,6 +225,19 @@ type encodeState struct {
 	views  []*scanView
 	eqBuf  []gf2.Equation
 	checks int64
+
+	// fixed is set once the current seed's basis reaches full rank; the
+	// seed is then its one solution, seedVal, the fixedSeeds-th of the
+	// encode (see fixSeed). planes holds that seed's window slot by slot,
+	// each slot's plane built on first use: bit b of
+	// planes[s·feasWords+w] is the bit output slot s feeds at window
+	// position 64w+b, current while planeSeed[s] == fixedSeeds. Cube
+	// ci's k-th specified bit reads slot sys.base[ci][k] / L.
+	fixed      bool
+	seedVal    gf2.Vec
+	fixedSeeds uint32
+	planes     []uint64
+	planeSeed  []uint32
 
 	// Scan buffers reused across tiers: the cubes of the tier being
 	// scanned, and results[ti], the solvable positions of cube tier[ti].
@@ -311,7 +341,7 @@ func (st *encodeState) screen() error {
 // context's error if the encode was cancelled.
 func (st *encodeState) firstSolvable(v *scanView, ci int) (pos int, checks int64, err error) {
 	for p := 0; p < st.L; p++ {
-		if st.pollCtx(v) {
+		if st.pollCtx(v, 1) {
 			return -1, checks, st.ctx.Err()
 		}
 		checks++
@@ -327,6 +357,7 @@ func (st *encodeState) firstSolvable(v *scanView, ci int) (pos int, checks int64
 // per the paper's criteria until nothing else fits.
 func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	st.solver.Reset()
+	st.fixed = false
 	for ci, rem := range st.remaining {
 		if rem {
 			feas := st.feasRow(ci)
@@ -371,24 +402,63 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 		st.commit(cand.cube, cand.pos, &seed)
 	}
 
-	seed.Value = st.solver.Solution(func(int) uint8 { return fill.Bit() })
+	if st.fixed {
+		seed.Value = st.seedVal
+	} else {
+		seed.Value = st.solver.Solution(func(int) uint8 { return fill.Bit() })
+	}
 	return seed, nil
 }
 
 // commit folds the system of cube ci at window position pos into the
 // basis and records the assignment. The system was verified consistent by
 // the check that nominated it, against this same basis, so each equation
-// is added directly; an inconsistency is a bug.
+// is added directly; an inconsistency is a bug. On a determined seed the
+// system adds nothing to the basis, so only the assignment is recorded.
 func (st *encodeState) commit(ci, pos int, seed *Seed) {
-	st.eqBuf = st.table.Equations(st.set.Cubes[ci], pos, st.eqBuf[:0])
-	for _, eq := range st.eqBuf {
-		if _, ok := st.solver.Add(eq); !ok {
-			panic("encoder: committing a system that was just verified solvable")
+	if !st.fixed {
+		st.eqBuf = st.table.Equations(st.set.Cubes[ci], pos, st.eqBuf[:0])
+		for _, eq := range st.eqBuf {
+			if _, ok := st.solver.Add(eq); !ok {
+				panic("encoder: committing a system that was just verified solvable")
+			}
+		}
+		if st.solver.FreeVars() == 0 && !symbolicScanOnly {
+			st.fixSeed()
 		}
 	}
 	seed.Assignments = append(seed.Assignments, Assignment{Cube: ci, Pos: pos})
 	st.remaining[ci] = false
 	st.nRemain--
+}
+
+// fixSeed switches the rest of the seed's construction to bit planes once
+// its basis has full rank. The seed is then the basis's only solution, so
+// Solution draws no fill bit, and a (cube, position) system is consistent
+// iff that seed's window carries the cube there, with rank increase 0.
+func (st *encodeState) fixSeed() {
+	st.fixed = true
+	st.fixedSeeds++
+	st.seedVal = st.solver.Solution(func(int) uint8 { return 0 }) // no variable is free
+	if st.planes == nil {
+		// The encode's first determined seed sizes the planes; encodes
+		// that never determine a seed do not pay for them.
+		slots := st.table.Rows().Count() / st.L
+		st.planes = make([]uint64, slots*st.feasWords)
+		st.planeSeed = make([]uint32, slots)
+	}
+}
+
+// buildPlane builds output slot s's plane on the determined seed: the
+// slot's L expression rows of the arena evaluated at the seed, 64 window
+// positions to a word. scanCubeFixed builds each plane on first use: its
+// AND chains stop early, so a seed's scan reads only a fraction of the
+// slots. Tiers of a determined seed run inline (see inlineScanPairs), so
+// one goroutine owns the planes.
+func (st *encodeState) buildPlane(s int32) {
+	off := int(s) * st.feasWords
+	st.table.Rows().DotWords(st.seedVal, int(s)*st.L, st.L, st.planes[off:off+st.feasWords])
+	st.planeSeed[s] = st.fixedSeeds
 }
 
 // scanTiers walks specified-count tiers in descending order and returns the
@@ -435,13 +505,16 @@ func (st *encodeState) feasRow(ci int) []uint64 {
 // (constraints only grow, so unsolvable stays unsolvable); under
 // NoPruning the row keeps every position of the window set.
 func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
+	if st.fixed {
+		return st.scanCubeFixed(v, ci, out)
+	}
 	feas := st.feasRow(ci)
 	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
 	var local int64
 	for wi := range feas {
 		for m := feas[wi]; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			if st.pollCtx(v) {
+			if st.pollCtx(v, 1) {
 				return local // cancelled: the caller discards this tier's scan
 			}
 			local++
@@ -459,12 +532,56 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 	return local
 }
 
+// scanCubeFixed is scanCube on a determined seed. It decides a word of 64
+// feasible positions at once: the AND over the cube's specified bits of
+// the plane word of the bit's slot, inverted where the cube wants a 0,
+// stopping as soon as no position is left. Every solvable position is a
+// candidate of rank increase 0, and every feasible position counts as one
+// check, exactly the pairs the symbolic scan would have probed; pruning
+// clears the positions that failed, as it does there.
+func (st *encodeState) scanCubeFixed(v *scanView, ci int, out *[]candidate) int64 {
+	feas := st.feasRow(ci)
+	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
+	L, W := int32(st.L), st.feasWords
+	var local int64
+	for wi, f := range feas {
+		if f == 0 {
+			continue
+		}
+		c := bits.OnesCount64(f)
+		if st.pollCtx(v, c) {
+			return local // cancelled: the caller discards this tier's scan
+		}
+		local += int64(c)
+		acc := f
+		for k, b := range base {
+			s := b / L
+			if st.planeSeed[s] != st.fixedSeeds {
+				st.buildPlane(s)
+			}
+			// rhs 1 keeps the plane word, rhs 0 (all-ones mask) inverts it.
+			acc &= st.planes[int(s)*W+wi] ^ (uint64(rhs[k]) - 1)
+			if acc == 0 {
+				break
+			}
+		}
+		if !st.cfg.NoPruning {
+			feas[wi] = acc
+		}
+		for m := acc; m != 0; m &= m - 1 {
+			*out = append(*out, candidate{cube: ci, pos: wi*64 + bits.TrailingZeros64(m)})
+		}
+	}
+	return local
+}
+
 // scanTier checks every still-feasible (cube, position) pair of one tier:
 // fanned out over the persistent worker views when the tier holds at least
-// inlineScanPairs pairs, on view 0 otherwise. The basis is immutable for
-// the whole scan, each view and each cube's feasibility row is owned by
-// exactly one goroutine at a time, and results are index-addressed — so
-// the tie-breaks below see the same candidate set for any worker count.
+// inlineScanPairs pairs and the seed is not yet determined, on view 0
+// otherwise. The basis is immutable for the whole scan, each view and each
+// cube's feasibility row is owned by exactly one goroutine at a time, and
+// results are index-addressed — so the tie-breaks below see the same
+// candidate set for any worker count.
 func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	for len(st.results) < len(tier) {
 		st.results = append(st.results, nil)
@@ -478,6 +595,9 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	if workers > len(tier) {
 		workers = len(tier)
 	}
+	if st.fixed {
+		workers = 1
+	}
 	pairs := 0
 	if workers > 1 {
 		for _, ci := range tier {
@@ -490,7 +610,7 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 		}
 	}
 	if scanTierHook != nil {
-		scanTierHook(pairs, workers > 1)
+		scanTierHook(pairs, workers > 1, st.fixed)
 	}
 	if workers <= 1 {
 		v := st.viewFor(0)

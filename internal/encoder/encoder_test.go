@@ -168,20 +168,27 @@ func TestEncodeDeterministic(t *testing.T) {
 // contract: seeds, assignments and even the number of consistency checks
 // are identical for any Workers value (the scan fans out over per-worker
 // reduced views, but every (cube, position) verdict is value-deterministic
-// and the tie-breaks are index-addressed). Tiers below inlineScanPairs run
-// on view 0 and larger ones are split across workers; the longer window
-// holds many tiers of each kind, and the test proves through scanTierHook
-// that both paths ran in every multi-worker encode.
+// and the tie-breaks are index-addressed). Symbolic tiers below
+// inlineScanPairs run on view 0 and larger ones are split across workers;
+// tiers of a determined seed always run on view 0, whatever their size.
+// The longer window holds many tiers of each kind, and the test proves
+// through scanTierHook that all three paths ran in every multi-worker
+// encode.
 func TestEncodeWorkersBitIdentical(t *testing.T) {
 	set := genSet(t, "s38417", 0)
-	var split, inline int
-	scanTierHook = func(pairs int, s bool) {
-		if s != (pairs >= inlineScanPairs) {
+	var split, inline, fixed int
+	scanTierHook = func(pairs int, s, f bool) {
+		switch {
+		case f:
+			if s {
+				t.Errorf("determined-seed tier split across workers")
+			}
+			fixed++
+		case s != (pairs >= inlineScanPairs):
 			t.Errorf("tier of %d pairs: split = %v", pairs, s)
-		}
-		if s {
+		case s:
 			split++
-		} else {
+		default:
 			inline++
 		}
 	}
@@ -195,15 +202,16 @@ func TestEncodeWorkersBitIdentical(t *testing.T) {
 		}
 		for _, workers := range []int{2, 3, 7, 0} {
 			cfg.Workers = workers
-			split, inline = 0, 0
+			split, inline, fixed = 0, 0, 0
 			got, err := EncodeCtx(context.Background(), cfg, set)
 			if err != nil {
 				t.Fatalf("L=%d workers=%d: %v", L, workers, err)
 			}
 			label := fmt.Sprintf("L=%d workers=%d", L, workers)
 			assertEncodingsIdentical(t, label, want, got)
-			if workers > 1 && (split == 0 || inline == 0) {
-				t.Errorf("%s: %d tiers split, %d inline; want both paths", label, split, inline)
+			if workers > 1 && (split == 0 || inline == 0 || fixed == 0) {
+				t.Errorf("%s: %d symbolic tiers split, %d inline, %d determined; want all three paths",
+					label, split, inline, fixed)
 			}
 		}
 	}

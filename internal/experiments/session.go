@@ -3,8 +3,10 @@
 // a Markdown rendering; cmd/stateskip and the repository-level benchmarks
 // are thin wrappers around these drivers.
 //
-// The experiment index lives in ARCHITECTURE.md §④; measured-vs-paper values are
-// recorded in EXPERIMENTS.md.
+// The experiment index lives in ARCHITECTURE.md §④. The measured values at
+// the paper's sizes come from `go run ./cmd/stateskip -scale paper table1`
+// (or table2, table3, table4, fig4, hw, soc, all), which prints each table
+// with the paper's published numbers wherever the paper gives them.
 package experiments
 
 import (

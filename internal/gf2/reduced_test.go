@@ -162,3 +162,42 @@ func TestRowSetValidation(t *testing.T) {
 	}()
 	NewRowSet(65, make([]uint64, 3)) // 65 bits → 2 words per row; 3 is ragged
 }
+
+// TestDotWordsMatchesDot pins the packed row-evaluation kernel to Vec.Dot
+// on the one-word (n = 24, 64), two-word (n = 85) and generic (n = 130)
+// paths: every count from 1 to 64 and a few multi-word ones (each with a
+// partial last word, except 64 and 128), from a nonzero first row, into a
+// destination prefilled with ones so uncleared tail bits show. After
+// warm-up a call allocates nothing.
+func TestDotWordsMatchesDot(t *testing.T) {
+	counts := []int{65, 127, 128, 200}
+	for c := 1; c <= 64; c++ {
+		counts = append(counts, c)
+	}
+	for _, n := range []int{24, 64, 85, 130} {
+		src := prng.New(uint64(n) * 31)
+		rs, _ := randRowSet(src, n, 210)
+		x := randVec(src, n)
+		dst := make([]uint64, 4)
+		for _, count := range counts {
+			const first = 3
+			for i := range dst {
+				dst[i] = ^uint64(0)
+			}
+			rs.DotWords(x, first, count, dst)
+			for j := 0; j < wordsFor(count)*wordBits; j++ {
+				got := uint8(dst[j/wordBits] >> uint(j%wordBits) & 1)
+				want := uint8(0)
+				if j < count {
+					want = rs.Row(first + j).Dot(x)
+				}
+				if got != want {
+					t.Fatalf("n=%d count=%d first=%d: bit %d = %d, want %d", n, count, first, j, got, want)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { rs.DotWords(x, 7, 200, dst) }); allocs != 0 {
+			t.Errorf("n=%d: DotWords allocates %.1f times per call", n, allocs)
+		}
+	}
+}

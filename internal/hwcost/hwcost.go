@@ -6,9 +6,10 @@
 // algorithm), which is how synthesis tools actually share XOR terms.
 //
 // Absolute numbers from such a model track real synthesis only to first
-// order; EXPERIMENTS.md therefore compares *trends* (GE versus speedup
-// factor k, GE versus L and S) against the paper's figures, and the orders
-// of magnitude line up.
+// order, so the comparison with the paper's figures is one of *trends* (GE
+// versus speedup factor k, GE versus L and S), and the orders of magnitude
+// line up. `go run ./cmd/stateskip -scale paper hw` prints the model's
+// numbers at the paper's sizes.
 package hwcost
 
 import (
