@@ -62,7 +62,9 @@ type Encoding struct {
 	ChecksPerformed int64
 	// TableBuildTime is the wall time this encoding spent materialising
 	// symbolic tables and its equation index — only the index when
-	// Config.Tables already held the built arena.
+	// Config.Tables already held the built arena — plus the column arena
+	// its scan builds when it first decides a window word bit-sliced
+	// (never at L = 1).
 	TableBuildTime time.Duration
 }
 
@@ -78,11 +80,11 @@ func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.WindowLen }
 // a dedicated seed (the LFSR is too small for the test set).
 //
 // Cancellation is cooperative: every candidate-scan worker polls the
-// context once per checkStride consistency checks (on a seed the basis
-// already determines, whose window positions are decided up to 64 per
-// step, at least once per checkStride+63) and the seed-construction loop
-// polls it once per seed, so a cancel or deadline stops the encoder
-// within microseconds of the engines noticing.
+// context once per checkStride consistency checks (at least once per
+// checkStride+63 where a bit-sliced word decides up to 64 window
+// positions in one step) and the seed-construction loop polls it once per
+// seed, so a cancel or deadline stops the encoder within microseconds of
+// the engines noticing.
 // A cancelled encode returns an error wrapping context.Canceled or
 // context.DeadlineExceeded; an uncancelled run is bit-identical for any
 // live context.
@@ -115,11 +117,11 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 	}
 	sys := newSystemIndex(set, cfg.Geo, cfg.WindowLen)
 	built := time.Since(t0)
-	enc, err := encodeWithTable(ctx, cfg, set, table, sys)
+	enc, colBuild, err := encodeWithTable(ctx, cfg, set, table, sys)
 	if err != nil {
 		return nil, err
 	}
-	enc.TableBuildTime = built
+	enc.TableBuildTime = built + colBuild
 	return enc, nil
 }
 
@@ -142,38 +144,51 @@ type scanView struct {
 	tick    int
 }
 
-// inlineScanPairs is the fewest still-feasible (cube, position) pairs a
-// tier must hold before scanTier splits it across workers; smaller tiers
-// are scanned on view 0 by the calling goroutine. A split pays for
-// spawning the workers and for each private view catching its cached rows
-// up to the basis, which a tier of a few dozen checks does not repay:
-// s38417 at L = 1 on the paper scale runs 21,348 tiers of 19 checks on
-// average, and two workers encoded it 25–35 % slower than one when every
-// tier was split. On a 2-vCPU Xeon (Go 1.24, eight alternating rounds),
-// the paper-scale compress-paper encodes at two workers took a median
-// 964 ms in total with a cut-off of 128, against 983 ms splitting every
-// tier, 1,017 ms at 512 and 1,011 ms at 2,048.
+// inlineScanPairs is the fewest scalar (cube, position) pairs a tier must
+// hold before scanTier splits it across workers; smaller tiers are scanned
+// on view 0 by the calling goroutine. A split pays for spawning the
+// workers and for each private view catching its cached rows up to the
+// basis, which a tier of a few dozen checks does not repay: s38417 at
+// L = 1 on the paper scale runs 21,348 tiers of 19 checks on average, and
+// two workers encoded it 25–35 % slower than one when every tier was
+// split. On a 2-vCPU Xeon (Go 1.24, eight alternating rounds), the
+// paper-scale compress-paper encodes at two workers took a median 964 ms
+// in total with a cut-off of 128, against 983 ms splitting every tier,
+// 1,017 ms at 512 and 1,011 ms at 2,048.
 //
-// Tiers of a determined seed always run inline, whatever their size, so
-// one goroutine owns the seed's planes and can build each on first use
-// (see buildPlane). Splitting them bought nothing: with every plane built
-// up front, six alternating rounds of paper-scale BenchmarkCompressPhases
-// at two workers on the same host gave the s13207 L = 200 encode a median
-// 468 ms split at this cut-off and 462 ms inline; building on first use
-// then took it to 423 ms against 460 ms (six more rounds).
+// Bit-sliced words do not count towards the cut-off, and a tier holding
+// any runs inline whatever its size, so one goroutine owns the plane
+// blocks and builds each on first use. Splitting such tiers, each worker
+// view with its own blocks, bought nothing: on the paper-scale s13207
+// L = 200 encode at two workers (best of 20, alternating), 47 of its 831
+// tiers with sliced words split, and the encode took 117 ms split against
+// 104 ms inline; s9234 at L = 20 never split one.
 const inlineScanPairs = 128
 
-// scanTierHook, when non-nil, is called by every scanTier with the tier's
-// feasible pair count (counted only when more than one worker could take
-// the tier, 0 otherwise), whether the tier was split across workers and
-// whether it scans a determined seed's planes. Tests set it to prove every
-// scan path ran.
-var scanTierHook func(pairs int, split, fixed bool)
+// tierScan describes one scanned tier to scanTierHook: its cubes, the
+// still-feasible pairs it checks on the scalar path, the window words it
+// decides bit-sliced, the basis's free variables, and whether the tier was
+// split across workers.
+type tierScan struct {
+	cubes, scalarPairs, slicedWords, free int
+	split                                 bool
+}
 
-// symbolicScanOnly, when set, keeps every seed on the symbolic scan even
-// after its basis reaches full rank. Tests set it to run the determined-
-// seed shortcut (fixSeed, scanCubeFixed) against the scan it replaces.
-var symbolicScanOnly bool
+// scanTierHook, when non-nil, is called by every scanTier before it scans.
+// Tests set it to prove every scan path ran.
+var scanTierHook func(tierScan)
+
+// scanOverride, when not scanMeasured, sends every window word down one
+// scan path whatever its lanes: scanScalarOnly makes the scalar
+// CheckSystem path an oracle for the bit-sliced kernel, and scanSlicedOnly
+// runs the kernel on words the measured rule keeps scalar. Tests only.
+var scanOverride = scanMeasured
+
+const (
+	scanMeasured = iota
+	scanScalarOnly
+	scanSlicedOnly
+)
 
 // checkStride is how many consistency checks a scan worker performs
 // between context polls. One CheckSystem costs tens of nanoseconds at
@@ -226,18 +241,33 @@ type encodeState struct {
 	eqBuf  []gf2.Equation
 	checks int64
 
-	// fixed is set once the current seed's basis reaches full rank; the
-	// seed is then its one solution, seedVal, the fixedSeeds-th of the
-	// encode (see fixSeed). planes holds that seed's window slot by slot,
-	// each slot's plane built on first use: bit b of
-	// planes[s·feasWords+w] is the bit output slot s feeds at window
-	// position 64w+b, current while planeSeed[s] == fixedSeeds. Cube
-	// ci's k-th specified bit reads slot sys.base[ci][k] / L.
-	fixed      bool
-	seedVal    gf2.Vec
-	fixedSeeds uint32
-	planes     []uint64
-	planeSeed  []uint32
+	// epoch names the current basis: it moves on whenever the basis
+	// changes (a seed's Reset, or a commit that raises the rank), and a
+	// plane block is current while it carries it. aff is the
+	// basis's affine form (free variables, null-space generators and
+	// zero-fill solution), current while affEpoch == epoch; free is the
+	// basis's free-variable count, set per tier. cols is the column arena
+	// the planes are built from: block (s·feasWords + w) of n words holds
+	// column j of output slot s's rows at window positions 64w … 64w+63 in
+	// word j, built on the encode's first sliced word in colBuild.
+	epoch, affEpoch uint32
+	aff             gf2.Affine
+	free            int
+	slots           int
+	cols            []uint64
+	colBuild        time.Duration
+
+	// planes holds one block of free+1 lane words per (output slot, window
+	// word) pair, current while planeEpoch of the pair equals epoch: word
+	// i < free is the plane of free variable i, word free the plane of the
+	// zero-fill solution (see block). pivMask, pivRows and eq are
+	// sliceWord's lane elimination scratch: pivMask[i] marks the lanes
+	// holding a pivot row for free variable i, stored at
+	// pivRows[i·(free+1):], and eq is the equation being reduced. Tiers
+	// with sliced words run inline, so the calling goroutine owns them.
+	planes               []uint64
+	planeEpoch           []uint32
+	pivMask, pivRows, eq []uint64
 
 	// Scan buffers reused across tiers: the cubes of the tier being
 	// scanned, and results[ti], the solvable positions of cube tier[ti].
@@ -249,7 +279,7 @@ type encodeState struct {
 	stop atomic.Bool
 }
 
-func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *ExprTable, sys *systemIndex) (*Encoding, error) {
+func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *ExprTable, sys *systemIndex) (*Encoding, time.Duration, error) {
 	st := &encodeState{
 		ctx:     ctx,
 		cfg:     cfg,
@@ -259,6 +289,8 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 		n:       cfg.LFSR.Size(),
 		L:       cfg.WindowLen,
 		workers: cfg.Workers,
+		epoch:   1,
+		slots:   table.Rows().Count() / cfg.WindowLen,
 	}
 	if st.workers <= 0 {
 		st.workers = runtime.GOMAXPROCS(0)
@@ -283,23 +315,23 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 	st.views = make([]*scanView, st.workers)
 
 	if err := st.screen(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	enc := &Encoding{Cfg: cfg, Set: set}
 	fill := prng.New(cfg.FillSeed)
 	for st.nRemain > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("encoder: encode stopped after %d seeds (%d/%d cubes): %w",
+			return nil, 0, fmt.Errorf("encoder: encode stopped after %d seeds (%d/%d cubes): %w",
 				len(enc.Seeds), set.Len()-st.nRemain, set.Len(), err)
 		}
 		seed, err := st.buildSeed(fill)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		enc.Seeds = append(enc.Seeds, seed)
 	}
 	enc.ChecksPerformed = st.checks
-	return enc, nil
+	return enc, st.colBuild, nil
 }
 
 // viewFor lazily creates the probe state of one worker; unused workers
@@ -357,7 +389,7 @@ func (st *encodeState) firstSolvable(v *scanView, ci int) (pos int, checks int64
 // per the paper's criteria until nothing else fits.
 func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	st.solver.Reset()
-	st.fixed = false
+	st.epoch++
 	for ci, rem := range st.remaining {
 		if rem {
 			feas := st.feasRow(ci)
@@ -402,11 +434,8 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 		st.commit(cand.cube, cand.pos, &seed)
 	}
 
-	if st.fixed {
-		seed.Value = st.seedVal
-	} else {
-		seed.Value = st.solver.Solution(func(int) uint8 { return fill.Bit() })
-	}
+	// A full-rank basis has no free variable, so it draws no fill bit.
+	seed.Value = st.solver.Solution(func(int) uint8 { return fill.Bit() })
 	return seed, nil
 }
 
@@ -414,51 +443,24 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 // basis and records the assignment. The system was verified consistent by
 // the check that nominated it, against this same basis, so each equation
 // is added directly; an inconsistency is a bug. On a determined seed the
-// system adds nothing to the basis, so only the assignment is recorded.
+// system adds nothing to the basis, so only the assignment is recorded,
+// and the seed's plane blocks stay current.
 func (st *encodeState) commit(ci, pos int, seed *Seed) {
-	if !st.fixed {
+	if st.solver.FreeVars() > 0 {
+		rank := st.solver.Rank()
 		st.eqBuf = st.table.Equations(st.set.Cubes[ci], pos, st.eqBuf[:0])
 		for _, eq := range st.eqBuf {
 			if _, ok := st.solver.Add(eq); !ok {
 				panic("encoder: committing a system that was just verified solvable")
 			}
 		}
-		if st.solver.FreeVars() == 0 && !symbolicScanOnly {
-			st.fixSeed()
+		if st.solver.Rank() != rank {
+			st.epoch++
 		}
 	}
 	seed.Assignments = append(seed.Assignments, Assignment{Cube: ci, Pos: pos})
 	st.remaining[ci] = false
 	st.nRemain--
-}
-
-// fixSeed switches the rest of the seed's construction to bit planes once
-// its basis has full rank. The seed is then the basis's only solution, so
-// Solution draws no fill bit, and a (cube, position) system is consistent
-// iff that seed's window carries the cube there, with rank increase 0.
-func (st *encodeState) fixSeed() {
-	st.fixed = true
-	st.fixedSeeds++
-	st.seedVal = st.solver.Solution(func(int) uint8 { return 0 }) // no variable is free
-	if st.planes == nil {
-		// The encode's first determined seed sizes the planes; encodes
-		// that never determine a seed do not pay for them.
-		slots := st.table.Rows().Count() / st.L
-		st.planes = make([]uint64, slots*st.feasWords)
-		st.planeSeed = make([]uint32, slots)
-	}
-}
-
-// buildPlane builds output slot s's plane on the determined seed: the
-// slot's L expression rows of the arena evaluated at the seed, 64 window
-// positions to a word. scanCubeFixed builds each plane on first use: its
-// AND chains stop early, so a seed's scan reads only a fraction of the
-// slots. Tiers of a determined seed run inline (see inlineScanPairs), so
-// one goroutine owns the planes.
-func (st *encodeState) buildPlane(s int32) {
-	off := int(s) * st.feasWords
-	st.table.Rows().DotWords(st.seedVal, int(s)*st.L, st.L, st.planes[off:off+st.feasWords])
-	st.planeSeed[s] = st.fixedSeeds
 }
 
 // scanTiers walks specified-count tiers in descending order and returns the
@@ -499,20 +501,58 @@ func (st *encodeState) feasRow(ci int) []uint64 {
 	return st.feasible[ci*st.feasWords : (ci+1)*st.feasWords]
 }
 
-// scanCube probes every still-feasible position of one cube through a
-// worker's reduced view, in ascending position order. Positions proven
-// unsolvable are pruned for the rest of this seed's construction
-// (constraints only grow, so unsolvable stays unsolvable); under
-// NoPruning the row keeps every position of the window set.
-func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
-	if st.fixed {
-		return st.scanCubeFixed(v, ci, out)
+// slicedWord reports whether scanCube decides a window word with the
+// given number of still-feasible positions bit-sliced (see sliceWord)
+// rather than with one CheckSystem per position.
+func (st *encodeState) slicedWord(lanes int) bool {
+	switch scanOverride {
+	case scanScalarOnly:
+		return false
+	case scanSlicedOnly:
+		return true
 	}
+	return lanes >= minSlicedLanes
+}
+
+// minSlicedLanes is the fewest still-feasible positions a window word must
+// hold to be decided bit-sliced. A sliced word pays for its plane blocks
+// and for a lane elimination as wide as the basis's free variables
+// whatever its lanes, so a word of one or two positions is cheaper on the
+// scalar path; L = 1 classical reseeding, whose words hold one position,
+// therefore never builds the column arena. On a 2-vCPU Xeon (Go 1.24, one
+// worker, prebuilt tables, best of 3–5 encodes at paper scale and of 40 at
+// CI scale), cut-offs of 2, 4 and 8 lanes were within noise of each other
+// and of slicing every word on the paper-scale s13207 L = 200 (146–164 ms
+// against 1,140 ms all scalar) and s9234 L = 20 (159–184 ms against 308
+// ms) encodes and on the CI-scale profiles at L = 8, 16 and 32, and 16
+// lanes lost up to 28 %. Adding free/4 or free/8 lanes to the cut-off
+// gained nothing.
+const minSlicedLanes = 4
+
+// scanCube probes every still-feasible position of one cube through a
+// worker's view, in ascending window words. A word slicedWord accepts is
+// decided in one sliceWord call, all its positions at once; the others run
+// one CheckSystem per position through the view's reduced table. Positions
+// proven unsolvable are pruned for the rest of this seed's construction
+// (constraints only grow, so unsolvable stays unsolvable); under NoPruning
+// the row keeps every position of the window set. Either way each feasible
+// position counts as one check.
+func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 	feas := st.feasRow(ci)
 	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
 	var local int64
-	for wi := range feas {
-		for m := feas[wi]; m != 0; m &= m - 1 {
+	for wi, f := range feas {
+		if f == 0 {
+			continue
+		}
+		if lanes := bits.OnesCount64(f); st.slicedWord(lanes) {
+			if st.sliceWord(v, ci, wi, lanes, out) {
+				return local // cancelled: the caller discards this tier's scan
+			}
+			local += int64(lanes)
+			continue
+		}
+		for m := f; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
 			if st.pollCtx(v, 1) {
 				return local // cancelled: the caller discards this tier's scan
@@ -532,56 +572,172 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 	return local
 }
 
-// scanCubeFixed is scanCube on a determined seed. It decides a word of 64
-// feasible positions at once: the AND over the cube's specified bits of
-// the plane word of the bit's slot, inverted where the cube wants a 0,
-// stopping as soon as no position is left. Every solvable position is a
-// candidate of rank increase 0, and every feasible position counts as one
-// check, exactly the pairs the symbolic scan would have probed; pruning
-// clears the positions that failed, as it does there.
-func (st *encodeState) scanCubeFixed(v *scanView, ci int, out *[]candidate) int64 {
+// sliceWord decides every still-feasible position of cube ci's window
+// word wi at once, lanes of them, and appends a candidate for each
+// position whose system is consistent with the basis. Pruning keeps
+// exactly those positions, and the lanes count as that many checks
+// towards the view's context poll; it reports whether the poll found the
+// encode cancelled.
+//
+// It works in the basis's free-variable coordinates (gf2.Affine): lane b
+// of a slot's plane block holds the slot's expression at window position
+// 64·wi+b as an affine function of the free variables, so every equation
+// is one word per free variable plus a constant word, 64 positions to a
+// word. Forward elimination then runs across the 64 lanes at once: each
+// free variable keeps a mask of the lanes that hold a pivot row for it
+// and those rows, masked by lane; an equation folds in the pivot rows of
+// the lanes that hit them and becomes a pivot row in the lanes that do
+// not; a lane dies when one of its equations reduces to 0 = 1. The rank
+// increase of a surviving position is the number of pivot rows placed in
+// its lane. With no free variable (a determined seed) each equation is a
+// single AND with its slot's plane of the seed.
+func (st *encodeState) sliceWord(v *scanView, ci, wi, lanes int, out *[]candidate) bool {
+	if st.pollCtx(v, lanes) {
+		return true
+	}
 	feas := st.feasRow(ci)
 	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
 	L, W := int32(st.L), st.feasWords
-	var local int64
-	for wi, f := range feas {
-		if f == 0 {
-			continue
-		}
-		c := bits.OnesCount64(f)
-		if st.pollCtx(v, c) {
-			return local // cancelled: the caller discards this tier's scan
-		}
-		local += int64(c)
-		acc := f
+	r := st.free
+	pivMask := st.pivMask[:r]
+	alive := feas[wi]
+	if r == 0 {
+		// rhs 1 keeps the plane word, rhs 0 (all-ones mask) inverts it.
 		for k, b := range base {
-			s := b / L
-			if st.planeSeed[s] != st.fixedSeeds {
-				st.buildPlane(s)
-			}
-			// rhs 1 keeps the plane word, rhs 0 (all-ones mask) inverts it.
-			acc &= st.planes[int(s)*W+wi] ^ (uint64(rhs[k]) - 1)
-			if acc == 0 {
+			if alive &= st.block(int(b/L)*W + wi)[0] ^ (uint64(rhs[k]&1) - 1); alive == 0 {
 				break
 			}
 		}
-		if !st.cfg.NoPruning {
-			feas[wi] = acc
-		}
-		for m := acc; m != 0; m &= m - 1 {
-			*out = append(*out, candidate{cube: ci, pos: wi*64 + bits.TrailingZeros64(m)})
+	} else {
+		stride := r + 1
+		eq := st.eq[:stride]
+		clear(pivMask)
+		for k, b := range base {
+			copy(eq, st.block(int(b/L)*W+wi))
+			// rhs 1 flips the constant: the equation is Σ t_i·eq[i] = rhs ⊕ eq[r].
+			eq[r] ^= -uint64(rhs[k] & 1)
+			act := alive
+			for i, pm := range pivMask {
+				x := eq[i] & act
+				if x == 0 {
+					continue
+				}
+				// Only the words past i matter: bit i is the pivot itself.
+				tail := eq[i+1:]
+				row := st.pivRows[i*stride+i+1 : (i+1)*stride]
+				row = row[:len(tail)]
+				if h := x & pm; h != 0 {
+					for j, rw := range row {
+						tail[j] ^= h & rw
+					}
+				}
+				if nw := x &^ pm; nw != 0 {
+					pivMask[i] = pm | nw
+					if pm == 0 {
+						// Lanes outside the mask are never read.
+						copy(row, tail)
+					} else {
+						for j, e := range tail {
+							row[j] = row[j]&^nw | e&nw
+						}
+					}
+					if act &^= nw; act == 0 {
+						break
+					}
+				}
+			}
+			if alive &^= act & eq[r]; alive == 0 {
+				break
+			}
 		}
 	}
-	return local
+	if !st.cfg.NoPruning {
+		feas[wi] = alive
+	}
+	for m := alive; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		inc := 0
+		for _, pm := range pivMask {
+			inc += int(pm >> uint(b) & 1)
+		}
+		*out = append(*out, candidate{cube: ci, pos: wi*64 + b, rankInc: inc})
+	}
+	return false
+}
+
+// block returns plane block blk (output slot s, window word w at
+// blk = s·feasWords + w) at the current basis, building it on first use:
+// plane i is the XOR of the slot's column words over the support of
+// null-space generator i, and the constant plane the XOR over the support
+// of the zero-fill solution, so bit b of plane i is the slot's expression
+// at window position 64w+b dotted with generator i.
+func (st *encodeState) block(blk int) []uint64 {
+	stride := st.free + 1
+	pl := st.planes[blk*stride : (blk+1)*stride]
+	if st.planeEpoch[blk] != st.epoch {
+		col := st.cols[blk*st.n : (blk+1)*st.n]
+		for i, g := range st.aff.Gens {
+			pl[i] = xorColumns(col, g.Words())
+		}
+		pl[st.free] = xorColumns(col, st.aff.X0.Words())
+		st.planeEpoch[blk] = st.epoch
+	}
+	return pl
+}
+
+// xorColumns returns the XOR of the column words col[j] over the set bits
+// j of the support words.
+func xorColumns(col, support []uint64) uint64 {
+	var acc uint64
+	for k, w := range support {
+		for ; w != 0; w &= w - 1 {
+			acc ^= col[k*64+bits.TrailingZeros64(w)]
+		}
+	}
+	return acc
+}
+
+// prepareSliced readies the bit-sliced path before a tier scans its first
+// sliced word: the column arena, the plane blocks and the lane scratch,
+// allocated on the encode's first sliced word, and the basis's affine
+// form. The planes are allocated once with room for n+1 words per block,
+// enough for any basis, and laid out at the current basis's stride of
+// free+1 words, so a determined seed's blocks are one dense word each. The
+// stride changes only with the basis, which leaves every block stale, so
+// the new layout invalidates nothing current.
+func (st *encodeState) prepareSliced() {
+	if st.cols == nil {
+		t0 := time.Now()
+		rows, W, n := st.table.Rows(), st.feasWords, st.n
+		blocks := st.slots * W
+		st.cols = make([]uint64, blocks*n)
+		for s := 0; s < st.slots; s++ {
+			for w := 0; w < W; w++ {
+				blk := s*W + w
+				rows.ColumnsInto(s*st.L+w*64, min(64, st.L-w*64), st.cols[blk*n:(blk+1)*n])
+			}
+		}
+		st.planes = make([]uint64, blocks*(n+1))
+		st.planeEpoch = make([]uint32, blocks)
+		st.pivMask = make([]uint64, n)
+		st.pivRows = make([]uint64, n*(n+1))
+		st.eq = make([]uint64, n+1)
+		st.colBuild = time.Since(t0)
+	}
+	if st.affEpoch != st.epoch {
+		st.solver.AffineInto(&st.aff)
+		st.affEpoch = st.epoch
+	}
 }
 
 // scanTier checks every still-feasible (cube, position) pair of one tier:
-// fanned out over the persistent worker views when the tier holds at least
-// inlineScanPairs pairs and the seed is not yet determined, on view 0
-// otherwise. The basis is immutable for the whole scan, each view and each
-// cube's feasibility row is owned by exactly one goroutine at a time, and
-// results are index-addressed — so the tie-breaks below see the same
-// candidate set for any worker count.
+// fanned out over the persistent worker views when the tier holds at
+// least inlineScanPairs pairs on the scalar path and no word decided
+// bit-sliced, on view 0 otherwise (see inlineScanPairs). The basis is
+// immutable for the whole scan, each view and each cube's feasibility row
+// is owned by exactly one goroutine at a time, and results are
+// index-addressed — so the tie-breaks below see the same candidate set for
+// any worker count.
 func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	for len(st.results) < len(tier) {
 		st.results = append(st.results, nil)
@@ -590,28 +746,30 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	for ti := range results {
 		results[ti] = results[ti][:0]
 	}
-	var checkCount int64
-	workers := st.workers
-	if workers > len(tier) {
-		workers = len(tier)
-	}
-	if st.fixed {
-		workers = 1
-	}
-	pairs := 0
-	if workers > 1 {
-		for _, ci := range tier {
-			for _, w := range st.feasRow(ci) {
-				pairs += bits.OnesCount64(w)
+	st.free = st.solver.FreeVars()
+	pairs, sliced := 0, 0
+	for _, ci := range tier {
+		for _, w := range st.feasRow(ci) {
+			if lanes := bits.OnesCount64(w); lanes == 0 {
+				continue
+			} else if st.slicedWord(lanes) {
+				sliced++
+			} else {
+				pairs += lanes
 			}
 		}
-		if pairs < inlineScanPairs {
-			workers = 1
-		}
+	}
+	if sliced > 0 {
+		st.prepareSliced()
+	}
+	workers := min(st.workers, len(tier))
+	if pairs < inlineScanPairs || sliced > 0 {
+		workers = 1
 	}
 	if scanTierHook != nil {
-		scanTierHook(pairs, workers > 1, st.fixed)
+		scanTierHook(tierScan{cubes: len(tier), scalarPairs: pairs, slicedWords: sliced, free: st.free, split: workers > 1})
 	}
+	var checkCount int64
 	if workers <= 1 {
 		v := st.viewFor(0)
 		for ti, ci := range tier {

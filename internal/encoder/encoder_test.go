@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -167,51 +168,67 @@ func TestEncodeDeterministic(t *testing.T) {
 // TestEncodeWorkersBitIdentical asserts the candidate scan's determinism
 // contract: seeds, assignments and even the number of consistency checks
 // are identical for any Workers value (the scan fans out over per-worker
-// reduced views, but every (cube, position) verdict is value-deterministic
-// and the tie-breaks are index-addressed). Symbolic tiers below
-// inlineScanPairs run on view 0 and larger ones are split across workers;
-// tiers of a determined seed always run on view 0, whatever their size.
-// The longer window holds many tiers of each kind, and the test proves
-// through scanTierHook that all three paths ran in every multi-worker
-// encode.
+// views, but every (cube, position) verdict is value-deterministic and the
+// tie-breaks are index-addressed). Tiers holding a bit-sliced word, or
+// fewer than inlineScanPairs scalar pairs, run on view 0; larger scalar
+// tiers are split across workers. Under the measured choice of path the
+// sliced words leave no tier large enough to split at CI scale, so the
+// scalar path alone (scanScalarOnly) runs the split. The test proves
+// through scanTierHook that every path ran in every multi-worker encode:
+// split and inline tiers, and sliced words at full rank and below it.
 func TestEncodeWorkersBitIdentical(t *testing.T) {
 	set := genSet(t, "s38417", 0)
-	var split, inline, fixed int
-	scanTierHook = func(pairs int, s, f bool) {
-		switch {
-		case f:
-			if s {
-				t.Errorf("determined-seed tier split across workers")
-			}
-			fixed++
-		case s != (pairs >= inlineScanPairs):
-			t.Errorf("tier of %d pairs: split = %v", pairs, s)
-		case s:
+	var split, inline, slicedFree, slicedFull, workers int
+	scanTierHook = func(ts tierScan) {
+		want := ts.scalarPairs >= inlineScanPairs && ts.slicedWords == 0 && min(ts.cubes, workers) > 1
+		if ts.split != want {
+			t.Errorf("tier of %d cubes, %d scalar pairs and %d sliced words: split = %v",
+				ts.cubes, ts.scalarPairs, ts.slicedWords, ts.split)
+		}
+		if ts.split {
 			split++
-		default:
+		} else {
 			inline++
 		}
-	}
-	t.Cleanup(func() { scanTierHook = nil })
-	for _, L := range []int{12, 32} {
-		cfg := smallConfig(t, 32, set.Width, 8, L)
-		cfg.Workers = 1
-		want, err := EncodeCtx(context.Background(), cfg, set)
-		if err != nil {
-			t.Fatal(err)
+		if ts.slicedWords > 0 && ts.free > 0 {
+			slicedFree++
 		}
-		for _, workers := range []int{2, 3, 7, 0} {
-			cfg.Workers = workers
-			split, inline, fixed = 0, 0, 0
-			got, err := EncodeCtx(context.Background(), cfg, set)
+		if ts.slicedWords > 0 && ts.free == 0 {
+			slicedFull++
+		}
+	}
+	t.Cleanup(func() { scanTierHook, scanOverride = nil, scanMeasured })
+	for _, override := range []int{scanMeasured, scanScalarOnly} {
+		scanOverride = override
+		for _, L := range []int{12, 32} {
+			cfg := smallConfig(t, 32, set.Width, 8, L)
+			cfg.Workers, workers = 1, 1
+			want, err := EncodeCtx(context.Background(), cfg, set)
 			if err != nil {
-				t.Fatalf("L=%d workers=%d: %v", L, workers, err)
+				t.Fatal(err)
 			}
-			label := fmt.Sprintf("L=%d workers=%d", L, workers)
-			assertEncodingsIdentical(t, label, want, got)
-			if workers > 1 && (split == 0 || inline == 0 || fixed == 0) {
-				t.Errorf("%s: %d symbolic tiers split, %d inline, %d determined; want all three paths",
-					label, split, inline, fixed)
+			for _, w := range []int{2, 3, 7, 0} {
+				cfg.Workers, workers = w, w
+				if w == 0 {
+					workers = runtime.GOMAXPROCS(0)
+				}
+				split, inline, slicedFree, slicedFull = 0, 0, 0, 0
+				got, err := EncodeCtx(context.Background(), cfg, set)
+				if err != nil {
+					t.Fatalf("L=%d workers=%d: %v", L, w, err)
+				}
+				label := fmt.Sprintf("override=%d L=%d workers=%d", override, L, w)
+				assertEncodingsIdentical(t, label, want, got)
+				if w <= 1 {
+					continue
+				}
+				if override == scanMeasured && (inline == 0 || slicedFree == 0 || slicedFull == 0) {
+					t.Errorf("%s: %d tiers inline, %d with sliced words below full rank, %d at full rank; want every path",
+						label, inline, slicedFree, slicedFull)
+				}
+				if override == scanScalarOnly && (split == 0 || inline == 0) {
+					t.Errorf("%s: %d tiers split, %d inline; want both", label, split, inline)
+				}
 			}
 		}
 	}

@@ -62,74 +62,111 @@ func randomCubes(src *prng.Source, cfg Config, count, minSpec, maxSpec int) *cub
 	return set
 }
 
-// encodeBothScans encodes set under cfg with the determined-seed shortcut
-// and again with symbolicScanOnly, and returns both results and errors
-// together with the number of tiers the shortcut run scanned on planes.
-// Those tiers must run inline: their planes are built on first use.
-func encodeBothScans(t testing.TB, cfg Config, set *cube.Set) (fast, slow *Encoding, fastErr, slowErr error, fixedTiers int) {
+// scanPaths counts the scan paths one encode's tiers took: window words
+// decided bit-sliced below full rank and at full rank, and pairs checked
+// on the scalar path.
+type scanPaths struct{ slicedFree, slicedFull, scalarPairs int }
+
+// encodeScan encodes set under cfg with the given scan override and
+// returns the result, the paths the encode took and its error.
+// Under scanScalarOnly, the oracle, any word decided bit-sliced fails t.
+func encodeScan(t testing.TB, cfg Config, set *cube.Set, override int) (enc *Encoding, paths scanPaths, err error) {
 	t.Helper()
-	defer func() { scanTierHook, symbolicScanOnly = nil, false }()
-	scanTierHook = func(_ int, split, fixed bool) {
-		if fixed {
-			fixedTiers++
-			if split {
-				t.Errorf("a determined seed's tier was split across workers")
-			}
+	defer func() { scanTierHook, scanOverride = nil, scanMeasured }()
+	scanTierHook = func(ts tierScan) {
+		paths.scalarPairs += ts.scalarPairs
+		switch {
+		case ts.slicedWords == 0:
+		case override == scanScalarOnly:
+			t.Errorf("scalar-only encode decided %d words bit-sliced", ts.slicedWords)
+		case ts.free > 0:
+			paths.slicedFree += ts.slicedWords
+		default:
+			paths.slicedFull += ts.slicedWords
 		}
 	}
-	fast, fastErr = EncodeCtx(context.Background(), cfg, set)
-	scanTierHook = func(_ int, _, fixed bool) {
-		if fixed {
-			t.Errorf("symbolicScanOnly encode scanned a tier on planes")
-		}
-	}
-	symbolicScanOnly = true
-	slow, slowErr = EncodeCtx(context.Background(), cfg, set)
-	return fast, slow, fastErr, slowErr, fixedTiers
+	scanOverride = override
+	enc, err = EncodeCtx(context.Background(), cfg, set)
+	return enc, paths, err
 }
 
-// TestPlanesMatchGeneration ties a determined seed's planes to the
-// hardware, as TestTableMatchesGeneration ties the symbolic table: for
-// random seeds, every plane bit of every output slot equals the bit the
-// concrete window generator shifts into that slot's scan cell at that
-// window position. Registers of one and two words, both register forms,
-// windows of one, exactly one, just over one and several plane words.
+// slicedState returns an encode state over cfg's expression table with a
+// fresh basis, ready for the bit-sliced path's plane blocks.
+func slicedState(t *testing.T, cfg Config) *encodeState {
+	t.Helper()
+	table, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, L := cfg.LFSR.Size(), cfg.WindowLen
+	return &encodeState{
+		table: table, n: n, L: L, feasWords: (L + 63) / 64, epoch: 1,
+		slots: table.Rows().Count() / L, solver: gf2.NewSolver(n),
+	}
+}
+
+// TestPlanesMatchGeneration ties the bit-sliced path's plane blocks to the
+// hardware and to the algebra. On a determined seed (no free variable) the
+// constant plane of every output slot must hold, bit by bit, what the
+// concrete window generator shifts into that slot's scan cell at each
+// window position, as TestTableMatchesGeneration ties the symbolic table.
+// Below full rank, bit b of plane i must be the slot's expression row at
+// that position dotted with null-space generator i, and the constant plane
+// the row dotted with the zero-fill solution; bits past the window are
+// clear. Registers of one and two words, both register forms, windows of
+// one, exactly one, just over one and several plane words.
 func TestPlanesMatchGeneration(t *testing.T) {
 	src := prng.New(2024)
 	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
 		for _, n := range []int{24, 56, 85} {
 			for _, L := range []int{1, 64, 65, 200} {
 				cfg := formConfig(t, form, n, 90, 4, L, 0)
-				table, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, L)
-				if err != nil {
-					t.Fatal(err)
-				}
-				W := (L + 63) / 64
-				slots := cfg.Geo.Length * cfg.Geo.Chains
-				st := &encodeState{
-					table: table, L: L, feasWords: W,
-					planes: make([]uint64, slots*W), planeSeed: make([]uint32, slots),
-				}
+				st := slicedState(t, cfg)
+				W := st.feasWords
 				window := make([]gf2.Vec, L)
-				for trial := 0; trial < 3; trial++ {
+				for trial, free := range []int{0, 0, 1, 7, n / 2} {
 					seed := gf2.NewVec(n)
 					for i := 0; i < n; i++ {
 						seed.SetBit(i, src.Bit())
 					}
-					st.seedVal = seed
-					st.fixedSeeds++
-					for s := 0; s < slots; s++ {
-						st.buildPlane(int32(s))
+					st.solver.Reset()
+					for st.solver.FreeVars() > free {
+						coeffs := gf2.NewVec(n)
+						for i := 0; i < n; i++ {
+							coeffs.SetBit(i, src.Bit())
+						}
+						st.solver.Add(gf2.Equation{Coeffs: coeffs, RHS: coeffs.Dot(seed)})
 					}
-					GenerateWindowInto(window, cfg.LFSR, cfg.PS, cfg.Geo, seed, L)
+					st.epoch++
+					st.free = free
+					st.prepareSliced()
+					if free == 0 {
+						GenerateWindowInto(window, cfg.LFSR, cfg.PS, cfg.Geo, seed, L)
+					}
 					for pos := 0; pos < cfg.Geo.Width; pos++ {
 						ch, depth := cfg.Geo.Cell(pos)
 						s := cfg.Geo.ShiftCycle(depth)*cfg.Geo.Chains + ch
-						for p := 0; p < L; p++ {
-							got := uint8(st.planes[s*W+p/64] >> uint(p%64) & 1)
-							if want := window[p].Bit(pos); got != want {
-								t.Fatalf("%v n=%d L=%d trial %d: slot %d (cell %d) position %d: plane %d, generator %d",
-									form, n, L, trial, s, pos, p, got, want)
+						for w := 0; w < W; w++ {
+							blk := st.block(s*W + w)
+							for b := 0; b < 64; b++ {
+								p := w*64 + b
+								for i := 0; i <= free; i++ {
+									got := uint8(blk[i] >> uint(b) & 1)
+									var want uint8
+									switch {
+									case p >= L:
+									case i == free && free == 0:
+										want = window[p].Bit(pos)
+									case i == free:
+										want = st.table.Rows().Row(s*L + p).Dot(st.aff.X0)
+									default:
+										want = st.table.Rows().Row(s*L + p).Dot(st.aff.Gens[i])
+									}
+									if got != want {
+										t.Fatalf("%v n=%d L=%d trial %d (%d free): slot %d (cell %d) position %d plane %d: %d, want %d",
+											form, n, L, trial, free, s, pos, p, i, got, want)
+									}
+								}
 							}
 						}
 					}
@@ -139,36 +176,52 @@ func TestPlanesMatchGeneration(t *testing.T) {
 	}
 }
 
-// TestFixedSeedScanMatchesSymbolic runs the determined-seed shortcut
-// against the symbolic scan it replaces and requires identical encodings
-// — seeds, assignments, seed values and ChecksPerformed — across register
+// TestFixedSeedScanMatchesSymbolic runs the candidate scan against its
+// scalar path alone, the oracle, and requires identical encodings —
+// seeds, assignments, seed values and ChecksPerformed — across register
 // sizes of one and two words, both register forms, windows of one to
 // several plane words, one and several workers, and with pruning on and
-// off. Every configuration must actually reach the shortcut.
+// off. Both the measured choice of path and the bit-sliced path for every
+// word are compared. Every configuration must take the sliced path at
+// full rank and below it when every word is sliced. Under the measured
+// rule, windows of at least 20 positions must take the sliced path at
+// both, every configuration with pruning must check pairs on the scalar
+// path (pruning leaves words of a few positions; without it only a
+// window's short last word has so few), and windows too short for any
+// word to reach the cut-off must stay scalar, so a classical (L = 1)
+// encode never builds the column arena.
 func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
 		for _, n := range []int{24, 56, 85} {
-			for _, L := range []int{1, 64, 65, 200} {
+			for _, L := range []int{1, 2, 20, 64, 65, 200} {
 				t.Run(fmt.Sprintf("%v/n=%d/L=%d", form, n, L), func(t *testing.T) {
 					cfg := formConfig(t, form, n, 112, 8, L, 0)
-					// A one-vector window needs more cubes to fill a seed.
-					count := 16
-					if L == 1 {
-						count = 32
-					}
-					set := randomCubes(prng.New(uint64(n*1000+L)), cfg, count, n/4, n/2)
+					set := randomCubes(prng.New(uint64(n*1000+L)), cfg, 40, n/4, n/2)
 					for _, workers := range []int{1, 4} {
 						for _, noPruning := range []bool{false, true} {
 							cfg.Workers, cfg.NoPruning = workers, noPruning
-							label := fmt.Sprintf("workers=%d NoPruning=%v", workers, noPruning)
-							fast, slow, fastErr, slowErr, fixed := encodeBothScans(t, cfg, set)
-							if fastErr != nil || slowErr != nil {
-								t.Fatalf("%s: shortcut err %v, symbolic err %v", label, fastErr, slowErr)
+							slow, _, err := encodeScan(t, cfg, set, scanScalarOnly)
+							if err != nil {
+								t.Fatalf("workers=%d NoPruning=%v: scalar-only: %v", workers, noPruning, err)
 							}
-							if fixed == 0 {
-								t.Fatalf("%s: no seed reached full rank; the comparison is vacuous", label)
+							for _, override := range []int{scanMeasured, scanSlicedOnly} {
+								label := fmt.Sprintf("workers=%d NoPruning=%v override=%d", workers, noPruning, override)
+								fast, paths, err := encodeScan(t, cfg, set, override)
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								assertEncodingsIdentical(t, label, slow, fast)
+								switch {
+								case override == scanSlicedOnly && (paths.slicedFree == 0 || paths.slicedFull == 0):
+									t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
+								case override == scanMeasured && L >= 20 && (paths.slicedFree == 0 || paths.slicedFull == 0):
+									t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
+								case override == scanMeasured && !noPruning && paths.scalarPairs == 0:
+									t.Fatalf("%s: no pair checked on the scalar path", label)
+								case override == scanMeasured && L < minSlicedLanes && paths.slicedFree+paths.slicedFull > 0:
+									t.Fatalf("%s: a %d-position window decided words bit-sliced", label, L)
+								}
 							}
-							assertEncodingsIdentical(t, label, slow, fast)
 						}
 					}
 				})
@@ -177,46 +230,55 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 	}
 }
 
-// FuzzEncodeFixedSeed compares the determined-seed shortcut with the
-// symbolic scan on random small cube sets: both must return the same
-// encoding, or the same error.
+// FuzzEncodeFixedSeed compares the candidate scan, under the measured
+// choice of path and with every word bit-sliced, with its scalar path
+// alone on random small cube sets: each must return the same encoding,
+// ChecksPerformed included, or the same error.
 func FuzzEncodeFixedSeed(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(3), uint8(20), false, false)
-	f.Add(uint64(7), uint8(2), uint8(0), uint8(12), true, false)
-	f.Add(uint64(42), uint8(1), uint8(70), uint8(30), false, true)
-	f.Fuzz(func(t *testing.T, seed uint64, nSel, lSel, count uint8, galois, noPruning bool) {
+	f.Add(uint64(1), uint8(0), uint8(3), uint8(20), false, false, false)
+	f.Add(uint64(7), uint8(2), uint8(0), uint8(12), true, false, false)
+	f.Add(uint64(42), uint8(1), uint8(70), uint8(30), false, true, false)
+	f.Add(uint64(5), uint8(1), uint8(199), uint8(25), true, true, true)
+	f.Add(uint64(9), uint8(2), uint8(19), uint8(31), false, false, true)
+	f.Fuzz(func(t *testing.T, seed uint64, nSel, lSel, count uint8, galois, noPruning, four bool) {
 		n := []int{24, 56, 85}[int(nSel)%3]
-		L := 1 + int(lSel)%130
+		L := 1 + int(lSel)%200
 		form := lfsr.Fibonacci
 		if galois {
 			form = lfsr.Galois
 		}
 		cfg := formConfig(t, form, n, 64, 4, L, 0)
 		set := randomCubes(prng.New(seed), cfg, 1+int(count)%32, 1, n/2)
-		cfg.Workers, cfg.NoPruning = 2, noPruning
-		fast, slow, fastErr, slowErr, _ := encodeBothScans(t, cfg, set)
-		if (fastErr == nil) != (slowErr == nil) || (fastErr != nil && fastErr.Error() != slowErr.Error()) {
-			t.Fatalf("shortcut err %v, symbolic err %v", fastErr, slowErr)
+		cfg.Workers, cfg.NoPruning = 1, noPruning
+		if four {
+			cfg.Workers = 4
 		}
-		if fastErr == nil {
-			assertEncodingsIdentical(t, "shortcut vs symbolic", slow, fast)
+		slow, _, slowErr := encodeScan(t, cfg, set, scanScalarOnly)
+		for _, override := range []int{scanMeasured, scanSlicedOnly} {
+			fast, _, fastErr := encodeScan(t, cfg, set, override)
+			if (fastErr == nil) != (slowErr == nil) || (fastErr != nil && fastErr.Error() != slowErr.Error()) {
+				t.Fatalf("override %d: err %v, scalar-only err %v", override, fastErr, slowErr)
+			}
+			if fastErr == nil {
+				assertEncodingsIdentical(t, fmt.Sprintf("override %d vs scalar-only", override), slow, fast)
+			}
 		}
 	})
 }
 
-// pollSite classifies a context poll by its caller: "fixed" from
-// scanCubeFixed, "symbolic" from scanCube, "other" from anywhere else
-// (the screen, a seed's first cube, the seed loop).
+// pollSite classifies a context poll by its caller: "sliced" from
+// sliceWord, "scalar" from scanCube's per-position checks, "other" from
+// anywhere else (the screen, a seed's first cube, the seed loop).
 func pollSite() string {
 	pc := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		fr, more := frames.Next()
 		switch {
-		case strings.HasSuffix(fr.Function, ".scanCubeFixed"):
-			return "fixed"
+		case strings.HasSuffix(fr.Function, ".sliceWord"):
+			return "sliced"
 		case strings.HasSuffix(fr.Function, ".scanCube"):
-			return "symbolic"
+			return "scalar"
 		}
 		if !more {
 			return "other"
@@ -224,28 +286,36 @@ func pollSite() string {
 	}
 }
 
-// pollLog is a live context recording the site of each Err call.
+// pollLog is a live context recording the site of each Err call, with the
+// free-variable count of the tier being scanned (set through
+// scanTierHook; the encodes run on one worker).
 type pollLog struct {
 	context.Context
+	free  int
 	sites []string
 }
 
 func (c *pollLog) Err() error {
-	c.sites = append(c.sites, pollSite())
+	site := pollSite()
+	if site == "sliced" && c.free > 0 {
+		site = "sliced-free"
+	}
+	c.sites = append(c.sites, site)
 	return nil
 }
 
 // TestEncodeCancelMidSeedLoop cancels an encode at chosen context polls
-// that land inside the candidate scan, both in a symbolic tier and in a
-// tier of a determined seed, and requires each cancel to stop the scan
-// with an error wrapping context.Canceled. It also checks EncodeCtx's
-// documented poll cadence: the symbolic scan polls once per checkStride
-// checks, and the shortcut, which decides up to 64 positions per step,
-// never more often and at least once per checkStride+63 checks. Both
-// encodes poll once per seed besides, and make the same seeds.
+// that land inside the candidate scan — on the scalar path, and on the
+// bit-sliced path both below full rank and at it — and requires each
+// cancel to stop the scan with an error wrapping context.Canceled. It also
+// checks EncodeCtx's documented poll cadence: the scalar path polls once
+// per checkStride checks, and a sliced word, which decides up to 64
+// positions per step, never polls more often and at least once per
+// checkStride+63 checks. Both encodes poll once per seed besides, and make
+// the same seeds.
 func TestEncodeCancelMidSeedLoop(t *testing.T) {
 	cfg := formConfig(t, lfsr.Fibonacci, 24, 120, 6, 200, 0)
-	set := randomCubes(prng.New(3), cfg, 60, 6, 12)
+	set := randomCubes(prng.New(3), cfg, 60, 4, 8)
 	cfg.Workers = 1
 	var err error
 	cfg.Tables, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
@@ -259,10 +329,11 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 
 	// pollSites returns, per site, the indices of an uncancelled encode's
 	// polls, and how many polls came from the checks' cadence.
-	pollSites := func(symbolic bool) (map[string][]int, int) {
-		symbolicScanOnly = symbolic
-		defer func() { symbolicScanOnly = false }()
+	pollSites := func(override int) (map[string][]int, int) {
 		log := &pollLog{Context: context.Background()}
+		scanOverride = override
+		scanTierHook = func(ts tierScan) { log.free = ts.free }
+		defer func() { scanTierHook, scanOverride = nil, scanMeasured }()
 		enc, err := EncodeCtx(log, cfg, set)
 		if err != nil {
 			t.Fatal(err)
@@ -273,22 +344,23 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 		}
 		return at, len(log.sites) - len(enc.Seeds)
 	}
-	fast, fastPolls := pollSites(false)
-	_, slowPolls := pollSites(true)
-	if len(fast["fixed"]) == 0 || len(fast["symbolic"]) == 0 {
-		t.Fatalf("%d polls in determined-seed tiers, %d in symbolic ones: want both", len(fast["fixed"]), len(fast["symbolic"]))
+	fast, fastPolls := pollSites(scanMeasured)
+	_, slowPolls := pollSites(scanScalarOnly)
+	if len(fast["sliced"]) == 0 || len(fast["sliced-free"]) == 0 || len(fast["scalar"]) == 0 {
+		t.Fatalf("%d polls in sliced words at full rank, %d below it, %d in scalar checks: want all three",
+			len(fast["sliced"]), len(fast["sliced-free"]), len(fast["scalar"]))
 	}
 	if fastPolls > slowPolls || fastPolls*(checkStride+63) < slowPolls*checkStride-(checkStride+63) {
-		t.Errorf("shortcut encode polled %d times per its checks, symbolic encode %d", fastPolls, slowPolls)
+		t.Errorf("encode polled %d times per its checks, scalar-only encode %d", fastPolls, slowPolls)
 	}
 
-	for _, site := range []string{"symbolic", "fixed"} {
+	for _, site := range []string{"scalar", "sliced", "sliced-free"} {
 		polls := fast[site]
 		for _, i := range []int{polls[0], polls[len(polls)/2], polls[len(polls)-1]} {
 			ctx := &stopAfterPolls{Context: context.Background(), polls: i}
 			_, err := EncodeCtx(ctx, cfg, set)
 			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "candidate scan stopped") {
-				t.Errorf("cancel at poll %d (%s tier): err = %v, want a candidate-scan error wrapping context.Canceled", i, site, err)
+				t.Errorf("cancel at poll %d (%s): err = %v, want a candidate-scan error wrapping context.Canceled", i, site, err)
 			}
 		}
 	}

@@ -71,7 +71,9 @@ func (d *denseEliminator) satisfies(sol Vec) bool {
 // FuzzSolver cross-checks the incremental solver and its reduced-basis
 // candidate path against the dense reference: for fuzzed row tables and
 // adversarial check/commit/reset interleavings, the consistency verdict,
-// the rank increase and the produced solution must all agree.
+// the rank increase and the produced solution must all agree, and after
+// every commit the basis's affine form (AffineInto) must describe its
+// solutions.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{11, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{1, 1, 0, 0, 9, 9, 9, 9, 200, 200, 1, 2, 3})
@@ -109,6 +111,7 @@ func FuzzSolver(f *testing.F) {
 		rt := NewReducedTable(s, rs)
 		ref := &denseEliminator{n: n}
 		var scN, scR CheckScratch
+		var aff Affine
 
 		pos := 0
 		next := func() byte {
@@ -158,6 +161,9 @@ func FuzzSolver(f *testing.F) {
 				}
 				if err := basisRREFError(s); err != nil {
 					t.Fatalf("step %d: basis not in RREF: %v", step, err)
+				}
+				if err := affineError(s, &aff, src); err != nil {
+					t.Fatalf("step %d: affine form: %v", step, err)
 				}
 				ref.committed = append(ref.committed, sys...)
 				wantRank, _ := ref.eliminate(ref.committed)

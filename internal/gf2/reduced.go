@@ -45,43 +45,27 @@ func (rs RowSet) Row(i int) Vec {
 	return VecView(rs.n, rs.arena[i*rs.words:(i+1)*rs.words])
 }
 
-// DotWords evaluates rows first, first+1, …, first+count−1 at x and packs
-// the results as bits: bit j%64 of dst[j/64] becomes Row(first+j).Dot(x),
-// and the bits of the last word at or above count are cleared. dst must
-// hold at least (count+63)/64 words. It reads the arena directly, with a
-// one-word fast path, and allocates nothing. Evaluating a symbolic output
-// table at a concrete seed this way yields the seed's output bits 64 to a
-// word.
-func (rs RowSet) DotWords(x Vec, first, count int, dst []uint64) {
-	if x.n != rs.n {
-		panic(fmt.Sprintf("gf2: DotWords of %d-bit rows with a %d-bit vector", rs.n, x.n))
-	}
-	if first < 0 || count < 0 || first+count > rs.Count() {
-		panic(fmt.Sprintf("gf2: DotWords rows [%d,%d) outside [0,%d)", first, first+count, rs.Count()))
+// ColumnsInto transposes rows first, first+1, …, first+count−1 (count at
+// most 64) into column words: bit b of dst[j] becomes bit j of
+// Row(first+b), for every column j < N, and bits at or above count are
+// clear. dst must hold at least N words. The parity of a row set's rows
+// against x is then the XOR of the column words over the support of x, 64
+// rows at once. It reads the arena directly and allocates nothing.
+func (rs RowSet) ColumnsInto(first, count int, dst []uint64) {
+	if first < 0 || count < 0 || count > wordBits || first+count > rs.Count() {
+		panic(fmt.Sprintf("gf2: ColumnsInto rows [%d,%d) outside [0,%d) or over %d", first, first+count, rs.Count(), wordBits))
 	}
 	w := rs.words
-	rows := rs.arena[first*w : (first+count)*w]
-	if w == 1 {
-		x0 := x.words[0]
-		for wi := 0; wi*wordBits < count; wi++ {
-			var out uint64
-			for b, r := range rows[wi*wordBits : min((wi+1)*wordBits, count)] {
-				out |= uint64(bits.OnesCount64(r&x0)&1) << uint(b)
+	var blk [wordBits]uint64
+	for k := 0; k < w; k++ {
+		for b := range blk {
+			blk[b] = 0
+			if b < count {
+				blk[b] = rs.arena[(first+b)*w+k]
 			}
-			dst[wi] = out
 		}
-		return
-	}
-	for wi := 0; wi*wordBits < count; wi++ {
-		var out uint64
-		for b, j := 0, wi*wordBits; b < wordBits && j < count; b, j = b+1, j+1 {
-			var acc uint64
-			for k, xw := range x.words {
-				acc ^= rows[j*w+k] & xw
-			}
-			out |= uint64(bits.OnesCount64(acc)&1) << uint(b)
-		}
-		dst[wi] = out
+		Transpose64(&blk)
+		copy(dst[k*wordBits:min((k+1)*wordBits, rs.n)], blk[:])
 	}
 }
 

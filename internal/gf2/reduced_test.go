@@ -163,41 +163,49 @@ func TestRowSetValidation(t *testing.T) {
 	NewRowSet(65, make([]uint64, 3)) // 65 bits → 2 words per row; 3 is ragged
 }
 
-// TestDotWordsMatchesDot pins the packed row-evaluation kernel to Vec.Dot
+// TestColumnsMatchRows pins the row-to-column transposition to the rows
 // on the one-word (n = 24, 64), two-word (n = 85) and generic (n = 130)
-// paths: every count from 1 to 64 and a few multi-word ones (each with a
-// partial last word, except 64 and 128), from a nonzero first row, into a
-// destination prefilled with ones so uncleared tail bits show. After
-// warm-up a call allocates nothing.
-func TestDotWordsMatchesDot(t *testing.T) {
-	counts := []int{65, 127, 128, 200}
-	for c := 1; c <= 64; c++ {
-		counts = append(counts, c)
-	}
+// layouts: every count from 0 to 64, from a nonzero first row, into a
+// destination prefilled with ones so uncleared bits show. The XOR of the
+// column words over the support of x gives every row's parity against x,
+// 64 rows at once. After warm-up a call allocates nothing.
+func TestColumnsMatchRows(t *testing.T) {
 	for _, n := range []int{24, 64, 85, 130} {
 		src := prng.New(uint64(n) * 31)
-		rs, _ := randRowSet(src, n, 210)
+		rs, _ := randRowSet(src, n, 70)
 		x := randVec(src, n)
-		dst := make([]uint64, 4)
-		for _, count := range counts {
+		dst := make([]uint64, n)
+		for count := 0; count <= 64; count++ {
 			const first = 3
 			for i := range dst {
 				dst[i] = ^uint64(0)
 			}
-			rs.DotWords(x, first, count, dst)
-			for j := 0; j < wordsFor(count)*wordBits; j++ {
-				got := uint8(dst[j/wordBits] >> uint(j%wordBits) & 1)
-				want := uint8(0)
-				if j < count {
-					want = rs.Row(first + j).Dot(x)
+			rs.ColumnsInto(first, count, dst)
+			var dot uint64
+			for _, j := range x.Support() {
+				dot ^= dst[j]
+			}
+			for b := 0; b < 64; b++ {
+				var wantDot uint8
+				if b < count {
+					wantDot = rs.Row(first + b).Dot(x)
 				}
-				if got != want {
-					t.Fatalf("n=%d count=%d first=%d: bit %d = %d, want %d", n, count, first, j, got, want)
+				if got := uint8(dot >> uint(b) & 1); got != wantDot {
+					t.Fatalf("n=%d count=%d: parity of row %d = %d, want %d", n, count, first+b, got, wantDot)
+				}
+				for j := 0; j < n; j++ {
+					var want uint8
+					if b < count {
+						want = rs.Row(first + b).Bit(j)
+					}
+					if got := uint8(dst[j] >> uint(b) & 1); got != want {
+						t.Fatalf("n=%d count=%d: column %d bit %d = %d, want %d", n, count, j, b, got, want)
+					}
 				}
 			}
 		}
-		if allocs := testing.AllocsPerRun(100, func() { rs.DotWords(x, 7, 200, dst) }); allocs != 0 {
-			t.Errorf("n=%d: DotWords allocates %.1f times per call", n, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { rs.ColumnsInto(5, 64, dst) }); allocs != 0 {
+			t.Errorf("n=%d: ColumnsInto allocates %.1f times per call", n, allocs)
 		}
 	}
 }

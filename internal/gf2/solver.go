@@ -1,6 +1,9 @@
 package gf2
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Equation is one linear constraint over n seed variables:
 // Coeffs·a = RHS, where a is the vector of variables.
@@ -238,6 +241,69 @@ func (s *Solver) Solution(fillFree func(varIdx int) uint8) Vec {
 		sol.SetBit(p, v)
 	}
 	return sol
+}
+
+// Affine is a basis's solution space in free-variable coordinates. Every
+// solution is X0 ⊕ Σ t_i·Gens[i], one t_i per free column Free[i], and
+// every choice of t gives one: X0 is the zero-fill solution (free
+// variables 0, each pivot variable its row's right-hand side), and
+// Gens[i] is the null-space generator e_f ⊕ Σ e_p of free column
+// f = Free[i], over the pivots p whose basis row holds f. So
+// Solution(fill) = X0 ⊕ Σ fill(Free[i])·Gens[i], and an equation a·x = c
+// becomes Σ t_i·(a·Gens[i]) = c ⊕ a·X0. Fill one with Solver.AffineInto.
+type Affine struct {
+	Free []int // free columns, ascending
+	Gens []Vec // Gens[i] generates along Free[i]
+	X0   Vec   // the zero-fill solution
+
+	arena []uint64 // generator words; Gens are views into it
+	index []int    // free column → its position in Free
+}
+
+// AffineInto writes the basis's solution space into a, reusing a's storage
+// from earlier calls, so repeated calls on one solver allocate nothing.
+// The basis is in reduced row-echelon form, so a pivot row holds its pivot
+// and free columns only: one pass over each row's words places the pivot
+// in the generator of every free column it holds.
+func (s *Solver) AffineInto(a *Affine) {
+	w := s.words
+	if len(a.arena) != s.n*w || a.X0.Len() != s.n {
+		a.arena = make([]uint64, s.n*w)
+		a.index = make([]int, s.n)
+		a.X0 = NewVec(s.n)
+		a.Free, a.Gens = nil, nil
+	}
+	a.Free, a.Gens = a.Free[:0], a.Gens[:0]
+	a.X0.Zero()
+	for f, occ := range s.occ {
+		if !occ {
+			i := len(a.Free)
+			g := VecView(s.n, a.arena[i*w:(i+1)*w])
+			g.Zero()
+			g.words[f/wordBits] = 1 << uint(f%wordBits)
+			a.index[f] = i
+			a.Free = append(a.Free, f)
+			a.Gens = append(a.Gens, g)
+		}
+	}
+	for p, occ := range s.occ {
+		if !occ {
+			continue
+		}
+		pw, pb := p/wordBits, uint64(1)<<uint(p%wordBits)
+		if s.rhs[p] != 0 {
+			a.X0.words[pw] |= pb
+		}
+		for k, x := range s.basis[p*w : (p+1)*w] {
+			if k == pw {
+				x &^= pb
+			}
+			for ; x != 0; x &= x - 1 {
+				f := k*wordBits + bits.TrailingZeros64(x)
+				a.arena[a.index[f]*w+pw] |= pb
+			}
+		}
+	}
 }
 
 // Satisfies reports whether the assignment sol satisfies every committed

@@ -255,6 +255,77 @@ func TestSolverFullRankUniqueSolution(t *testing.T) {
 	}
 }
 
+// affineError checks AffineInto's contract on s's current basis, filling
+// a: one generator per free variable, each annihilated by every basis row
+// and holding exactly its own free column among the free ones; X0
+// satisfies the basis; and X0 ⊕ Σ t_i·Gens[i] equals Solution under the
+// fill t drawn from src.
+func affineError(s *Solver, a *Affine, src *prng.Source) error {
+	s.AffineInto(a)
+	if len(a.Free) != s.FreeVars() || len(a.Gens) != len(a.Free) {
+		return fmt.Errorf("%d free columns and %d generators at %d free variables", len(a.Free), len(a.Gens), s.FreeVars())
+	}
+	for i, g := range a.Gens {
+		for _, p := range s.Pivots() {
+			if s.row(p).Dot(g) != 0 {
+				return fmt.Errorf("generator of column %d not annihilated by basis row %d", a.Free[i], p)
+			}
+		}
+		for j, f := range a.Free {
+			if want := uint8(0); i == j && g.Bit(f) != 1 || i != j && g.Bit(f) != want {
+				return fmt.Errorf("generator of column %d has bit %d at free column %d", a.Free[i], g.Bit(f), f)
+			}
+		}
+	}
+	if !s.Satisfies(a.X0) {
+		return fmt.Errorf("zero-fill solution violates the basis")
+	}
+	t := make([]uint8, s.N())
+	for i := range t {
+		t[i] = src.Bit()
+	}
+	want := a.X0.Clone()
+	for i, f := range a.Free {
+		if t[f] != 0 {
+			want.Xor(a.Gens[i])
+		}
+	}
+	if sol := s.Solution(func(f int) uint8 { return t[f] }); !sol.Equal(want) {
+		return fmt.Errorf("X0 ⊕ Σ t·Gens = %v, Solution = %v", want, sol)
+	}
+	return nil
+}
+
+// TestAffineMatchesSolution checks AffineInto after every equation of
+// random systems grown to full rank, on the one-word (n = 24, 64),
+// two-word (n = 85) and generic (n = 130) layouts, reusing one Affine
+// across every basis and a Reset; after warm-up a call allocates nothing.
+func TestAffineMatchesSolution(t *testing.T) {
+	for _, n := range []int{24, 64, 85, 130} {
+		src := prng.New(uint64(n) * 7)
+		s := NewSolver(n)
+		var a Affine
+		for round := 0; round < 2; round++ {
+			s.Reset()
+			if err := affineError(s, &a, src); err != nil {
+				t.Fatalf("n=%d empty basis: %v", n, err)
+			}
+			for s.Rank() < n {
+				coeffs := randVec(src, n)
+				if added, _ := s.Add(Equation{Coeffs: coeffs, RHS: src.Bit()}); !added {
+					continue
+				}
+				if err := affineError(s, &a, src); err != nil {
+					t.Fatalf("n=%d rank %d: %v", n, s.Rank(), err)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { s.AffineInto(&a) }); allocs != 0 {
+			t.Errorf("n=%d: AffineInto allocates %.1f times per call", n, allocs)
+		}
+	}
+}
+
 func TestSolverPivots(t *testing.T) {
 	s := NewSolver(5)
 	s.Add(eq("00100", 1))

@@ -275,3 +275,18 @@ func (v Vec) maskTail() {
 		v.words[len(v.words)-1] &= (uint64(1) << (uint(v.n) % wordBits)) - 1
 	}
 }
+
+// Transpose64 transposes a 64×64 bit matrix in place: bit j of a[i] moves
+// to bit i of a[j]. Each round swaps the off-diagonal k×k blocks of every
+// 2k×2k block, halving k from 32 to 1.
+func Transpose64(a *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF)
+	for k := 32; k != 0; k >>= 1 {
+		for i := 0; i < 64; i = (i + k + 1) &^ k {
+			t := (a[i]>>uint(k) ^ a[i+k]) & m
+			a[i+k] ^= t
+			a[i] ^= t << uint(k)
+		}
+		m ^= m << uint(k>>1)
+	}
+}

@@ -226,7 +226,7 @@ func newCubeCells(enc *encoder.Encoding) *cubeCells {
 // that embeds the cube; start numbers the block's first vector.
 func (cc *cubeCells) scanBlock(block []uint64, valid uint64, start int32, found []hit) []hit {
 	for w := 0; w < len(block); w += 64 {
-		transpose64((*[64]uint64)(block[w : w+64]))
+		gf2.Transpose64((*[64]uint64)(block[w : w+64]))
 	}
 	for ci := 0; ci+1 < len(cc.start); ci++ {
 		acc := valid
@@ -240,21 +240,6 @@ func (cc *cubeCells) scanBlock(block []uint64, valid uint64, start int32, found 
 		}
 	}
 	return found
-}
-
-// transpose64 transposes a 64×64 bit matrix in place: bit j of a[i] moves
-// to bit i of a[j]. Each round swaps the off-diagonal k×k blocks of every
-// 2k×2k block, halving k from 32 to 1.
-func transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for k := 32; k != 0; k >>= 1 {
-		for i := 0; i < 64; i = (i + k + 1) &^ k {
-			t := (a[i]>>uint(k) ^ a[i+k]) & m
-			a[i+k] ^= t
-			a[i] ^= t << uint(k)
-		}
-		m ^= m << uint(k>>1)
-	}
 }
 
 // ReduceWithIndex analyses fortuitous embeddings and selects useful
