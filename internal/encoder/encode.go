@@ -117,11 +117,11 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 	}
 	sys := newSystemIndex(set, cfg.Geo, cfg.WindowLen)
 	built := time.Since(t0)
-	enc, colBuild, err := encodeWithTable(ctx, cfg, set, table, sys)
+	enc, err := encodeWithTable(ctx, cfg, set, table, sys)
 	if err != nil {
 		return nil, err
 	}
-	enc.TableBuildTime = built + colBuild
+	enc.TableBuildTime += built
 	return enc, nil
 }
 
@@ -279,7 +279,7 @@ type encodeState struct {
 	stop atomic.Bool
 }
 
-func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *ExprTable, sys *systemIndex) (*Encoding, time.Duration, error) {
+func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *ExprTable, sys *systemIndex) (*Encoding, error) {
 	st := &encodeState{
 		ctx:     ctx,
 		cfg:     cfg,
@@ -315,23 +315,24 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 	st.views = make([]*scanView, st.workers)
 
 	if err := st.screen(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	enc := &Encoding{Cfg: cfg, Set: set}
 	fill := prng.New(cfg.FillSeed)
 	for st.nRemain > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, fmt.Errorf("encoder: encode stopped after %d seeds (%d/%d cubes): %w",
+			return nil, fmt.Errorf("encoder: encode stopped after %d seeds (%d/%d cubes): %w",
 				len(enc.Seeds), set.Len()-st.nRemain, set.Len(), err)
 		}
 		seed, err := st.buildSeed(fill)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		enc.Seeds = append(enc.Seeds, seed)
 	}
 	enc.ChecksPerformed = st.checks
-	return enc, st.colBuild, nil
+	enc.TableBuildTime = st.colBuild
+	return enc, nil
 }
 
 // viewFor lazily creates the probe state of one worker; unused workers
@@ -589,8 +590,9 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 // the lanes that hit them and becomes a pivot row in the lanes that do
 // not; a lane dies when one of its equations reduces to 0 = 1. The rank
 // increase of a surviving position is the number of pivot rows placed in
-// its lane. With no free variable (a determined seed) each equation is a
-// single AND with its slot's plane of the seed.
+// its lane. With no free variable (a determined seed) there is nothing to
+// eliminate: each equation is its slot's plane of the seed against rhs,
+// and every survivor has rank increase 0.
 func (st *encodeState) sliceWord(v *scanView, ci, wi, lanes int, out *[]candidate) bool {
 	if st.pollCtx(v, lanes) {
 		return true
@@ -601,54 +603,45 @@ func (st *encodeState) sliceWord(v *scanView, ci, wi, lanes int, out *[]candidat
 	r := st.free
 	pivMask := st.pivMask[:r]
 	alive := feas[wi]
-	if r == 0 {
-		// rhs 1 keeps the plane word, rhs 0 (all-ones mask) inverts it.
-		for k, b := range base {
-			if alive &= st.block(int(b/L)*W + wi)[0] ^ (uint64(rhs[k]&1) - 1); alive == 0 {
-				break
+	stride := r + 1
+	eq := st.eq[:stride]
+	clear(pivMask)
+	for k, b := range base {
+		copy(eq, st.block(int(b/L)*W+wi))
+		// rhs 1 flips the constant: the equation is Σ t_i·eq[i] = rhs ⊕ eq[r].
+		eq[r] ^= -uint64(rhs[k] & 1)
+		act := alive
+		for i, pm := range pivMask {
+			x := eq[i] & act
+			if x == 0 {
+				continue
+			}
+			// Only the words past i matter: bit i is the pivot itself.
+			tail := eq[i+1:]
+			row := st.pivRows[i*stride+i+1 : (i+1)*stride]
+			row = row[:len(tail)]
+			if h := x & pm; h != 0 {
+				for j, rw := range row {
+					tail[j] ^= h & rw
+				}
+			}
+			if nw := x &^ pm; nw != 0 {
+				pivMask[i] = pm | nw
+				if pm == 0 {
+					// Lanes outside the mask are never read.
+					copy(row, tail)
+				} else {
+					for j, e := range tail {
+						row[j] = row[j]&^nw | e&nw
+					}
+				}
+				if act &^= nw; act == 0 {
+					break
+				}
 			}
 		}
-	} else {
-		stride := r + 1
-		eq := st.eq[:stride]
-		clear(pivMask)
-		for k, b := range base {
-			copy(eq, st.block(int(b/L)*W+wi))
-			// rhs 1 flips the constant: the equation is Σ t_i·eq[i] = rhs ⊕ eq[r].
-			eq[r] ^= -uint64(rhs[k] & 1)
-			act := alive
-			for i, pm := range pivMask {
-				x := eq[i] & act
-				if x == 0 {
-					continue
-				}
-				// Only the words past i matter: bit i is the pivot itself.
-				tail := eq[i+1:]
-				row := st.pivRows[i*stride+i+1 : (i+1)*stride]
-				row = row[:len(tail)]
-				if h := x & pm; h != 0 {
-					for j, rw := range row {
-						tail[j] ^= h & rw
-					}
-				}
-				if nw := x &^ pm; nw != 0 {
-					pivMask[i] = pm | nw
-					if pm == 0 {
-						// Lanes outside the mask are never read.
-						copy(row, tail)
-					} else {
-						for j, e := range tail {
-							row[j] = row[j]&^nw | e&nw
-						}
-					}
-					if act &^= nw; act == 0 {
-						break
-					}
-				}
-			}
-			if alive &^= act & eq[r]; alive == 0 {
-				break
-			}
+		if alive &^= act & eq[r]; alive == 0 {
+			break
 		}
 	}
 	if !st.cfg.NoPruning {
