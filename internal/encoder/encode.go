@@ -63,8 +63,8 @@ type Encoding struct {
 	// TableBuildTime is the wall time this encoding spent materialising
 	// symbolic tables and its equation index — only the index when
 	// Config.Tables already held the built arena — plus the column arena
-	// its scan builds when it first decides a window word bit-sliced
-	// (never at L = 1).
+	// its scan builds when it first decides a window word bit-sliced, or,
+	// at L = 1, when it first checks on projected rows.
 	TableBuildTime time.Duration
 }
 
@@ -163,15 +163,25 @@ type scanView struct {
 // L = 200 encode at two workers (best of 20, alternating), 47 of its 831
 // tiers with sliced words split, and the encode took 117 ms split against
 // 104 ms inline; s9234 at L = 20 never split one.
+//
+// Tiers checked on projected rows (L = 1) keep the cut-off; a split one
+// first brings every projected row current, and the workers share them.
+// At the paper scale only s13207 (n = 24) splits any: 90 of its 2,685
+// projected tiers. Its L = 1 encode at two workers, prebuilt tables, 30
+// alternating encodes per rule in each of three runs, took a median 45.1,
+// 32.7 and 43.3 ms split against 42.7, 32.1 and 41.0 ms with every
+// projected tier inline, within each run's quartile spread (up to 10 ms).
+// s38417, s38584, s9234 and s15850 split none at L = 1.
 const inlineScanPairs = 128
 
 // tierScan describes one scanned tier to scanTierHook: its cubes, the
 // still-feasible pairs it checks on the scalar path, the window words it
-// decides bit-sliced, the basis's free variables, and whether the tier was
-// split across workers.
+// decides bit-sliced, the basis's free variables, whether the scalar pairs
+// are checked on projected rows rather than by CheckSystem, and whether
+// the tier was split across workers.
 type tierScan struct {
 	cubes, scalarPairs, slicedWords, free int
-	split                                 bool
+	projected, split                      bool
 }
 
 // scanTierHook, when non-nil, is called by every scanTier before it scans.
@@ -180,8 +190,9 @@ var scanTierHook func(tierScan)
 
 // scanOverride, when not scanMeasured, sends every window word down one
 // scan path whatever its lanes: scanScalarOnly makes the scalar
-// CheckSystem path an oracle for the bit-sliced kernel, and scanSlicedOnly
-// runs the kernel on words the measured rule keeps scalar. Tests only.
+// CheckSystem path an oracle for the bit-sliced kernel and the projected
+// rows, and scanSlicedOnly runs the kernel on words the measured rule
+// keeps scalar. Neither checks or commits on projected rows. Tests only.
 var scanOverride = scanMeasured
 
 const (
@@ -238,8 +249,13 @@ type encodeState struct {
 
 	solver *gf2.Solver
 	views  []*scanView
-	eqBuf  []gf2.Equation
 	checks int64
+
+	// proj holds the expression rows in the basis's free coordinates for
+	// classical reseeding, built on the encode's first projected check;
+	// project is set while the tier being scanned checks on it.
+	proj    *gf2.ProjectedTable
+	project bool
 
 	// epoch names the current basis: it moves on whenever the basis
 	// changes (a seed's Reset, or a commit that raises the rank), and a
@@ -443,16 +459,25 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 // commit folds the system of cube ci at window position pos into the
 // basis and records the assignment. The system was verified consistent by
 // the check that nominated it, against this same basis, so each equation
-// is added directly; an inconsistency is a bug. On a determined seed the
-// system adds nothing to the basis, so only the assignment is recorded,
-// and the seed's plane blocks stay current.
+// is added directly; an inconsistency is a bug. Where the scan checks on
+// projected rows, only the equations the projected elimination finds
+// independent reach the solver, which leaves the same basis. On a
+// determined seed the system adds nothing to the basis, so only the
+// assignment is recorded, and the seed's plane blocks stay current.
 func (st *encodeState) commit(ci, pos int, seed *Seed) {
 	if st.solver.FreeVars() > 0 {
 		rank := st.solver.Rank()
-		st.eqBuf = st.table.Equations(st.set.Cubes[ci], pos, st.eqBuf[:0])
-		for _, eq := range st.eqBuf {
-			if _, ok := st.solver.Add(eq); !ok {
+		base, rhs := st.sys.base[ci], st.sys.rhs[ci]
+		if len(seed.Assignments) > 0 && st.projects() {
+			if _, ok := st.projTable().AddSystem(base, int32(pos), rhs, &st.viewFor(0).scratch); !ok {
 				panic("encoder: committing a system that was just verified solvable")
+			}
+		} else {
+			rows := st.table.Rows()
+			for k, b := range base {
+				if _, ok := st.solver.Add(gf2.Equation{Coeffs: rows.Row(int(b) + pos), RHS: rhs[k]}); !ok {
+					panic("encoder: committing a system that was just verified solvable")
+				}
 			}
 		}
 		if st.solver.Rank() != rank {
@@ -520,7 +545,8 @@ func (st *encodeState) slicedWord(lanes int) bool {
 // and for a lane elimination as wide as the basis's free variables
 // whatever its lanes, so a word of one or two positions is cheaper on the
 // scalar path; L = 1 classical reseeding, whose words hold one position,
-// therefore never builds the column arena. On a 2-vCPU Xeon (Go 1.24, one
+// therefore never builds the sliced path's column arena, only the
+// projected rows' (see projects). On a 2-vCPU Xeon (Go 1.24, one
 // worker, prebuilt tables, best of 3–5 encodes at paper scale and of 40 at
 // CI scale), cut-offs of 2, 4 and 8 lanes were within noise of each other
 // and of slicing every word on the paper-scale s13207 L = 200 (146–164 ms
@@ -533,7 +559,8 @@ const minSlicedLanes = 4
 // scanCube probes every still-feasible position of one cube through a
 // worker's view, in ascending window words. A word slicedWord accepts is
 // decided in one sliceWord call, all its positions at once; the others run
-// one CheckSystem per position through the view's reduced table. Positions
+// one check per position, on the projected rows in a tier that projects
+// (see projects) and through the view's reduced table otherwise. Positions
 // proven unsolvable are pruned for the rest of this seed's construction
 // (constraints only grow, so unsolvable stays unsolvable); under NoPruning
 // the row keeps every position of the window set. Either way each feasible
@@ -560,7 +587,13 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 			}
 			local++
 			p := wi*64 + b
-			inc, ok := v.view.CheckSystem(base, int32(p), rhs, &v.scratch)
+			var inc int
+			var ok bool
+			if st.project {
+				inc, ok = st.proj.CheckSystem(base, int32(p), rhs, &v.scratch)
+			} else {
+				inc, ok = v.view.CheckSystem(base, int32(p), rhs, &v.scratch)
+			}
 			if !ok {
 				if !st.cfg.NoPruning {
 					feas[wi] &^= 1 << uint(b)
@@ -670,24 +703,33 @@ func (st *encodeState) block(blk int) []uint64 {
 	if st.planeEpoch[blk] != st.epoch {
 		col := st.cols[blk*st.n : (blk+1)*st.n]
 		for i, g := range st.aff.Gens {
-			pl[i] = xorColumns(col, g.Words())
+			pl[i] = gf2.XorColumns(col, g.Words())
 		}
-		pl[st.free] = xorColumns(col, st.aff.X0.Words())
+		pl[st.free] = gf2.XorColumns(col, st.aff.X0.Words())
 		st.planeEpoch[blk] = st.epoch
 	}
 	return pl
 }
 
-// xorColumns returns the XOR of the column words col[j] over the set bits
-// j of the support words.
-func xorColumns(col, support []uint64) uint64 {
-	var acc uint64
-	for k, w := range support {
-		for ; w != 0; w &= w - 1 {
-			acc ^= col[k*64+bits.TrailingZeros64(w)]
-		}
+// projects reports whether the scan checks, and commit commits, on
+// projected rows (gf2.ProjectedTable) at the current basis: classical
+// reseeding under the measured choice of path, once the basis has at most
+// gf2.ProjectedFree free variables. A seed's first cube is checked and
+// committed as before; the seed's scans, and so its projected rows, start
+// after that commit.
+func (st *encodeState) projects() bool {
+	return st.L == 1 && scanOverride == scanMeasured && st.solver.FreeVars() <= gf2.ProjectedFree
+}
+
+// projTable returns the encode's projected table, building it and its
+// column arena on first use.
+func (st *encodeState) projTable() *gf2.ProjectedTable {
+	if st.proj == nil {
+		t0 := time.Now()
+		st.proj = gf2.NewProjectedTable(st.solver, st.table.Rows())
+		st.colBuild += time.Since(t0)
 	}
-	return acc
+	return st.proj
 }
 
 // prepareSliced readies the bit-sliced path before a tier scans its first
@@ -715,7 +757,7 @@ func (st *encodeState) prepareSliced() {
 		st.pivMask = make([]uint64, n)
 		st.pivRows = make([]uint64, n*(n+1))
 		st.eq = make([]uint64, n+1)
-		st.colBuild = time.Since(t0)
+		st.colBuild += time.Since(t0)
 	}
 	if st.affEpoch != st.epoch {
 		st.solver.AffineInto(&st.aff)
@@ -755,12 +797,20 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	if sliced > 0 {
 		st.prepareSliced()
 	}
+	if st.project = pairs > 0 && st.projects(); st.project {
+		st.projTable()
+	}
 	workers := min(st.workers, len(tier))
 	if pairs < inlineScanPairs || sliced > 0 {
 		workers = 1
 	}
+	if st.project && workers > 1 {
+		// Every row current up front: the workers then share the table
+		// read-only.
+		st.proj.Sync()
+	}
 	if scanTierHook != nil {
-		scanTierHook(tierScan{cubes: len(tier), scalarPairs: pairs, slicedWords: sliced, free: st.free, split: workers > 1})
+		scanTierHook(tierScan{cubes: len(tier), scalarPairs: pairs, slicedWords: sliced, free: st.free, projected: st.project, split: workers > 1})
 	}
 	var checkCount int64
 	if workers <= 1 {

@@ -63,18 +63,52 @@ func randomCubes(src *prng.Source, cfg Config, count, minSpec, maxSpec int) *cub
 }
 
 // scanPaths counts the scan paths one encode's tiers took: window words
-// decided bit-sliced below full rank and at full rank, and pairs checked
-// on the scalar path.
-type scanPaths struct{ slicedFree, slicedFull, scalarPairs int }
+// decided bit-sliced below full rank and at full rank, pairs checked on
+// the scalar path, and of those the pairs checked on projected rows below
+// full rank and at it, the projected tiers split across workers, and the
+// pairs CheckSystem checked at L = 1 because the basis had more than
+// gf2.ProjectedFree free variables.
+type scanPaths struct {
+	slicedFree, slicedFull, scalarPairs int
+	projFree, projFull, projSplit, wide int
+}
+
+// add accumulates another encode's paths.
+func (p *scanPaths) add(q scanPaths) {
+	p.slicedFree += q.slicedFree
+	p.slicedFull += q.slicedFull
+	p.scalarPairs += q.scalarPairs
+	p.projFree += q.projFree
+	p.projFull += q.projFull
+	p.projSplit += q.projSplit
+	p.wide += q.wide
+}
 
 // encodeScan encodes set under cfg with the given scan override and
 // returns the result, the paths the encode took and its error.
-// Under scanScalarOnly, the oracle, any word decided bit-sliced fails t.
+// Under scanScalarOnly, the oracle, any word decided bit-sliced or checked
+// on projected rows fails t; so does, under the measured rule, an L = 1
+// tier left on CheckSystem with at most gf2.ProjectedFree free variables.
 func encodeScan(t testing.TB, cfg Config, set *cube.Set, override int) (enc *Encoding, paths scanPaths, err error) {
 	t.Helper()
 	defer func() { scanTierHook, scanOverride = nil, scanMeasured }()
 	scanTierHook = func(ts tierScan) {
 		paths.scalarPairs += ts.scalarPairs
+		switch {
+		case ts.projected && override != scanMeasured:
+			t.Errorf("encode under override %d checked %d pairs on projected rows", override, ts.scalarPairs)
+		case ts.projected && ts.free > 0:
+			paths.projFree += ts.scalarPairs
+		case ts.projected:
+			paths.projFull += ts.scalarPairs
+		case cfg.WindowLen == 1 && ts.scalarPairs > 0 && ts.free > gf2.ProjectedFree:
+			paths.wide += ts.scalarPairs
+		case cfg.WindowLen == 1 && ts.scalarPairs > 0 && override == scanMeasured:
+			t.Errorf("L = 1 tier at %d free variables checked %d pairs by CheckSystem", ts.free, ts.scalarPairs)
+		}
+		if ts.projected && ts.split {
+			paths.projSplit++
+		}
 		switch {
 		case ts.slicedWords == 0:
 		case override == scanScalarOnly:
@@ -177,52 +211,84 @@ func TestPlanesMatchGeneration(t *testing.T) {
 }
 
 // TestFixedSeedScanMatchesSymbolic runs the candidate scan against its
-// scalar path alone, the oracle, and requires identical encodings —
-// seeds, assignments, seed values and ChecksPerformed — across register
-// sizes of one and two words, both register forms, windows of one to
-// several plane words, one and several workers, and with pruning on and
-// off. Both the measured choice of path and the bit-sliced path for every
-// word are compared. Every configuration must take the sliced path at
-// full rank and below it when every word is sliced. Under the measured
+// scalar CheckSystem path alone, the oracle, and requires identical
+// encodings — seeds, assignments, seed values and ChecksPerformed — across
+// register sizes of one and two words, both register forms, windows of
+// one to several plane words, one and several workers, and with pruning
+// on and off; the full one-word register, n = 64, at L = 1 only. Both the
+// measured choice of path and the bit-sliced path for every word are
+// compared. Every configuration must take the sliced path at full rank
+// and below it when every word is sliced. Under the measured
 // rule, windows of at least 20 positions must take the sliced path at
 // both, every configuration with pruning must check pairs on the scalar
 // path (pruning leaves words of a few positions; without it only a
 // window's short last word has so few), and windows too short for any
 // word to reach the cut-off must stay scalar, so a classical (L = 1)
-// encode never builds the column arena.
+// encode never builds the sliced path's column arena.
+//
+// Classical reseeding also encodes a second set of 160 sparse cubes of one
+// specified count, a single tier that several workers split. Over both
+// sets, an L = 1 encode under the measured rule must check on projected
+// rows below full rank and at it and split a projected tier, and at
+// n = 85, where a sparse seed's first commits leave more than
+// gf2.ProjectedFree free variables, must also check by CheckSystem.
 func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
-		for _, n := range []int{24, 56, 85} {
+		for _, n := range []int{24, 56, 64, 85} {
 			for _, L := range []int{1, 2, 20, 64, 65, 200} {
+				if n == 64 && L > 1 {
+					continue
+				}
 				t.Run(fmt.Sprintf("%v/n=%d/L=%d", form, n, L), func(t *testing.T) {
 					cfg := formConfig(t, form, n, 112, 8, L, 0)
-					set := randomCubes(prng.New(uint64(n*1000+L)), cfg, 40, n/4, n/2)
-					for _, workers := range []int{1, 4} {
-						for _, noPruning := range []bool{false, true} {
-							cfg.Workers, cfg.NoPruning = workers, noPruning
-							slow, _, err := encodeScan(t, cfg, set, scanScalarOnly)
-							if err != nil {
-								t.Fatalf("workers=%d NoPruning=%v: scalar-only: %v", workers, noPruning, err)
-							}
-							for _, override := range []int{scanMeasured, scanSlicedOnly} {
-								label := fmt.Sprintf("workers=%d NoPruning=%v override=%d", workers, noPruning, override)
-								fast, paths, err := encodeScan(t, cfg, set, override)
+					sets := []*cube.Set{randomCubes(prng.New(uint64(n*1000+L)), cfg, 40, n/4, n/2)}
+					if L == 1 {
+						sets = append(sets, randomCubes(prng.New(uint64(n*1000+L+1)), cfg, 160, n/10, n/10))
+					}
+					var measured scanPaths
+					for si, set := range sets {
+						for _, workers := range []int{1, 4} {
+							for _, noPruning := range []bool{false, true} {
+								cfg.Workers, cfg.NoPruning = workers, noPruning
+								slow, _, err := encodeScan(t, cfg, set, scanScalarOnly)
 								if err != nil {
-									t.Fatalf("%s: %v", label, err)
+									t.Fatalf("workers=%d NoPruning=%v: scalar-only: %v", workers, noPruning, err)
 								}
-								assertEncodingsIdentical(t, label, slow, fast)
-								switch {
-								case override == scanSlicedOnly && (paths.slicedFree == 0 || paths.slicedFull == 0):
-									t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
-								case override == scanMeasured && L >= 20 && (paths.slicedFree == 0 || paths.slicedFull == 0):
-									t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
-								case override == scanMeasured && !noPruning && paths.scalarPairs == 0:
-									t.Fatalf("%s: no pair checked on the scalar path", label)
-								case override == scanMeasured && L < minSlicedLanes && paths.slicedFree+paths.slicedFull > 0:
-									t.Fatalf("%s: a %d-position window decided words bit-sliced", label, L)
+								for _, override := range []int{scanMeasured, scanSlicedOnly} {
+									label := fmt.Sprintf("set %d workers=%d NoPruning=%v override=%d", si, workers, noPruning, override)
+									fast, paths, err := encodeScan(t, cfg, set, override)
+									if err != nil {
+										t.Fatalf("%s: %v", label, err)
+									}
+									assertEncodingsIdentical(t, label, slow, fast)
+									if override == scanMeasured {
+										measured.add(paths)
+									}
+									if si > 0 {
+										continue // the sparse set's paths count only in total
+									}
+									switch {
+									case override == scanSlicedOnly && (paths.slicedFree == 0 || paths.slicedFull == 0):
+										t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
+									case override == scanMeasured && L >= 20 && (paths.slicedFree == 0 || paths.slicedFull == 0):
+										t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
+									case override == scanMeasured && !noPruning && paths.scalarPairs == 0:
+										t.Fatalf("%s: no pair checked on the scalar path", label)
+									case override == scanMeasured && L < minSlicedLanes && paths.slicedFree+paths.slicedFull > 0:
+										t.Fatalf("%s: a %d-position window decided words bit-sliced", label, L)
+									}
 								}
 							}
 						}
+					}
+					switch {
+					case L == 1 && (measured.projFree == 0 || measured.projFull == 0 || measured.projSplit == 0):
+						t.Fatalf("%d projected pairs below full rank, %d at full rank, %d split projected tiers; want all three",
+							measured.projFree, measured.projFull, measured.projSplit)
+					case L == 1 && n-n/10 > gf2.ProjectedFree && measured.wide == 0:
+						t.Fatalf("no L = 1 pair checked by CheckSystem at more than %d free variables", gf2.ProjectedFree)
+					case L > 1 && measured.projFree+measured.projFull > 0:
+						t.Fatalf("a %d-position window checked on projected rows", L)
 					}
 				})
 			}
@@ -231,17 +297,22 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 }
 
 // FuzzEncodeFixedSeed compares the candidate scan, under the measured
-// choice of path and with every word bit-sliced, with its scalar path
-// alone on random small cube sets: each must return the same encoding,
-// ChecksPerformed included, or the same error.
+// choice of path and with every word bit-sliced, with its scalar
+// CheckSystem path alone on random small cube sets: each must return the
+// same encoding, ChecksPerformed included, or the same error. Under the
+// measured rule, classical reseeding (L = 1) checks and commits on
+// projected rows once a seed's basis has at most gf2.ProjectedFree free
+// variables.
 func FuzzEncodeFixedSeed(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(3), uint8(20), false, false, false)
 	f.Add(uint64(7), uint8(2), uint8(0), uint8(12), true, false, false)
 	f.Add(uint64(42), uint8(1), uint8(70), uint8(30), false, true, false)
 	f.Add(uint64(5), uint8(1), uint8(199), uint8(25), true, true, true)
 	f.Add(uint64(9), uint8(2), uint8(19), uint8(31), false, false, true)
+	f.Add(uint64(11), uint8(3), uint8(0), uint8(31), false, false, true)
+	f.Add(uint64(13), uint8(2), uint8(0), uint8(27), true, true, false)
 	f.Fuzz(func(t *testing.T, seed uint64, nSel, lSel, count uint8, galois, noPruning, four bool) {
-		n := []int{24, 56, 85}[int(nSel)%3]
+		n := []int{24, 56, 64, 85}[int(nSel)%4]
 		L := 1 + int(lSel)%200
 		form := lfsr.Fibonacci
 		if galois {
@@ -266,17 +337,23 @@ func FuzzEncodeFixedSeed(f *testing.F) {
 	})
 }
 
-// pollSite classifies a context poll by its caller: "sliced" from
-// sliceWord, "scalar" from scanCube's per-position checks, "other" from
-// anywhere else (the screen, a seed's first cube, the seed loop).
-func pollSite() string {
+// pollSite classifies a context poll by its caller and by the tier being
+// scanned: "sliced" from sliceWord at full rank, "sliced-free" below it,
+// "projected" from scanCube's per-position checks in a tier checked on
+// projected rows, "scalar" from the others, "other" from anywhere else
+// (the screen, a seed's first cube, the seed loop).
+func pollSite(free int, projected bool) string {
 	pc := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		fr, more := frames.Next()
 		switch {
+		case strings.HasSuffix(fr.Function, ".sliceWord") && free > 0:
+			return "sliced-free"
 		case strings.HasSuffix(fr.Function, ".sliceWord"):
 			return "sliced"
+		case strings.HasSuffix(fr.Function, ".scanCube") && projected:
+			return "projected"
 		case strings.HasSuffix(fr.Function, ".scanCube"):
 			return "scalar"
 		}
@@ -287,80 +364,90 @@ func pollSite() string {
 }
 
 // pollLog is a live context recording the site of each Err call, with the
-// free-variable count of the tier being scanned (set through
-// scanTierHook; the encodes run on one worker).
+// free-variable count of the tier being scanned and whether it checks on
+// projected rows (set through scanTierHook; the encodes run on one
+// worker).
 type pollLog struct {
 	context.Context
-	free  int
-	sites []string
+	free      int
+	projected bool
+	sites     []string
 }
 
 func (c *pollLog) Err() error {
-	site := pollSite()
-	if site == "sliced" && c.free > 0 {
-		site = "sliced-free"
-	}
-	c.sites = append(c.sites, site)
+	c.sites = append(c.sites, pollSite(c.free, c.projected))
 	return nil
 }
 
 // TestEncodeCancelMidSeedLoop cancels an encode at chosen context polls
-// that land inside the candidate scan — on the scalar path, and on the
-// bit-sliced path both below full rank and at it — and requires each
-// cancel to stop the scan with an error wrapping context.Canceled. It also
-// checks EncodeCtx's documented poll cadence: the scalar path polls once
-// per checkStride checks, and a sliced word, which decides up to 64
-// positions per step, never polls more often and at least once per
-// checkStride+63 checks. Both encodes poll once per seed besides, and make
-// the same seeds.
+// that land inside the candidate scan — on the scalar path, on the
+// bit-sliced path both below full rank and at it, and on classical
+// reseeding's projected rows — and requires each cancel to stop the scan
+// with an error wrapping context.Canceled. It also checks EncodeCtx's
+// documented poll cadence: the scalar path, projected rows included,
+// polls once per checkStride checks, and a sliced word, which decides up
+// to 64 positions per step, never polls more often and at least once per
+// checkStride+63 checks. So an L = 1 encode polls exactly as often as the
+// scalar-only one. Every encode polls once per seed besides, and both
+// encodes of a configuration make the same seeds.
 func TestEncodeCancelMidSeedLoop(t *testing.T) {
-	cfg := formConfig(t, lfsr.Fibonacci, 24, 120, 6, 200, 0)
-	set := randomCubes(prng.New(3), cfg, 60, 4, 8)
-	cfg.Workers = 1
-	var err error
-	cfg.Tables, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Built tables: the build's own polls would shift the counts.
-	if _, err := cfg.Tables.ExprTableCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// pollSites returns, per site, the indices of an uncancelled encode's
-	// polls, and how many polls came from the checks' cadence.
-	pollSites := func(override int) (map[string][]int, int) {
-		log := &pollLog{Context: context.Background()}
-		scanOverride = override
-		scanTierHook = func(ts tierScan) { log.free = ts.free }
-		defer func() { scanTierHook, scanOverride = nil, scanMeasured }()
-		enc, err := EncodeCtx(log, cfg, set)
+	for _, tc := range []struct {
+		L, cubes int
+		sites    []string
+	}{
+		{200, 60, []string{"scalar", "sliced", "sliced-free"}},
+		{1, 240, []string{"projected"}},
+	} {
+		cfg := formConfig(t, lfsr.Fibonacci, 24, 120, 6, tc.L, 0)
+		set := randomCubes(prng.New(3), cfg, tc.cubes, 4, 8)
+		cfg.Workers = 1
+		var err error
+		cfg.Tables, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := map[string][]int{}
-		for i, s := range log.sites {
-			at[s] = append(at[s], i)
+		// Built tables: the build's own polls would shift the counts.
+		if _, err := cfg.Tables.ExprTableCtx(context.Background()); err != nil {
+			t.Fatal(err)
 		}
-		return at, len(log.sites) - len(enc.Seeds)
-	}
-	fast, fastPolls := pollSites(scanMeasured)
-	_, slowPolls := pollSites(scanScalarOnly)
-	if len(fast["sliced"]) == 0 || len(fast["sliced-free"]) == 0 || len(fast["scalar"]) == 0 {
-		t.Fatalf("%d polls in sliced words at full rank, %d below it, %d in scalar checks: want all three",
-			len(fast["sliced"]), len(fast["sliced-free"]), len(fast["scalar"]))
-	}
-	if fastPolls > slowPolls || fastPolls*(checkStride+63) < slowPolls*checkStride-(checkStride+63) {
-		t.Errorf("encode polled %d times per its checks, scalar-only encode %d", fastPolls, slowPolls)
-	}
 
-	for _, site := range []string{"scalar", "sliced", "sliced-free"} {
-		polls := fast[site]
-		for _, i := range []int{polls[0], polls[len(polls)/2], polls[len(polls)-1]} {
-			ctx := &stopAfterPolls{Context: context.Background(), polls: i}
-			_, err := EncodeCtx(ctx, cfg, set)
-			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "candidate scan stopped") {
-				t.Errorf("cancel at poll %d (%s): err = %v, want a candidate-scan error wrapping context.Canceled", i, site, err)
+		// pollSites returns, per site, the indices of an uncancelled
+		// encode's polls, and how many polls came from the checks' cadence.
+		pollSites := func(override int) (map[string][]int, int) {
+			log := &pollLog{Context: context.Background()}
+			scanOverride = override
+			scanTierHook = func(ts tierScan) { log.free, log.projected = ts.free, ts.projected }
+			defer func() { scanTierHook, scanOverride = nil, scanMeasured }()
+			enc, err := EncodeCtx(log, cfg, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := map[string][]int{}
+			for i, s := range log.sites {
+				at[s] = append(at[s], i)
+			}
+			return at, len(log.sites) - len(enc.Seeds)
+		}
+		fast, fastPolls := pollSites(scanMeasured)
+		_, slowPolls := pollSites(scanScalarOnly)
+		for _, site := range tc.sites {
+			if len(fast[site]) == 0 {
+				t.Fatalf("L=%d: no poll in %s checks; want polls in each of %v", tc.L, site, tc.sites)
+			}
+		}
+		if tc.L == 1 && fastPolls != slowPolls ||
+			fastPolls > slowPolls || fastPolls*(checkStride+63) < slowPolls*checkStride-(checkStride+63) {
+			t.Errorf("L=%d: encode polled %d times per its checks, scalar-only encode %d", tc.L, fastPolls, slowPolls)
+		}
+
+		for _, site := range tc.sites {
+			polls := fast[site]
+			for _, i := range []int{polls[0], polls[len(polls)/2], polls[len(polls)-1]} {
+				ctx := &stopAfterPolls{Context: context.Background(), polls: i}
+				_, err := EncodeCtx(ctx, cfg, set)
+				if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "candidate scan stopped") {
+					t.Errorf("L=%d: cancel at poll %d (%s): err = %v, want a candidate-scan error wrapping context.Canceled", tc.L, i, site, err)
+				}
 			}
 		}
 	}

@@ -68,12 +68,15 @@ func (d *denseEliminator) satisfies(sol Vec) bool {
 	return true
 }
 
-// FuzzSolver cross-checks the incremental solver and its reduced-basis
-// candidate path against the dense reference: for fuzzed row tables and
-// adversarial check/commit/reset interleavings, the consistency verdict,
-// the rank increase and the produced solution must all agree, and after
+// FuzzSolver cross-checks the incremental solver, its reduced-basis
+// candidate path and, once a basis has at most ProjectedFree free
+// variables, its projected rows against the dense reference: for fuzzed
+// row tables and adversarial check/commit/reset interleavings, the
+// consistency verdict, the rank increase and the produced solution must
+// all agree. Some commits go through ProjectedTable.AddSystem. After
 // every commit the basis's affine form (AffineInto) must describe its
-// solutions.
+// solutions, and every projected row must equal its reduced residual on
+// the frame's columns (projectedError).
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{11, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{1, 1, 0, 0, 9, 9, 9, 9, 200, 200, 1, 2, 3})
@@ -109,8 +112,13 @@ func FuzzSolver(f *testing.F) {
 
 		s := NewSolver(n)
 		rt := NewReducedTable(s, rs)
+		pt := NewProjectedTable(s, rs)
+		all := make([]int, count)
+		for i := range all {
+			all[i] = i
+		}
 		ref := &denseEliminator{n: n}
-		var scN, scR CheckScratch
+		var scN, scR, scP CheckScratch
 		var aff Affine
 
 		pos := 0
@@ -154,8 +162,21 @@ func FuzzSolver(f *testing.F) {
 			if redInc != wantInc || redOK != wantOK {
 				t.Fatalf("step %d: CheckSystem (%d,%v) != dense (%d,%v)", step, redInc, redOK, wantInc, wantOK)
 			}
+			projected := s.FreeVars() <= ProjectedFree
+			if projected {
+				projInc, projOK := pt.CheckSystem(idx, 0, rhs, &scP)
+				if projInc != wantInc || projOK != wantOK {
+					t.Fatalf("step %d: projected CheckSystem (%d,%v) != dense (%d,%v)", step, projInc, projOK, wantInc, wantOK)
+				}
+			}
 			if wantOK && op%4 == 1 {
-				inc, ok := s.AddSystem(sys)
+				var inc int
+				var ok bool
+				if projected && op%8 == 1 {
+					inc, ok = pt.AddSystem(idx, 0, rhs, &scP)
+				} else {
+					inc, ok = s.AddSystem(sys)
+				}
 				if !ok || inc != wantInc {
 					t.Fatalf("step %d: AddSystem (%d,%v) after Check said (%d,true)", step, inc, ok, wantInc)
 				}
@@ -164,6 +185,11 @@ func FuzzSolver(f *testing.F) {
 				}
 				if err := affineError(s, &aff, src); err != nil {
 					t.Fatalf("step %d: affine form: %v", step, err)
+				}
+				if s.FreeVars() <= ProjectedFree {
+					if err := projectedError(pt, rt, all); err != nil {
+						t.Fatalf("step %d: projected rows: %v", step, err)
+					}
 				}
 				ref.committed = append(ref.committed, sys...)
 				wantRank, _ := ref.eliminate(ref.committed)

@@ -121,12 +121,19 @@ func (s *Solver) Reset() {
 func (s *Solver) reduceInto(dst Vec, eq Equation) uint8 {
 	dst.CopyFrom(eq.Coeffs)
 	r := eq.RHS & 1
-	// Masked elimination: jump straight to the pivot hits. Every basis row
-	// has its pivot as lowest set bit and no other pivot bits (RREF), so
-	// each XOR clears exactly one hit and the loop runs once per hit.
-	for b := dst.FirstSetAnd(s.piv); b >= 0; b = dst.FirstSetAnd(s.piv) {
-		dst.Xor(s.row(b))
-		r ^= s.rhs[b]
+	// Masked elimination, one pass over the pivot hits as in
+	// ReducedTable.Residual: every basis row has its pivot as lowest set
+	// bit and no other pivot bits (RREF), so each XOR clears exactly its
+	// own hit, creates none, and leaves the words below its pivot alone.
+	w, x := s.words, dst.words
+	for wi, pv := range s.piv.words {
+		for m := x[wi] & pv; m != 0; m &= m - 1 {
+			b := wi*wordBits + bits.TrailingZeros64(m)
+			for j, rw := range s.basis[b*w+wi : (b+1)*w] {
+				x[wi+j] ^= rw
+			}
+			r ^= s.rhs[b]
+		}
 	}
 	return r
 }
@@ -142,14 +149,20 @@ func (s *Solver) Add(eq Equation) (added, consistent bool) {
 	}
 	p := s.scratch.FirstSet()
 	// Keep reduced row-echelon form: clear the new pivot from all existing
-	// rows so Solution extraction stays a single pass.
+	// rows so Solution extraction stays a single pass. The new row is zero
+	// below its pivot word. About half the rows hold the pivot, so the fold
+	// is masked rather than branched on.
+	w, pw, sh := s.words, p/wordBits, uint(p%wordBits)
+	x := s.scratch.words[pw:]
 	for _, q := range s.order {
-		if row := s.row(q); row.Bit(p) != 0 {
-			row.Xor(s.scratch)
-			s.rhs[q] ^= r
+		row := s.basis[q*w+pw : (q+1)*w]
+		m := -(row[0] >> sh & 1)
+		for j, xw := range x {
+			row[j] ^= xw & m
 		}
+		s.rhs[q] ^= r & uint8(m)
 	}
-	s.row(p).CopyFrom(s.scratch)
+	copy(s.basis[p*w:(p+1)*w], s.scratch.words)
 	s.occ[p] = true
 	s.piv.SetBit(p, 1)
 	s.rhs[p] = r
@@ -165,13 +178,17 @@ func (s *Solver) Add(eq Equation) (added, consistent bool) {
 // fixed arrays below, and read only the entries their occupancy mask marks
 // as written during the current check, so entries left by earlier checks
 // are never seen and never zeroed. Wider registers use the pooled n-bit
-// rows. A CheckScratch must not be shared between goroutines; give each
+// rows; ProjectedTable.CheckSystem uses the 1-word overlay at every width.
+// A CheckScratch must not be shared between goroutines; give each
 // worker its own.
 type CheckScratch struct {
 	ov1    [64]uint64     // 1-word overlay rows by pivot
 	ov1RHS [64]uint8      // their right-hand sides
 	ov2    [128][2]uint64 // 2-word overlay rows by pivot
 	ov2RHS [128]uint8     // their right-hand sides
+	// indep[j] is the system index of the j-th equation a
+	// ProjectedTable.CheckSystem found independent.
+	indep [64]int32
 
 	overlay     []Vec   // overlay rows keyed by pivot, lazily sized to n
 	overlayRHS  []uint8 // RHS of overlay rows
