@@ -164,14 +164,15 @@ type scanView struct {
 // tiers with sliced words split, and the encode took 117 ms split against
 // 104 ms inline; s9234 at L = 20 never split one.
 //
-// Tiers checked on projected rows (L = 1) keep the cut-off; a split one
-// first brings every projected row current, and the workers share them.
-// At the paper scale only s13207 (n = 24) splits any: 90 of its 2,685
-// projected tiers. Its L = 1 encode at two workers, prebuilt tables, 30
-// alternating encodes per rule in each of three runs, took a median 45.1,
-// 32.7 and 43.3 ms split against 42.7, 32.1 and 41.0 ms with every
-// projected tier inline, within each run's quartile spread (up to 10 ms).
-// s38417, s38584, s9234 and s15850 split none at L = 1.
+// Tiers checked on projected rows (L = 1) run inline too, so one
+// goroutine brings the projected rows current as it reads them. Under
+// the cut-off alone, only s13207 (n = 24) would split any at the paper
+// scale: 90 of its 2,685 projected tiers. Its L = 1 encode at two
+// workers, prebuilt tables, 30 alternating encodes per rule in each of
+// three runs, took a median 45.1, 32.7 and 43.3 ms with those tiers split
+// (every row brought current first, then shared read-only) against 42.7,
+// 32.1 and 41.0 ms with every projected tier inline. s38417, s38584,
+// s9234 and s15850 split none at L = 1.
 const inlineScanPairs = 128
 
 // tierScan describes one scanned tier to scanTierHook: its cubes, the
@@ -459,25 +460,17 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 // commit folds the system of cube ci at window position pos into the
 // basis and records the assignment. The system was verified consistent by
 // the check that nominated it, against this same basis, so each equation
-// is added directly; an inconsistency is a bug. Where the scan checks on
-// projected rows, only the equations the projected elimination finds
-// independent reach the solver, which leaves the same basis. On a
-// determined seed the system adds nothing to the basis, so only the
-// assignment is recorded, and the seed's plane blocks stay current.
+// is added directly; an inconsistency is a bug. On a determined seed the
+// system adds nothing to the basis, so only the assignment is recorded,
+// and the seed's plane blocks stay current.
 func (st *encodeState) commit(ci, pos int, seed *Seed) {
 	if st.solver.FreeVars() > 0 {
 		rank := st.solver.Rank()
 		base, rhs := st.sys.base[ci], st.sys.rhs[ci]
-		if len(seed.Assignments) > 0 && st.projects() {
-			if _, ok := st.projTable().AddSystem(base, int32(pos), rhs, &st.viewFor(0).scratch); !ok {
+		rows := st.table.Rows()
+		for k, b := range base {
+			if _, ok := st.solver.Add(gf2.Equation{Coeffs: rows.Row(int(b) + pos), RHS: rhs[k]}); !ok {
 				panic("encoder: committing a system that was just verified solvable")
-			}
-		} else {
-			rows := st.table.Rows()
-			for k, b := range base {
-				if _, ok := st.solver.Add(gf2.Equation{Coeffs: rows.Row(int(b) + pos), RHS: rhs[k]}); !ok {
-					panic("encoder: committing a system that was just verified solvable")
-				}
 			}
 		}
 		if st.solver.Rank() != rank {
@@ -711,25 +704,13 @@ func (st *encodeState) block(blk int) []uint64 {
 	return pl
 }
 
-// projects reports whether the scan checks, and commit commits, on
-// projected rows (gf2.ProjectedTable) at the current basis: classical
-// reseeding under the measured choice of path, once the basis has at most
-// gf2.ProjectedFree free variables. A seed's first cube is checked and
-// committed as before; the seed's scans, and so its projected rows, start
-// after that commit.
+// projects reports whether the scan checks on projected rows
+// (gf2.ProjectedTable) at the current basis: classical reseeding under the
+// measured choice of path, once the basis has at most gf2.ProjectedFree
+// free variables. A seed's first cube is checked as before; the seed's
+// scans, and so its projected rows, start after that cube's commit.
 func (st *encodeState) projects() bool {
 	return st.L == 1 && scanOverride == scanMeasured && st.solver.FreeVars() <= gf2.ProjectedFree
-}
-
-// projTable returns the encode's projected table, building it and its
-// column arena on first use.
-func (st *encodeState) projTable() *gf2.ProjectedTable {
-	if st.proj == nil {
-		t0 := time.Now()
-		st.proj = gf2.NewProjectedTable(st.solver, st.table.Rows())
-		st.colBuild += time.Since(t0)
-	}
-	return st.proj
 }
 
 // prepareSliced readies the bit-sliced path before a tier scans its first
@@ -767,12 +748,12 @@ func (st *encodeState) prepareSliced() {
 
 // scanTier checks every still-feasible (cube, position) pair of one tier:
 // fanned out over the persistent worker views when the tier holds at
-// least inlineScanPairs pairs on the scalar path and no word decided
-// bit-sliced, on view 0 otherwise (see inlineScanPairs). The basis is
-// immutable for the whole scan, each view and each cube's feasibility row
-// is owned by exactly one goroutine at a time, and results are
-// index-addressed — so the tie-breaks below see the same candidate set for
-// any worker count.
+// least inlineScanPairs pairs on the scalar path, no word decided
+// bit-sliced and none checked on projected rows, on view 0 otherwise (see
+// inlineScanPairs). The basis is immutable for the whole scan, each view
+// and each cube's feasibility row is owned by exactly one goroutine at a
+// time, and results are index-addressed — so the tie-breaks below see the
+// same candidate set for any worker count.
 func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	for len(st.results) < len(tier) {
 		st.results = append(st.results, nil)
@@ -797,17 +778,14 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	if sliced > 0 {
 		st.prepareSliced()
 	}
-	if st.project = pairs > 0 && st.projects(); st.project {
-		st.projTable()
+	if st.project = pairs > 0 && st.projects(); st.project && st.proj == nil {
+		t0 := time.Now()
+		st.proj = gf2.NewProjectedTable(st.solver, st.table.Rows())
+		st.colBuild += time.Since(t0)
 	}
 	workers := min(st.workers, len(tier))
-	if pairs < inlineScanPairs || sliced > 0 {
+	if pairs < inlineScanPairs || sliced > 0 || st.project {
 		workers = 1
-	}
-	if st.project && workers > 1 {
-		// Every row current up front: the workers then share the table
-		// read-only.
-		st.proj.Sync()
 	}
 	if scanTierHook != nil {
 		scanTierHook(tierScan{cubes: len(tier), scalarPairs: pairs, slicedWords: sliced, free: st.free, projected: st.project, split: workers > 1})

@@ -169,18 +169,19 @@ func TestEncodeDeterministic(t *testing.T) {
 // contract: seeds, assignments and even the number of consistency checks
 // are identical for any Workers value (the scan fans out over per-worker
 // views, but every (cube, position) verdict is value-deterministic and the
-// tie-breaks are index-addressed). Tiers holding a bit-sliced word, or
-// fewer than inlineScanPairs scalar pairs, run on view 0; larger scalar
-// tiers are split across workers. Under the measured choice of path the
-// sliced words leave no tier large enough to split at CI scale, so the
-// scalar path alone (scanScalarOnly) runs the split. The test proves
-// through scanTierHook that every path ran in every multi-worker encode:
-// split and inline tiers, and sliced words at full rank and below it.
+// tie-breaks are index-addressed). Tiers holding a bit-sliced word or
+// checked on projected rows, or holding fewer than inlineScanPairs scalar
+// pairs, run on view 0; larger scalar tiers are split across workers.
+// Under the measured choice of path the sliced words leave no tier large
+// enough to split at CI scale, so the scalar path alone (scanScalarOnly)
+// runs the split. The test proves through scanTierHook that every path
+// ran in every multi-worker encode: split and inline tiers, and sliced
+// words at full rank and below it.
 func TestEncodeWorkersBitIdentical(t *testing.T) {
 	set := genSet(t, "s38417", 0)
 	var split, inline, slicedFree, slicedFull, workers int
 	scanTierHook = func(ts tierScan) {
-		want := ts.scalarPairs >= inlineScanPairs && ts.slicedWords == 0 && min(ts.cubes, workers) > 1
+		want := ts.scalarPairs >= inlineScanPairs && ts.slicedWords == 0 && !ts.projected && min(ts.cubes, workers) > 1
 		if ts.split != want {
 			t.Errorf("tier of %d cubes, %d scalar pairs and %d sliced words: split = %v",
 				ts.cubes, ts.scalarPairs, ts.slicedWords, ts.split)
@@ -543,8 +544,8 @@ func unembeddableCube(t *testing.T, table *ExprTable, width, bits int, src *prng
 		for pos := 0; pos < table.L && !embeddable; pos++ {
 			s := gf2.NewSolver(table.N)
 			embeddable = true
-			for _, eq := range table.Equations(c, pos, nil) {
-				if _, ok := s.Add(eq); !ok {
+			for _, cell := range c.Specified() {
+				if _, ok := s.Add(gf2.Equation{Coeffs: table.Expr(pos, cell), RHS: uint8(c.Get(cell))}); !ok {
 					embeddable = false
 					break
 				}

@@ -19,7 +19,6 @@ package encoder
 import (
 	"fmt"
 
-	"repro/internal/cube"
 	"repro/internal/gf2"
 	"repro/internal/scan"
 )
@@ -55,14 +54,4 @@ func (t *ExprTable) Expr(v, pos int) gf2.Vec {
 	ch, depth := t.Geo.Cell(pos)
 	slot := t.Geo.ShiftCycle(depth)*t.Geo.Chains + ch
 	return t.rows.Row(slot*t.L + v)
-}
-
-// Equations appends to buf the linear system that embeds c at window
-// position v and returns the extended slice. Coefficient vectors are shared
-// views into the table; the solver treats them as read-only.
-func (t *ExprTable) Equations(c cube.Cube, v int, buf []gf2.Equation) []gf2.Equation {
-	for pos := c.Mask.FirstSet(); pos >= 0; pos = c.Mask.NextSet(pos + 1) {
-		buf = append(buf, gf2.Equation{Coeffs: t.Expr(v, pos), RHS: c.Value.Bit(pos)})
-	}
-	return buf
 }

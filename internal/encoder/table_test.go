@@ -90,6 +90,10 @@ func TestExprTableMemoryBounded(t *testing.T) {
 	}
 }
 
+// TestEquationsMatchCubeBits checks the system index the encoder checks
+// and commits from: at window position v, cube c's equation k is table
+// row base[k]+v, the expression of c's k-th specified cell, with that
+// cell's value on the right-hand side.
 func TestEquationsMatchCubeBits(t *testing.T) {
 	cfg := smallConfig(t, 16, 40, 4, 6)
 	table, err := buildExprTable(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
@@ -100,20 +104,23 @@ func TestEquationsMatchCubeBits(t *testing.T) {
 	if padded.Width() != 40 {
 		t.Fatalf("test cube width %d", padded.Width())
 	}
-	eqs := table.Equations(padded, 2, nil)
-	if len(eqs) != padded.SpecifiedCount() {
-		t.Fatalf("%d equations for %d specified bits", len(eqs), padded.SpecifiedCount())
+	set := cube.NewSet(40)
+	set.Add(padded) //nolint:errcheck // widths match
+	sys := newSystemIndex(set, cfg.Geo, cfg.WindowLen)
+	base, rhs := sys.base[0], sys.rhs[0]
+	if len(base) != padded.SpecifiedCount() || len(rhs) != len(base) {
+		t.Fatalf("%d rows and %d right-hand sides for %d specified bits", len(base), len(rhs), padded.SpecifiedCount())
 	}
 	// RHS values must be the cube's specified values in position order.
-	i := 0
-	for _, pos := range padded.Specified() {
-		if eqs[i].RHS != uint8(padded.Get(pos)) {
-			t.Errorf("equation %d RHS %d != cube bit %d", i, eqs[i].RHS, padded.Get(pos))
+	for v := 0; v < cfg.WindowLen; v++ {
+		for k, pos := range padded.Specified() {
+			if rhs[k] != uint8(padded.Get(pos)) {
+				t.Errorf("equation %d RHS %d != cube bit %d", k, rhs[k], padded.Get(pos))
+			}
+			if !table.Rows().Row(int(base[k]) + v).Equal(table.Expr(v, pos)) {
+				t.Errorf("position %d equation %d: coefficients not the table expression", v, k)
+			}
 		}
-		if !eqs[i].Coeffs.Equal(table.Expr(2, pos)) {
-			t.Errorf("equation %d coefficients not the table expression", i)
-		}
-		i++
 	}
 }
 

@@ -73,10 +73,9 @@ func (d *denseEliminator) satisfies(sol Vec) bool {
 // variables, its projected rows against the dense reference: for fuzzed
 // row tables and adversarial check/commit/reset interleavings, the
 // consistency verdict, the rank increase and the produced solution must
-// all agree. Some commits go through ProjectedTable.AddSystem. After
-// every commit the basis's affine form (AffineInto) must describe its
-// solutions, and every projected row must equal its reduced residual on
-// the frame's columns (projectedError).
+// all agree. After every commit the basis's affine form (AffineInto) must
+// describe its solutions, and every projected row must equal its reduced
+// residual on the frame's columns (projectedError).
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{11, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{1, 1, 0, 0, 9, 9, 9, 9, 200, 200, 1, 2, 3})
@@ -170,13 +169,7 @@ func FuzzSolver(f *testing.F) {
 				}
 			}
 			if wantOK && op%4 == 1 {
-				var inc int
-				var ok bool
-				if projected && op%8 == 1 {
-					inc, ok = pt.AddSystem(idx, 0, rhs, &scP)
-				} else {
-					inc, ok = s.AddSystem(sys)
-				}
+				inc, ok := s.AddSystem(sys)
 				if !ok || inc != wantInc {
 					t.Fatalf("step %d: AddSystem (%d,%v) after Check said (%d,true)", step, inc, ok, wantInc)
 				}

@@ -36,10 +36,9 @@ const ProjectedFree = wordBits - 1
 // projected from its column words (RowSet.ColumnsInto) by one XorColumns
 // per generator and a Transpose64.
 //
-// Like a ReducedTable, a ProjectedTable must not be used concurrently
-// with basis mutations. CheckSystem writes the table only to bring rows
-// current, so after Sync goroutines may share one table for checks until
-// the basis changes.
+// CheckSystem writes the table to bring rows current, so a
+// ProjectedTable belongs to one goroutine, and must not be used
+// concurrently with basis mutations.
 type ProjectedTable struct {
 	s     *Solver
 	src   RowSet
@@ -147,17 +146,6 @@ func (pt *ProjectedTable) refresh(blk int) {
 	pt.tag[blk] = pt.stamp
 }
 
-// Sync brings every row current against the solver's basis. Until the
-// basis changes, CheckSystem then only reads the table.
-func (pt *ProjectedTable) Sync() {
-	pt.sync()
-	for blk, tg := range pt.tag {
-		if tg != pt.stamp {
-			pt.refresh(blk)
-		}
-	}
-}
-
 // CheckSystem is ReducedTable.CheckSystem on projected rows: it tests
 // whether the system {(src row idx[k]+offset, rhs[k])} is consistent with
 // the solver's basis, without mutating it, and returns the rank increase
@@ -201,31 +189,9 @@ func (pt *ProjectedTable) CheckSystem(idx []int32, offset int32, rhs []uint8, sc
 		p := bits.TrailingZeros64(x) & 63
 		ov[p] = x
 		ovMask |= 1 << uint(p)
-		sc.indep[rank] = int32(k)
 		rank++
 	}
 	return rank, true
-}
-
-// AddSystem folds the system {(src row idx[k]+offset, rhs[k])} into the
-// solver's basis if it is consistent, returning CheckSystem's verdict. It
-// passes Solver.Add only the equations the projected elimination found
-// independent, in system order; the others would reduce to zero against
-// the basis and the ones before them, so the basis comes out exactly as if
-// every equation had been added. It allocates nothing once the solver's
-// basis has held this many rows before.
-func (pt *ProjectedTable) AddSystem(idx []int32, offset int32, rhs []uint8, sc *CheckScratch) (rankIncrease int, consistent bool) {
-	inc, ok := pt.CheckSystem(idx, offset, rhs, sc)
-	if !ok {
-		return 0, false
-	}
-	for _, k := range sc.indep[:inc] {
-		eq := Equation{Coeffs: pt.src.Row(int(idx[k] + offset)), RHS: rhs[k]}
-		if added, _ := pt.s.Add(eq); !added {
-			panic("gf2: an equation the projected elimination found independent added nothing")
-		}
-	}
-	return inc, true
 }
 
 // XorColumns returns the XOR of the column words col[j] over the set bits

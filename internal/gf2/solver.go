@@ -186,9 +186,6 @@ type CheckScratch struct {
 	ov1RHS [64]uint8      // their right-hand sides
 	ov2    [128][2]uint64 // 2-word overlay rows by pivot
 	ov2RHS [128]uint8     // their right-hand sides
-	// indep[j] is the system index of the j-th equation a
-	// ProjectedTable.CheckSystem found independent.
-	indep [64]int32
 
 	overlay     []Vec   // overlay rows keyed by pivot, lazily sized to n
 	overlayRHS  []uint8 // RHS of overlay rows
