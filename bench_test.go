@@ -157,15 +157,13 @@ func BenchmarkTable4(b *testing.B) {
 
 // BenchmarkEncode measures window-based seed computation end to end on the
 // two extreme workloads (s13207 conflict-bound, s38417 rank-bound and
-// densest), serial versus the candidate scan fanned out across every CPU,
-// plus s38417 at L = 1 (classical reseeding), where thousands of tiers of
-// a few checks each must not pay for spawning scan workers. The
-// shared-tables cache is reused across iterations, exactly as
-// experiments.Session reuses it across a sweep, so the loop measures the
-// reduced-basis candidate-scan hot path; the first iteration also pays the
-// symbolic table build. Seeds, assignments and check counts are identical
-// for any worker count (TestEncodeWorkersBitIdentical) and to the
-// pre-reduced-basis engine (TestEncodeGolden).
+// densest), plus s38417 at L = 1 (classical reseeding), thousands of tiers
+// of a few checks each. The shared-tables cache is reused across
+// iterations, exactly as experiments.Session reuses it across a sweep, so
+// the loop measures the reduced-basis candidate-scan hot path; the first
+// iteration also pays the symbolic table build. Seeds, assignments and
+// check counts are identical to the pre-reduced-basis engine
+// (TestEncodeGolden).
 func BenchmarkEncode(b *testing.B) {
 	ctx := context.Background()
 	L := 32
@@ -183,21 +181,19 @@ func BenchmarkEncode(b *testing.B) {
 		}
 		set := p.Generate()
 		cache := encoder.NewTablesCache()
-		for _, workers := range []int{1, runtime.NumCPU()} {
-			b.Run(fmt.Sprintf("%s/L=%d/workers=%d", c.circuit, c.L, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var enc *encoder.Encoding
-				for i := 0; i < b.N; i++ {
-					e, _, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, c.L, set, workers, cache)
-					if err != nil {
-						b.Fatal(err)
-					}
-					enc = e
+		b.Run(fmt.Sprintf("%s/L=%d", c.circuit, c.L), func(b *testing.B) {
+			b.ReportAllocs()
+			var enc *encoder.Encoding
+			for i := 0; i < b.N; i++ {
+				e, _, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, c.L, set, 0, cache)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(len(enc.Seeds)), "seeds")
-				b.ReportMetric(float64(enc.ChecksPerformed), "checks")
-			})
-		}
+				enc = e
+			}
+			b.ReportMetric(float64(len(enc.Seeds)), "seeds")
+			b.ReportMetric(float64(enc.ChecksPerformed), "checks")
+		})
 	}
 }
 
@@ -458,46 +454,6 @@ func BenchmarkAblationSelection(b *testing.B) {
 		saved = (1 - float64(smart.TSL())/float64(naive.TSL())) * 100
 	}
 	b.ReportMetric(saved, "TSL-saved-%-vs-naive")
-}
-
-// BenchmarkAblationPruning quantifies the encoder's monotone feasibility
-// pruning (see internal/encoder): consistency checks with and without it.
-// The result is identical either way (asserted by the encoder tests); only
-// the work differs.
-func BenchmarkAblationPruning(b *testing.B) {
-	ctx := context.Background()
-	p, err := benchprofile.ByName("s13207", benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if benchScale() == benchprofile.ScaleCI {
-		p.NumCubes = 40
-	}
-	set := p.Generate()
-	L := 16
-	if benchScale() == benchprofile.ScalePaper {
-		L = 100
-	}
-	cfg, err := encoder.StandardConfigVariant(p.LFSRSize, p.Width, p.Chains, L, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var pruned, full int64
-	for i := 0; i < b.N; i++ {
-		encP, err := encoder.EncodeCtx(ctx, cfg, set)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pruned = encP.ChecksPerformed
-		cfgNP := cfg
-		cfgNP.NoPruning = true
-		encF, err := encoder.EncodeCtx(ctx, cfgNP, set)
-		if err != nil {
-			b.Fatal(err)
-		}
-		full = encF.ChecksPerformed
-	}
-	b.ReportMetric(float64(full)/float64(pruned), "check-reduction-x")
 }
 
 // BenchmarkAblationCSE quantifies Paar common-subexpression elimination on

@@ -43,10 +43,11 @@ func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, err
 // handful of variants virtually always suffices. It returns the encoding
 // and the variant that worked.
 //
-// workers bounds the encoder's candidate-scan parallelism (0 = GOMAXPROCS,
-// for callers that already run several encodings concurrently). Every
-// variant's symbolic tables come from cache, so repeated encodes of the
-// same (n, width, chains, L) configuration, such as a benchmark loop,
+// workers has no effect: every encode runs in the calling goroutine. The
+// parameter stays for the callers that still pass it.
+//
+// Every variant's symbolic tables come from cache, so repeated encodes of
+// the same (n, width, chains, L) configuration, such as a benchmark loop,
 // serve every variant they re-try from it instead of re-simulating.
 // (Within a single call each variant has its own phase shifter, so the
 // first encode of a configuration builds each tried variant's tables
@@ -70,7 +71,7 @@ func EncodeAutoCtx(ctx context.Context, n, width, chains, L int, set *cube.Set, 
 		}
 		cfg := Config{
 			LFSR: tabs.LFSR(), PS: tabs.PS(), Geo: tabs.Geo(), WindowLen: L,
-			FillSeed: standardFillSeed, Workers: workers, Tables: tabs,
+			FillSeed: standardFillSeed, Tables: tabs,
 		}
 		enc, err := EncodeCtx(ctx, cfg, set)
 		if err == nil {

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cube"
@@ -28,11 +25,6 @@ type Config struct {
 	WindowLen int
 	// FillSeed keys the deterministic PRNG that fills free seed variables.
 	FillSeed uint64
-	// Workers bounds the candidate-scan parallelism; 0 means GOMAXPROCS.
-	Workers int
-	// NoPruning disables monotone feasibility pruning (ablation hook; the
-	// result is identical, only slower).
-	NoPruning bool
 	// Tables optionally supplies prebuilt shared symbolic tables. They must
 	// wrap this Config's exact LFSR, PS and Geo values and be built for
 	// WindowLen. Nil builds private tables.
@@ -79,12 +71,12 @@ func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.WindowLen }
 // modified. EncodeCtx fails if some cube cannot be embedded anywhere even by
 // a dedicated seed (the LFSR is too small for the test set).
 //
-// Cancellation is cooperative: every candidate-scan worker polls the
-// context once per checkStride consistency checks (at least once per
-// checkStride+63 where a bit-sliced word decides up to 64 window
-// positions in one step) and the seed-construction loop polls it once per
-// seed, so a cancel or deadline stops the encoder within microseconds of
-// the engines noticing.
+// The encode runs in the calling goroutine. Cancellation is cooperative:
+// the candidate scan polls the context once per checkStride consistency
+// checks (at least once per checkStride+63 where a bit-sliced word decides
+// up to 64 window positions in one step) and the seed-construction loop
+// polls it once per seed, so a cancel or deadline stops the encoder within
+// microseconds of the engines noticing.
 // A cancelled encode returns an error wrapping context.Canceled or
 // context.DeadlineExceeded; an uncancelled run is bit-identical for any
 // live context.
@@ -132,57 +124,13 @@ type candidate struct {
 	rankInc int
 }
 
-// scanView is one worker's private probe state: a lazily reduced copy of
-// the expression table (see gf2.ReducedTable) plus elimination scratch.
-// Views persist across tiers and seeds, so a (cube, position) re-probed
-// after a commit only folds in the basis rows added since the last probe
-// instead of re-eliminating against the whole basis. tick amortizes the
-// worker's context polls across checkStride consistency checks.
-type scanView struct {
-	view    *gf2.ReducedTable
-	scratch gf2.CheckScratch
-	tick    int
-}
-
-// inlineScanPairs is the fewest scalar (cube, position) pairs a tier must
-// hold before scanTier splits it across workers; smaller tiers are scanned
-// on view 0 by the calling goroutine. A split pays for spawning the
-// workers and for each private view catching its cached rows up to the
-// basis, which a tier of a few dozen checks does not repay: s38417 at
-// L = 1 on the paper scale runs 21,348 tiers of 19 checks on average, and
-// two workers encoded it 25–35 % slower than one when every tier was
-// split. On a 2-vCPU Xeon (Go 1.24, eight alternating rounds), the
-// paper-scale compress-paper encodes at two workers took a median 964 ms
-// in total with a cut-off of 128, against 983 ms splitting every tier,
-// 1,017 ms at 512 and 1,011 ms at 2,048.
-//
-// Bit-sliced words do not count towards the cut-off, and a tier holding
-// any runs inline whatever its size, so one goroutine owns the plane
-// blocks and builds each on first use. Splitting such tiers, each worker
-// view with its own blocks, bought nothing: on the paper-scale s13207
-// L = 200 encode at two workers (best of 20, alternating), 47 of its 831
-// tiers with sliced words split, and the encode took 117 ms split against
-// 104 ms inline; s9234 at L = 20 never split one.
-//
-// Tiers checked on projected rows (L = 1) run inline too, so one
-// goroutine brings the projected rows current as it reads them. Under
-// the cut-off alone, only s13207 (n = 24) would split any at the paper
-// scale: 90 of its 2,685 projected tiers. Its L = 1 encode at two
-// workers, prebuilt tables, 30 alternating encodes per rule in each of
-// three runs, took a median 45.1, 32.7 and 43.3 ms with those tiers split
-// (every row brought current first, then shared read-only) against 42.7,
-// 32.1 and 41.0 ms with every projected tier inline. s38417, s38584,
-// s9234 and s15850 split none at L = 1.
-const inlineScanPairs = 128
-
 // tierScan describes one scanned tier to scanTierHook: its cubes, the
 // still-feasible pairs it checks on the scalar path, the window words it
-// decides bit-sliced, the basis's free variables, whether the scalar pairs
-// are checked on projected rows rather than by CheckSystem, and whether
-// the tier was split across workers.
+// decides bit-sliced, the basis's free variables, and whether the scalar
+// pairs are checked on projected rows rather than by CheckSystem.
 type tierScan struct {
 	cubes, scalarPairs, slicedWords, free int
-	projected, split                      bool
+	projected                             bool
 }
 
 // scanTierHook, when non-nil, is called by every scanTier before it scans.
@@ -202,22 +150,27 @@ const (
 	scanSlicedOnly
 )
 
-// checkStride is how many consistency checks a scan worker performs
+// noPruning, when set, disables monotone feasibility pruning: every
+// position of the window stays in a cube's feasibility row for the whole
+// seed. The encoding is identical, only ChecksPerformed grows. Tests only.
+var noPruning bool
+
+// checkStride is how many consistency checks the scan performs
 // between context polls. One CheckSystem costs tens of nanoseconds at
 // minimum, so polling every 256 checks keeps cancellation latency in the
 // tens of microseconds while the amortized poll cost stays below
 // measurement noise.
 const checkStride = 256
 
-// pollCtx advances a worker's poll tick by the checks it is about to
+// pollCtx advances the poll tick by the checks the scan is about to
 // perform and, once the tick reaches checkStride, checks the encode
-// context. A fired context trips the shared stop flag so every other
-// worker bails at its next cube claim.
-func (st *encodeState) pollCtx(v *scanView, checks int) bool {
-	if v.tick += checks; v.tick >= checkStride {
-		v.tick = 0
+// context. A fired context sets stop, so the tier's scan bails at its
+// next cube.
+func (st *encodeState) pollCtx(checks int) bool {
+	if st.tick += checks; st.tick >= checkStride {
+		st.tick = 0
 		if st.ctx.Err() != nil {
-			st.stop.Store(true)
+			st.stop = true
 			return true
 		}
 	}
@@ -225,14 +178,11 @@ func (st *encodeState) pollCtx(v *scanView, checks int) bool {
 }
 
 type encodeState struct {
-	ctx     context.Context
-	cfg     Config
-	set     *cube.Set
-	table   *ExprTable
-	sys     *systemIndex
-	n       int
-	L       int
-	workers int
+	ctx   context.Context
+	table *ExprTable
+	sys   *systemIndex
+	n     int
+	L     int
 
 	// spec[cube] is the cube's specified-bit count. order holds cube
 	// indices sorted by descending spec; tiers are contiguous runs of
@@ -248,9 +198,17 @@ type encodeState struct {
 	feasible  []uint64
 	feasWords int
 
-	solver *gf2.Solver
-	views  []*scanView
-	checks int64
+	// solver holds the seed's basis. view is the expression table reduced
+	// against it lazily (see gf2.ReducedTable): it persists across tiers
+	// and seeds, so a (cube, position) re-probed after a commit folds in
+	// only the basis rows added since its last probe. scratch is
+	// CheckSystem's elimination scratch, and tick amortizes context polls
+	// across checkStride consistency checks.
+	solver  *gf2.Solver
+	view    *gf2.ReducedTable
+	scratch gf2.CheckScratch
+	tick    int
+	checks  int64
 
 	// proj holds the expression rows in the basis's free coordinates for
 	// classical reseeding, built on the encode's first projected check;
@@ -280,8 +238,7 @@ type encodeState struct {
 	// zero-fill solution (see block). pivMask, pivRows and eq are
 	// sliceWord's lane elimination scratch: pivMask[i] marks the lanes
 	// holding a pivot row for free variable i, stored at
-	// pivRows[i·(free+1):], and eq is the equation being reduced. Tiers
-	// with sliced words run inline, so the calling goroutine owns them.
+	// pivRows[i·(free+1):], and eq is the equation being reduced.
 	planes               []uint64
 	planeEpoch           []uint32
 	pivMask, pivRows, eq []uint64
@@ -291,26 +248,20 @@ type encodeState struct {
 	tier    []int
 	results [][]candidate
 
-	// stop is tripped by the first worker that observes a fired context;
-	// the other scan workers poll it per cube claim and bail early.
-	stop atomic.Bool
+	// stop is set by the poll that observes a fired context; the scan
+	// checks it per cube and bails early.
+	stop bool
 }
 
 func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *ExprTable, sys *systemIndex) (*Encoding, error) {
 	st := &encodeState{
-		ctx:     ctx,
-		cfg:     cfg,
-		set:     set,
-		table:   table,
-		sys:     sys,
-		n:       cfg.LFSR.Size(),
-		L:       cfg.WindowLen,
-		workers: cfg.Workers,
-		epoch:   1,
-		slots:   table.Rows().Count() / cfg.WindowLen,
-	}
-	if st.workers <= 0 {
-		st.workers = runtime.GOMAXPROCS(0)
+		ctx:   ctx,
+		table: table,
+		sys:   sys,
+		n:     cfg.LFSR.Size(),
+		L:     cfg.WindowLen,
+		epoch: 1,
+		slots: table.Rows().Count() / cfg.WindowLen,
 	}
 	st.spec = make([]int, set.Len())
 	st.order = make([]int, set.Len())
@@ -329,7 +280,7 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 	st.feasWords = (st.L + 63) / 64
 	st.feasible = make([]uint64, set.Len()*st.feasWords)
 	st.solver = gf2.NewSolver(st.n)
-	st.views = make([]*scanView, st.workers)
+	st.view = gf2.NewReducedTable(st.solver, table.Rows())
 
 	if err := st.screen(); err != nil {
 		return nil, err
@@ -352,15 +303,6 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 	return enc, nil
 }
 
-// viewFor lazily creates the probe state of one worker; unused workers
-// never pay for their reduced-table copy.
-func (st *encodeState) viewFor(w int) *scanView {
-	if st.views[w] == nil {
-		st.views[w] = &scanView{view: gf2.NewReducedTable(st.solver, st.table.Rows())}
-	}
-	return st.views[w]
-}
-
 // screen rejects an unencodable cube set before any seed is built: it
 // probes every cube, densest first, at positions 0..L−1 of a fresh window
 // until one is solvable. Constraints only grow, so a cube with no solvable
@@ -372,9 +314,8 @@ func (st *encodeState) viewFor(w int) *scanView {
 // counted in ChecksPerformed, which stays the seed loop's effort.
 func (st *encodeState) screen() error {
 	st.solver.Reset()
-	v0 := st.viewFor(0)
 	for _, ci := range st.order {
-		pos, _, err := st.firstSolvable(v0, ci)
+		pos, _, err := st.firstSolvable(ci)
 		if err != nil {
 			return fmt.Errorf("encoder: encode stopped screening cube %d: %w", ci, err)
 		}
@@ -385,17 +326,17 @@ func (st *encodeState) screen() error {
 	return nil
 }
 
-// firstSolvable probes cube ci at window positions 0, 1, … through view v
-// against the current basis and returns the first solvable position (-1
-// if none) with the number of consistency checks performed, or the
-// context's error if the encode was cancelled.
-func (st *encodeState) firstSolvable(v *scanView, ci int) (pos int, checks int64, err error) {
+// firstSolvable probes cube ci at window positions 0, 1, … against the
+// current basis and returns the first solvable position (-1 if none) with
+// the number of consistency checks performed, or the context's error if
+// the encode was cancelled.
+func (st *encodeState) firstSolvable(ci int) (pos int, checks int64, err error) {
 	for p := 0; p < st.L; p++ {
-		if st.pollCtx(v, 1) {
+		if st.pollCtx(1) {
 			return -1, checks, st.ctx.Err()
 		}
 		checks++
-		if _, ok := v.view.CheckSystem(st.sys.base[ci], int32(p), st.sys.rhs[ci], &v.scratch); ok {
+		if _, ok := st.view.CheckSystem(st.sys.base[ci], int32(p), st.sys.rhs[ci], &st.scratch); ok {
 			return p, checks, nil
 		}
 	}
@@ -420,7 +361,6 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	}
 
 	var seed Seed
-	v0 := st.viewFor(0)
 
 	// First cube: densest remaining, at the first solvable position
 	// (position 0 in the common case the paper assumes).
@@ -431,7 +371,7 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 			break
 		}
 	}
-	firstPos, checks, err := st.firstSolvable(v0, first)
+	firstPos, checks, err := st.firstSolvable(first)
 	st.checks += checks
 	if err != nil {
 		return Seed{}, fmt.Errorf("encoder: encode stopped scanning cube %d: %w", first, err)
@@ -549,46 +489,46 @@ func (st *encodeState) slicedWord(lanes int) bool {
 // gained nothing.
 const minSlicedLanes = 4
 
-// scanCube probes every still-feasible position of one cube through a
-// worker's view, in ascending window words. A word slicedWord accepts is
-// decided in one sliceWord call, all its positions at once; the others run
-// one check per position, on the projected rows in a tier that projects
-// (see projects) and through the view's reduced table otherwise. Positions
-// proven unsolvable are pruned for the rest of this seed's construction
-// (constraints only grow, so unsolvable stays unsolvable); under NoPruning
-// the row keeps every position of the window set. Either way each feasible
-// position counts as one check.
-func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
+// scanCube probes every still-feasible position of one cube in ascending
+// window words. A word slicedWord accepts is decided in one sliceWord
+// call, all its positions at once; the others run one check per position,
+// on the projected rows in a tier that projects (see projects) and through
+// the reduced table otherwise. Positions proven unsolvable are pruned for
+// the rest of this seed's construction (constraints only grow, so
+// unsolvable stays unsolvable); under noPruning the row keeps every
+// position of the window set. Either way each feasible position counts as
+// one check. A poll that finds the encode cancelled sets stop and ends
+// the scan; the caller discards the tier's candidates.
+func (st *encodeState) scanCube(ci int, out *[]candidate) {
 	feas := st.feasRow(ci)
 	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
-	var local int64
 	for wi, f := range feas {
 		if f == 0 {
 			continue
 		}
 		if lanes := bits.OnesCount64(f); st.slicedWord(lanes) {
-			if st.sliceWord(v, ci, wi, lanes, out) {
-				return local // cancelled: the caller discards this tier's scan
+			if st.sliceWord(ci, wi, lanes, out) {
+				return
 			}
-			local += int64(lanes)
+			st.checks += int64(lanes)
 			continue
 		}
 		for m := f; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			if st.pollCtx(v, 1) {
-				return local // cancelled: the caller discards this tier's scan
+			if st.pollCtx(1) {
+				return
 			}
-			local++
+			st.checks++
 			p := wi*64 + b
 			var inc int
 			var ok bool
 			if st.project {
-				inc, ok = st.proj.CheckSystem(base, int32(p), rhs, &v.scratch)
+				inc, ok = st.proj.CheckSystem(base, int32(p), rhs, &st.scratch)
 			} else {
-				inc, ok = v.view.CheckSystem(base, int32(p), rhs, &v.scratch)
+				inc, ok = st.view.CheckSystem(base, int32(p), rhs, &st.scratch)
 			}
 			if !ok {
-				if !st.cfg.NoPruning {
+				if !noPruning {
 					feas[wi] &^= 1 << uint(b)
 				}
 				continue
@@ -596,14 +536,13 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 			*out = append(*out, candidate{cube: ci, pos: p, rankInc: inc})
 		}
 	}
-	return local
 }
 
 // sliceWord decides every still-feasible position of cube ci's window
 // word wi at once, lanes of them, and appends a candidate for each
 // position whose system is consistent with the basis. Pruning keeps
 // exactly those positions, and the lanes count as that many checks
-// towards the view's context poll; it reports whether the poll found the
+// towards the context poll; it reports whether the poll found the
 // encode cancelled.
 //
 // It works in the basis's free-variable coordinates (gf2.Affine): lane b
@@ -619,8 +558,8 @@ func (st *encodeState) scanCube(v *scanView, ci int, out *[]candidate) int64 {
 // its lane. With no free variable (a determined seed) there is nothing to
 // eliminate: each equation is its slot's plane of the seed against rhs,
 // and every survivor has rank increase 0.
-func (st *encodeState) sliceWord(v *scanView, ci, wi, lanes int, out *[]candidate) bool {
-	if st.pollCtx(v, lanes) {
+func (st *encodeState) sliceWord(ci, wi, lanes int, out *[]candidate) bool {
+	if st.pollCtx(lanes) {
 		return true
 	}
 	feas := st.feasRow(ci)
@@ -670,7 +609,7 @@ func (st *encodeState) sliceWord(v *scanView, ci, wi, lanes int, out *[]candidat
 			break
 		}
 	}
-	if !st.cfg.NoPruning {
+	if !noPruning {
 		feas[wi] = alive
 	}
 	for m := alive; m != 0; m &= m - 1 {
@@ -746,14 +685,10 @@ func (st *encodeState) prepareSliced() {
 	}
 }
 
-// scanTier checks every still-feasible (cube, position) pair of one tier:
-// fanned out over the persistent worker views when the tier holds at
-// least inlineScanPairs pairs on the scalar path, no word decided
-// bit-sliced and none checked on projected rows, on view 0 otherwise (see
-// inlineScanPairs). The basis is immutable for the whole scan, each view
-// and each cube's feasibility row is owned by exactly one goroutine at a
-// time, and results are index-addressed — so the tie-breaks below see the
-// same candidate set for any worker count.
+// scanTier checks every still-feasible (cube, position) pair of one tier
+// against the basis, which stays fixed for the whole scan, and applies the
+// paper's tie-breaks to the solvable ones. results[ti] collects the
+// candidates of cube tier[ti].
 func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	for len(st.results) < len(tier) {
 		st.results = append(st.results, nil)
@@ -783,48 +718,16 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 		st.proj = gf2.NewProjectedTable(st.solver, st.table.Rows())
 		st.colBuild += time.Since(t0)
 	}
-	workers := min(st.workers, len(tier))
-	if pairs < inlineScanPairs || sliced > 0 || st.project {
-		workers = 1
-	}
 	if scanTierHook != nil {
-		scanTierHook(tierScan{cubes: len(tier), scalarPairs: pairs, slicedWords: sliced, free: st.free, projected: st.project, split: workers > 1})
+		scanTierHook(tierScan{cubes: len(tier), scalarPairs: pairs, slicedWords: sliced, free: st.free, projected: st.project})
 	}
-	var checkCount int64
-	if workers <= 1 {
-		v := st.viewFor(0)
-		for ti, ci := range tier {
-			if st.stop.Load() {
-				break
-			}
-			checkCount += st.scanCube(v, ci, &results[ti])
+	for ti, ci := range tier {
+		if st.stop {
+			break
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for w := 0; w < workers; w++ {
-			v := st.viewFor(w)
-			wg.Add(1)
-			go func(v *scanView) {
-				defer wg.Done()
-				var local int64
-				for !st.stop.Load() {
-					ti := int(next.Add(1)) - 1
-					if ti >= len(tier) {
-						break
-					}
-					local += st.scanCube(v, tier[ti], &results[ti])
-				}
-				mu.Lock()
-				checkCount += local
-				mu.Unlock()
-			}(v)
-		}
-		wg.Wait()
+		st.scanCube(ci, &results[ti])
 	}
-	st.checks += checkCount
-	if st.stop.Load() {
+	if st.stop {
 		// A cancelled scan saw only part of its tier; its candidates must
 		// not influence a committed encoding.
 		return candidate{}, false, fmt.Errorf("encoder: candidate scan stopped: %w", st.ctx.Err())

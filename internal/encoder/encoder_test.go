@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -165,31 +164,18 @@ func TestEncodeDeterministic(t *testing.T) {
 	assertEncodingsIdentical(t, "rerun", a, b)
 }
 
-// TestEncodeWorkersBitIdentical asserts the candidate scan's determinism
-// contract: seeds, assignments and even the number of consistency checks
-// are identical for any Workers value (the scan fans out over per-worker
-// views, but every (cube, position) verdict is value-deterministic and the
-// tie-breaks are index-addressed). Tiers holding a bit-sliced word or
-// checked on projected rows, or holding fewer than inlineScanPairs scalar
-// pairs, run on view 0; larger scalar tiers are split across workers.
-// Under the measured choice of path the sliced words leave no tier large
-// enough to split at CI scale, so the scalar path alone (scanScalarOnly)
-// runs the split. The test proves through scanTierHook that every path
-// ran in every multi-worker encode: split and inline tiers, and sliced
-// words at full rank and below it.
-func TestEncodeWorkersBitIdentical(t *testing.T) {
+// TestEncodeScanPaths proves through scanTierHook that the measured choice
+// of path runs every path of the candidate scan at L = 12 and L = 32:
+// tiers checking pairs on the scalar path, and window words decided
+// bit-sliced below full rank and at it. The same encode with every word on
+// the scalar CheckSystem path (scanScalarOnly) must be identical: seeds,
+// assignments and ChecksPerformed.
+func TestEncodeScanPaths(t *testing.T) {
 	set := genSet(t, "s38417", 0)
-	var split, inline, slicedFree, slicedFull, workers int
+	var scalar, slicedFree, slicedFull int
 	scanTierHook = func(ts tierScan) {
-		want := ts.scalarPairs >= inlineScanPairs && ts.slicedWords == 0 && !ts.projected && min(ts.cubes, workers) > 1
-		if ts.split != want {
-			t.Errorf("tier of %d cubes, %d scalar pairs and %d sliced words: split = %v",
-				ts.cubes, ts.scalarPairs, ts.slicedWords, ts.split)
-		}
-		if ts.split {
-			split++
-		} else {
-			inline++
+		if ts.scalarPairs > 0 {
+			scalar++
 		}
 		if ts.slicedWords > 0 && ts.free > 0 {
 			slicedFree++
@@ -199,38 +185,23 @@ func TestEncodeWorkersBitIdentical(t *testing.T) {
 		}
 	}
 	t.Cleanup(func() { scanTierHook, scanOverride = nil, scanMeasured })
-	for _, override := range []int{scanMeasured, scanScalarOnly} {
-		scanOverride = override
-		for _, L := range []int{12, 32} {
-			cfg := smallConfig(t, 32, set.Width, 8, L)
-			cfg.Workers, workers = 1, 1
-			want, err := EncodeCtx(context.Background(), cfg, set)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, 3, 7, 0} {
-				cfg.Workers, workers = w, w
-				if w == 0 {
-					workers = runtime.GOMAXPROCS(0)
-				}
-				split, inline, slicedFree, slicedFull = 0, 0, 0, 0
-				got, err := EncodeCtx(context.Background(), cfg, set)
-				if err != nil {
-					t.Fatalf("L=%d workers=%d: %v", L, w, err)
-				}
-				label := fmt.Sprintf("override=%d L=%d workers=%d", override, L, w)
-				assertEncodingsIdentical(t, label, want, got)
-				if w <= 1 {
-					continue
-				}
-				if override == scanMeasured && (inline == 0 || slicedFree == 0 || slicedFull == 0) {
-					t.Errorf("%s: %d tiers inline, %d with sliced words below full rank, %d at full rank; want every path",
-						label, inline, slicedFree, slicedFull)
-				}
-				if override == scanScalarOnly && (split == 0 || inline == 0) {
-					t.Errorf("%s: %d tiers split, %d inline; want both", label, split, inline)
-				}
-			}
+	for _, L := range []int{12, 32} {
+		cfg := smallConfig(t, 32, set.Width, 8, L)
+		scanOverride = scanScalarOnly
+		want, err := EncodeCtx(context.Background(), cfg, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanOverride = scanMeasured
+		scalar, slicedFree, slicedFull = 0, 0, 0
+		got, err := EncodeCtx(context.Background(), cfg, set)
+		if err != nil {
+			t.Fatalf("L=%d: %v", L, err)
+		}
+		assertEncodingsIdentical(t, fmt.Sprintf("L=%d measured vs scalar-only", L), want, got)
+		if scalar == 0 || slicedFree == 0 || slicedFull == 0 {
+			t.Errorf("L=%d: %d tiers with scalar pairs, %d with sliced words below full rank, %d at full rank; want every path",
+				L, scalar, slicedFree, slicedFull)
 		}
 	}
 }
@@ -417,8 +388,9 @@ func TestPruningAblationIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.NoPruning = true
+		noPruning = true
 		full, err := EncodeCtx(context.Background(), cfg, set)
+		noPruning = false
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,8 +399,39 @@ func TestPruningAblationIdentical(t *testing.T) {
 			t.Errorf("L=%d: pruning performed %d checks, full scan %d", L, pruned.ChecksPerformed, full.ChecksPerformed)
 		}
 		full.ChecksPerformed = pruned.ChecksPerformed
-		assertEncodingsIdentical(t, fmt.Sprintf("L=%d pruned vs NoPruning", L), pruned, full)
+		assertEncodingsIdentical(t, fmt.Sprintf("L=%d pruned vs noPruning", L), pruned, full)
 	}
+}
+
+// BenchmarkAblationPruning quantifies monotone feasibility pruning:
+// consistency checks with and without it on a CI-scale s13207 set at
+// L = 16. The encoding is identical either way
+// (TestPruningAblationIdentical); only the work differs.
+func BenchmarkAblationPruning(b *testing.B) {
+	p, err := benchprofile.ByName("s13207", benchprofile.ScaleCI)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.NumCubes = 40
+	set := p.Generate()
+	cfg := smallConfig(b, p.LFSRSize, p.Width, p.Chains, 16)
+	b.Cleanup(func() { noPruning = false })
+	var pruned, full int64
+	for i := 0; i < b.N; i++ {
+		noPruning = false
+		encP, err := EncodeCtx(context.Background(), cfg, set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pruned = encP.ChecksPerformed
+		noPruning = true
+		encF, err := EncodeCtx(context.Background(), cfg, set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		full = encF.ChecksPerformed
+	}
+	b.ReportMetric(float64(full)/float64(pruned), "check-reduction-x")
 }
 
 // TestEncodeExtendedTablesIdentical encodes one set through shared Tables

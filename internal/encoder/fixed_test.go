@@ -86,8 +86,7 @@ func (p *scanPaths) add(q scanPaths) {
 // returns the result, the paths the encode took and its error.
 // Under scanScalarOnly, the oracle, any word decided bit-sliced or checked
 // on projected rows fails t; so does, under the measured rule, an L = 1
-// tier left on CheckSystem with at most gf2.ProjectedFree free variables,
-// and a projected tier split across workers.
+// tier left on CheckSystem with at most gf2.ProjectedFree free variables.
 func encodeScan(t testing.TB, cfg Config, set *cube.Set, override int) (enc *Encoding, paths scanPaths, err error) {
 	t.Helper()
 	defer func() { scanTierHook, scanOverride = nil, scanMeasured }()
@@ -104,9 +103,6 @@ func encodeScan(t testing.TB, cfg Config, set *cube.Set, override int) (enc *Enc
 			paths.wide += ts.scalarPairs
 		case cfg.WindowLen == 1 && ts.scalarPairs > 0 && override == scanMeasured:
 			t.Errorf("L = 1 tier at %d free variables checked %d pairs by CheckSystem", ts.free, ts.scalarPairs)
-		}
-		if ts.projected && ts.split {
-			t.Errorf("projected tier of %d cubes and %d pairs split across workers", ts.cubes, ts.scalarPairs)
 		}
 		switch {
 		case ts.slicedWords == 0:
@@ -213,8 +209,8 @@ func TestPlanesMatchGeneration(t *testing.T) {
 // scalar CheckSystem path alone, the oracle, and requires identical
 // encodings — seeds, assignments, seed values and ChecksPerformed — across
 // register sizes of one and two words, both register forms, windows of
-// one to several plane words, one and several workers, and with pruning
-// on and off; the full one-word register, n = 64, at L = 1 only. Both the
+// one to several plane words, and with pruning on and off (the noPruning
+// switch); the full one-word register, n = 64, at L = 1 only. Both the
 // measured choice of path and the bit-sliced path for every word are
 // compared. Every configuration must take the sliced path at full rank
 // and below it when every word is sliced. Under the measured
@@ -226,13 +222,14 @@ func TestPlanesMatchGeneration(t *testing.T) {
 // encode never builds the sliced path's column arena.
 //
 // Classical reseeding also encodes a second set of 160 sparse cubes of one
-// specified count, a single tier large enough to split across workers on
-// the scalar path; projected rows check it inline. Over both sets, an
+// specified count, a single tier of many pairs on the scalar path, which
+// sparse seeds check on projected rows. Over both sets, an
 // L = 1 encode under the measured rule must check on projected rows below
 // full rank and at it, and at n = 85, where a sparse seed's first commits
 // leave more than gf2.ProjectedFree free variables, must also check by
 // CheckSystem.
 func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
+	t.Cleanup(func() { noPruning = false })
 	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
 		for _, n := range []int{24, 56, 64, 85} {
 			for _, L := range []int{1, 2, 20, 64, 65, 200} {
@@ -247,40 +244,38 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 					}
 					var measured scanPaths
 					for si, set := range sets {
-						for _, workers := range []int{1, 4} {
-							for _, noPruning := range []bool{false, true} {
-								cfg.Workers, cfg.NoPruning = workers, noPruning
-								slow, _, err := encodeScan(t, cfg, set, scanScalarOnly)
+						for _, noPruning = range []bool{false, true} {
+							slow, _, err := encodeScan(t, cfg, set, scanScalarOnly)
+							if err != nil {
+								t.Fatalf("noPruning=%v: scalar-only: %v", noPruning, err)
+							}
+							for _, override := range []int{scanMeasured, scanSlicedOnly} {
+								label := fmt.Sprintf("set %d noPruning=%v override=%d", si, noPruning, override)
+								fast, paths, err := encodeScan(t, cfg, set, override)
 								if err != nil {
-									t.Fatalf("workers=%d NoPruning=%v: scalar-only: %v", workers, noPruning, err)
+									t.Fatalf("%s: %v", label, err)
 								}
-								for _, override := range []int{scanMeasured, scanSlicedOnly} {
-									label := fmt.Sprintf("set %d workers=%d NoPruning=%v override=%d", si, workers, noPruning, override)
-									fast, paths, err := encodeScan(t, cfg, set, override)
-									if err != nil {
-										t.Fatalf("%s: %v", label, err)
-									}
-									assertEncodingsIdentical(t, label, slow, fast)
-									if override == scanMeasured {
-										measured.add(paths)
-									}
-									if si > 0 {
-										continue // the sparse set's paths count only in total
-									}
-									switch {
-									case override == scanSlicedOnly && (paths.slicedFree == 0 || paths.slicedFull == 0):
-										t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
-									case override == scanMeasured && L >= 20 && (paths.slicedFree == 0 || paths.slicedFull == 0):
-										t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
-									case override == scanMeasured && !noPruning && paths.scalarPairs == 0:
-										t.Fatalf("%s: no pair checked on the scalar path", label)
-									case override == scanMeasured && L < minSlicedLanes && paths.slicedFree+paths.slicedFull > 0:
-										t.Fatalf("%s: a %d-position window decided words bit-sliced", label, L)
-									}
+								assertEncodingsIdentical(t, label, slow, fast)
+								if override == scanMeasured {
+									measured.add(paths)
+								}
+								if si > 0 {
+									continue // the sparse set's paths count only in total
+								}
+								switch {
+								case override == scanSlicedOnly && (paths.slicedFree == 0 || paths.slicedFull == 0):
+									t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
+								case override == scanMeasured && L >= 20 && (paths.slicedFree == 0 || paths.slicedFull == 0):
+									t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
+								case override == scanMeasured && !noPruning && paths.scalarPairs == 0:
+									t.Fatalf("%s: no pair checked on the scalar path", label)
+								case override == scanMeasured && L < minSlicedLanes && paths.slicedFree+paths.slicedFull > 0:
+									t.Fatalf("%s: a %d-position window decided words bit-sliced", label, L)
 								}
 							}
 						}
 					}
+					noPruning = false
 					switch {
 					case L == 1 && (measured.projFree == 0 || measured.projFull == 0):
 						t.Fatalf("%d projected pairs below full rank, %d at full rank; want both",
@@ -302,16 +297,16 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 // same encoding, ChecksPerformed included, or the same error. Under the
 // measured rule, classical reseeding (L = 1) checks and commits on
 // projected rows once a seed's basis has at most gf2.ProjectedFree free
-// variables.
+// variables. full sets the noPruning switch.
 func FuzzEncodeFixedSeed(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(3), uint8(20), false, false, false)
-	f.Add(uint64(7), uint8(2), uint8(0), uint8(12), true, false, false)
-	f.Add(uint64(42), uint8(1), uint8(70), uint8(30), false, true, false)
-	f.Add(uint64(5), uint8(1), uint8(199), uint8(25), true, true, true)
-	f.Add(uint64(9), uint8(2), uint8(19), uint8(31), false, false, true)
-	f.Add(uint64(11), uint8(2), uint8(0), uint8(31), false, false, true)
-	f.Add(uint64(13), uint8(3), uint8(0), uint8(27), true, true, false)
-	f.Fuzz(func(t *testing.T, seed uint64, nSel, lSel, count uint8, galois, noPruning, four bool) {
+	f.Add(uint64(1), uint8(0), uint8(3), uint8(20), false, false)
+	f.Add(uint64(7), uint8(2), uint8(0), uint8(12), true, false)
+	f.Add(uint64(42), uint8(1), uint8(70), uint8(30), false, true)
+	f.Add(uint64(5), uint8(1), uint8(199), uint8(25), true, true)
+	f.Add(uint64(9), uint8(2), uint8(19), uint8(31), false, false)
+	f.Add(uint64(11), uint8(2), uint8(0), uint8(31), false, false)
+	f.Add(uint64(13), uint8(3), uint8(0), uint8(27), true, true)
+	f.Fuzz(func(t *testing.T, seed uint64, nSel, lSel, count uint8, galois, full bool) {
 		n := []int{24, 56, 85, 64}[int(nSel)%4]
 		L := 1 + int(lSel)%200
 		form := lfsr.Fibonacci
@@ -320,10 +315,8 @@ func FuzzEncodeFixedSeed(f *testing.F) {
 		}
 		cfg := formConfig(t, form, n, 64, 4, L, 0)
 		set := randomCubes(prng.New(seed), cfg, 1+int(count)%32, 1, n/2)
-		cfg.Workers, cfg.NoPruning = 1, noPruning
-		if four {
-			cfg.Workers = 4
-		}
+		noPruning = full
+		defer func() { noPruning = false }()
 		slow, _, slowErr := encodeScan(t, cfg, set, scanScalarOnly)
 		for _, override := range []int{scanMeasured, scanSlicedOnly} {
 			fast, _, fastErr := encodeScan(t, cfg, set, override)
@@ -365,8 +358,7 @@ func pollSite(free int, projected bool) string {
 
 // pollLog is a live context recording the site of each Err call, with the
 // free-variable count of the tier being scanned and whether it checks on
-// projected rows (set through scanTierHook; the encodes run on one
-// worker).
+// projected rows (set through scanTierHook).
 type pollLog struct {
 	context.Context
 	free      int
@@ -400,7 +392,6 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 	} {
 		cfg := formConfig(t, lfsr.Fibonacci, 24, 120, 6, tc.L, 0)
 		set := randomCubes(prng.New(3), cfg, tc.cubes, 4, 8)
-		cfg.Workers = 1
 		var err error
 		cfg.Tables, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
 		if err != nil {

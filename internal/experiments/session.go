@@ -101,10 +101,10 @@ type Session struct {
 	Params Params
 
 	// Workers bounds the concurrency of the table/figure drivers and is
-	// forwarded to the encoder's candidate scan and the embedding scan, so
-	// 1 runs strictly serially. 0 or negative lets every layer use
-	// runtime.GOMAXPROCS(0) workers. The rendered tables are identical for
-	// any value.
+	// forwarded to ATPG, fault simulation and the embedding scan, so 1
+	// runs strictly serially; each encode runs on one goroutine whatever
+	// the value. 0 or negative lets every layer use runtime.GOMAXPROCS(0)
+	// workers. The rendered tables are identical for any value.
 	Workers int
 
 	// LaneWords is the session's default fault-simulator lane width for
@@ -418,7 +418,7 @@ func (s *Session) EncodingCtx(ctx context.Context, circuit string, L int) (*enco
 		if err != nil {
 			return nil, err
 		}
-		enc, variant, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, L, set, s.Workers, nil)
+		enc, variant, err := encoder.EncodeAutoCtx(ctx, p.LFSRSize, p.Width, p.Chains, L, set, 0, nil)
 		if err != nil {
 			s.stats.encTabBuilds.Add(int64(variant))
 			return nil, fmt.Errorf("experiments: %s L=%d: %w", circuit, L, err)

@@ -66,3 +66,31 @@ func (s *Solver) AddSystem(eqs []Equation) (rankIncrease int, consistent bool) {
 	}
 	return inc, true
 }
+
+// Satisfies reports whether the assignment sol satisfies every committed
+// constraint.
+func (s *Solver) Satisfies(sol Vec) bool {
+	if sol.Len() != s.n {
+		return false
+	}
+	for p := 0; p < s.n; p++ {
+		if !s.occ[p] {
+			continue
+		}
+		if s.row(p).Dot(sol) != s.rhs[p] {
+			return false
+		}
+	}
+	return true
+}
+
+// Pivots returns the pivot columns currently in the basis, ascending.
+func (s *Solver) Pivots() []int {
+	ps := make([]int, 0, s.rank)
+	for p := 0; p < s.n; p++ {
+		if s.occ[p] {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}

@@ -93,8 +93,7 @@ func (rs RowSet) ColumnsInto(first, count int, dst []uint64) {
 //
 // A ReducedTable must not be used concurrently with basis mutations, and a
 // single ReducedTable must not be shared between goroutines (catch-up
-// mutates the cache); concurrent scanners over one immutable basis each
-// own a ReducedTable.
+// mutates the cache).
 type ReducedTable struct {
 	s       *Solver
 	src     RowSet

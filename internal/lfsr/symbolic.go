@@ -18,7 +18,6 @@ import (
 // seed computation solves (Koenemann's LFSR-coded test patterns).
 type Symbolic struct {
 	l     *LFSR
-	cycle int
 	exprs []gf2.Vec // exprs[i] = expression of cell i over initial variables
 }
 
@@ -36,9 +35,6 @@ func NewSymbolic(l *LFSR) *Symbolic {
 	}
 	return s
 }
-
-// Cycle returns the number of clocks applied so far.
-func (s *Symbolic) Cycle() int { return s.cycle }
 
 // Expr returns the expression of cell i. The returned vector is live
 // simulation state: callers must clone it if they need it to survive the
@@ -80,7 +76,6 @@ func (s *Symbolic) Step() {
 	default:
 		panic(fmt.Sprintf("lfsr: unknown form %v", s.l.form))
 	}
-	s.cycle++
 }
 
 // StepN advances the symbolic state by k clocks.
