@@ -168,10 +168,9 @@ func TestDiffInjectedRegression(t *testing.T) {
 		}
 	}
 
-	// A missing cell is a regression.
+	// A missing cell on an unchanged grid is a regression.
 	shrunk := *snap
 	shrunk.ATPG = snap.ATPG[1:]
-	shrunk.Grid.Circuits = shrunk.Grid.Circuits[:1] // keep Validate out of it; Diff does not validate
 	regs, err = Diff(snap, &shrunk, Tolerance{})
 	if err != nil {
 		t.Fatalf("Diff: %v", err)
@@ -199,6 +198,25 @@ func TestDiffScaleMismatch(t *testing.T) {
 	other.Scale = "paper"
 	if _, err := Diff(snap, &other, Tolerance{}); err == nil {
 		t.Fatal("Diff compared snapshots of different scales")
+	}
+}
+
+// TestDiffGridMismatch checks that snapshots run on different grids are
+// reported as not comparable, naming the differing grid field, rather
+// than as per-cell counter regressions.
+func TestDiffGridMismatch(t *testing.T) {
+	_, snap := runTestGrid(t)
+	other := *snap
+	other.Grid.Circuits = snap.Grid.Circuits[:1]
+	other.ATPG = nil
+	_, err := Diff(snap, &other, Tolerance{})
+	if err == nil || !strings.Contains(err.Error(), "grid circuits") {
+		t.Fatalf("Diff of snapshots on different grids: err = %v, want a not-comparable error naming circuits", err)
+	}
+	other = *snap
+	other.Grid.ATPG.Gates++
+	if _, err := Diff(snap, &other, Tolerance{}); err == nil || !strings.Contains(err.Error(), "grid atpg") {
+		t.Fatalf("Diff of snapshots on different ATPG cores: err = %v, want a not-comparable error naming atpg", err)
 	}
 }
 

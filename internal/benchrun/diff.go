@@ -2,6 +2,7 @@ package benchrun
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -53,15 +54,18 @@ func (r Regression) String() string {
 // Diff compares a new snapshot against an older reference and returns
 // every regression: a deterministic counter that changed at all, a
 // wall-clock metric that slowed past the tolerance, or a reference cell
-// missing from the new snapshot. Cells present only in the new snapshot
-// (a grown grid) are not regressions. An error is returned when the
-// snapshots are not comparable at all (schema or scale mismatch).
+// missing from the new snapshot. An error is returned when the snapshots
+// are not comparable at all: a schema, scale or grid mismatch, the last
+// naming the first grid field that differs.
 func Diff(old, new *Snapshot, tol Tolerance) ([]Regression, error) {
 	if old.SchemaVersion != new.SchemaVersion {
 		return nil, fmt.Errorf("benchrun: schema_version %d vs %d: not comparable", old.SchemaVersion, new.SchemaVersion)
 	}
 	if old.Scale != new.Scale {
 		return nil, fmt.Errorf("benchrun: scale %q vs %q: not comparable", old.Scale, new.Scale)
+	}
+	if err := gridMismatch(old.Grid, new.Grid); err != nil {
+		return nil, err
 	}
 	var regs []Regression
 	exact := func(key, metric string, o, n float64) {
@@ -141,6 +145,20 @@ func Diff(old, new *Snapshot, tol Tolerance) ([]Regression, error) {
 
 	wall("run", "total_wall_ns", old.TotalWallNS, new.TotalWallNS)
 	return regs, nil
+}
+
+// gridMismatch names the first field, by its experiments.json key, in
+// which two snapshots' grids differ: their cells were run on different
+// grids, so a cell present in one only says nothing about a regression.
+func gridMismatch(old, new Grid) error {
+	o, n := reflect.ValueOf(old), reflect.ValueOf(new)
+	for i := 0; i < o.NumField(); i++ {
+		if of, nf := o.Field(i).Interface(), n.Field(i).Interface(); !reflect.DeepEqual(of, nf) {
+			key, _, _ := strings.Cut(o.Type().Field(i).Tag.Get("json"), ",")
+			return fmt.Errorf("benchrun: grid %s %v vs %v: not comparable", key, of, nf)
+		}
+	}
+	return nil
 }
 
 // DiffReport renders regressions as a human-readable block, one line per

@@ -79,12 +79,6 @@ func (c Cube) Set(i int, b uint8) {
 	c.Value.SetBit(i, b)
 }
 
-// Unset makes position i a don't-care again.
-func (c Cube) Unset(i int) {
-	c.Mask.SetBit(i, 0)
-	c.Value.SetBit(i, 0)
-}
-
 // Clone returns an independent copy.
 func (c Cube) Clone() Cube {
 	return Cube{Mask: c.Mask.Clone(), Value: c.Value.Clone()}

@@ -29,16 +29,12 @@ func TestParseAndString(t *testing.T) {
 	}
 }
 
-func TestSetUnset(t *testing.T) {
+func TestSet(t *testing.T) {
 	c := New(10)
 	c.Set(3, 1)
 	c.Set(7, 0)
 	if c.SpecifiedCount() != 2 || c.Get(3) != 1 || c.Get(7) != 0 {
 		t.Error("Set failed")
-	}
-	c.Unset(3)
-	if c.Get(3) != -1 || c.SpecifiedCount() != 1 {
-		t.Error("Unset failed")
 	}
 	// Invariant: Value ⊆ Mask.
 	for i := 0; i < 10; i++ {
@@ -178,17 +174,6 @@ func TestSetAddAndStats(t *testing.T) {
 	}
 }
 
-func TestSortBySpecifiedDesc(t *testing.T) {
-	s := NewSet(6)
-	s.Add(MustParse("1xxxxx"))
-	s.Add(MustParse("111xxx"))
-	s.Add(MustParse("11xxxx"))
-	s.SortBySpecifiedDesc()
-	if s.Cubes[0].SpecifiedCount() != 3 || s.Cubes[2].SpecifiedCount() != 1 {
-		t.Error("sort order wrong")
-	}
-}
-
 func TestReadWriteRoundTrip(t *testing.T) {
 	s := NewSet(6)
 	s.Add(MustParse("1x0x10"))
@@ -228,41 +213,5 @@ func TestReadErrors(t *testing.T) {
 	ok := "# hi\n\nwidth 3\n# mid\n1x0\n"
 	if _, err := Read(strings.NewReader(ok)); err != nil {
 		t.Errorf("rejected valid input: %v", err)
-	}
-}
-
-func TestCompactGreedy(t *testing.T) {
-	s := NewSet(4)
-	s.Add(MustParse("1xxx"))
-	s.Add(MustParse("x1xx"))
-	s.Add(MustParse("0xxx")) // conflicts with first
-	c := s.CompactGreedy()
-	if c.Len() != 2 {
-		t.Errorf("compacted to %d cubes, want 2", c.Len())
-	}
-	// Compaction must preserve total match semantics: every original cube
-	// must be covered by (compatible with) some compacted cube that
-	// contains all its specified bits.
-	for _, orig := range s.Cubes {
-		covered := false
-		for _, cc := range c.Cubes {
-			if !orig.CompatibleWith(cc) {
-				continue
-			}
-			all := true
-			for _, pos := range orig.Specified() {
-				if cc.Get(pos) != orig.Get(pos) {
-					all = false
-					break
-				}
-			}
-			if all {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			t.Errorf("cube %v lost in compaction", orig)
-		}
 	}
 }

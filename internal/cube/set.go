@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -63,42 +62,11 @@ func (s *Set) Histogram() map[int]int {
 	return h
 }
 
-// SortBySpecifiedDesc stably sorts the cubes by descending specified-bit
-// count, the order in which the window-based encoding algorithm consumes
-// them.
-func (s *Set) SortBySpecifiedDesc() {
-	sort.SliceStable(s.Cubes, func(i, j int) bool {
-		return s.Cubes[i].SpecifiedCount() > s.Cubes[j].SpecifiedCount()
-	})
-}
-
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
 	out := &Set{Width: s.Width, Cubes: make([]Cube, len(s.Cubes))}
 	for i, c := range s.Cubes {
 		out.Cubes[i] = c.Clone()
-	}
-	return out
-}
-
-// CompactGreedy merges compatible cubes greedily (first-fit, in the current
-// order) and returns the compacted set. The paper uses *uncompacted* test
-// sets; this exists for the ATPG flow and for experiments on compaction
-// sensitivity.
-func (s *Set) CompactGreedy() *Set {
-	out := NewSet(s.Width)
-	for _, c := range s.Cubes {
-		merged := false
-		for i := range out.Cubes {
-			if out.Cubes[i].CompatibleWith(c) {
-				out.Cubes[i] = out.Cubes[i].Merge(c)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			out.Cubes = append(out.Cubes, c.Clone())
-		}
 	}
 	return out
 }

@@ -125,9 +125,9 @@ type candidate struct {
 }
 
 // tierScan describes one scanned tier to scanTierHook: its cubes, the
-// still-feasible pairs it checks on the scalar path, the window words it
-// decides bit-sliced, the basis's free variables, and whether the scalar
-// pairs are checked on projected rows rather than by CheckSystem.
+// still-feasible pairs it checks one position at a time, the window words
+// it decides bit-sliced, the basis's free variables, and whether the
+// per-position checks run on projected rows rather than Solver.CheckRows.
 type tierScan struct {
 	cubes, scalarPairs, slicedWords, free int
 	projected                             bool
@@ -137,18 +137,11 @@ type tierScan struct {
 // Tests set it to prove every scan path ran.
 var scanTierHook func(tierScan)
 
-// scanOverride, when not scanMeasured, sends every window word down one
-// scan path whatever its lanes: scanScalarOnly makes the scalar
-// CheckSystem path an oracle for the bit-sliced kernel and the projected
-// rows, and scanSlicedOnly runs the kernel on words the measured rule
-// keeps scalar. Neither checks or commits on projected rows. Tests only.
-var scanOverride = scanMeasured
-
-const (
-	scanMeasured = iota
-	scanScalarOnly
-	scanSlicedOnly
-)
+// scanScalarOnly, when set, checks every still-feasible (cube, position)
+// pair by Solver.CheckRows on the basis, whatever the window length: no
+// word is decided bit-sliced and no pair is checked on projected rows, so
+// the scan becomes the oracle of both. Tests only.
+var scanScalarOnly bool
 
 // noPruning, when set, disables monotone feasibility pruning: every
 // position of the window stays in a cube's feasibility row for the whole
@@ -156,7 +149,7 @@ const (
 var noPruning bool
 
 // checkStride is how many consistency checks the scan performs
-// between context polls. One CheckSystem costs tens of nanoseconds at
+// between context polls. One scalar check costs tens of nanoseconds at
 // minimum, so polling every 256 checks keeps cancellation latency in the
 // tens of microseconds while the amortized poll cost stays below
 // measurement noise.
@@ -177,6 +170,15 @@ func (st *encodeState) pollCtx(checks int) bool {
 	return false
 }
 
+// encodeState is one encode's seed loop: the cubes still to place, their
+// feasible window positions, the seed's basis, and the scan's two
+// checkers. At L > 1 the scan decides each window word of a cube
+// bit-sliced (sliceWord), on plane blocks built from the column arena
+// cols; at L = 1 it checks the one position of each cube on the projected
+// rows proj while the basis has at most gf2.ProjectedFree free variables,
+// and by Solver.CheckRows on the expression table otherwise. A seed's
+// first cube, and every probe of the fresh-window screen, is checked by
+// CheckRows at rank 0.
 type encodeState struct {
 	ctx   context.Context
 	table *ExprTable
@@ -198,23 +200,20 @@ type encodeState struct {
 	feasible  []uint64
 	feasWords int
 
-	// solver holds the seed's basis. view is the expression table reduced
-	// against it lazily (see gf2.ReducedTable): it persists across tiers
-	// and seeds, so a (cube, position) re-probed after a commit folds in
-	// only the basis rows added since its last probe. scratch is
-	// CheckSystem's elimination scratch, and tick amortizes context polls
-	// across checkStride consistency checks.
+	// solver holds the seed's basis and scratch the scalar checks'
+	// elimination scratch; tick amortizes context polls across
+	// checkStride consistency checks.
 	solver  *gf2.Solver
-	view    *gf2.ReducedTable
 	scratch gf2.CheckScratch
 	tick    int
 	checks  int64
 
 	// proj holds the expression rows in the basis's free coordinates for
 	// classical reseeding, built on the encode's first projected check;
-	// project is set while the tier being scanned checks on it.
-	proj    *gf2.ProjectedTable
-	project bool
+	// project is set while the tier being scanned checks on it. sliced is
+	// set while it decides window words bit-sliced: at every L > 1.
+	proj            *gf2.ProjectedTable
+	project, sliced bool
 
 	// epoch names the current basis: it moves on whenever the basis
 	// changes (a seed's Reset, or a commit that raises the rank), and a
@@ -224,7 +223,8 @@ type encodeState struct {
 	// basis's free-variable count, set per tier. cols is the column arena
 	// the planes are built from: block (s·feasWords + w) of n words holds
 	// column j of output slot s's rows at window positions 64w … 64w+63 in
-	// word j, built on the encode's first sliced word in colBuild.
+	// word j, built on the encode's first sliced word; colBuild times it
+	// and the projected rows' build.
 	epoch, affEpoch uint32
 	aff             gf2.Affine
 	free            int
@@ -280,7 +280,6 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 	st.feasWords = (st.L + 63) / 64
 	st.feasible = make([]uint64, set.Len()*st.feasWords)
 	st.solver = gf2.NewSolver(st.n)
-	st.view = gf2.NewReducedTable(st.solver, table.Rows())
 
 	if err := st.screen(); err != nil {
 		return nil, err
@@ -336,7 +335,7 @@ func (st *encodeState) firstSolvable(ci int) (pos int, checks int64, err error) 
 			return -1, checks, st.ctx.Err()
 		}
 		checks++
-		if _, ok := st.view.CheckSystem(st.sys.base[ci], int32(p), st.sys.rhs[ci], &st.scratch); ok {
+		if _, ok := st.solver.CheckRows(st.table.Rows(), st.sys.base[ci], int32(p), st.sys.rhs[ci], &st.scratch); ok {
 			return p, checks, nil
 		}
 	}
@@ -460,41 +459,12 @@ func (st *encodeState) feasRow(ci int) []uint64 {
 	return st.feasible[ci*st.feasWords : (ci+1)*st.feasWords]
 }
 
-// slicedWord reports whether scanCube decides a window word with the
-// given number of still-feasible positions bit-sliced (see sliceWord)
-// rather than with one CheckSystem per position.
-func (st *encodeState) slicedWord(lanes int) bool {
-	switch scanOverride {
-	case scanScalarOnly:
-		return false
-	case scanSlicedOnly:
-		return true
-	}
-	return lanes >= minSlicedLanes
-}
-
-// minSlicedLanes is the fewest still-feasible positions a window word must
-// hold to be decided bit-sliced. A sliced word pays for its plane blocks
-// and for a lane elimination as wide as the basis's free variables
-// whatever its lanes, so a word of one or two positions is cheaper on the
-// scalar path; L = 1 classical reseeding, whose words hold one position,
-// therefore never builds the sliced path's column arena, only the
-// projected rows' (see projects). On a 2-vCPU Xeon (Go 1.24, one
-// worker, prebuilt tables, best of 3–5 encodes at paper scale and of 40 at
-// CI scale), cut-offs of 2, 4 and 8 lanes were within noise of each other
-// and of slicing every word on the paper-scale s13207 L = 200 (146–164 ms
-// against 1,140 ms all scalar) and s9234 L = 20 (159–184 ms against 308
-// ms) encodes and on the CI-scale profiles at L = 8, 16 and 32, and 16
-// lanes lost up to 28 %. Adding free/4 or free/8 lanes to the cut-off
-// gained nothing.
-const minSlicedLanes = 4
-
 // scanCube probes every still-feasible position of one cube in ascending
-// window words. A word slicedWord accepts is decided in one sliceWord
-// call, all its positions at once; the others run one check per position,
-// on the projected rows in a tier that projects (see projects) and through
-// the reduced table otherwise. Positions proven unsolvable are pruned for
-// the rest of this seed's construction (constraints only grow, so
+// window words. In a tier that slices, each word is decided in one
+// sliceWord call, all its positions at once; otherwise each position is
+// checked on its own, on the projected rows in a tier that projects and
+// by Solver.CheckRows otherwise. Positions proven unsolvable are pruned
+// for the rest of this seed's construction (constraints only grow, so
 // unsolvable stays unsolvable); under noPruning the row keeps every
 // position of the window set. Either way each feasible position counts as
 // one check. A poll that finds the encode cancelled sets stop and ends
@@ -506,7 +476,8 @@ func (st *encodeState) scanCube(ci int, out *[]candidate) {
 		if f == 0 {
 			continue
 		}
-		if lanes := bits.OnesCount64(f); st.slicedWord(lanes) {
+		if st.sliced {
+			lanes := bits.OnesCount64(f)
 			if st.sliceWord(ci, wi, lanes, out) {
 				return
 			}
@@ -525,7 +496,7 @@ func (st *encodeState) scanCube(ci int, out *[]candidate) {
 			if st.project {
 				inc, ok = st.proj.CheckSystem(base, int32(p), rhs, &st.scratch)
 			} else {
-				inc, ok = st.view.CheckSystem(base, int32(p), rhs, &st.scratch)
+				inc, ok = st.solver.CheckRows(st.table.Rows(), base, int32(p), rhs, &st.scratch)
 			}
 			if !ok {
 				if !noPruning {
@@ -561,6 +532,9 @@ func (st *encodeState) scanCube(ci int, out *[]candidate) {
 func (st *encodeState) sliceWord(ci, wi, lanes int, out *[]candidate) bool {
 	if st.pollCtx(lanes) {
 		return true
+	}
+	if st.affEpoch != st.epoch {
+		st.prepareSliced()
 	}
 	feas := st.feasRow(ci)
 	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
@@ -643,23 +617,14 @@ func (st *encodeState) block(blk int) []uint64 {
 	return pl
 }
 
-// projects reports whether the scan checks on projected rows
-// (gf2.ProjectedTable) at the current basis: classical reseeding under the
-// measured choice of path, once the basis has at most gf2.ProjectedFree
-// free variables. A seed's first cube is checked as before; the seed's
-// scans, and so its projected rows, start after that cube's commit.
-func (st *encodeState) projects() bool {
-	return st.L == 1 && scanOverride == scanMeasured && st.solver.FreeVars() <= gf2.ProjectedFree
-}
-
-// prepareSliced readies the bit-sliced path before a tier scans its first
-// sliced word: the column arena, the plane blocks and the lane scratch,
-// allocated on the encode's first sliced word, and the basis's affine
-// form. The planes are allocated once with room for n+1 words per block,
-// enough for any basis, and laid out at the current basis's stride of
-// free+1 words, so a determined seed's blocks are one dense word each. The
-// stride changes only with the basis, which leaves every block stale, so
-// the new layout invalidates nothing current.
+// prepareSliced readies the bit-sliced path for the first word sliceWord
+// decides at a basis: the column arena, the plane blocks and the lane
+// scratch, allocated on the encode's first sliced word, and the basis's
+// affine form. The planes are allocated once with room for n+1 words per
+// block, enough for any basis, and laid out at the current basis's stride
+// of free+1 words, so a determined seed's blocks are one dense word each.
+// The stride changes only with the basis, which leaves every block stale,
+// so the new layout invalidates nothing current.
 func (st *encodeState) prepareSliced() {
 	if st.cols == nil {
 		t0 := time.Now()
@@ -698,28 +663,27 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 		results[ti] = results[ti][:0]
 	}
 	st.free = st.solver.FreeVars()
-	pairs, sliced := 0, 0
-	for _, ci := range tier {
-		for _, w := range st.feasRow(ci) {
-			if lanes := bits.OnesCount64(w); lanes == 0 {
-				continue
-			} else if st.slicedWord(lanes) {
-				sliced++
-			} else {
-				pairs += lanes
-			}
-		}
-	}
-	if sliced > 0 {
-		st.prepareSliced()
-	}
-	if st.project = pairs > 0 && st.projects(); st.project && st.proj == nil {
+	st.sliced = st.L > 1 && !scanScalarOnly
+	// Classical reseeding checks on projected rows once a seed's first
+	// commit leaves at most gf2.ProjectedFree free variables.
+	if st.project = st.L == 1 && !scanScalarOnly && st.free <= gf2.ProjectedFree; st.project && st.proj == nil {
 		t0 := time.Now()
 		st.proj = gf2.NewProjectedTable(st.solver, st.table.Rows())
 		st.colBuild += time.Since(t0)
 	}
 	if scanTierHook != nil {
-		scanTierHook(tierScan{cubes: len(tier), scalarPairs: pairs, slicedWords: sliced, free: st.free, projected: st.project})
+		ts := tierScan{cubes: len(tier), free: st.free, projected: st.project}
+		for _, ci := range tier {
+			for _, w := range st.feasRow(ci) {
+				switch lanes := bits.OnesCount64(w); {
+				case !st.sliced:
+					ts.scalarPairs += lanes
+				case lanes > 0:
+					ts.slicedWords++
+				}
+			}
+		}
+		scanTierHook(ts)
 	}
 	for ti, ci := range tier {
 		if st.stop {

@@ -164,12 +164,12 @@ func TestEncodeDeterministic(t *testing.T) {
 	assertEncodingsIdentical(t, "rerun", a, b)
 }
 
-// TestEncodeScanPaths proves through scanTierHook that the measured choice
-// of path runs every path of the candidate scan at L = 12 and L = 32:
-// tiers checking pairs on the scalar path, and window words decided
-// bit-sliced below full rank and at it. The same encode with every word on
-// the scalar CheckSystem path (scanScalarOnly) must be identical: seeds,
-// assignments and ChecksPerformed.
+// TestEncodeScanPaths proves through scanTierHook that the path follows
+// the window length alone at L = 12 and L = 32: window words are decided
+// bit-sliced below full rank and at it, and no tier checks a pair one
+// position at a time, however few positions a word still holds. The same
+// encode with every pair on the scalar CheckRows path (scanScalarOnly)
+// must be identical: seeds, assignments and ChecksPerformed.
 func TestEncodeScanPaths(t *testing.T) {
 	set := genSet(t, "s38417", 0)
 	var scalar, slicedFree, slicedFull int
@@ -184,23 +184,23 @@ func TestEncodeScanPaths(t *testing.T) {
 			slicedFull++
 		}
 	}
-	t.Cleanup(func() { scanTierHook, scanOverride = nil, scanMeasured })
+	t.Cleanup(func() { scanTierHook, scanScalarOnly = nil, false })
 	for _, L := range []int{12, 32} {
 		cfg := smallConfig(t, 32, set.Width, 8, L)
-		scanOverride = scanScalarOnly
+		scanScalarOnly = true
 		want, err := EncodeCtx(context.Background(), cfg, set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanOverride = scanMeasured
+		scanScalarOnly = false
 		scalar, slicedFree, slicedFull = 0, 0, 0
 		got, err := EncodeCtx(context.Background(), cfg, set)
 		if err != nil {
 			t.Fatalf("L=%d: %v", L, err)
 		}
-		assertEncodingsIdentical(t, fmt.Sprintf("L=%d measured vs scalar-only", L), want, got)
-		if scalar == 0 || slicedFree == 0 || slicedFull == 0 {
-			t.Errorf("L=%d: %d tiers with scalar pairs, %d with sliced words below full rank, %d at full rank; want every path",
+		assertEncodingsIdentical(t, fmt.Sprintf("L=%d scan vs scalar-only", L), want, got)
+		if scalar > 0 || slicedFree == 0 || slicedFull == 0 {
+			t.Errorf("L=%d: %d tiers with pairs checked one position at a time, %d with sliced words below full rank, %d at full rank; want none, some and some",
 				L, scalar, slicedFree, slicedFull)
 		}
 	}

@@ -63,10 +63,10 @@ func randomCubes(src *prng.Source, cfg Config, count, minSpec, maxSpec int) *cub
 }
 
 // scanPaths counts the scan paths one encode's tiers took: window words
-// decided bit-sliced below full rank and at full rank, pairs checked on
-// the scalar path, and of those the pairs checked on projected rows below
-// full rank and at it, and the pairs CheckSystem checked at L = 1 because
-// the basis had more than gf2.ProjectedFree free variables.
+// decided bit-sliced below full rank and at full rank, pairs checked one
+// position at a time, and of those the pairs checked on projected rows
+// below full rank and at it, and the pairs Solver.CheckRows checked at
+// L = 1 because the basis had more than gf2.ProjectedFree free variables.
 type scanPaths struct {
 	slicedFree, slicedFull, scalarPairs int
 	projFree, projFull, wide            int
@@ -82,31 +82,36 @@ func (p *scanPaths) add(q scanPaths) {
 	p.wide += q.wide
 }
 
-// encodeScan encodes set under cfg with the given scan override and
-// returns the result, the paths the encode took and its error.
-// Under scanScalarOnly, the oracle, any word decided bit-sliced or checked
-// on projected rows fails t; so does, under the measured rule, an L = 1
-// tier left on CheckSystem with at most gf2.ProjectedFree free variables.
-func encodeScan(t testing.TB, cfg Config, set *cube.Set, override int) (enc *Encoding, paths scanPaths, err error) {
+// encodeScan encodes set under cfg, on the scalar CheckRows path alone
+// when scalar is set, and returns the result, the paths the encode took
+// and its error. Under the scalar oracle, any word decided bit-sliced or
+// checked on projected rows fails t. Under the choice of path by window
+// length, so does any pair an L > 1 tier checks one position at a time,
+// and any pair an L = 1 tier leaves on CheckRows with at most
+// gf2.ProjectedFree free variables.
+func encodeScan(t testing.TB, cfg Config, set *cube.Set, scalar bool) (enc *Encoding, paths scanPaths, err error) {
 	t.Helper()
-	defer func() { scanTierHook, scanOverride = nil, scanMeasured }()
+	defer func() { scanTierHook, scanScalarOnly = nil, false }()
 	scanTierHook = func(ts tierScan) {
 		paths.scalarPairs += ts.scalarPairs
 		switch {
-		case ts.projected && override != scanMeasured:
-			t.Errorf("encode under override %d checked %d pairs on projected rows", override, ts.scalarPairs)
+		case ts.projected && scalar:
+			t.Errorf("scalar-only encode checked %d pairs on projected rows", ts.scalarPairs)
 		case ts.projected && ts.free > 0:
 			paths.projFree += ts.scalarPairs
 		case ts.projected:
 			paths.projFull += ts.scalarPairs
-		case cfg.WindowLen == 1 && ts.scalarPairs > 0 && ts.free > gf2.ProjectedFree:
+		case scalar || ts.scalarPairs == 0:
+		case cfg.WindowLen > 1:
+			t.Errorf("L = %d tier at %d free variables checked %d pairs one position at a time", cfg.WindowLen, ts.free, ts.scalarPairs)
+		case ts.free > gf2.ProjectedFree:
 			paths.wide += ts.scalarPairs
-		case cfg.WindowLen == 1 && ts.scalarPairs > 0 && override == scanMeasured:
-			t.Errorf("L = 1 tier at %d free variables checked %d pairs by CheckSystem", ts.free, ts.scalarPairs)
+		default:
+			t.Errorf("L = 1 tier at %d free variables checked %d pairs by CheckRows", ts.free, ts.scalarPairs)
 		}
 		switch {
 		case ts.slicedWords == 0:
-		case override == scanScalarOnly:
+		case scalar:
 			t.Errorf("scalar-only encode decided %d words bit-sliced", ts.slicedWords)
 		case ts.free > 0:
 			paths.slicedFree += ts.slicedWords
@@ -114,7 +119,7 @@ func encodeScan(t testing.TB, cfg Config, set *cube.Set, override int) (enc *Enc
 			paths.slicedFull += ts.slicedWords
 		}
 	}
-	scanOverride = override
+	scanScalarOnly = scalar
 	enc, err = EncodeCtx(context.Background(), cfg, set)
 	return enc, paths, err
 }
@@ -206,28 +211,21 @@ func TestPlanesMatchGeneration(t *testing.T) {
 }
 
 // TestFixedSeedScanMatchesSymbolic runs the candidate scan against its
-// scalar CheckSystem path alone, the oracle, and requires identical
+// scalar CheckRows path alone, the oracle, and requires identical
 // encodings — seeds, assignments, seed values and ChecksPerformed — across
 // register sizes of one and two words, both register forms, windows of
 // one to several plane words, and with pruning on and off (the noPruning
-// switch); the full one-word register, n = 64, at L = 1 only. Both the
-// measured choice of path and the bit-sliced path for every word are
-// compared. Every configuration must take the sliced path at full rank
-// and below it when every word is sliced. Under the measured
-// rule, windows of at least 20 positions must take the sliced path at
-// both, every configuration with pruning must check pairs on the scalar
-// path (pruning leaves words of a few positions; without it only a
-// window's short last word has so few), and windows too short for any
-// word to reach the cut-off must stay scalar, so a classical (L = 1)
-// encode never builds the sliced path's column arena.
+// switch); the full one-word register, n = 64, at L = 1 only. Every
+// window of more than one position must decide words bit-sliced both
+// below full rank and at it, and check no pair one position at a time
+// (encodeScan); a classical (L = 1) encode must decide no word bit-sliced.
 //
 // Classical reseeding also encodes a second set of 160 sparse cubes of one
 // specified count, a single tier of many pairs on the scalar path, which
-// sparse seeds check on projected rows. Over both sets, an
-// L = 1 encode under the measured rule must check on projected rows below
-// full rank and at it, and at n = 85, where a sparse seed's first commits
-// leave more than gf2.ProjectedFree free variables, must also check by
-// CheckSystem.
+// sparse seeds check on projected rows. Over both sets, an L = 1 encode
+// must check on projected rows below full rank and at it, and at n = 85,
+// where a sparse seed's first commits leave more than gf2.ProjectedFree
+// free variables, must also check by CheckRows.
 func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 	t.Cleanup(func() { noPruning = false })
 	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
@@ -245,33 +243,24 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 					var measured scanPaths
 					for si, set := range sets {
 						for _, noPruning = range []bool{false, true} {
-							slow, _, err := encodeScan(t, cfg, set, scanScalarOnly)
+							slow, _, err := encodeScan(t, cfg, set, true)
 							if err != nil {
 								t.Fatalf("noPruning=%v: scalar-only: %v", noPruning, err)
 							}
-							for _, override := range []int{scanMeasured, scanSlicedOnly} {
-								label := fmt.Sprintf("set %d noPruning=%v override=%d", si, noPruning, override)
-								fast, paths, err := encodeScan(t, cfg, set, override)
-								if err != nil {
-									t.Fatalf("%s: %v", label, err)
-								}
-								assertEncodingsIdentical(t, label, slow, fast)
-								if override == scanMeasured {
-									measured.add(paths)
-								}
-								if si > 0 {
-									continue // the sparse set's paths count only in total
-								}
-								switch {
-								case override == scanSlicedOnly && (paths.slicedFree == 0 || paths.slicedFull == 0):
-									t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
-								case override == scanMeasured && L >= 20 && (paths.slicedFree == 0 || paths.slicedFull == 0):
-									t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
-								case override == scanMeasured && !noPruning && paths.scalarPairs == 0:
-									t.Fatalf("%s: no pair checked on the scalar path", label)
-								case override == scanMeasured && L < minSlicedLanes && paths.slicedFree+paths.slicedFull > 0:
-									t.Fatalf("%s: a %d-position window decided words bit-sliced", label, L)
-								}
+							label := fmt.Sprintf("set %d noPruning=%v", si, noPruning)
+							fast, paths, err := encodeScan(t, cfg, set, false)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							assertEncodingsIdentical(t, label, slow, fast)
+							measured.add(paths)
+							switch {
+							case si > 0:
+								// The sparse set's paths count only in total.
+							case L > 1 && (paths.slicedFree == 0 || paths.slicedFull == 0):
+								t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
+							case L == 1 && paths.slicedFree+paths.slicedFull > 0:
+								t.Fatalf("%s: a classical encode decided words bit-sliced", label)
 							}
 						}
 					}
@@ -281,7 +270,7 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 						t.Fatalf("%d projected pairs below full rank, %d at full rank; want both",
 							measured.projFree, measured.projFull)
 					case L == 1 && n-n/10 > gf2.ProjectedFree && measured.wide == 0:
-						t.Fatalf("no L = 1 pair checked by CheckSystem at more than %d free variables", gf2.ProjectedFree)
+						t.Fatalf("no L = 1 pair checked by CheckRows at more than %d free variables", gf2.ProjectedFree)
 					case L > 1 && measured.projFree+measured.projFull > 0:
 						t.Fatalf("a %d-position window checked on projected rows", L)
 					}
@@ -291,13 +280,13 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 	}
 }
 
-// FuzzEncodeFixedSeed compares the candidate scan, under the measured
-// choice of path and with every word bit-sliced, with its scalar
-// CheckSystem path alone on random small cube sets: each must return the
-// same encoding, ChecksPerformed included, or the same error. Under the
-// measured rule, classical reseeding (L = 1) checks and commits on
-// projected rows once a seed's basis has at most gf2.ProjectedFree free
-// variables. full sets the noPruning switch.
+// FuzzEncodeFixedSeed compares the candidate scan, on the path its window
+// length chooses, with its scalar CheckRows path alone on random small
+// cube sets: both must return the same encoding, ChecksPerformed
+// included, or the same error. Every window of more than one position
+// decides its words bit-sliced; classical reseeding (L = 1) checks and
+// commits on projected rows once a seed's basis has at most
+// gf2.ProjectedFree free variables. full sets the noPruning switch.
 func FuzzEncodeFixedSeed(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(3), uint8(20), false, false)
 	f.Add(uint64(7), uint8(2), uint8(0), uint8(12), true, false)
@@ -317,15 +306,13 @@ func FuzzEncodeFixedSeed(f *testing.F) {
 		set := randomCubes(prng.New(seed), cfg, 1+int(count)%32, 1, n/2)
 		noPruning = full
 		defer func() { noPruning = false }()
-		slow, _, slowErr := encodeScan(t, cfg, set, scanScalarOnly)
-		for _, override := range []int{scanMeasured, scanSlicedOnly} {
-			fast, _, fastErr := encodeScan(t, cfg, set, override)
-			if (fastErr == nil) != (slowErr == nil) || (fastErr != nil && fastErr.Error() != slowErr.Error()) {
-				t.Fatalf("override %d: err %v, scalar-only err %v", override, fastErr, slowErr)
-			}
-			if fastErr == nil {
-				assertEncodingsIdentical(t, fmt.Sprintf("override %d vs scalar-only", override), slow, fast)
-			}
+		slow, _, slowErr := encodeScan(t, cfg, set, true)
+		fast, _, fastErr := encodeScan(t, cfg, set, false)
+		if (fastErr == nil) != (slowErr == nil) || (fastErr != nil && fastErr.Error() != slowErr.Error()) {
+			t.Fatalf("err %v, scalar-only err %v", fastErr, slowErr)
+		}
+		if fastErr == nil {
+			assertEncodingsIdentical(t, "scan vs scalar-only", slow, fast)
 		}
 	})
 }
@@ -372,9 +359,9 @@ func (c *pollLog) Err() error {
 }
 
 // TestEncodeCancelMidSeedLoop cancels an encode at chosen context polls
-// that land inside the candidate scan — on the scalar path, on the
-// bit-sliced path both below full rank and at it, and on classical
-// reseeding's projected rows — and requires each cancel to stop the scan
+// that land inside the candidate scan — on the bit-sliced path both below
+// full rank and at it, and on classical reseeding's projected rows — and
+// requires each cancel to stop the scan
 // with an error wrapping context.Canceled. It also checks EncodeCtx's
 // documented poll cadence: the scalar path, projected rows included,
 // polls once per checkStride checks, and a sliced word, which decides up
@@ -387,7 +374,7 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 		L, cubes int
 		sites    []string
 	}{
-		{200, 60, []string{"scalar", "sliced", "sliced-free"}},
+		{200, 60, []string{"sliced", "sliced-free"}},
 		{1, 240, []string{"projected"}},
 	} {
 		cfg := formConfig(t, lfsr.Fibonacci, 24, 120, 6, tc.L, 0)
@@ -404,11 +391,11 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 
 		// pollSites returns, per site, the indices of an uncancelled
 		// encode's polls, and how many polls came from the checks' cadence.
-		pollSites := func(override int) (map[string][]int, int) {
+		pollSites := func(scalar bool) (map[string][]int, int) {
 			log := &pollLog{Context: context.Background()}
-			scanOverride = override
+			scanScalarOnly = scalar
 			scanTierHook = func(ts tierScan) { log.free, log.projected = ts.free, ts.projected }
-			defer func() { scanTierHook, scanOverride = nil, scanMeasured }()
+			defer func() { scanTierHook, scanScalarOnly = nil, false }()
 			enc, err := EncodeCtx(log, cfg, set)
 			if err != nil {
 				t.Fatal(err)
@@ -419,8 +406,8 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 			}
 			return at, len(log.sites) - len(enc.Seeds)
 		}
-		fast, fastPolls := pollSites(scanMeasured)
-		_, slowPolls := pollSites(scanScalarOnly)
+		fast, fastPolls := pollSites(false)
+		_, slowPolls := pollSites(true)
 		for _, site := range tc.sites {
 			if len(fast[site]) == 0 {
 				t.Fatalf("L=%d: no poll in %s checks; want polls in each of %v", tc.L, site, tc.sites)

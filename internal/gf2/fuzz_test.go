@@ -10,7 +10,8 @@ import (
 // plain dense Gaussian eliminator that re-reduces the entire committed
 // system from scratch on every query. No RREF maintenance, no pivot
 // indexing, no overlay, no caching — just triangular elimination in input
-// order, so any bookkeeping bug in Solver/ReducedTable diverges from it.
+// order, so any bookkeeping bug in Solver or ProjectedTable diverges from
+// it.
 type denseEliminator struct {
 	n         int
 	committed []Equation
@@ -68,14 +69,14 @@ func (d *denseEliminator) satisfies(sol Vec) bool {
 	return true
 }
 
-// FuzzSolver cross-checks the incremental solver, its reduced-basis
-// candidate path and, once a basis has at most ProjectedFree free
-// variables, its projected rows against the dense reference: for fuzzed
-// row tables and adversarial check/commit/reset interleavings, the
-// consistency verdict, the rank increase and the produced solution must
-// all agree. After every commit the basis's affine form (AffineInto) must
-// describe its solutions, and every projected row must equal its reduced
-// residual on the frame's columns (projectedError).
+// FuzzSolver cross-checks the incremental solver, its row-table check
+// (CheckRows) and, once a basis has at most ProjectedFree free variables,
+// its projected rows against the dense reference: for fuzzed row tables
+// and adversarial check/commit/reset interleavings, the consistency
+// verdict, the rank increase and the produced solution must all agree.
+// After every commit the basis's affine form (AffineInto) must describe
+// its solutions, and every projected row must equal its residual on the
+// frame's columns (projectedError).
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{11, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{1, 1, 0, 0, 9, 9, 9, 9, 200, 200, 1, 2, 3})
@@ -110,7 +111,6 @@ func FuzzSolver(f *testing.F) {
 		}
 
 		s := NewSolver(n)
-		rt := NewReducedTable(s, rs)
 		pt := NewProjectedTable(s, rs)
 		all := make([]int, count)
 		for i := range all {
@@ -157,9 +157,9 @@ func FuzzSolver(f *testing.F) {
 			if gotInc != wantInc || gotOK != wantOK {
 				t.Fatalf("step %d: Check (%d,%v) != dense (%d,%v)", step, gotInc, gotOK, wantInc, wantOK)
 			}
-			redInc, redOK := rt.CheckSystem(idx, 0, rhs, &scR)
-			if redInc != wantInc || redOK != wantOK {
-				t.Fatalf("step %d: CheckSystem (%d,%v) != dense (%d,%v)", step, redInc, redOK, wantInc, wantOK)
+			rowInc, rowOK := s.CheckRows(rs, idx, 0, rhs, &scR)
+			if rowInc != wantInc || rowOK != wantOK {
+				t.Fatalf("step %d: CheckRows (%d,%v) != dense (%d,%v)", step, rowInc, rowOK, wantInc, wantOK)
 			}
 			projected := s.FreeVars() <= ProjectedFree
 			if projected {
@@ -180,7 +180,7 @@ func FuzzSolver(f *testing.F) {
 					t.Fatalf("step %d: affine form: %v", step, err)
 				}
 				if s.FreeVars() <= ProjectedFree {
-					if err := projectedError(pt, rt, all); err != nil {
+					if err := projectedError(pt, all); err != nil {
 						t.Fatalf("step %d: projected rows: %v", step, err)
 					}
 				}

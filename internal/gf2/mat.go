@@ -147,17 +147,6 @@ func (m Mat) Pow(e uint64) Mat {
 	return result
 }
 
-// Transpose returns mᵀ.
-func (m Mat) Transpose() Mat {
-	t := NewMat(m.cols, len(m.rows))
-	for i, r := range m.rows {
-		for j := r.FirstSet(); j >= 0; j = r.NextSet(j + 1) {
-			t.rows[j].SetBit(i, 1)
-		}
-	}
-	return t
-}
-
 // Rank returns the rank of m. The computation works on a copy.
 func (m Mat) Rank() int {
 	work := m.Clone()
@@ -214,19 +203,6 @@ func (m Mat) Inverse() (Mat, bool) {
 		}
 	}
 	return inv, true
-}
-
-// IsIdentity reports whether m is a square identity matrix.
-func (m Mat) IsIdentity() bool {
-	if len(m.rows) != m.cols {
-		return false
-	}
-	for i, r := range m.rows {
-		if r.PopCount() != 1 || r.Bit(i) != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix one row per line.

@@ -19,9 +19,22 @@ func randMat(src *prng.Source, r, c int) Mat {
 	return m
 }
 
+// isIdentity reports whether m is a square identity matrix.
+func isIdentity(m Mat) bool {
+	if len(m.rows) != m.cols {
+		return false
+	}
+	for i, r := range m.rows {
+		if r.PopCount() != 1 || r.Bit(i) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestIdentityProperties(t *testing.T) {
 	id := Identity(10)
-	if !id.IsIdentity() {
+	if !isIdentity(id) {
 		t.Fatal("Identity not recognised")
 	}
 	if id.Rank() != 10 {
@@ -96,14 +109,6 @@ func TestPowAdditivity(t *testing.T) {
 	}
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	src := prng.New(9)
-	m := randMat(src, 14, 31)
-	if !m.Transpose().Transpose().Equal(m) {
-		t.Error("transpose not an involution")
-	}
-}
-
 func TestRankBounds(t *testing.T) {
 	src := prng.New(21)
 	m := randMat(src, 20, 35)
@@ -131,7 +136,7 @@ func TestInverseRoundTrip(t *testing.T) {
 			continue
 		}
 		found++
-		if !m.Mul(inv).IsIdentity() || !inv.Mul(m).IsIdentity() {
+		if !isIdentity(m.Mul(inv)) || !isIdentity(inv.Mul(m)) {
 			t.Fatal("inverse round trip failed")
 		}
 	}

@@ -1,19 +1,19 @@
 package gf2
 
 // The naive consistency oracle of the incremental solver. Production code
-// tests systems only through ReducedTable.CheckSystem and commits them with
-// Add; these methods re-eliminate every equation against the full basis,
-// so the tests and FuzzSolver compare the reduced path against them.
+// tests systems only through CheckRows and ProjectedTable.CheckSystem and
+// commits them with Add; these methods re-eliminate every equation against
+// the full basis pivot by pivot, so the tests and FuzzSolver compare the
+// production paths against them.
 
 // Check tests whether the system eqs is consistent with the basis without
 // mutating the basis. It returns the rank increase the system would cause
 // and whether it is consistent. Equations within eqs may depend on each
 // other; the overlay in scratch tracks that.
 //
-// Check re-eliminates every equation against the full basis; when the
-// coefficient rows come from a fixed table that is probed repeatedly as the
-// basis grows (the encoder's candidate scan), ReducedTable.CheckSystem does
-// the same test in O(spec) by caching reduced rows.
+// Check re-eliminates every equation against the full basis, one pivot
+// hit at a time; CheckRows does the same test on rows of a fixed table in
+// one pass over each row's hits.
 func (s *Solver) Check(eqs []Equation, scratch *CheckScratch) (rankIncrease int, consistent bool) {
 	scratch.init(s.n)
 	defer scratch.release()
@@ -93,4 +93,21 @@ func (s *Solver) Pivots() []int {
 		}
 	}
 	return ps
+}
+
+// clone returns an independent deep copy of the solver, the oracle a test
+// commits to when it must leave the original untouched.
+func (s *Solver) clone() *Solver {
+	return &Solver{
+		n:       s.n,
+		words:   s.words,
+		basis:   append([]uint64(nil), s.basis...),
+		occ:     append([]bool(nil), s.occ...),
+		rhs:     append([]uint8(nil), s.rhs...),
+		rank:    s.rank,
+		piv:     s.piv.Clone(),
+		order:   append([]int(nil), s.order...),
+		gen:     s.gen,
+		scratch: NewVec(s.n),
+	}
 }

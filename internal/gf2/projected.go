@@ -12,17 +12,18 @@ const ProjectedFree = wordBits - 1
 
 // ProjectedTable caches a RowSet's rows in the free coordinates of a
 // solver's basis, one word per row, for bases with at most ProjectedFree
-// free variables. Bit i of row c's word is c·Gens[i] and bit 63 is c·X0,
-// for the basis's affine form (see Affine) when the frame below was
-// fixed. That word is c's residual
-// modulo the basis restricted to the free columns, with the folded
-// right-hand side in bit 63: the residual is c ⊕ Σ basis rows, zero at
+// free variables; the encoder checks classical reseeding (L = 1) on it.
+// Bit i of row c's word is c·Gens[i] and bit 63 is c·X0, for the basis's
+// affine form (see Affine) when the frame below was fixed. That word is
+// c's residual modulo the basis (what reduceInto leaves of it) restricted
+// to the free columns, with the folded right-hand side in bit 63: the
+// residual is c ⊕ Σ basis rows, zero at
 // every pivot column, every basis row is orthogonal to every generator,
 // Gens[i] meets the residual's columns only at Free[i], and X0 is zero at
 // every free column while each basis row dots X0 to its right-hand side.
 // So a system over table rows has the same consistency and rank increase
-// in these coordinates as in ReducedTable.CheckSystem, and every row is
-// one word whatever the register width.
+// in these coordinates as in Solver.CheckRows, and every row is one word
+// whatever the register width.
 //
 // The first use in a solver generation fixes the frame: the basis's free
 // columns and affine form at that moment. Rows keep the frame's
@@ -146,11 +147,11 @@ func (pt *ProjectedTable) refresh(blk int) {
 	pt.tag[blk] = pt.stamp
 }
 
-// CheckSystem is ReducedTable.CheckSystem on projected rows: it tests
-// whether the system {(src row idx[k]+offset, rhs[k])} is consistent with
-// the solver's basis, without mutating it, and returns the rank increase
-// it would cause. Every equation is one word whatever the register width,
-// eliminated against checkSystem1's overlay in scratch, with the
+// CheckSystem is Solver.CheckRows on projected rows: it tests whether the
+// system {(src row idx[k]+offset, rhs[k])} is consistent with the
+// solver's basis, without mutating it, and returns the rank increase it
+// would cause. Every equation is one word whatever the register width,
+// eliminated against checkRows1's overlay in scratch, with the
 // right-hand side carried in bit 63. The basis must have at most
 // ProjectedFree free variables. It allocates nothing.
 func (pt *ProjectedTable) CheckSystem(idx []int32, offset int32, rhs []uint8, sc *CheckScratch) (rankIncrease int, consistent bool) {

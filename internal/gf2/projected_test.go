@@ -19,15 +19,16 @@ func (pt *ProjectedTable) row(i int) uint64 {
 
 // projectedError checks the identity ProjectedTable rests on for every row
 // of pt's source: its projected word, in the coordinates of the
-// generation's frame, equals the row's ReducedTable residual restricted to
-// the frame's columns, bit 63 equals the folded right-hand side, and the
-// bits past the frame are clear. Rows are read in the order given, so a
-// caller can leave blocks stale across several commits before reading
-// them.
-func projectedError(pt *ProjectedTable, rt *ReducedTable, order []int) error {
+// generation's frame, equals the row's residual modulo the basis
+// (reduceInto on the source row) restricted to the frame's columns, bit 63
+// equals the folded right-hand side, and the bits past the frame are
+// clear. Rows are read in the order given, so a caller can leave blocks
+// stale across several commits before reading them.
+func projectedError(pt *ProjectedTable, order []int) error {
+	res := NewVec(pt.s.n)
 	for _, i := range order {
 		got := pt.row(i)
-		res, delta := rt.Residual(i)
+		delta := pt.s.reduceInto(res, Equation{Coeffs: pt.src.Row(i)})
 		want := uint64(delta) << ProjectedFree
 		for b, f := range pt.frame.Free {
 			want |= uint64(res.Bit(f)) << uint(b)
@@ -44,18 +45,17 @@ func projectedError(pt *ProjectedTable, rt *ReducedTable, order []int) error {
 // rows. On random bases at register widths of one, two and three words,
 // from the first basis with at most ProjectedFree free variables to full
 // rank and over two generations, every row's projected word must equal
-// its reduced residual on the frame's columns with the folded right-hand
+// its residual on the frame's columns with the folded right-hand
 // side in bit 63 (projectedError), whether read right after each commit
 // or left stale over several. ProjectedTable.CheckSystem must agree with
-// ReducedTable.CheckSystem on random subsystems, and the rank increase it
-// reports for a committed system must be the one adding it causes.
+// Solver.CheckRows on random subsystems, and the rank increase it reports
+// for a committed system must be the one adding it causes.
 func TestProjectedMatchesResidual(t *testing.T) {
 	for _, n := range []int{24, 64, 85, 130} {
 		src := prng.New(uint64(n) * 11)
 		const count = 150 // two full blocks and a partial one
 		rs, eqs := randRowSet(src, n, count)
 		s := NewSolver(n)
-		rt := NewReducedTable(s, rs)
 		pt := NewProjectedTable(s, rs)
 		var scR, scP CheckScratch
 		all := src.Perm(count)
@@ -71,7 +71,7 @@ func TestProjectedMatchesResidual(t *testing.T) {
 				if step%3 != 2 {
 					order = all[:src.Intn(count/4)] // the rest go stale
 				}
-				if err := projectedError(pt, rt, order); err != nil {
+				if err := projectedError(pt, order); err != nil {
 					t.Fatalf("n=%d round %d step %d: %v", n, round, step, err)
 				}
 				k := 1 + src.Intn(8)
@@ -85,10 +85,10 @@ func TestProjectedMatchesResidual(t *testing.T) {
 						rhs[i] = eqs[ri].Coeffs.Dot(hidden)
 					}
 				}
-				wantInc, wantOK := rt.CheckSystem(idx, 0, rhs, &scR)
+				wantInc, wantOK := s.CheckRows(rs, idx, 0, rhs, &scR)
 				gotInc, gotOK := pt.CheckSystem(idx, 0, rhs, &scP)
 				if gotInc != wantInc || gotOK != wantOK {
-					t.Fatalf("n=%d round %d step %d: projected check (%d,%v), reduced (%d,%v)",
+					t.Fatalf("n=%d round %d step %d: projected check (%d,%v), CheckRows (%d,%v)",
 						n, round, step, gotInc, gotOK, wantInc, wantOK)
 				}
 				if !wantOK {
@@ -114,7 +114,7 @@ func TestProjectedMatchesResidual(t *testing.T) {
 					s.Add(Equation{Coeffs: c, RHS: c.Dot(hidden)})
 				}
 			}
-			if err := projectedError(pt, rt, all); err != nil {
+			if err := projectedError(pt, all); err != nil {
 				t.Fatalf("n=%d round %d full rank: %v", n, round, err)
 			}
 		}

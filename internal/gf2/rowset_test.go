@@ -24,10 +24,9 @@ func randRowSet(src *prng.Source, n, count int) (RowSet, []Equation) {
 }
 
 // TestCheckSystemAgreesWithCheck drives a solver through interleaved
-// commits, resets and checks and asserts that ReducedTable.CheckSystem
-// returns exactly what the naive Solver.Check returns for the same rows —
-// including after multi-epoch catch-ups (rows left stale over several
-// basis additions) and across generations.
+// commits, resets and checks and asserts that Solver.CheckRows returns
+// exactly what the naive Solver.Check returns for the same rows, on
+// registers of one and two words.
 func TestCheckSystemAgreesWithCheck(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		src := prng.New(seed*2718 + 1)
@@ -35,13 +34,12 @@ func TestCheckSystemAgreesWithCheck(t *testing.T) {
 		count := 4 + src.Intn(40)
 		rs, eqs := randRowSet(src, n, count)
 		s := NewSolver(n)
-		rt := NewReducedTable(s, rs)
 		var scN, scR CheckScratch
 		for step := 0; step < 60; step++ {
 			switch src.Intn(10) {
 			case 0: // reset: new seed computation begins
 				s.Reset()
-			case 1, 2: // commit a random row directly (ReducedTable not told)
+			case 1, 2: // commit a random row
 				s.Add(eqs[src.Intn(count)])
 			default: // check a random subsystem both ways
 				k := 1 + src.Intn(6)
@@ -55,9 +53,9 @@ func TestCheckSystemAgreesWithCheck(t *testing.T) {
 					sys[i] = eqs[ri]
 				}
 				wantInc, wantOK := s.Check(sys, &scN)
-				gotInc, gotOK := rt.CheckSystem(idx, 0, rhs, &scR)
+				gotInc, gotOK := s.CheckRows(rs, idx, 0, rhs, &scR)
 				if wantInc != gotInc || wantOK != gotOK {
-					t.Fatalf("seed %d step %d: CheckSystem (%d,%v) != Check (%d,%v)",
+					t.Fatalf("seed %d step %d: CheckRows (%d,%v) != Check (%d,%v)",
 						seed, step, gotInc, gotOK, wantInc, wantOK)
 				}
 			}
@@ -65,28 +63,35 @@ func TestCheckSystemAgreesWithCheck(t *testing.T) {
 	}
 }
 
-// TestResidualMatchesFreshReduction pins the cached residual and folded RHS
-// against reducing the source row from scratch.
+// TestResidualMatchesFreshReduction pins the one-pass reduction over pivot
+// hits (reduceInto, which CheckRows' word kernels repeat inline) against
+// re-eliminating the source row pivot by pivot until no pivot bit is
+// left, at register widths of one, two and three words: the residual and
+// the folded RHS must agree.
 func TestResidualMatchesFreshReduction(t *testing.T) {
-	src := prng.New(99)
-	n := 40
-	rs, _ := randRowSet(src, n, 25)
-	s := NewSolver(n)
-	rt := NewReducedTable(s, rs)
-	fresh := NewVec(n)
-	for step := 0; step < 40; step++ {
-		s.Add(Equation{Coeffs: randVec(src, n), RHS: src.Bit()})
-		// Touch a few rows; leave the rest stale for later multi-epoch catch-up.
-		for j := 0; j < 3; j++ {
-			i := src.Intn(25)
-			got, delta := rt.Residual(i)
-			wantDelta := s.reduceInto(fresh, Equation{Coeffs: rs.Row(i), RHS: 0})
-			if !got.Equal(fresh) {
-				t.Fatalf("step %d row %d: residual mismatch\n got %v\nwant %v", step, i, got, fresh)
-			}
-			// delta is defined by: equation (row, rhs) reduces to RHS rhs ⊕ delta.
-			if delta != wantDelta {
-				t.Fatalf("step %d row %d: delta %d, want %d", step, i, delta, wantDelta)
+	for _, n := range []int{40, 85, 130} {
+		src := prng.New(99)
+		rs, _ := randRowSet(src, n, 25)
+		s := NewSolver(n)
+		got, fresh := NewVec(n), NewVec(n)
+		for step := 0; step < 40; step++ {
+			s.Add(Equation{Coeffs: randVec(src, n), RHS: src.Bit()})
+			for j := 0; j < 3; j++ {
+				i := src.Intn(25)
+				delta := s.reduceInto(got, Equation{Coeffs: rs.Row(i), RHS: 0})
+				fresh.CopyFrom(rs.Row(i))
+				var wantDelta uint8
+				for b := fresh.FirstSetAnd(s.piv); b >= 0; b = fresh.FirstSetAnd(s.piv) {
+					fresh.Xor(s.row(b))
+					wantDelta ^= s.rhs[b]
+				}
+				if !got.Equal(fresh) {
+					t.Fatalf("n=%d step %d row %d: residual mismatch\n got %v\nwant %v", n, step, i, got, fresh)
+				}
+				// delta is defined by: equation (row, rhs) reduces to RHS rhs ⊕ delta.
+				if delta != wantDelta {
+					t.Fatalf("n=%d step %d row %d: delta %d, want %d", n, step, i, delta, wantDelta)
+				}
 			}
 		}
 	}
@@ -100,7 +105,6 @@ func TestCheckSystemOffset(t *testing.T) {
 	rs, eqs := randRowSet(src, n, 12)
 	s := NewSolver(n)
 	s.Add(eqs[0])
-	rt := NewReducedTable(s, rs)
 	var sc CheckScratch
 	for off := int32(0); off < 8; off++ {
 		idx := []int32{0, 1, 2, 3}
@@ -108,7 +112,7 @@ func TestCheckSystemOffset(t *testing.T) {
 		sys := []Equation{eqs[off], eqs[off+1], eqs[off+2], eqs[off+3]}
 		var scN CheckScratch
 		wantInc, wantOK := s.Check(sys, &scN)
-		gotInc, gotOK := rt.CheckSystem(idx, off, rhs, &sc)
+		gotInc, gotOK := s.CheckRows(rs, idx, off, rhs, &sc)
 		if wantInc != gotInc || wantOK != gotOK {
 			t.Fatalf("offset %d: (%d,%v) != (%d,%v)", off, gotInc, gotOK, wantInc, wantOK)
 		}
@@ -116,7 +120,7 @@ func TestCheckSystemOffset(t *testing.T) {
 }
 
 // TestCheckSystemNoAllocs guards the scan's hot path: after one warm-up
-// check, CheckSystem allocates nothing on the 1-word (n = 24), 2-word
+// check, CheckRows allocates nothing on the 1-word (n = 24), 2-word
 // (n = 85) and generic (n = 130) kernels. The systems are consistent with
 // a hidden solution, so every row is folded and the overlay fills.
 func TestCheckSystemNoAllocs(t *testing.T) {
@@ -135,21 +139,20 @@ func TestCheckSystemNoAllocs(t *testing.T) {
 		for i := range idx {
 			idx[i] = int32(i)
 		}
-		rt := NewReducedTable(s, rs)
 		var sc CheckScratch
 		off := int32(0)
 		check := func() {
 			for i := range rhs {
 				rhs[i] = eqs[int(off)+i].Coeffs.Dot(hidden)
 			}
-			if _, ok := rt.CheckSystem(idx, off, rhs, &sc); !ok {
+			if _, ok := s.CheckRows(rs, idx, off, rhs, &sc); !ok {
 				t.Fatalf("n=%d offset %d: consistent system rejected", n, off)
 			}
 			off = (off + 1) % spec
 		}
 		check()
 		if allocs := testing.AllocsPerRun(100, check); allocs != 0 {
-			t.Errorf("n=%d: CheckSystem allocates %.1f times per check", n, allocs)
+			t.Errorf("n=%d: CheckRows allocates %.1f times per check", n, allocs)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func TestCheckDoesNotMutate(t *testing.T) {
 		coeffs := randVec(src, n)
 		s.Add(Equation{Coeffs: coeffs, RHS: src.Bit()})
 	}
-	before := s.Clone()
+	before := s.clone()
 	var sc CheckScratch
 	for i := 0; i < 20; i++ {
 		eqs := []Equation{
@@ -129,7 +129,7 @@ func TestCheckAgreesWithCloneAdd(t *testing.T) {
 		var sc CheckScratch
 		inc, ok := s.Check(eqs, &sc)
 
-		clone := s.Clone()
+		clone := s.clone()
 		allOK := true
 		added := 0
 		for _, e := range eqs {
@@ -177,7 +177,7 @@ func TestAddSystemAtomic(t *testing.T) {
 // basisRREFError reports the first basis row that breaks reduced
 // row-echelon form: each row's pivot must be its lowest set bit, and no
 // row may hold another row's pivot bit. The single-pass folds of
-// ReducedTable rely on exactly this.
+// reduceInto, CheckRows and ProjectedTable rely on exactly this.
 func basisRREFError(s *Solver) error {
 	for p := 0; p < s.n; p++ {
 		if !s.occ[p] {
@@ -337,9 +337,10 @@ func TestSolverPivots(t *testing.T) {
 }
 
 // BenchmarkSolverCheck compares the naive per-check re-elimination against
-// the reduced-basis path at the paper's register sizes (n=24 is s13207,
-// n=85 is s38417, the largest). The "reduced" variant is the encoder's hot
-// loop: a fixed table of rows probed repeatedly as the basis grows.
+// the row-table check at the paper's register sizes (n=24 is s13207, n=85
+// is s38417, the largest). The "rows" variant is the encoder's scalar
+// check: rows of a fixed table, each folded in one pass over its pivot
+// hits.
 func BenchmarkSolverCheck(b *testing.B) {
 	for _, n := range []int{24, 85} {
 		src := prng.New(1)
@@ -365,12 +366,12 @@ func BenchmarkSolverCheck(b *testing.B) {
 				s.Check(eqs, &sc)
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/reduced", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/rows", n), func(b *testing.B) {
 			b.ReportAllocs()
-			rt := NewReducedTable(s, NewRowSet(n, arena))
+			rows := NewRowSet(n, arena)
 			var sc CheckScratch
 			for i := 0; i < b.N; i++ {
-				rt.CheckSystem(idx, 0, rhs, &sc)
+				s.CheckRows(rows, idx, 0, rhs, &sc)
 			}
 		})
 	}

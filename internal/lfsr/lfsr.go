@@ -216,23 +216,3 @@ func (l *LFSR) SkipMatrix(k uint64) gf2.Mat {
 	l.mu.Unlock()
 	return m.Clone()
 }
-
-// Period runs the register from state 0...01 until it revisits the initial
-// state and returns the cycle length. Only intended for n small enough to
-// enumerate (tests use it to confirm maximal period 2^n - 1 for the curated
-// polynomials).
-func (l *LFSR) Period() uint64 {
-	init := gf2.NewVec(l.n)
-	init.SetBit(0, 1)
-	cur := init.Clone()
-	next := gf2.NewVec(l.n)
-	var count uint64
-	for {
-		l.StepInto(next, cur)
-		cur, next = next, cur
-		count++
-		if cur.Equal(init) {
-			return count
-		}
-	}
-}

@@ -287,15 +287,6 @@ func (p *PhaseShifter) checkState(state gf2.Vec) {
 	}
 }
 
-// ExprInto writes the symbolic expression of output o — the XOR of the cell
-// expressions — into dst (an n-bit scratch vector).
-func (p *PhaseShifter) ExprInto(dst gf2.Vec, sym *lfsr.Symbolic, o int) {
-	dst.Zero()
-	for _, c := range p.taps[o] {
-		dst.Xor(sym.Expr(c))
-	}
-}
-
 // XORGateCount returns the number of 2-input XOR gates a direct
 // implementation needs: taps-1 per output.
 func (p *PhaseShifter) XORGateCount() int {

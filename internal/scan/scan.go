@@ -33,10 +33,6 @@ func New(width, chains int) (Geometry, error) {
 // test vector.
 func (g Geometry) PaddedWidth() int { return g.Chains * g.Length }
 
-// CyclesPerVector returns the number of shift clocks needed to load one
-// vector: the chain length r.
-func (g Geometry) CyclesPerVector() int { return g.Length }
-
 // Cell maps a flat cube position to its (chain, position-in-chain) pair.
 // Cells are distributed chain-major: position p lives in chain p / Length at
 // depth p % Length.

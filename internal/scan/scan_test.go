@@ -13,9 +13,6 @@ func TestNewGeometry(t *testing.T) {
 	if g.PaddedWidth() != 704 {
 		t.Errorf("padded = %d", g.PaddedWidth())
 	}
-	if g.CyclesPerVector() != 22 {
-		t.Errorf("cycles = %d", g.CyclesPerVector())
-	}
 	if _, err := New(0, 32); err == nil {
 		t.Error("zero width accepted")
 	}
