@@ -100,38 +100,6 @@ func (c Cube) Matches(v gf2.Vec) bool {
 	return true
 }
 
-// CompatibleWith reports whether two cubes of equal width can be merged:
-// no position is specified in both with opposite values.
-func (c Cube) CompatibleWith(o Cube) bool {
-	if c.Width() != o.Width() {
-		return false
-	}
-	cm, cv := c.Mask.Words(), c.Value.Words()
-	om, ov := o.Mask.Words(), o.Value.Words()
-	for i := range cm {
-		if (cv[i]^ov[i])&cm[i]&om[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge returns the union of two compatible cubes. It panics if they
-// conflict; check CompatibleWith first.
-func (c Cube) Merge(o Cube) Cube {
-	if !c.CompatibleWith(o) {
-		panic("cube: merging incompatible cubes")
-	}
-	out := c.Clone()
-	mw, vw := out.Mask.Words(), out.Value.Words()
-	om, ov := o.Mask.Words(), o.Value.Words()
-	for i := range mw {
-		mw[i] |= om[i]
-		vw[i] |= ov[i]
-	}
-	return out
-}
-
 // String renders the cube as 0/1/x characters.
 func (c Cube) String() string {
 	var sb strings.Builder

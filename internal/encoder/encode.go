@@ -55,8 +55,10 @@ type Encoding struct {
 	// TableBuildTime is the wall time this encoding spent materialising
 	// symbolic tables and its equation index — only the index when
 	// Config.Tables already held the built arena — plus the column arena
-	// its scan builds when it first decides a window word bit-sliced, or,
-	// at L = 1, when it first checks on projected rows.
+	// its scan builds when it first decides a window word bit-sliced (at
+	// any L, an L = 1 tier with more than gf2.ProjectedFree free variables
+	// included), and, at L = 1, the projected rows it builds when it first
+	// checks on them.
 	TableBuildTime time.Duration
 }
 
@@ -125,23 +127,18 @@ type candidate struct {
 }
 
 // tierScan describes one scanned tier to scanTierHook: its cubes, the
-// still-feasible pairs it checks one position at a time, the window words
-// it decides bit-sliced, the basis's free variables, and whether the
-// per-position checks run on projected rows rather than Solver.CheckRows.
+// basis's free variables, and the tier's path with its work: the
+// still-feasible pairs it checks one position at a time on projected rows
+// (projected set), or the window words with a feasible position it
+// decides bit-sliced.
 type tierScan struct {
-	cubes, scalarPairs, slicedWords, free int
-	projected                             bool
+	cubes, projPairs, slicedWords, free int
+	projected                           bool
 }
 
 // scanTierHook, when non-nil, is called by every scanTier before it scans.
 // Tests set it to prove every scan path ran.
 var scanTierHook func(tierScan)
-
-// scanScalarOnly, when set, checks every still-feasible (cube, position)
-// pair by Solver.CheckRows on the basis, whatever the window length: no
-// word is decided bit-sliced and no pair is checked on projected rows, so
-// the scan becomes the oracle of both. Tests only.
-var scanScalarOnly bool
 
 // noPruning, when set, disables monotone feasibility pruning: every
 // position of the window stays in a cube's feasibility row for the whole
@@ -149,7 +146,7 @@ var scanScalarOnly bool
 var noPruning bool
 
 // checkStride is how many consistency checks the scan performs
-// between context polls. One scalar check costs tens of nanoseconds at
+// between context polls. One position's check costs tens of nanoseconds at
 // minimum, so polling every 256 checks keeps cancellation latency in the
 // tens of microseconds while the amortized poll cost stays below
 // measurement noise.
@@ -172,13 +169,15 @@ func (st *encodeState) pollCtx(checks int) bool {
 
 // encodeState is one encode's seed loop: the cubes still to place, their
 // feasible window positions, the seed's basis, and the scan's two
-// checkers. At L > 1 the scan decides each window word of a cube
-// bit-sliced (sliceWord), on plane blocks built from the column arena
-// cols; at L = 1 it checks the one position of each cube on the projected
-// rows proj while the basis has at most gf2.ProjectedFree free variables,
-// and by Solver.CheckRows on the expression table otherwise. A seed's
-// first cube, and every probe of the fresh-window screen, is checked by
-// CheckRows at rank 0.
+// checkers. At L > 1, and at L = 1 while the basis has more than
+// gf2.ProjectedFree free variables, the scan decides each window word of
+// a cube bit-sliced (sliceWord), on plane blocks built from the column
+// arena cols; otherwise (L = 1) it checks the one position of each cube
+// on the projected rows proj. Solver.Add is the one way a constraint
+// enters the basis: a seed's first cube, and every probe of the
+// fresh-window screen, is probed at rank 0 by adding its equations to an
+// empty basis (firstSolvable), and every later cube is committed the same
+// way (commit).
 type encodeState struct {
 	ctx   context.Context
 	table *ExprTable
@@ -200,23 +199,23 @@ type encodeState struct {
 	feasible  []uint64
 	feasWords int
 
-	// solver holds the seed's basis and scratch the scalar checks'
-	// elimination scratch; tick amortizes context polls across
+	// solver holds the seed's basis; tick amortizes context polls across
 	// checkStride consistency checks.
-	solver  *gf2.Solver
-	scratch gf2.CheckScratch
-	tick    int
-	checks  int64
+	solver *gf2.Solver
+	tick   int
+	checks int64
 
 	// proj holds the expression rows in the basis's free coordinates for
-	// classical reseeding, built on the encode's first projected check;
-	// project is set while the tier being scanned checks on it. sliced is
-	// set while it decides window words bit-sliced: at every L > 1.
-	proj            *gf2.ProjectedTable
-	project, sliced bool
+	// classical reseeding, built on the encode's first projected check.
+	// sliced is set while the tier being scanned decides window words
+	// bit-sliced: at every L > 1, and at L = 1 above gf2.ProjectedFree
+	// free variables; the tier checks on proj otherwise.
+	proj   *gf2.ProjectedTable
+	sliced bool
 
 	// epoch names the current basis: it moves on whenever the basis
-	// changes (a seed's Reset, or a commit that raises the rank), and a
+	// changes (a seed's first cube, committed by its probe on a reset
+	// basis, or a later commit that raises the rank), and a
 	// plane block is current while it carries it. aff is the
 	// basis's affine form (free variables, null-space generators and
 	// zero-fill solution), current while affEpoch == epoch; free is the
@@ -304,15 +303,15 @@ func encodeWithTable(ctx context.Context, cfg Config, set *cube.Set, table *Expr
 
 // screen rejects an unencodable cube set before any seed is built: it
 // probes every cube, densest first, at positions 0..L−1 of a fresh window
-// until one is solvable. Constraints only grow, so a cube with no solvable
-// position in a fresh window is never committed; it stays remaining until
-// it becomes some seed's first cube, and the first such cube in order is
-// the one the seed loop would report. screen returns that exact error
+// (firstSolvable, on the seed loop's basis) until one is solvable.
+// Constraints only grow, so a cube with no solvable position in a fresh
+// window is never committed; it stays remaining until it becomes some
+// seed's first cube, and the first such cube in order is the one the seed
+// loop would report. screen returns that exact error
 // without paying for the seeds that would precede it — the whole cost of
 // a phase-shifter variant that turns out unencodable. Its probes are not
 // counted in ChecksPerformed, which stays the seed loop's effort.
 func (st *encodeState) screen() error {
-	st.solver.Reset()
 	for _, ci := range st.order {
 		pos, _, err := st.firstSolvable(ci)
 		if err != nil {
@@ -325,29 +324,46 @@ func (st *encodeState) screen() error {
 	return nil
 }
 
-// firstSolvable probes cube ci at window positions 0, 1, … against the
-// current basis and returns the first solvable position (-1 if none) with
-// the number of consistency checks performed, or the context's error if
-// the encode was cancelled.
+// firstSolvable probes cube ci at window positions 0, 1, … of a fresh
+// window: each probe resets the basis and adds the cube's equations at
+// that position through Solver.Add, and an inconsistency moves on to the
+// next position. It returns the first solvable position, with the cube's
+// system at that position left committed as the whole basis, or -1 if
+// none is, with the number of probes performed (one check each), or the
+// context's error if the encode was cancelled.
 func (st *encodeState) firstSolvable(ci int) (pos int, checks int64, err error) {
 	for p := 0; p < st.L; p++ {
 		if st.pollCtx(1) {
 			return -1, checks, st.ctx.Err()
 		}
 		checks++
-		if _, ok := st.solver.CheckRows(st.table.Rows(), st.sys.base[ci], int32(p), st.sys.rhs[ci], &st.scratch); ok {
+		st.solver.Reset()
+		if st.add(ci, p) {
 			return p, checks, nil
 		}
 	}
 	return -1, checks, nil
 }
 
+// add folds the equations of cube ci at window position pos into the
+// basis through Solver.Add, one per specified bit, and reports whether
+// they were consistent. On an inconsistency the equations before it stay
+// folded in.
+func (st *encodeState) add(ci, pos int) bool {
+	rows := st.table.Rows()
+	rhs := st.sys.rhs[ci]
+	for k, b := range st.sys.base[ci] {
+		if _, ok := st.solver.Add(gf2.Equation{Coeffs: rows.Row(int(b) + pos), RHS: rhs[k]}); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // buildSeed constructs one seed: it commits the densest remaining cube at
 // the earliest solvable window position, then greedily folds in more cubes
 // per the paper's criteria until nothing else fits.
 func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
-	st.solver.Reset()
-	st.epoch++
 	for ci, rem := range st.remaining {
 		if rem {
 			feas := st.feasRow(ci)
@@ -362,7 +378,8 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	var seed Seed
 
 	// First cube: densest remaining, at the first solvable position
-	// (position 0 in the common case the paper assumes).
+	// (position 0 in the common case the paper assumes). Its probe leaves
+	// it committed on a fresh basis, so the seed's plane blocks are stale.
 	first := -1
 	for _, ci := range st.order {
 		if st.remaining[ci] {
@@ -378,7 +395,8 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 	if firstPos < 0 {
 		panic("encoder: a screened cube has no solvable position in a fresh window")
 	}
-	st.commit(first, firstPos, &seed)
+	st.epoch++
+	st.record(first, firstPos, &seed)
 
 	for {
 		cand, ok, err := st.scanTiers()
@@ -397,25 +415,28 @@ func (st *encodeState) buildSeed(fill *prng.Source) (Seed, error) {
 }
 
 // commit folds the system of cube ci at window position pos into the
-// basis and records the assignment. The system was verified consistent by
-// the check that nominated it, against this same basis, so each equation
-// is added directly; an inconsistency is a bug. On a determined seed the
-// system adds nothing to the basis, so only the assignment is recorded,
-// and the seed's plane blocks stay current.
+// basis (add) and records the assignment. The system was verified
+// consistent by the check that nominated it, against this same basis, so
+// an inconsistency is a bug. A commit that raises the rank moves the
+// epoch on; on a determined seed the system adds nothing to the basis, so
+// only the assignment is recorded, and the seed's plane blocks stay
+// current. A seed's first cube is committed by its probe and only
+// recorded.
 func (st *encodeState) commit(ci, pos int, seed *Seed) {
 	if st.solver.FreeVars() > 0 {
 		rank := st.solver.Rank()
-		base, rhs := st.sys.base[ci], st.sys.rhs[ci]
-		rows := st.table.Rows()
-		for k, b := range base {
-			if _, ok := st.solver.Add(gf2.Equation{Coeffs: rows.Row(int(b) + pos), RHS: rhs[k]}); !ok {
-				panic("encoder: committing a system that was just verified solvable")
-			}
+		if !st.add(ci, pos) {
+			panic("encoder: committing a system that was just verified solvable")
 		}
 		if st.solver.Rank() != rank {
 			st.epoch++
 		}
 	}
+	st.record(ci, pos, seed)
+}
+
+// record appends cube ci's assignment at pos to seed and retires the cube.
+func (st *encodeState) record(ci, pos int, seed *Seed) {
 	seed.Assignments = append(seed.Assignments, Assignment{Cube: ci, Pos: pos})
 	st.remaining[ci] = false
 	st.nRemain--
@@ -461,17 +482,15 @@ func (st *encodeState) feasRow(ci int) []uint64 {
 
 // scanCube probes every still-feasible position of one cube in ascending
 // window words. In a tier that slices, each word is decided in one
-// sliceWord call, all its positions at once; otherwise each position is
-// checked on its own, on the projected rows in a tier that projects and
-// by Solver.CheckRows otherwise. Positions proven unsolvable are pruned
-// for the rest of this seed's construction (constraints only grow, so
-// unsolvable stays unsolvable); under noPruning the row keeps every
-// position of the window set. Either way each feasible position counts as
+// sliceWord call, all its positions at once; otherwise (L = 1) the one
+// position is checked on the projected rows. Positions proven unsolvable
+// are pruned for the rest of this seed's construction (constraints only
+// grow, so unsolvable stays unsolvable); under noPruning the row keeps
+// every position of the window set. Either way each feasible position counts as
 // one check. A poll that finds the encode cancelled sets stop and ends
 // the scan; the caller discards the tier's candidates.
 func (st *encodeState) scanCube(ci int, out *[]candidate) {
 	feas := st.feasRow(ci)
-	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
 	for wi, f := range feas {
 		if f == 0 {
 			continue
@@ -491,13 +510,7 @@ func (st *encodeState) scanCube(ci int, out *[]candidate) {
 			}
 			st.checks++
 			p := wi*64 + b
-			var inc int
-			var ok bool
-			if st.project {
-				inc, ok = st.proj.CheckSystem(base, int32(p), rhs, &st.scratch)
-			} else {
-				inc, ok = st.solver.CheckRows(st.table.Rows(), base, int32(p), rhs, &st.scratch)
-			}
+			inc, ok := st.proj.CheckSystem(st.sys.base[ci], int32(p), st.sys.rhs[ci])
 			if !ok {
 				if !noPruning {
 					feas[wi] &^= 1 << uint(b)
@@ -663,21 +676,21 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 		results[ti] = results[ti][:0]
 	}
 	st.free = st.solver.FreeVars()
-	st.sliced = st.L > 1 && !scanScalarOnly
 	// Classical reseeding checks on projected rows once a seed's first
-	// commit leaves at most gf2.ProjectedFree free variables.
-	if st.project = st.L == 1 && !scanScalarOnly && st.free <= gf2.ProjectedFree; st.project && st.proj == nil {
+	// commit leaves at most gf2.ProjectedFree free variables, and slices
+	// one lane per word before that.
+	if st.sliced = st.L > 1 || st.free > gf2.ProjectedFree; !st.sliced && st.proj == nil {
 		t0 := time.Now()
 		st.proj = gf2.NewProjectedTable(st.solver, st.table.Rows())
 		st.colBuild += time.Since(t0)
 	}
 	if scanTierHook != nil {
-		ts := tierScan{cubes: len(tier), free: st.free, projected: st.project}
+		ts := tierScan{cubes: len(tier), free: st.free, projected: !st.sliced}
 		for _, ci := range tier {
 			for _, w := range st.feasRow(ci) {
 				switch lanes := bits.OnesCount64(w); {
 				case !st.sliced:
-					ts.scalarPairs += lanes
+					ts.projPairs += lanes
 				case lanes > 0:
 					ts.slicedWords++
 				}

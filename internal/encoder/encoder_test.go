@@ -166,16 +166,16 @@ func TestEncodeDeterministic(t *testing.T) {
 
 // TestEncodeScanPaths proves through scanTierHook that the path follows
 // the window length alone at L = 12 and L = 32: window words are decided
-// bit-sliced below full rank and at it, and no tier checks a pair one
-// position at a time, however few positions a word still holds. The same
-// encode with every pair on the scalar CheckRows path (scanScalarOnly)
-// must be identical: seeds, assignments and ChecksPerformed.
+// bit-sliced below full rank and at it, and no tier checks a pair on
+// projected rows, however few positions a word still holds. The encode
+// must match the reference greedy (refEncode): seeds, assignments, seed
+// values and ChecksPerformed.
 func TestEncodeScanPaths(t *testing.T) {
 	set := genSet(t, "s38417", 0)
-	var scalar, slicedFree, slicedFull int
+	var projected, slicedFree, slicedFull int
 	scanTierHook = func(ts tierScan) {
-		if ts.scalarPairs > 0 {
-			scalar++
+		if ts.projected {
+			projected++
 		}
 		if ts.slicedWords > 0 && ts.free > 0 {
 			slicedFree++
@@ -184,24 +184,15 @@ func TestEncodeScanPaths(t *testing.T) {
 			slicedFull++
 		}
 	}
-	t.Cleanup(func() { scanTierHook, scanScalarOnly = nil, false })
+	t.Cleanup(func() { scanTierHook = nil })
 	for _, L := range []int{12, 32} {
 		cfg := smallConfig(t, 32, set.Width, 8, L)
-		scanScalarOnly = true
-		want, err := EncodeCtx(context.Background(), cfg, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scanScalarOnly = false
-		scalar, slicedFree, slicedFull = 0, 0, 0
+		projected, slicedFree, slicedFull = 0, 0, 0
 		got, err := EncodeCtx(context.Background(), cfg, set)
-		if err != nil {
-			t.Fatalf("L=%d: %v", L, err)
-		}
-		assertEncodingsIdentical(t, fmt.Sprintf("L=%d scan vs scalar-only", L), want, got)
-		if scalar > 0 || slicedFree == 0 || slicedFull == 0 {
-			t.Errorf("L=%d: %d tiers with pairs checked one position at a time, %d with sliced words below full rank, %d at full rank; want none, some and some",
-				L, scalar, slicedFree, slicedFull)
+		assertMatchesReference(t, fmt.Sprintf("L=%d encode vs reference", L), refEncode(t, cfg, set), got, err, false)
+		if projected > 0 || slicedFree == 0 || slicedFull == 0 {
+			t.Errorf("L=%d: %d tiers checked on projected rows, %d with sliced words below full rank, %d at full rank; want none, some and some",
+				L, projected, slicedFree, slicedFull)
 		}
 	}
 }

@@ -16,7 +16,10 @@ import (
 	"repro/internal/scan"
 )
 
-// formConfig is StandardConfigVariant with a choice of register form.
+// formConfig is StandardConfigVariant with a choice of register form. A
+// register of at most 8 cells has too few states to keep its outputs'
+// sequences apart over a window, and the encoder does not need them
+// apart: there, chain ch XORs cells ch and ch+1 (mod n).
 func formConfig(t testing.TB, form lfsr.Form, n, width, chains, L int, variant uint64) Config {
 	t.Helper()
 	l, err := lfsr.NewStandard(form, n)
@@ -27,7 +30,16 @@ func formConfig(t testing.TB, form lfsr.Form, n, width, chains, L int, variant u
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := phaseshifter.NewSeparatedVariant(l, chains, L*geo.Length, variant)
+	var ps *phaseshifter.PhaseShifter
+	if n <= 8 {
+		taps := make([][]int, chains)
+		for ch := range taps {
+			taps[ch] = []int{ch % n, (ch + 1) % n}
+		}
+		ps, err = phaseshifter.New(n, taps)
+	} else {
+		ps, err = phaseshifter.NewSeparatedVariant(l, chains, L*geo.Length, variant)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,63 +75,49 @@ func randomCubes(src *prng.Source, cfg Config, count, minSpec, maxSpec int) *cub
 }
 
 // scanPaths counts the scan paths one encode's tiers took: window words
-// decided bit-sliced below full rank and at full rank, pairs checked one
-// position at a time, and of those the pairs checked on projected rows
-// below full rank and at it, and the pairs Solver.CheckRows checked at
-// L = 1 because the basis had more than gf2.ProjectedFree free variables.
+// decided bit-sliced below full rank and at it, pairs checked on projected
+// rows below full rank and at it, and the words an L = 1 tier decided
+// bit-sliced because the basis had more than gf2.ProjectedFree free
+// variables.
 type scanPaths struct {
-	slicedFree, slicedFull, scalarPairs int
-	projFree, projFull, wide            int
+	slicedFree, slicedFull, projFree, projFull, wide int
 }
 
 // add accumulates another encode's paths.
 func (p *scanPaths) add(q scanPaths) {
 	p.slicedFree += q.slicedFree
 	p.slicedFull += q.slicedFull
-	p.scalarPairs += q.scalarPairs
 	p.projFree += q.projFree
 	p.projFull += q.projFull
 	p.wide += q.wide
 }
 
-// encodeScan encodes set under cfg, on the scalar CheckRows path alone
-// when scalar is set, and returns the result, the paths the encode took
-// and its error. Under the scalar oracle, any word decided bit-sliced or
-// checked on projected rows fails t. Under the choice of path by window
-// length, so does any pair an L > 1 tier checks one position at a time,
-// and any pair an L = 1 tier leaves on CheckRows with at most
-// gf2.ProjectedFree free variables.
-func encodeScan(t testing.TB, cfg Config, set *cube.Set, scalar bool) (enc *Encoding, paths scanPaths, err error) {
+// encodeScan encodes set under cfg and returns the result, the paths the
+// encode took and its error. A tier off the path its window length and
+// free variables choose fails t: an L > 1 tier that checks on projected
+// rows, and an L = 1 tier that slices with at most gf2.ProjectedFree free
+// variables.
+func encodeScan(t testing.TB, cfg Config, set *cube.Set) (enc *Encoding, paths scanPaths, err error) {
 	t.Helper()
-	defer func() { scanTierHook, scanScalarOnly = nil, false }()
+	defer func() { scanTierHook = nil }()
 	scanTierHook = func(ts tierScan) {
-		paths.scalarPairs += ts.scalarPairs
 		switch {
-		case ts.projected && scalar:
-			t.Errorf("scalar-only encode checked %d pairs on projected rows", ts.scalarPairs)
+		case ts.projected && cfg.WindowLen > 1:
+			t.Errorf("L = %d tier at %d free variables checked %d pairs on projected rows", cfg.WindowLen, ts.free, ts.projPairs)
 		case ts.projected && ts.free > 0:
-			paths.projFree += ts.scalarPairs
+			paths.projFree += ts.projPairs
 		case ts.projected:
-			paths.projFull += ts.scalarPairs
-		case scalar || ts.scalarPairs == 0:
-		case cfg.WindowLen > 1:
-			t.Errorf("L = %d tier at %d free variables checked %d pairs one position at a time", cfg.WindowLen, ts.free, ts.scalarPairs)
-		case ts.free > gf2.ProjectedFree:
-			paths.wide += ts.scalarPairs
-		default:
-			t.Errorf("L = 1 tier at %d free variables checked %d pairs by CheckRows", ts.free, ts.scalarPairs)
-		}
-		switch {
-		case ts.slicedWords == 0:
-		case scalar:
-			t.Errorf("scalar-only encode decided %d words bit-sliced", ts.slicedWords)
-		case ts.free > 0:
+			paths.projFull += ts.projPairs
+		case cfg.WindowLen > 1 && ts.free > 0:
 			paths.slicedFree += ts.slicedWords
-		default:
+		case cfg.WindowLen > 1:
 			paths.slicedFull += ts.slicedWords
+		case ts.free > gf2.ProjectedFree:
+			paths.wide += ts.slicedWords
+		default:
+			t.Errorf("L = 1 tier at %d free variables decided %d words bit-sliced", ts.free, ts.slicedWords)
 		}
 	}
-	scanScalarOnly = scalar
 	enc, err = EncodeCtx(context.Background(), cfg, set)
 	return enc, paths, err
 }
@@ -210,27 +208,26 @@ func TestPlanesMatchGeneration(t *testing.T) {
 	}
 }
 
-// TestFixedSeedScanMatchesSymbolic runs the candidate scan against its
-// scalar CheckRows path alone, the oracle, and requires identical
-// encodings — seeds, assignments, seed values and ChecksPerformed — across
-// register sizes of one and two words, both register forms, windows of
-// one to several plane words, and with pruning on and off (the noPruning
-// switch); the full one-word register, n = 64, at L = 1 only. Every
-// window of more than one position must decide words bit-sliced both
-// below full rank and at it, and check no pair one position at a time
-// (encodeScan); a classical (L = 1) encode must decide no word bit-sliced.
+// TestFixedSeedScanMatchesSymbolic runs the encoder against the reference
+// greedy (refEncode) and requires identical encodings — seeds,
+// assignments, seed values and ChecksPerformed — across register sizes of
+// one and two words, both register forms, windows of one to several plane
+// words, and with pruning on and off (the noPruning switch); the full
+// one-word register, n = 64, at L = 1 only. Every window of more than one
+// position must decide words bit-sliced both below full rank and at it,
+// and check no pair on projected rows (encodeScan).
 //
 // Classical reseeding also encodes a second set of 160 sparse cubes of one
-// specified count, a single tier of many pairs on the scalar path, which
-// sparse seeds check on projected rows. Over both sets, an L = 1 encode
-// must check on projected rows below full rank and at it, and at n = 85,
-// where a sparse seed's first commits leave more than gf2.ProjectedFree
-// free variables, must also check by CheckRows.
+// specified count, a single tier of many pairs, which sparse seeds check
+// on projected rows. Over both sets, an L = 1 encode must check on
+// projected rows below full rank and at it, and at n = 85, where a sparse
+// seed's first commits leave more than gf2.ProjectedFree free variables,
+// must also decide words bit-sliced, one lane each.
 func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 	t.Cleanup(func() { noPruning = false })
 	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
-		for _, n := range []int{24, 56, 64, 85} {
-			for _, L := range []int{1, 2, 20, 64, 65, 200} {
+		for _, n := range []int{8, 24, 56, 64, 85} {
+			for _, L := range []int{1, 2, 20, 63, 64, 65, 130, 200} {
 				if n == 64 && L > 1 {
 					continue
 				}
@@ -242,25 +239,20 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 					}
 					var measured scanPaths
 					for si, set := range sets {
+						ref := refEncode(t, cfg, set)
 						for _, noPruning = range []bool{false, true} {
-							slow, _, err := encodeScan(t, cfg, set, true)
-							if err != nil {
-								t.Fatalf("noPruning=%v: scalar-only: %v", noPruning, err)
-							}
 							label := fmt.Sprintf("set %d noPruning=%v", si, noPruning)
-							fast, paths, err := encodeScan(t, cfg, set, false)
+							enc, paths, err := encodeScan(t, cfg, set)
+							assertMatchesReference(t, label, ref, enc, err, noPruning)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
-							assertEncodingsIdentical(t, label, slow, fast)
 							measured.add(paths)
 							switch {
 							case si > 0:
 								// The sparse set's paths count only in total.
 							case L > 1 && (paths.slicedFree == 0 || paths.slicedFull == 0):
 								t.Fatalf("%s: %d sliced words below full rank, %d at full rank; want both", label, paths.slicedFree, paths.slicedFull)
-							case L == 1 && paths.slicedFree+paths.slicedFull > 0:
-								t.Fatalf("%s: a classical encode decided words bit-sliced", label)
 							}
 						}
 					}
@@ -270,9 +262,7 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 						t.Fatalf("%d projected pairs below full rank, %d at full rank; want both",
 							measured.projFree, measured.projFull)
 					case L == 1 && n-n/10 > gf2.ProjectedFree && measured.wide == 0:
-						t.Fatalf("no L = 1 pair checked by CheckRows at more than %d free variables", gf2.ProjectedFree)
-					case L > 1 && measured.projFree+measured.projFull > 0:
-						t.Fatalf("a %d-position window checked on projected rows", L)
+						t.Fatalf("no L = 1 word decided bit-sliced at more than %d free variables", gf2.ProjectedFree)
 					}
 				})
 			}
@@ -280,13 +270,13 @@ func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 	}
 }
 
-// FuzzEncodeFixedSeed compares the candidate scan, on the path its window
-// length chooses, with its scalar CheckRows path alone on random small
-// cube sets: both must return the same encoding, ChecksPerformed
-// included, or the same error. Every window of more than one position
-// decides its words bit-sliced; classical reseeding (L = 1) checks and
-// commits on projected rows once a seed's basis has at most
-// gf2.ProjectedFree free variables. full sets the noPruning switch.
+// FuzzEncodeFixedSeed compares the encoder, on the path its window length
+// and free variables choose, with the reference greedy (refEncode) on
+// random small cube sets: both must return the same encoding,
+// ChecksPerformed included, or both fail on the same cube. Every window of
+// more than one position decides its words bit-sliced; classical
+// reseeding (L = 1) checks on projected rows once a seed's basis has at
+// most gf2.ProjectedFree free variables. full sets the noPruning switch.
 func FuzzEncodeFixedSeed(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(3), uint8(20), false, false)
 	f.Add(uint64(7), uint8(2), uint8(0), uint8(12), true, false)
@@ -296,7 +286,7 @@ func FuzzEncodeFixedSeed(f *testing.F) {
 	f.Add(uint64(11), uint8(2), uint8(0), uint8(31), false, false)
 	f.Add(uint64(13), uint8(3), uint8(0), uint8(27), true, true)
 	f.Fuzz(func(t *testing.T, seed uint64, nSel, lSel, count uint8, galois, full bool) {
-		n := []int{24, 56, 85, 64}[int(nSel)%4]
+		n := []int{24, 56, 85, 64, 8}[int(nSel)%5]
 		L := 1 + int(lSel)%200
 		form := lfsr.Fibonacci
 		if galois {
@@ -306,23 +296,17 @@ func FuzzEncodeFixedSeed(f *testing.F) {
 		set := randomCubes(prng.New(seed), cfg, 1+int(count)%32, 1, n/2)
 		noPruning = full
 		defer func() { noPruning = false }()
-		slow, _, slowErr := encodeScan(t, cfg, set, true)
-		fast, _, fastErr := encodeScan(t, cfg, set, false)
-		if (fastErr == nil) != (slowErr == nil) || (fastErr != nil && fastErr.Error() != slowErr.Error()) {
-			t.Fatalf("err %v, scalar-only err %v", fastErr, slowErr)
-		}
-		if fastErr == nil {
-			assertEncodingsIdentical(t, "scan vs scalar-only", slow, fast)
-		}
+		enc, _, err := encodeScan(t, cfg, set)
+		assertMatchesReference(t, "encode vs reference", refEncode(t, cfg, set), enc, err, full)
 	})
 }
 
 // pollSite classifies a context poll by its caller and by the tier being
 // scanned: "sliced" from sliceWord at full rank, "sliced-free" below it,
-// "projected" from scanCube's per-position checks in a tier checked on
-// projected rows, "scalar" from the others, "other" from anywhere else
-// (the screen, a seed's first cube, the seed loop).
-func pollSite(free int, projected bool) string {
+// "projected" from scanCube's per-position checks on projected rows,
+// "other" from anywhere else (the screen, a seed's first cube, the seed
+// loop).
+func pollSite(free int) string {
 	pc := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
@@ -332,10 +316,8 @@ func pollSite(free int, projected bool) string {
 			return "sliced-free"
 		case strings.HasSuffix(fr.Function, ".sliceWord"):
 			return "sliced"
-		case strings.HasSuffix(fr.Function, ".scanCube") && projected:
-			return "projected"
 		case strings.HasSuffix(fr.Function, ".scanCube"):
-			return "scalar"
+			return "projected"
 		}
 		if !more {
 			return "other"
@@ -344,17 +326,16 @@ func pollSite(free int, projected bool) string {
 }
 
 // pollLog is a live context recording the site of each Err call, with the
-// free-variable count of the tier being scanned and whether it checks on
-// projected rows (set through scanTierHook).
+// free-variable count of the tier being scanned (set through
+// scanTierHook).
 type pollLog struct {
 	context.Context
-	free      int
-	projected bool
-	sites     []string
+	free  int
+	sites []string
 }
 
 func (c *pollLog) Err() error {
-	c.sites = append(c.sites, pollSite(c.free, c.projected))
+	c.sites = append(c.sites, pollSite(c.free))
 	return nil
 }
 
@@ -363,12 +344,13 @@ func (c *pollLog) Err() error {
 // full rank and at it, and on classical reseeding's projected rows — and
 // requires each cancel to stop the scan
 // with an error wrapping context.Canceled. It also checks EncodeCtx's
-// documented poll cadence: the scalar path, projected rows included,
-// polls once per checkStride checks, and a sliced word, which decides up
-// to 64 positions per step, never polls more often and at least once per
-// checkStride+63 checks. So an L = 1 encode polls exactly as often as the
-// scalar-only one. Every encode polls once per seed besides, and both
-// encodes of a configuration make the same seeds.
+// documented poll cadence against the checks the reference greedy counts,
+// the screen's probes included: checks made one position at a time,
+// projected rows included, poll once per checkStride checks, and a sliced
+// word, which decides up to 64 positions per step, never polls more often
+// and at least once per checkStride+63 checks. So an L = 1 encode polls
+// exactly once per checkStride checks. Every encode polls once per seed
+// besides.
 func TestEncodeCancelMidSeedLoop(t *testing.T) {
 	for _, tc := range []struct {
 		L, cubes int
@@ -389,33 +371,30 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// pollSites returns, per site, the indices of an uncancelled
-		// encode's polls, and how many polls came from the checks' cadence.
-		pollSites := func(scalar bool) (map[string][]int, int) {
-			log := &pollLog{Context: context.Background()}
-			scanScalarOnly = scalar
-			scanTierHook = func(ts tierScan) { log.free, log.projected = ts.free, ts.projected }
-			defer func() { scanTierHook, scanScalarOnly = nil, false }()
-			enc, err := EncodeCtx(log, cfg, set)
-			if err != nil {
-				t.Fatal(err)
-			}
-			at := map[string][]int{}
-			for i, s := range log.sites {
-				at[s] = append(at[s], i)
-			}
-			return at, len(log.sites) - len(enc.Seeds)
+		// The indices of an uncancelled encode's polls, per site.
+		log := &pollLog{Context: context.Background()}
+		scanTierHook = func(ts tierScan) { log.free = ts.free }
+		enc, err := EncodeCtx(log, cfg, set)
+		scanTierHook = nil
+		if err != nil {
+			t.Fatal(err)
 		}
-		fast, fastPolls := pollSites(false)
-		_, slowPolls := pollSites(true)
+		fast := map[string][]int{}
+		for i, s := range log.sites {
+			fast[s] = append(fast[s], i)
+		}
 		for _, site := range tc.sites {
 			if len(fast[site]) == 0 {
 				t.Fatalf("L=%d: no poll in %s checks; want polls in each of %v", tc.L, site, tc.sites)
 			}
 		}
-		if tc.L == 1 && fastPolls != slowPolls ||
-			fastPolls > slowPolls || fastPolls*(checkStride+63) < slowPolls*checkStride-(checkStride+63) {
-			t.Errorf("L=%d: encode polled %d times per its checks, scalar-only encode %d", tc.L, fastPolls, slowPolls)
+		ref := refEncode(t, cfg, set)
+		assertMatchesReference(t, fmt.Sprintf("L=%d", tc.L), ref, enc, nil, false)
+		checks := int(ref.screen + ref.checks)
+		polls := len(log.sites) - len(enc.Seeds)
+		if tc.L == 1 && polls != checks/checkStride ||
+			polls > checks/checkStride || polls*(checkStride+63) < checks-(checkStride+63) {
+			t.Errorf("L=%d: encode polled %d times per its checks, for %d checks", tc.L, polls, checks)
 		}
 
 		for _, site := range tc.sites {

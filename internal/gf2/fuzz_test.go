@@ -69,9 +69,9 @@ func (d *denseEliminator) satisfies(sol Vec) bool {
 	return true
 }
 
-// FuzzSolver cross-checks the incremental solver, its row-table check
-// (CheckRows) and, once a basis has at most ProjectedFree free variables,
-// its projected rows against the dense reference: for fuzzed row tables
+// FuzzSolver cross-checks the incremental solver, its naive Check and,
+// once a basis has at most ProjectedFree free variables, its projected
+// rows against the dense reference: for fuzzed row tables
 // and adversarial check/commit/reset interleavings, the consistency
 // verdict, the rank increase and the produced solution must all agree.
 // After every commit the basis's affine form (AffineInto) must describe
@@ -117,7 +117,6 @@ func FuzzSolver(f *testing.F) {
 			all[i] = i
 		}
 		ref := &denseEliminator{n: n}
-		var scN, scR, scP CheckScratch
 		var aff Affine
 
 		pos := 0
@@ -153,19 +152,14 @@ func FuzzSolver(f *testing.F) {
 				sys[i] = eqs[ri]
 			}
 			wantInc, wantOK := ref.check(sys)
-			gotInc, gotOK := s.Check(sys, &scN)
+			gotInc, gotOK := s.Check(sys)
 			if gotInc != wantInc || gotOK != wantOK {
 				t.Fatalf("step %d: Check (%d,%v) != dense (%d,%v)", step, gotInc, gotOK, wantInc, wantOK)
 			}
-			rowInc, rowOK := s.CheckRows(rs, idx, 0, rhs, &scR)
-			if rowInc != wantInc || rowOK != wantOK {
-				t.Fatalf("step %d: CheckRows (%d,%v) != dense (%d,%v)", step, rowInc, rowOK, wantInc, wantOK)
-			}
-			projected := s.FreeVars() <= ProjectedFree
-			if projected {
-				projInc, projOK := pt.CheckSystem(idx, 0, rhs, &scP)
-				if projInc != wantInc || projOK != wantOK {
-					t.Fatalf("step %d: projected CheckSystem (%d,%v) != dense (%d,%v)", step, projInc, projOK, wantInc, wantOK)
+			if s.FreeVars() <= ProjectedFree {
+				projInc, projOK := pt.CheckSystem(idx, 0, rhs)
+				if projInc != gotInc || projOK != gotOK {
+					t.Fatalf("step %d: projected CheckSystem (%d,%v) != Check (%d,%v)", step, projInc, projOK, gotInc, gotOK)
 				}
 			}
 			if wantOK && op%4 == 1 {

@@ -1,51 +1,65 @@
 package gf2
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // The naive consistency oracle of the incremental solver. Production code
-// tests systems only through CheckRows and ProjectedTable.CheckSystem and
-// commits them with Add; these methods re-eliminate every equation against
-// the full basis pivot by pivot, so the tests and FuzzSolver compare the
-// production paths against them.
+// tests systems only through ProjectedTable.CheckSystem and on the basis's
+// affine form, and commits them with Add; Check re-eliminates every
+// equation against the full basis pivot by pivot, so the tests and
+// FuzzSolver compare the production paths against it.
+
+// firstSetAnd returns the index of the lowest bit set in both v and mask,
+// or -1 if the intersection is empty. The lengths must match.
+func (v Vec) firstSetAnd(mask Vec) int {
+	if v.n != mask.n {
+		panic(fmt.Sprintf("gf2: firstSetAnd length mismatch %d != %d", v.n, mask.n))
+	}
+	for i, w := range v.words {
+		if x := w & mask.words[i]; x != 0 {
+			return i*wordBits + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
 
 // Check tests whether the system eqs is consistent with the basis without
 // mutating the basis. It returns the rank increase the system would cause
 // and whether it is consistent. Equations within eqs may depend on each
-// other; the overlay in scratch tracks that.
-//
-// Check re-eliminates every equation against the full basis, one pivot
-// hit at a time; CheckRows does the same test on rows of a fixed table in
-// one pass over each row's hits.
-func (s *Solver) Check(eqs []Equation, scratch *CheckScratch) (rankIncrease int, consistent bool) {
-	scratch.init(s.n)
-	defer scratch.release()
+// other; a local overlay, keyed by pivot, tracks that. Check allocates.
+func (s *Solver) Check(eqs []Equation) (rankIncrease int, consistent bool) {
+	overlay := make([]Vec, s.n)
+	overlayRHS := make([]uint8, s.n)
+	overlayMask := NewVec(s.n)
 	for _, eq := range eqs {
-		dst := scratch.getRow(s.n)
-		dst.CopyFrom(eq.Coeffs)
+		dst := eq.Coeffs.Clone()
 		r := eq.RHS & 1
 		// Reduce against the basis, then the overlay. Two phases suffice:
 		// overlay rows are stored fully reduced, so XORing them never
 		// reintroduces a basis-pivot bit.
-		for b := dst.FirstSetAnd(s.piv); b >= 0; b = dst.FirstSetAnd(s.piv) {
+		for b := dst.firstSetAnd(s.piv); b >= 0; b = dst.firstSetAnd(s.piv) {
 			dst.Xor(s.row(b))
 			r ^= s.rhs[b]
 		}
-		for b := dst.FirstSetAnd(scratch.overlayMask); b >= 0; b = dst.FirstSetAnd(scratch.overlayMask) {
-			dst.Xor(scratch.overlay[b])
-			r ^= scratch.overlayRHS[b]
+		for b := dst.firstSetAnd(overlayMask); b >= 0; b = dst.firstSetAnd(overlayMask) {
+			dst.Xor(overlay[b])
+			r ^= overlayRHS[b]
 		}
 		if dst.IsZero() {
 			if r != 0 {
 				return 0, false
 			}
-			scratch.rowPoolNext-- // recycle immediately
 			continue
 		}
 		p := dst.FirstSet()
-		scratch.overlay[p] = dst
-		scratch.overlayRHS[p] = r
-		scratch.overlayMask.SetBit(p, 1)
-		scratch.overlaySet = append(scratch.overlaySet, p)
+		overlay[p] = dst
+		overlayRHS[p] = r
+		overlayMask.SetBit(p, 1)
+		rankIncrease++
 	}
-	return len(scratch.overlaySet), true
+	return rankIncrease, true
 }
 
 // AddSystem folds a set of equations in atomically: either all equations
@@ -53,8 +67,7 @@ func (s *Solver) Check(eqs []Equation, scratch *CheckScratch) (rankIncrease int,
 // returning (rankIncrease, true) — or the system contradicts the basis and
 // the basis is left untouched, returning (0, false).
 func (s *Solver) AddSystem(eqs []Equation) (rankIncrease int, consistent bool) {
-	var sc CheckScratch
-	inc, ok := s.Check(eqs, &sc)
+	inc, ok := s.Check(eqs)
 	if !ok {
 		return 0, false
 	}

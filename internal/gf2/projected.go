@@ -22,8 +22,8 @@ const ProjectedFree = wordBits - 1
 // Gens[i] meets the residual's columns only at Free[i], and X0 is zero at
 // every free column while each basis row dots X0 to its right-hand side.
 // So a system over table rows has the same consistency and rank increase
-// in these coordinates as in Solver.CheckRows, and every row is one word
-// whatever the register width.
+// in these coordinates as against the basis itself, and every row is one
+// word whatever the register width.
 //
 // The first use in a solver generation fixes the frame: the basis's free
 // columns and affine form at that moment. Rows keep the frame's
@@ -37,9 +37,9 @@ const ProjectedFree = wordBits - 1
 // projected from its column words (RowSet.ColumnsInto) by one XorColumns
 // per generator and a Transpose64.
 //
-// CheckSystem writes the table to bring rows current, so a
-// ProjectedTable belongs to one goroutine, and must not be used
-// concurrently with basis mutations.
+// CheckSystem writes the table to bring rows current and eliminates in
+// the table's own overlay, so a ProjectedTable belongs to one goroutine,
+// and must not be used concurrently with basis mutations.
 type ProjectedTable struct {
 	s     *Solver
 	src   RowSet
@@ -57,6 +57,12 @@ type ProjectedTable struct {
 	index    []int
 	pivMask  uint64
 	q        [ProjectedFree]uint64
+
+	// ov is CheckSystem's overlay: the rows a system adds on top of the
+	// basis, keyed by pivot bit. A check reads only the entries its
+	// occupancy mask marks as written during that check, so entries left
+	// by earlier checks are never seen and never cleared.
+	ov [wordBits]uint64
 }
 
 // NewProjectedTable attaches a projected copy of src to solver s and
@@ -147,14 +153,16 @@ func (pt *ProjectedTable) refresh(blk int) {
 	pt.tag[blk] = pt.stamp
 }
 
-// CheckSystem is Solver.CheckRows on projected rows: it tests whether the
-// system {(src row idx[k]+offset, rhs[k])} is consistent with the
-// solver's basis, without mutating it, and returns the rank increase it
-// would cause. Every equation is one word whatever the register width,
-// eliminated against checkRows1's overlay in scratch, with the
-// right-hand side carried in bit 63. The basis must have at most
-// ProjectedFree free variables. It allocates nothing.
-func (pt *ProjectedTable) CheckSystem(idx []int32, offset int32, rhs []uint8, sc *CheckScratch) (rankIncrease int, consistent bool) {
+// CheckSystem tests whether the system {(src row idx[k]+offset, rhs[k])}
+// is consistent with the solver's basis, without mutating the basis, and
+// returns the rank increase it would cause. The offset shifts every index
+// by the same amount, so a caller probing one cube at successive window
+// positions passes the position-0 indices and the position. Every
+// equation is one projected word whatever the register width, with the
+// right-hand side carried in bit 63, eliminated against the table's
+// overlay. The basis must have at most ProjectedFree free variables. It
+// allocates nothing.
+func (pt *ProjectedTable) CheckSystem(idx []int32, offset int32, rhs []uint8) (rankIncrease int, consistent bool) {
 	pt.sync()
 	tag, rows, stamp := pt.tag, pt.rows, pt.stamp
 	// An equation the basis alone decides (no free coordinate) contradicts
@@ -170,7 +178,7 @@ func (pt *ProjectedTable) CheckSystem(idx []int32, offset int32, rhs []uint8, sc
 			return 0, false
 		}
 	}
-	ov := &sc.ov1
+	ov := &pt.ov
 	var ovMask uint64
 	rank := 0
 	for k, ri := range idx {

@@ -48,8 +48,8 @@ func projectedError(pt *ProjectedTable, order []int) error {
 // its residual on the frame's columns with the folded right-hand
 // side in bit 63 (projectedError), whether read right after each commit
 // or left stale over several. ProjectedTable.CheckSystem must agree with
-// Solver.CheckRows on random subsystems, and the rank increase it reports
-// for a committed system must be the one adding it causes.
+// the naive Solver.Check on random subsystems, and the rank increase it
+// reports for a committed system must be the one adding it causes.
 func TestProjectedMatchesResidual(t *testing.T) {
 	for _, n := range []int{24, 64, 85, 130} {
 		src := prng.New(uint64(n) * 11)
@@ -57,7 +57,6 @@ func TestProjectedMatchesResidual(t *testing.T) {
 		rs, eqs := randRowSet(src, n, count)
 		s := NewSolver(n)
 		pt := NewProjectedTable(s, rs)
-		var scR, scP CheckScratch
 		all := src.Perm(count)
 		for round := 0; round < 2; round++ {
 			s.Reset()
@@ -77,6 +76,7 @@ func TestProjectedMatchesResidual(t *testing.T) {
 				k := 1 + src.Intn(8)
 				idx := make([]int32, k)
 				rhs := make([]uint8, k)
+				sys := make([]Equation, k)
 				for i := range idx {
 					ri := src.Intn(count)
 					idx[i] = int32(ri)
@@ -84,11 +84,12 @@ func TestProjectedMatchesResidual(t *testing.T) {
 					if src.Intn(4) != 0 {
 						rhs[i] = eqs[ri].Coeffs.Dot(hidden)
 					}
+					sys[i] = Equation{Coeffs: rs.Row(ri), RHS: rhs[i]}
 				}
-				wantInc, wantOK := s.CheckRows(rs, idx, 0, rhs, &scR)
-				gotInc, gotOK := pt.CheckSystem(idx, 0, rhs, &scP)
+				wantInc, wantOK := s.Check(sys)
+				gotInc, gotOK := pt.CheckSystem(idx, 0, rhs)
 				if gotInc != wantInc || gotOK != wantOK {
-					t.Fatalf("n=%d round %d step %d: projected check (%d,%v), CheckRows (%d,%v)",
+					t.Fatalf("n=%d round %d step %d: projected check (%d,%v), Check (%d,%v)",
 						n, round, step, gotInc, gotOK, wantInc, wantOK)
 				}
 				if !wantOK {
@@ -96,7 +97,7 @@ func TestProjectedMatchesResidual(t *testing.T) {
 					idx, rhs = idx[:1], rhs[:1]
 					rhs[0] = eqs[idx[0]].Coeffs.Dot(hidden)
 				}
-				inc, ok := pt.CheckSystem(idx, 0, rhs, &scP)
+				inc, ok := pt.CheckSystem(idx, 0, rhs)
 				before := s.rank
 				for i, ri := range idx {
 					s.Add(Equation{Coeffs: rs.Row(int(ri)), RHS: rhs[i]})
@@ -145,7 +146,6 @@ func TestProjectedNoAllocs(t *testing.T) {
 		}
 		s := NewSolver(n)
 		pt := NewProjectedTable(s, rs)
-		var sc CheckScratch
 		off := int32(0)
 		system := func() {
 			off = (off + 1) % (3 * spec)
@@ -155,7 +155,7 @@ func TestProjectedNoAllocs(t *testing.T) {
 		}
 		check := func() {
 			system()
-			if _, ok := pt.CheckSystem(idx, off, rhs, &sc); !ok {
+			if _, ok := pt.CheckSystem(idx, off, rhs); !ok {
 				t.Fatalf("n=%d: consistent system rejected", n)
 			}
 		}

@@ -23,48 +23,8 @@ func randRowSet(src *prng.Source, n, count int) (RowSet, []Equation) {
 	return rs, eqs
 }
 
-// TestCheckSystemAgreesWithCheck drives a solver through interleaved
-// commits, resets and checks and asserts that Solver.CheckRows returns
-// exactly what the naive Solver.Check returns for the same rows, on
-// registers of one and two words.
-func TestCheckSystemAgreesWithCheck(t *testing.T) {
-	for seed := uint64(0); seed < 30; seed++ {
-		src := prng.New(seed*2718 + 1)
-		n := 5 + src.Intn(80)
-		count := 4 + src.Intn(40)
-		rs, eqs := randRowSet(src, n, count)
-		s := NewSolver(n)
-		var scN, scR CheckScratch
-		for step := 0; step < 60; step++ {
-			switch src.Intn(10) {
-			case 0: // reset: new seed computation begins
-				s.Reset()
-			case 1, 2: // commit a random row
-				s.Add(eqs[src.Intn(count)])
-			default: // check a random subsystem both ways
-				k := 1 + src.Intn(6)
-				idx := make([]int32, k)
-				rhs := make([]uint8, k)
-				sys := make([]Equation, k)
-				for i := 0; i < k; i++ {
-					ri := src.Intn(count)
-					idx[i] = int32(ri)
-					rhs[i] = eqs[ri].RHS
-					sys[i] = eqs[ri]
-				}
-				wantInc, wantOK := s.Check(sys, &scN)
-				gotInc, gotOK := s.CheckRows(rs, idx, 0, rhs, &scR)
-				if wantInc != gotInc || wantOK != gotOK {
-					t.Fatalf("seed %d step %d: CheckRows (%d,%v) != Check (%d,%v)",
-						seed, step, gotInc, gotOK, wantInc, wantOK)
-				}
-			}
-		}
-	}
-}
-
 // TestResidualMatchesFreshReduction pins the one-pass reduction over pivot
-// hits (reduceInto, which CheckRows' word kernels repeat inline) against
+// hits (reduceInto, which Add commits through) against
 // re-eliminating the source row pivot by pivot until no pivot bit is
 // left, at register widths of one, two and three words: the residual and
 // the folded RHS must agree.
@@ -81,7 +41,7 @@ func TestResidualMatchesFreshReduction(t *testing.T) {
 				delta := s.reduceInto(got, Equation{Coeffs: rs.Row(i), RHS: 0})
 				fresh.CopyFrom(rs.Row(i))
 				var wantDelta uint8
-				for b := fresh.FirstSetAnd(s.piv); b >= 0; b = fresh.FirstSetAnd(s.piv) {
+				for b := fresh.firstSetAnd(s.piv); b >= 0; b = fresh.firstSetAnd(s.piv) {
 					fresh.Xor(s.row(b))
 					wantDelta ^= s.rhs[b]
 				}
@@ -98,61 +58,23 @@ func TestResidualMatchesFreshReduction(t *testing.T) {
 }
 
 // TestCheckSystemOffset checks the index-offset addressing used by the
-// encoder's per-position probes.
+// encoder's per-position probes on projected rows: idx + offset must name
+// the same rows as the shifted indices, against the naive Check.
 func TestCheckSystemOffset(t *testing.T) {
 	src := prng.New(7)
 	n := 16
 	rs, eqs := randRowSet(src, n, 12)
 	s := NewSolver(n)
 	s.Add(eqs[0])
-	var sc CheckScratch
+	pt := NewProjectedTable(s, rs)
 	for off := int32(0); off < 8; off++ {
 		idx := []int32{0, 1, 2, 3}
 		rhs := []uint8{eqs[off].RHS, eqs[off+1].RHS, eqs[off+2].RHS, eqs[off+3].RHS}
 		sys := []Equation{eqs[off], eqs[off+1], eqs[off+2], eqs[off+3]}
-		var scN CheckScratch
-		wantInc, wantOK := s.Check(sys, &scN)
-		gotInc, gotOK := s.CheckRows(rs, idx, off, rhs, &sc)
+		wantInc, wantOK := s.Check(sys)
+		gotInc, gotOK := pt.CheckSystem(idx, off, rhs)
 		if wantInc != gotInc || wantOK != gotOK {
 			t.Fatalf("offset %d: (%d,%v) != (%d,%v)", off, gotInc, gotOK, wantInc, wantOK)
-		}
-	}
-}
-
-// TestCheckSystemNoAllocs guards the scan's hot path: after one warm-up
-// check, CheckRows allocates nothing on the 1-word (n = 24), 2-word
-// (n = 85) and generic (n = 130) kernels. The systems are consistent with
-// a hidden solution, so every row is folded and the overlay fills.
-func TestCheckSystemNoAllocs(t *testing.T) {
-	for _, n := range []int{24, 85, 130} {
-		src := prng.New(uint64(n))
-		hidden := randVec(src, n)
-		s := NewSolver(n)
-		for i := 0; i < n/2; i++ {
-			c := randVec(src, n)
-			s.Add(Equation{Coeffs: c, RHS: c.Dot(hidden)})
-		}
-		const spec = 20
-		rs, eqs := randRowSet(src, n, 2*spec)
-		idx := make([]int32, spec)
-		rhs := make([]uint8, spec)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		var sc CheckScratch
-		off := int32(0)
-		check := func() {
-			for i := range rhs {
-				rhs[i] = eqs[int(off)+i].Coeffs.Dot(hidden)
-			}
-			if _, ok := s.CheckRows(rs, idx, off, rhs, &sc); !ok {
-				t.Fatalf("n=%d offset %d: consistent system rejected", n, off)
-			}
-			off = (off + 1) % spec
-		}
-		check()
-		if allocs := testing.AllocsPerRun(100, check); allocs != 0 {
-			t.Errorf("n=%d: CheckRows allocates %.1f times per check", n, allocs)
 		}
 	}
 }

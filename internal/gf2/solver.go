@@ -19,10 +19,12 @@ type Equation struct {
 // Solver is an incremental Gaussian eliminator over GF(2).
 //
 // It maintains a basis of constraint rows in reduced row-echelon form, keyed
-// by pivot column (the lowest set coefficient bit of each row). CheckRows
-// tests a system drawn from a fixed row table for consistency against the
-// current basis without mutating it; Add folds one constraint in
-// permanently.
+// by pivot column (the lowest set coefficient bit of each row). Add is the
+// only way a constraint enters the basis: it folds one in permanently, or
+// reports the contradiction and leaves the basis as it was. A system is
+// tested without mutating the basis on an attached ProjectedTable, or on
+// the basis's affine form (AffineInto); a caller probing an empty basis
+// adds the system's equations and resets on a contradiction.
 //
 // The basis lives in one contiguous word arena (row p at word offset
 // p·words) with a pivot-column mask, so a row is reduced in one pass over
@@ -106,7 +108,7 @@ func (s *Solver) reduceInto(dst Vec, eq Equation) uint8 {
 	// has its pivot as lowest set bit and no other pivot bits (RREF), so
 	// each XOR clears exactly its own hit, creates none, and leaves the
 	// words below its pivot alone. Hit masks are therefore final once
-	// computed; CheckRows' word kernels fold the same way.
+	// computed.
 	w, x := s.words, dst.words
 	for wi, pv := range s.piv.words {
 		for m := x[wi] & pv; m != 0; m &= m - 1 {
@@ -151,212 +153,6 @@ func (s *Solver) Add(eq Equation) (added, consistent bool) {
 	s.rank++
 	s.order = append(s.order, p)
 	return true, true
-}
-
-// CheckRows tests whether the system {(row idx[k]+offset of rows, rhs[k])}
-// is consistent with the basis, without mutating it. It returns the rank
-// increase the system would cause and whether it is consistent. The offset
-// shifts every index by the same amount, so callers probing one cube at
-// successive window positions pass the position-0 indices plus a
-// per-position stride.
-//
-// Each source row is reduced in one pass over its pivot hits, as
-// reduceInto does, then against the overlay of the system's earlier rows.
-// An empty basis (a fresh seed) has no hits, so the row is read as is.
-// Registers of at most 64 and of 65–128 cells run word-specialised kernels
-// whose overlay lives in sc's fixed arrays; wider ones run the generic
-// path over sc's pooled rows. No path allocates once sc has served one
-// check of the solver's width.
-func (s *Solver) CheckRows(rows RowSet, idx []int32, offset int32, rhs []uint8, sc *CheckScratch) (rankIncrease int, consistent bool) {
-	if rows.n != s.n {
-		panic(fmt.Sprintf("gf2: row width %d != solver variables %d", rows.n, s.n))
-	}
-	switch s.words {
-	case 1:
-		return s.checkRows1(rows.arena, idx, offset, rhs, sc)
-	case 2:
-		return s.checkRows2(rows.arena, idx, offset, rhs, sc)
-	}
-	sc.init(s.n)
-	defer sc.release()
-	for k, ri := range idx {
-		dst := sc.getRow(s.n)
-		r := s.reduceInto(dst, Equation{Coeffs: rows.Row(int(ri + offset)), RHS: rhs[k]})
-		// The residual may still depend on earlier rows of this system.
-		for b := dst.FirstSetAnd(sc.overlayMask); b >= 0; b = dst.FirstSetAnd(sc.overlayMask) {
-			dst.Xor(sc.overlay[b])
-			r ^= sc.overlayRHS[b]
-		}
-		if dst.IsZero() {
-			if r != 0 {
-				return 0, false
-			}
-			sc.rowPoolNext-- // recycle immediately
-			continue
-		}
-		p := dst.FirstSet()
-		sc.overlay[p] = dst
-		sc.overlayRHS[p] = r
-		sc.overlayMask.SetBit(p, 1)
-		sc.overlaySet = append(sc.overlaySet, p)
-	}
-	return len(sc.overlaySet), true
-}
-
-// checkRows1 is CheckRows for registers of at most 64 cells (every
-// CI-scale circuit and most of the paper's): rows and pivot masks collapse
-// to single words, so one equation is a handful of word operations. The
-// overlay rows live in sc.ov1 and only entries under ovMask are read.
-func (s *Solver) checkRows1(arena []uint64, idx []int32, offset int32, rhs []uint8, sc *CheckScratch) (rankIncrease int, consistent bool) {
-	pv := s.piv.words[0]
-	ov, ovRHS := &sc.ov1, &sc.ov1RHS
-	var ovMask uint64
-	rank := 0
-	for k, ri := range idx {
-		x := arena[ri+offset]
-		r := rhs[k] & 1
-		for m := x & pv; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			x ^= s.basis[b]
-			r ^= s.rhs[b]
-		}
-		// Overlay rows are only echelon, so a fold can create new hits:
-		// recompute the mask after each one.
-		for m := x & ovMask; m != 0; m = x & ovMask {
-			b := bits.TrailingZeros64(m) & 63
-			x ^= ov[b]
-			r ^= ovRHS[b]
-		}
-		if x == 0 {
-			if r != 0 {
-				return 0, false
-			}
-			continue
-		}
-		p := bits.TrailingZeros64(x) & 63
-		ov[p] = x
-		ovRHS[p] = r
-		ovMask |= 1 << uint(p)
-		rank++
-	}
-	return rank, true
-}
-
-// checkRows2 is checkRows1's twin for registers of 65–128 cells (the
-// paper's s38417 at n=85): two-word rows and masks, overlay in sc.ov2.
-func (s *Solver) checkRows2(arena []uint64, idx []int32, offset int32, rhs []uint8, sc *CheckScratch) (rankIncrease int, consistent bool) {
-	pv0, pv1 := s.piv.words[0], s.piv.words[1]
-	ov, ovRHS := &sc.ov2, &sc.ov2RHS
-	var ovMask0, ovMask1 uint64
-	rank := 0
-	for k, ri := range idx {
-		i := int(ri+offset) * 2
-		x0, x1 := arena[i], arena[i+1]
-		r := rhs[k] & 1
-		// One pass over the pivot hits of each word, both masks taken up
-		// front: an RREF basis row creates no hit at another pivot, and a
-		// row pivoting in the high word has a zero low word.
-		m0, m1 := x0&pv0, x1&pv1
-		for ; m0 != 0; m0 &= m0 - 1 {
-			b := bits.TrailingZeros64(m0)
-			x0 ^= s.basis[b*2]
-			x1 ^= s.basis[b*2+1]
-			r ^= s.rhs[b]
-		}
-		for ; m1 != 0; m1 &= m1 - 1 {
-			b := wordBits + bits.TrailingZeros64(m1)
-			x1 ^= s.basis[b*2+1]
-			r ^= s.rhs[b]
-		}
-		for {
-			var b int
-			if m := x0 & ovMask0; m != 0 {
-				b = bits.TrailingZeros64(m)
-			} else if m := x1 & ovMask1; m != 0 {
-				b = wordBits + bits.TrailingZeros64(m)
-			} else {
-				break
-			}
-			x0 ^= ov[b][0]
-			x1 ^= ov[b][1]
-			r ^= ovRHS[b]
-		}
-		if x0 == 0 && x1 == 0 {
-			if r != 0 {
-				return 0, false
-			}
-			continue
-		}
-		var p int
-		if x0 != 0 {
-			p = bits.TrailingZeros64(x0)
-			ovMask0 |= 1 << uint(p)
-		} else {
-			p = wordBits + bits.TrailingZeros64(x1)
-			ovMask1 |= 1 << uint(p-wordBits)
-		}
-		ov[p] = [2]uint64{x0, x1}
-		ovRHS[p] = r
-		rank++
-	}
-	return rank, true
-}
-
-// CheckScratch holds the elimination buffers of Solver.CheckRows and
-// ProjectedTable.CheckSystem, so that hot candidate scans allocate nothing
-// after warm-up and clear nothing per check. The 1-word and 2-word kernels
-// keep their overlay (the rows a system adds on top of the basis, keyed by
-// pivot) in the fixed arrays below, and read only the entries their
-// occupancy mask marks as written during the current check, so entries
-// left by earlier checks are never seen and never zeroed. Wider registers
-// use the pooled n-bit rows; ProjectedTable.CheckSystem uses the 1-word
-// overlay at every width. A CheckScratch must not be shared between
-// goroutines; give each worker its own.
-type CheckScratch struct {
-	ov1    [64]uint64     // 1-word overlay rows by pivot
-	ov1RHS [64]uint8      // their right-hand sides
-	ov2    [128][2]uint64 // 2-word overlay rows by pivot
-	ov2RHS [128]uint8     // their right-hand sides
-
-	overlay     []Vec   // overlay rows keyed by pivot, lazily sized to n
-	overlayRHS  []uint8 // RHS of overlay rows
-	overlaySet  []int   // pivots currently occupied in overlay
-	overlayMask Vec     // mask of occupied overlay pivots
-	rowPool     []Vec   // recycled n-bit vectors
-	rowPoolNext int
-}
-
-func (sc *CheckScratch) init(n int) {
-	if len(sc.overlay) < n {
-		sc.overlay = make([]Vec, n)
-		sc.overlayRHS = make([]uint8, n)
-	}
-	if sc.overlayMask.Len() != n {
-		sc.overlayMask = NewVec(n)
-	}
-	sc.overlaySet = sc.overlaySet[:0]
-	sc.rowPoolNext = 0
-}
-
-// release clears the overlay occupancy left by one generic-width check.
-func (sc *CheckScratch) release() {
-	for _, p := range sc.overlaySet {
-		sc.overlay[p] = Vec{}
-		sc.overlayMask.SetBit(p, 0)
-	}
-}
-
-func (sc *CheckScratch) getRow(n int) Vec {
-	if sc.rowPoolNext < len(sc.rowPool) {
-		v := sc.rowPool[sc.rowPoolNext]
-		sc.rowPoolNext++
-		v.Zero()
-		return v
-	}
-	v := NewVec(n)
-	sc.rowPool = append(sc.rowPool, v)
-	sc.rowPoolNext = len(sc.rowPool)
-	return v
 }
 
 // Solution produces one full assignment of the n variables satisfying every

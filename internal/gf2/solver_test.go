@@ -92,13 +92,12 @@ func TestCheckDoesNotMutate(t *testing.T) {
 		s.Add(Equation{Coeffs: coeffs, RHS: src.Bit()})
 	}
 	before := s.clone()
-	var sc CheckScratch
 	for i := 0; i < 20; i++ {
 		eqs := []Equation{
 			{Coeffs: randVec(src, n), RHS: src.Bit()},
 			{Coeffs: randVec(src, n), RHS: src.Bit()},
 		}
-		s.Check(eqs, &sc)
+		s.Check(eqs)
 	}
 	if s.Rank() != before.Rank() {
 		t.Fatal("Check changed rank")
@@ -126,8 +125,7 @@ func TestCheckAgreesWithCloneAdd(t *testing.T) {
 		for i := range eqs {
 			eqs[i] = Equation{Coeffs: randVec(src, n), RHS: src.Bit()}
 		}
-		var sc CheckScratch
-		inc, ok := s.Check(eqs, &sc)
+		inc, ok := s.Check(eqs)
 
 		clone := s.clone()
 		allOK := true
@@ -177,7 +175,7 @@ func TestAddSystemAtomic(t *testing.T) {
 // basisRREFError reports the first basis row that breaks reduced
 // row-echelon form: each row's pivot must be its lowest set bit, and no
 // row may hold another row's pivot bit. The single-pass folds of
-// reduceInto, CheckRows and ProjectedTable rely on exactly this.
+// reduceInto and ProjectedTable rely on exactly this.
 func basisRREFError(s *Solver) error {
 	for p := 0; p < s.n; p++ {
 		if !s.occ[p] {
@@ -337,10 +335,10 @@ func TestSolverPivots(t *testing.T) {
 }
 
 // BenchmarkSolverCheck compares the naive per-check re-elimination against
-// the row-table check at the paper's register sizes (n=24 is s13207, n=85
-// is s38417, the largest). The "rows" variant is the encoder's scalar
-// check: rows of a fixed table, each folded in one pass over its pivot
-// hits.
+// the encoder's classical-reseeding check at the paper's register sizes
+// (n=24 is s13207, n=85 is s38417, the largest). The "projected" variant
+// checks rows of a fixed table in the basis's free coordinates, one word
+// per equation.
 func BenchmarkSolverCheck(b *testing.B) {
 	for _, n := range []int{24, 85} {
 		src := prng.New(1)
@@ -361,17 +359,16 @@ func BenchmarkSolverCheck(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d/naive", n), func(b *testing.B) {
 			b.ReportAllocs()
-			var sc CheckScratch
 			for i := 0; i < b.N; i++ {
-				s.Check(eqs, &sc)
+				s.Check(eqs)
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/rows", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/projected", n), func(b *testing.B) {
 			b.ReportAllocs()
-			rows := NewRowSet(n, arena)
-			var sc CheckScratch
+			pt := NewProjectedTable(s, NewRowSet(n, arena))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.CheckRows(rows, idx, 0, rhs, &sc)
+				pt.CheckSystem(idx, 0, rhs)
 			}
 		})
 	}

@@ -216,22 +216,6 @@ func (v Vec) NextSet(from int) int {
 	return -1
 }
 
-// FirstSetAnd returns the index of the lowest bit set in both v and mask,
-// or -1 if the intersection is empty. The lengths must match. Elimination
-// loops use it to jump straight to pivot hits instead of walking every set
-// bit of a dense row.
-func (v Vec) FirstSetAnd(mask Vec) int {
-	if v.n != mask.n {
-		panic(fmt.Sprintf("gf2: FirstSetAnd length mismatch %d != %d", v.n, mask.n))
-	}
-	for i, w := range v.words {
-		if x := w & mask.words[i]; x != 0 {
-			return i*wordBits + bits.TrailingZeros64(x)
-		}
-	}
-	return -1
-}
-
 // Dot returns the GF(2) inner product of v and w (parity of the AND).
 func (v Vec) Dot(w Vec) uint8 {
 	if v.n != w.n {
