@@ -21,7 +21,6 @@ package benchprofile
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cube"
 	"repro/internal/gf2"
@@ -290,20 +289,4 @@ func profiles(scale Scale) []Profile {
 				HotCount: 9, HotFrac: 0.60, ValueBias: 0.75, Seed: 0x38584},
 		}
 	}
-}
-
-// SpecHistogramString renders a compact histogram of specified counts for
-// diagnostics.
-func SpecHistogramString(s *cube.Set) string {
-	h := s.Histogram()
-	keys := make([]int, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := ""
-	for _, k := range keys {
-		out += fmt.Sprintf("%d:%d ", k, h[k])
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package benchprofile
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/cube"
@@ -96,7 +98,7 @@ func TestClusteringCreatesConflicts(t *testing.T) {
 func TestHistogramString(t *testing.T) {
 	p, _ := ByName("s9234", ScaleCI)
 	set := p.Generate()
-	if SpecHistogramString(set) == "" {
+	if specHistogramString(set) == "" {
 		t.Error("empty histogram")
 	}
 }
@@ -105,4 +107,20 @@ func TestScaleString(t *testing.T) {
 	if ScaleCI.String() != "ci" || ScalePaper.String() != "paper" {
 		t.Error("scale names wrong")
 	}
+}
+
+// specHistogramString renders a compact histogram of specified counts for
+// diagnostics.
+func specHistogramString(s *cube.Set) string {
+	h := s.Histogram()
+	keys := make([]int, 0, len(h))
+	for k := range h {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	out := ""
+	for _, k := range keys {
+		out += fmt.Sprintf("%d:%d ", k, h[k])
+	}
+	return out
 }

@@ -27,7 +27,8 @@ type Config struct {
 	FillSeed uint64
 	// Tables optionally supplies prebuilt shared symbolic tables. They must
 	// wrap this Config's exact LFSR, PS and Geo values and be built for
-	// WindowLen. Nil builds private tables.
+	// WindowLen. Nil builds private tables. An Encoding's Cfg always holds
+	// the tables it was encoded against, built.
 	Tables *Tables
 }
 
@@ -99,6 +100,7 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 		if err != nil {
 			return nil, err
 		}
+		cfg.Tables = tabs
 	} else if tabs.l != cfg.LFSR || tabs.ps != cfg.PS || tabs.geo != cfg.Geo {
 		return nil, fmt.Errorf("encoder: Config.Tables built for a different decompressor")
 	} else if tabs.winLen != cfg.WindowLen {
@@ -220,10 +222,10 @@ type encodeState struct {
 	// basis's affine form (free variables, null-space generators and
 	// zero-fill solution), current while affEpoch == epoch; free is the
 	// basis's free-variable count, set per tier. cols is the column arena
-	// the planes are built from: block (s·feasWords + w) of n words holds
-	// column j of output slot s's rows at window positions 64w … 64w+63 in
-	// word j, built on the encode's first sliced word; colBuild times it
-	// and the projected rows' build.
+	// the planes are built from (ExprTable.ColumnBlocks: block s·feasWords
+	// + w holds output slot s at window positions 64w … 64w+63), built on
+	// the encode's first sliced word; colBuild times it and the projected
+	// rows' build.
 	epoch, affEpoch uint32
 	aff             gf2.Affine
 	free            int
@@ -641,15 +643,8 @@ func (st *encodeState) block(blk int) []uint64 {
 func (st *encodeState) prepareSliced() {
 	if st.cols == nil {
 		t0 := time.Now()
-		rows, W, n := st.table.Rows(), st.feasWords, st.n
-		blocks := st.slots * W
-		st.cols = make([]uint64, blocks*n)
-		for s := 0; s < st.slots; s++ {
-			for w := 0; w < W; w++ {
-				blk := s*W + w
-				rows.ColumnsInto(s*st.L+w*64, min(64, st.L-w*64), st.cols[blk*n:(blk+1)*n])
-			}
-		}
+		n, blocks := st.n, st.slots*st.feasWords
+		st.cols = st.table.ColumnBlocks()
 		st.planes = make([]uint64, blocks*(n+1))
 		st.planeEpoch = make([]uint32, blocks)
 		st.pivMask = make([]uint64, n)

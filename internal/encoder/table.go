@@ -51,7 +51,31 @@ func (t *ExprTable) Expr(v, pos int) gf2.Vec {
 	if v < 0 || v >= t.L {
 		panic(fmt.Sprintf("encoder: window position %d out of range [0,%d)", v, t.L))
 	}
+	return t.rows.Row(t.Slot(pos)*t.L + v)
+}
+
+// Slot returns the output slot that loads cube bit position pos: chain
+// ch's output at shift clock t of a vector load is slot t·Chains + ch.
+func (t *ExprTable) Slot(pos int) int {
 	ch, depth := t.Geo.Cell(pos)
-	slot := t.Geo.ShiftCycle(depth)*t.Geo.Chains + ch
-	return t.rows.Row(slot*t.L + v)
+	return t.Geo.ShiftCycle(depth)*t.Geo.Chains + ch
+}
+
+// ColumnBlocks transposes the table into column blocks of 64 window
+// positions: block s·W + w, with W = ⌈L/64⌉, is N words long and holds in
+// word j column j of output slot s's rows at window positions 64w …
+// 64w+63, with the bits of positions at or past L clear. XORing a block's
+// words over the support of a seed (gf2.XorColumns) then gives that slot's
+// bits at those 64 positions of the seed's window in one word.
+func (t *ExprTable) ColumnBlocks() []uint64 {
+	W, n := (t.L+63)/64, t.N
+	slots := t.rows.Count() / t.L
+	cols := make([]uint64, slots*W*n)
+	for s := 0; s < slots; s++ {
+		for w := 0; w < W; w++ {
+			blk := s*W + w
+			t.rows.ColumnsInto(s*t.L+w*64, min(64, t.L-w*64), cols[blk*n:(blk+1)*n])
+		}
+	}
+	return cols
 }

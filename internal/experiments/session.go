@@ -101,8 +101,8 @@ type Session struct {
 	Params Params
 
 	// Workers bounds the concurrency of the table/figure drivers and is
-	// forwarded to ATPG, fault simulation and the embedding scan, so 1
-	// runs strictly serially; each encode runs on one goroutine whatever
+	// forwarded to ATPG and fault simulation, so 1 runs strictly serially;
+	// each encode and each embedding index runs on one goroutine whatever
 	// the value. 0 or negative lets every layer use runtime.GOMAXPROCS(0)
 	// workers. The rendered tables are identical for any value.
 	Workers int
@@ -437,7 +437,7 @@ func (s *Session) IndexCtx(ctx context.Context, circuit string, L int) (*statesk
 		if err != nil {
 			return nil, err
 		}
-		return stateskip.ScanEmbeddingsWorkers(enc, s.Workers), nil
+		return stateskip.ScanEmbeddingsWorkers(enc, 0), nil
 	}))
 }
 
@@ -452,9 +452,7 @@ func (s *Session) Reduce(ctx context.Context, circuit string, L, S, k int) (*sta
 	if err != nil {
 		return nil, err
 	}
-	opt := stateskip.DefaultOptions(S, k)
-	opt.Workers = s.Workers
-	return stateskip.ReduceWithIndex(enc, idx, opt)
+	return stateskip.ReduceWithIndex(enc, idx, stateskip.DefaultOptions(S, k))
 }
 
 // BestReduction tries every (S, k) combination and returns the reduction

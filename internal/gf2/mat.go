@@ -59,9 +59,6 @@ func (m Mat) Cols() int { return m.cols }
 // Row returns row i. The vector shares storage with the matrix.
 func (m Mat) Row(i int) Vec { return m.rows[i] }
 
-// At returns element (i, j).
-func (m Mat) At(i, j int) uint8 { return m.rows[i].Bit(j) }
-
 // Set sets element (i, j) to b&1.
 func (m Mat) Set(i, j int, b uint8) { m.rows[i].SetBit(j, b) }
 

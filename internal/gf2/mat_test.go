@@ -59,7 +59,7 @@ func TestMulVecMatchesMul(t *testing.T) {
 	prod := m.Mul(col)
 	got := m.MulVec(v)
 	for i := 0; i < 17; i++ {
-		if prod.At(i, 0) != got.Bit(i) {
+		if prod.at(i, 0) != got.Bit(i) {
 			t.Fatalf("MulVec mismatch at %d", i)
 		}
 	}
@@ -156,7 +156,7 @@ func TestMatFromRowsClones(t *testing.T) {
 	r0, _ := FromString("101")
 	m := MatFromRows([]Vec{r0})
 	r0.SetBit(1, 1)
-	if m.At(0, 1) != 0 {
+	if m.at(0, 1) != 0 {
 		t.Error("MatFromRows shares row storage")
 	}
 }
@@ -179,3 +179,6 @@ func TestMulVecDistributes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// at returns element (i, j).
+func (m Mat) at(i, j int) uint8 { return m.rows[i].Bit(j) }

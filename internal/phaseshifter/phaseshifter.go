@@ -79,11 +79,11 @@ func New(n int, taps [][]int) (*PhaseShifter, error) {
 //
 // Because computing phases outright needs discrete logarithms in GF(2^n),
 // NewSeparated instead verifies separation directly: it simulates the
-// register symbolically for windowCycles clocks, hashes every output
-// expression, and re-randomises the taps of any output that collides with
-// an earlier one. Tap choice is deterministic (seeded from n, outputs and
-// windowCycles), so identical configurations always yield identical
-// hardware.
+// register symbolically for windowCycles clocks, looks every output
+// expression up among the outputs' expressions at the first clock, and
+// re-randomises the taps of any output that collides with an earlier one.
+// Tap choice is deterministic (seeded from n, outputs and windowCycles),
+// so identical configurations always yield identical hardware.
 func NewSeparated(l *lfsr.LFSR, outputs, windowCycles int) (*PhaseShifter, error) {
 	return NewSeparatedVariant(l, outputs, windowCycles, 0)
 }
@@ -109,7 +109,7 @@ func NewSeparatedVariant(l *lfsr.LFSR, outputs, windowCycles int, variant uint64
 	for o := range taps {
 		taps[o] = randomTaps(src, n)
 	}
-	cs := newCollisionSet(n, outputs*windowCycles)
+	cs := newCollisionSet(n, outputs)
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
 		colliding := findCollision(l, taps, windowCycles, cs)
@@ -140,9 +140,16 @@ func randomTaps(src *prng.Source, n int) []int {
 }
 
 // findCollision symbolically simulates windowCycles clocks and returns the
-// index of an output whose expression at some cycle duplicates another
-// output's expression at any cycle, or -1 if all expressions are distinct.
-// cs is reset and reused; it must be sized for len(taps)·windowCycles
+// index of the first output, in (cycle, output) order, whose expression
+// duplicates another output's expression at that or an earlier cycle, or
+// -1 if all expressions are distinct.
+//
+// The LFSR transition is invertible, so output a's expression at cycle i
+// equals output b's at cycle j ≤ i exactly when a's expression at cycle
+// i − j equals b's at cycle 0. The first duplicate therefore always
+// involves a cycle-0 expression: cycle 0 checks the outputs against each
+// other, and every later cycle only looks each expression up among the m
+// cycle-0 ones. cs is reset and reused; it must be sized for len(taps)
 // expressions.
 func findCollision(l *lfsr.LFSR, taps [][]int, windowCycles int, cs *collisionSet) int {
 	cs.reset()
@@ -154,7 +161,7 @@ func findCollision(l *lfsr.LFSR, taps [][]int, windowCycles int, cs *collisionSe
 			for _, c := range ts {
 				scratch.Xor(sym.Expr(c))
 			}
-			if cs.insert(o, scratch.Words()) {
+			if cs.match(o, scratch.Words(), cyc == 0) {
 				return o
 			}
 		}
@@ -163,7 +170,7 @@ func findCollision(l *lfsr.LFSR, taps [][]int, windowCycles int, cs *collisionSe
 	return -1
 }
 
-// collisionSet records the (output, expression) pairs of one separation
+// collisionSet holds the outputs' cycle-0 expressions of one separation
 // round: the expressions in one flat word arena, indexed by an
 // open-addressing hash table of entry numbers, so a round allocates
 // nothing once the set is sized.
@@ -195,9 +202,9 @@ func (cs *collisionSet) reset() {
 	}
 }
 
-// insert reports whether an earlier entry of another output holds expr;
-// otherwise it records expr as an entry of output o.
-func (cs *collisionSet) insert(o int, expr []uint64) bool {
+// match reports whether an entry of another output holds expr; otherwise,
+// if add is set, it records expr as an entry of output o.
+func (cs *collisionSet) match(o int, expr []uint64, add bool) bool {
 	h := uint64(0)
 	for _, w := range expr {
 		h = (h ^ w) * 0x9e3779b97f4a7c15
@@ -206,9 +213,11 @@ func (cs *collisionSet) insert(o int, expr []uint64) bool {
 	for i := int(h >> cs.shift); ; i = (i + 1) & mask {
 		e := int(cs.slots[i])
 		if e < 0 {
-			cs.slots[i] = int32(len(cs.outs))
-			cs.outs = append(cs.outs, int32(o))
-			cs.arena = append(cs.arena, expr...)
+			if add {
+				cs.slots[i] = int32(len(cs.outs))
+				cs.outs = append(cs.outs, int32(o))
+				cs.arena = append(cs.arena, expr...)
+			}
 			return false
 		}
 		if int(cs.outs[e]) != o && equalWords(cs.arena[e*cs.words:(e+1)*cs.words], expr) {
@@ -234,22 +243,6 @@ func (p *PhaseShifter) Size() int { return p.n }
 
 // Taps returns the tap list of one output (read-only).
 func (p *PhaseShifter) Taps(out int) []int { return p.taps[out] }
-
-// Apply computes the m concrete output bits for a concrete LFSR state.
-func (p *PhaseShifter) Apply(state gf2.Vec) gf2.Vec {
-	out := gf2.NewVec(len(p.taps))
-	p.ApplyInto(out, state)
-	return out
-}
-
-// ApplyInto is Apply without allocation; dst must have m bits.
-func (p *PhaseShifter) ApplyInto(dst, state gf2.Vec) {
-	p.checkState(state)
-	sw := state.Words()
-	for o := range p.taps {
-		dst.SetBit(o, p.output(o, sw))
-	}
-}
 
 // ShiftInto writes the bits the phase shifter feeds the scan chains at
 // shift clock cyc (0 ≤ cyc < geo.Length) of a vector load, for the given

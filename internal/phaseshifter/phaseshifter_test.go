@@ -53,7 +53,7 @@ func TestApplyMatchesTaps(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			state.SetBit(i, src.Bit())
 		}
-		out := ps.Apply(state)
+		out := ps.apply(state)
 		if out.Bit(0) != state.Bit(0)^state.Bit(3)^state.Bit(5) {
 			t.Fatal("output 0 wrong")
 		}
@@ -64,10 +64,27 @@ func TestApplyMatchesTaps(t *testing.T) {
 			t.Fatal("output 2 wrong")
 		}
 		dst := gf2.NewVec(3)
-		ps.ApplyInto(dst, state)
+		ps.applyInto(dst, state)
 		if !dst.Equal(out) {
-			t.Fatal("ApplyInto disagrees with Apply")
+			t.Fatal("applyInto disagrees with apply")
 		}
+	}
+}
+
+// apply computes the m concrete output bits for a concrete LFSR state, a
+// direct reference for the output parity the shift kernel computes.
+func (p *PhaseShifter) apply(state gf2.Vec) gf2.Vec {
+	out := gf2.NewVec(len(p.taps))
+	p.applyInto(out, state)
+	return out
+}
+
+// applyInto is apply without allocation; dst must have m bits.
+func (p *PhaseShifter) applyInto(dst, state gf2.Vec) {
+	p.checkState(state)
+	sw := state.Words()
+	for o := range p.taps {
+		dst.SetBit(o, p.output(o, sw))
 	}
 }
 
@@ -168,10 +185,10 @@ func TestSeparatedRejectsBadArgs(t *testing.T) {
 	}
 }
 
-// findCollisionMap is the map-based separation check findCollision
-// replaced: every expression cloned into buckets keyed by an FNV-1a hash.
-// It is the reference the arena and open-addressing table are checked
-// against.
+// findCollisionMap is the reference findCollision is checked against: it
+// clones every output expression of every cycle into buckets keyed by an
+// FNV-1a hash, and reports the first expression equal to an earlier one of
+// another output, at any cycle.
 func findCollisionMap(l *lfsr.LFSR, taps [][]int, windowCycles int) int {
 	type slot struct {
 		out  int
@@ -205,38 +222,44 @@ func findCollisionMap(l *lfsr.LFSR, taps [][]int, windowCycles int) int {
 	return -1
 }
 
-// TestFindCollisionMatchesMap runs the arena-backed separation check
-// against the map-based reference over random tap sets, reusing one
-// collision set across trials the way NewSeparatedVariant reuses it across
-// rounds. The small registers collide often, so both outcomes are hit,
-// and a lone output over more than its period repeats its own expression,
-// which is no collision.
+// TestFindCollisionMatchesMap runs the cycle-0 separation check against
+// the map-based reference, which compares every pair of cycles, over random
+// tap sets on both register forms, reusing one collision set across trials
+// the way NewSeparatedVariant reuses it across rounds. The small registers
+// collide often, so both outcomes are hit. n = 8 has period 255, shorter
+// than the 300-cycle windows: a lone output then repeats its own
+// expression, which is no collision, and two outputs always meet.
 func TestFindCollisionMatchesMap(t *testing.T) {
 	src := prng.New(21)
-	for _, c := range []struct{ n, outputs, window int }{
-		{8, 4, 40}, {8, 1, 300}, {20, 8, 300}, {24, 8, 200}, {85, 32, 60},
-	} {
-		l := std(t, c.n)
-		cs := newCollisionSet(c.n, c.outputs*c.window)
-		collided := 0
-		for trial := 0; trial < 40; trial++ {
-			taps := make([][]int, c.outputs)
-			for o := range taps {
-				taps[o] = randomTaps(src, c.n)
+	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
+		for _, c := range []struct{ n, outputs, window int }{
+			{8, 4, 20}, {8, 1, 300}, {8, 2, 300}, {20, 8, 300}, {24, 8, 200}, {85, 32, 60},
+		} {
+			l, err := lfsr.NewStandard(form, c.n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if c.outputs == 4 && trial%2 == 0 {
-				taps[c.outputs-1] = append([]int(nil), taps[0]...) // certain collision
+			cs := newCollisionSet(c.n, c.outputs)
+			collided := 0
+			for trial := 0; trial < 40; trial++ {
+				taps := make([][]int, c.outputs)
+				for o := range taps {
+					taps[o] = randomTaps(src, c.n)
+				}
+				if c.outputs == 4 && trial%2 == 0 {
+					taps[c.outputs-1] = append([]int(nil), taps[0]...) // certain collision
+				}
+				want := findCollisionMap(l, taps, c.window)
+				if got := findCollision(l, taps, c.window, cs); got != want {
+					t.Fatalf("%v n=%d trial %d: findCollision = %d, reference %d", form, c.n, trial, got, want)
+				}
+				if want >= 0 {
+					collided++
+				}
 			}
-			want := findCollisionMap(l, taps, c.window)
-			if got := findCollision(l, taps, c.window, cs); got != want {
-				t.Fatalf("n=%d trial %d: findCollision = %d, reference %d", c.n, trial, got, want)
+			if c.outputs == 4 && (collided == 0 || collided == 40) {
+				t.Errorf("%v n=8: %d/40 trials collided; want both outcomes", form, collided)
 			}
-			if want >= 0 {
-				collided++
-			}
-		}
-		if c.outputs == 4 && (collided == 0 || collided == 40) {
-			t.Errorf("n=8: %d/40 trials collided; want both outcomes", collided)
 		}
 	}
 }

@@ -61,8 +61,8 @@ type Config struct {
 	// JobWorkers is the number of jobs run concurrently (0 = 2).
 	JobWorkers int
 	// EngineWorkers bounds each job's internal parallelism
-	// (experiments.Session.Workers) in ATPG, fault simulation and the
-	// State Skip embedding scan; an encode job's encoder runs on one
+	// (experiments.Session.Workers) in ATPG and fault simulation; an
+	// encode job's encoder and State Skip embedding index run on one
 	// goroutine. 0 = all CPUs.
 	EngineWorkers int
 	// LaneWords is the default fault-simulator lane width in 64-bit words

@@ -14,14 +14,13 @@
 package stateskip
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/cube"
 	"repro/internal/encoder"
 	"repro/internal/gf2"
 )
@@ -43,7 +42,8 @@ type Options struct {
 	// assumption costs at most a handful of vectors and buys much simpler
 	// per-core decode logic. On by default in DefaultOptions.
 	KeepFirstSegment bool
-	// Workers bounds the embedding-scan parallelism; 0 = GOMAXPROCS.
+	// Workers has no effect: the embedding index is built in the calling
+	// goroutine. The field stays for the callers that still set it.
 	Workers int
 }
 
@@ -93,97 +93,85 @@ type VecEmbeddings struct {
 	PerCube [][]VecRef
 }
 
-// ScanEmbeddingsWorkers regenerates every window and records, for every
-// cube, all vectors that embed it. The scan parallelises over runs of
-// seeds, with at most workers goroutines (0 = GOMAXPROCS) for callers that
-// already run several scans concurrently.
+// ScanEmbeddingsWorkers records, for every cube, every window vector of
+// the encoding that embeds it. It reads the vectors from the encoding's
+// own expression table (Cfg.Tables, which EncodeCtx always records, built)
+// instead of clocking the decompressor again: every bit of a window vector
+// is a linear expression of the seed.
 //
-// The test is bit-sliced. The applied vectors, in (seed, position) order
-// across seeds, are packed 64 to a lane word: at L = 1 one word holds 64
-// seeds. Each block of 64 vectors is transposed into per-cell planes, and a
-// cube ANDs the planes of its specified cells, each inverted where the
-// cube's bit is 0, until the word is zero; the bits left set are the
-// block's vectors that embed it. A worker claims a run of seeds whose
-// vectors fill whole blocks, so no block straddles two workers; with fewer
-// such runs than workers, the runs shrink to one per worker and end in a
-// partial block.
+// workers has no effect: the index is built in the calling goroutine. The
+// parameter stays for the callers that still pass it.
+//
+// The test is bit-sliced over blocks of up to 64 window vectors, numbered
+// in (seed, position) order. A block's planes hold one lane word per
+// output slot. At L > 1 a block is one window word of one seed, and slot
+// s's plane is the XOR of the slot's column block
+// (encoder.ExprTable.ColumnBlocks) over the seed's support. At L = 1 a
+// block is 64 seeds, and the plane is the XOR of the seeds' column words
+// over the support of the slot's expression. A cube ANDs the planes of its
+// specified slots, each inverted where the cube's bit is 0, until the word
+// is zero; the bits left set are the block's vectors that embed it.
 func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
-	nCubes := enc.Set.Len()
-	L := enc.Cfg.WindowLen
-	cells := newCubeCells(enc)
-	words := (enc.Cfg.Geo.Width + 63) / 64
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// A run is the fewest seeds whose vectors fill whole blocks,
-	// 64/gcd(L, 64), unless that leaves a worker without a run.
-	runSeeds := min(64>>bits.TrailingZeros(uint(L|64)), (len(enc.Seeds)+workers-1)/workers)
-	runSeeds = max(runSeeds, 1)
-	runs := (len(enc.Seeds) + runSeeds - 1) / runSeeds
-	perRun := make([][]hit, runs) // block-major, then cube, then vector
-	workers = min(workers, runs)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker buffers, reused for every run: one window, one
-			// block of 64 vectors stored word-major (block[w·64+j] is word w
-			// of vector j) so that each word column transposes in place
-			// into the planes of its 64 cells, and the run's hits, of which
-			// each run keeps an exactly sized copy. Results are
-			// index-addressed, hence identical for any worker count.
-			window := make([]gf2.Vec, L)
-			block := make([]uint64, words*64)
-			var found []hit
-			for {
-				ri := int(next.Add(1)) - 1
-				if ri >= runs {
-					return
-				}
-				first := ri * runSeeds
-				last := min(first+runSeeds, len(enc.Seeds))
-				found = found[:0]
-				j, start := 0, int32(first*L)
-				for si := first; si < last; si++ {
-					encoder.GenerateWindowInto(window, enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, enc.Seeds[si].Value, L)
-					for _, vec := range window {
-						for w, x := range vec.Words() {
-							block[w*64+j] = x
-						}
-						if j++; j == 64 {
-							found = cells.scanBlock(block, ^uint64(0), start, found)
-							j, start = 0, start+64
-						}
-					}
-				}
-				if j > 0 {
-					found = cells.scanBlock(block, 1<<uint(j)-1, start, found)
-				}
-				perRun[ri] = slices.Clone(found)
+	// The encode built the tables, so no symbolic cycle runs here, and a
+	// context that never fires cannot stop the call.
+	table, _ := enc.Cfg.Tables.ExprTableCtx(context.Background())
+	L, n, rows := enc.Cfg.WindowLen, table.N, table.Rows()
+	cells := newCubeCells(enc.Set, table)
+	planes := make([]uint64, rows.Count()/L)
+	// found collects the hits of one seed (L > 1) or one block of 64
+	// seeds (L = 1), of which perBlock keeps an exactly sized copy.
+	var found []hit
+	var perBlock [][]hit
+	if L == 1 {
+		seeds := make([]uint64, 0, len(enc.Seeds)*((n+63)/64))
+		for _, seed := range enc.Seeds {
+			seeds = append(seeds, seed.Value.Words()...)
+		}
+		seedRows := gf2.NewRowSet(n, seeds)
+		cols := make([]uint64, n)
+		for first := 0; first < len(enc.Seeds); first += 64 {
+			count := min(64, len(enc.Seeds)-first)
+			seedRows.ColumnsInto(first, count, cols)
+			for s := range planes {
+				planes[s] = gf2.XorColumns(cols, rows.Row(s).Words())
 			}
-		}()
+			found = cells.scanBlock(planes, count, int32(first), found[:0])
+			perBlock = append(perBlock, slices.Clone(found))
+		}
+	} else {
+		W := (L + 63) / 64
+		cols := table.ColumnBlocks()
+		for si, seed := range enc.Seeds {
+			found = found[:0]
+			sw := seed.Value.Words()
+			for w := 0; w < W; w++ {
+				for s := range planes {
+					blk := s*W + w
+					planes[s] = gf2.XorColumns(cols[blk*n:(blk+1)*n], sw)
+				}
+				found = cells.scanBlock(planes, min(64, L-64*w), int32(si*L+64*w), found)
+			}
+			perBlock = append(perBlock, slices.Clone(found))
+		}
 	}
-	wg.Wait()
 	// Gather in (seed, vector) order per cube, into one exactly sized arena.
-	counts := make([]int, nCubes)
+	counts := make([]int, enc.Set.Len())
 	total := 0
-	for _, found := range perRun {
+	for _, found := range perBlock {
 		for _, h := range found {
 			counts[h.cube]++
 		}
 		total += len(found)
 	}
 	arena := make([]VecRef, total)
-	idx := &VecEmbeddings{PerCube: make([][]VecRef, nCubes)}
+	idx := &VecEmbeddings{PerCube: make([][]VecRef, len(counts))}
 	for ci, c := range counts {
 		if c > 0 {
 			idx.PerCube[ci] = arena[:0:c]
 			arena = arena[c:]
 		}
 	}
-	for _, found := range perRun {
+	for _, found := range perBlock {
 		for _, h := range found {
 			v := int(h.vec)
 			idx.PerCube[h.cube] = append(idx.PerCube[h.cube], VecRef{Seed: v / L, Vec: v % L})
@@ -192,46 +180,45 @@ func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 	return idx
 }
 
-// hit is one (cube, applied vector) embedding; vec counts vectors in
+// hit is one (cube, window vector) embedding; vec counts vectors in
 // (seed, position) order from the first seed's first vector.
 type hit struct{ cube, vec int32 }
 
 // cubeCells is the bit-sliced form of a cube set for the embedding scan:
-// cube ci's specified cells at tests[start[ci]:start[ci+1]], in ascending
-// cell order, each packed as cell<<1 | bit. The cube agrees with a block's
-// vectors where plane[cell] ⊕ (bit − 1) is set: the plane itself where the
+// cube ci's specified bits at tests[start[ci]:start[ci+1]], in ascending
+// cell order, each packed as slot<<1 | bit, where slot is the output slot
+// that loads the cell (encoder.ExprTable.Slot). The cube agrees with a block's
+// vectors where plane[slot] ⊕ (bit − 1) is set: the plane itself where the
 // cube's bit is 1, its complement where it is 0.
 type cubeCells struct {
 	tests []int32
 	start []int
 }
 
-func newCubeCells(enc *encoder.Encoding) *cubeCells {
+func newCubeCells(set *cube.Set, table *encoder.ExprTable) *cubeCells {
 	total := 0
-	for _, c := range enc.Set.Cubes {
+	for _, c := range set.Cubes {
 		total += c.SpecifiedCount()
 	}
-	cc := &cubeCells{tests: make([]int32, 0, total), start: make([]int, 1, enc.Set.Len()+1)}
-	for _, c := range enc.Set.Cubes {
+	cc := &cubeCells{tests: make([]int32, 0, total), start: make([]int, 1, set.Len()+1)}
+	for _, c := range set.Cubes {
 		for pos := c.Mask.FirstSet(); pos >= 0; pos = c.Mask.NextSet(pos + 1) {
-			cc.tests = append(cc.tests, int32(pos<<1)|int32(c.Value.Bit(pos)))
+			cc.tests = append(cc.tests, int32(table.Slot(pos)<<1)|int32(c.Value.Bit(pos)))
 		}
 		cc.start = append(cc.start, len(cc.tests))
 	}
 	return cc
 }
 
-// scanBlock transposes one word-major block of vectors into cell planes
-// in place and appends, cube by cube, a hit for every vector under valid
-// that embeds the cube; start numbers the block's first vector.
-func (cc *cubeCells) scanBlock(block []uint64, valid uint64, start int32, found []hit) []hit {
-	for w := 0; w < len(block); w += 64 {
-		gf2.Transpose64((*[64]uint64)(block[w : w+64]))
-	}
+// scanBlock appends, cube by cube, a hit for every one of a block's first
+// lanes vectors that embeds the cube; planes holds the block's slot
+// planes, and start numbers its first vector.
+func (cc *cubeCells) scanBlock(planes []uint64, lanes int, start int32, found []hit) []hit {
+	valid := ^uint64(0) >> uint(64-lanes)
 	for ci := 0; ci+1 < len(cc.start); ci++ {
 		acc := valid
 		for _, t := range cc.tests[cc.start[ci]:cc.start[ci+1]] {
-			if acc &= block[t>>1] ^ (uint64(t&1) - 1); acc == 0 {
+			if acc &= planes[t>>1] ^ (uint64(t&1) - 1); acc == 0 {
 				break
 			}
 		}
@@ -269,7 +256,7 @@ func ReduceWithIndex(enc *encoder.Encoding, idx *VecEmbeddings, opt Options) (*R
 		r.selectNaive()
 	} else {
 		if idx == nil {
-			idx = ScanEmbeddingsWorkers(enc, opt.Workers)
+			idx = ScanEmbeddingsWorkers(enc, 0)
 		}
 		r.segmentEmbeddings(idx)
 		r.selectUseful()
@@ -566,73 +553,4 @@ func (r *Reduction) Verify() error {
 		}
 	}
 	return nil
-}
-
-// AppliedVectors regenerates, for verification, the exact vector stream the
-// shortened schedule applies: for every seed in group order, the vectors of
-// segments up to the last useful one, with useless segments reduced to the
-// vectors their skip-mode clocks still shift in. The stream is what the
-// decompressor simulator must reproduce bit-for-bit.
-func (r *Reduction) AppliedVectors() []gf2.Vec {
-	var out []gf2.Vec
-	for _, si := range r.GroupOrder {
-		out = append(out, r.seedApplied(si)...)
-	}
-	return out
-}
-
-// seedApplied simulates one seed's shortened window at clock accuracy.
-func (r *Reduction) seedApplied(seed int) []gf2.Vec {
-	enc := r.Enc
-	geo := enc.Cfg.Geo
-	l, ps := enc.Cfg.LFSR, enc.Cfg.PS
-	k := r.Opt.Speedup
-	skip := l.SkipMatrix(uint64(k))
-
-	state := enc.Seeds[seed].Value.Clone()
-	next := gf2.NewVec(l.Size())
-	var vecs []gf2.Vec
-	cur := gf2.NewVec(geo.Width)
-	fill := 0 // Bit Counter: shift clocks since the last segment boundary
-
-	shiftClock := func() {
-		ps.ShiftInto(cur, geo, fill%geo.Length, state)
-		fill++
-		if fill%geo.Length == 0 {
-			vecs = append(vecs, cur.Clone())
-		}
-	}
-
-	for _, run := range r.Runs(seed) {
-		// The Bit Counter restarts at each mode switch so useful runs are
-		// framed exactly like the original window. Any partial garbage
-		// vector left by a useless run is captured once before the reset
-		// (the hardware's capture-on-mode-switch).
-		if fill%geo.Length != 0 {
-			vecs = append(vecs, cur.Clone())
-		}
-		fill = 0
-		if run.Useful {
-			for c := 0; c < run.States; c++ {
-				shiftClock()
-				l.StepInto(next, state)
-				state, next = next, state
-			}
-		} else {
-			for c := 0; c < run.States/k; c++ {
-				shiftClock()
-				skip.MulVecInto(next, state)
-				state, next = next, state
-			}
-			for c := 0; c < run.States%k; c++ {
-				shiftClock()
-				l.StepInto(next, state)
-				state, next = next, state
-			}
-		}
-	}
-	if fill%geo.Length != 0 {
-		vecs = append(vecs, cur.Clone())
-	}
-	return vecs
 }

@@ -2,12 +2,19 @@ package stateskip
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/benchprofile"
 	"repro/internal/encoder"
+	"repro/internal/lfsr"
+	"repro/internal/phaseshifter"
+	"repro/internal/scan"
 )
+
+// EncodeProfile lets the external tests of this package encode profiles.
+var EncodeProfile = encodeProfile
 
 func encodeProfile(t testing.TB, name string, numCubes, L int) *encoder.Encoding {
 	t.Helper()
@@ -47,51 +54,6 @@ func TestReduceBasicInvariants(t *testing.T) {
 	imp := red.Improvement()
 	if imp < 0 || imp >= 1 {
 		t.Errorf("improvement %f out of range", imp)
-	}
-}
-
-// TestEveryCubeAppliedInShortenedSequence is the paper's central claim:
-// the shortened schedule still applies every test cube. It regenerates the
-// exact applied vector stream (normal + skip mode, bit-counter resets,
-// early termination) and checks each cube matches at least one vector.
-func TestEveryCubeAppliedInShortenedSequence(t *testing.T) {
-	for _, cfg := range []struct {
-		name string
-		S, k int
-		L    int
-	}{
-		{"s13207", 5, 8, 20},
-		{"s13207", 4, 3, 20},
-		{"s9234", 2, 24, 16},
-		{"s15850", 10, 12, 20}, // S=10 with L=20: coarse segmentation
-		{"s9234", 7, 5, 16},    // S does not divide L
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			enc := encodeProfile(t, cfg.name, 40, cfg.L)
-			red, err := ReduceWithIndex(enc, nil, DefaultOptions(cfg.S, cfg.k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := red.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			applied := red.AppliedVectors()
-			if len(applied) != red.TSL() {
-				t.Errorf("AppliedVectors length %d != TSL %d", len(applied), red.TSL())
-			}
-			for ci, c := range enc.Set.Cubes {
-				found := false
-				for _, v := range applied {
-					if c.Matches(v) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("cube %d is not applied by the shortened sequence", ci)
-				}
-			}
-		})
 	}
 }
 
@@ -214,10 +176,6 @@ func TestSegmentAccounting(t *testing.T) {
 	}
 	rlen := enc.Cfg.Geo.Length
 	for si := range red.Useful {
-		// Per-seed TSL must equal the simulated applied stream length.
-		if got, want := len(red.seedApplied(si)), red.SeedTSL(si); got != want {
-			t.Errorf("seed %d: simulated %d vectors, accounted %d", si, got, want)
-		}
 		// Runs partition the window up to the last useful segment, useful
 		// runs cost exactly their states in clocks, useless runs less.
 		prevEnd := -1
@@ -266,74 +224,87 @@ func TestFortuitousEmbeddingsFound(t *testing.T) {
 	}
 }
 
-func TestNaiveSelectionAblation(t *testing.T) {
-	// The paper's §3.2 selection (fortuitous embeddings + greedy cover)
-	// must never be worse than naive assignment-based labelling, and the
-	// naive variant must still apply every cube.
-	enc := encodeProfile(t, "s38584", 60, 24)
-	smart, err := ReduceWithIndex(enc, nil, DefaultOptions(4, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	naiveOpt := DefaultOptions(4, 8)
-	naiveOpt.NaiveSelection = true
-	naive, err := ReduceWithIndex(enc, nil, naiveOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := naive.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if smart.TotalUseful() > naive.TotalUseful() {
-		t.Errorf("smart selection uses more useful segments (%d) than naive (%d)", smart.TotalUseful(), naive.TotalUseful())
-	}
-	if smart.TSL() > naive.TSL() {
-		t.Errorf("smart TSL %d worse than naive %d", smart.TSL(), naive.TSL())
-	}
-	applied := naive.AppliedVectors()
-	for ci, c := range enc.Set.Cubes {
-		found := false
-		for _, v := range applied {
-			if c.Matches(v) {
-				found = true
-				break
+// naiveIndex is the reference the embedding index is pinned to: it
+// regenerates every window by clocking the decompressor and tests every
+// cube against every vector with Cube.Matches.
+func naiveIndex(enc *encoder.Encoding) [][]VecRef {
+	want := make([][]VecRef, enc.Set.Len())
+	for si, seed := range enc.Seeds {
+		window := encoder.GenerateWindow(enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, seed.Value, enc.Cfg.WindowLen)
+		for ci, c := range enc.Set.Cubes {
+			for v, vec := range window {
+				if c.Matches(vec) {
+					want[ci] = append(want[ci], VecRef{Seed: si, Vec: v})
+				}
 			}
 		}
-		if !found {
-			t.Errorf("naive selection: cube %d not applied", ci)
-		}
 	}
+	return want
 }
 
-// TestScanEmbeddingsExact pins the embedding index to a naive scan —
-// regenerate every window and test every cube against every vector with
-// Cube.Matches — on the full CI s13207 and s38417 profiles, for one and
-// for several scan workers. The window lengths cover classical reseeding
-// (L = 1: one lane word holds 64 seeds), lane words that cross seed
-// boundaries (16, 63, 65, 130), runs that end in a partial word and
-// windows that fill words exactly (64). These sets have 4 to 36 seeds, so
-// at four workers the runs shrink to one per worker.
+// encodeWithPrivateTables encodes a CI profile through EncodeCtx with a nil
+// Config.Tables, on a register of the given form with the standard phase
+// shifter, trying design variants until one encodes.
+func encodeWithPrivateTables(t *testing.T, name string, form lfsr.Form, L int) *encoder.Encoding {
+	t.Helper()
+	p, err := benchprofile.ByName(name, benchprofile.ScaleCI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := lfsr.NewStandard(form, p.LFSRSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo, err := scan.New(p.Width, p.Chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := p.Generate()
+	for v := uint64(0); v < 16; v++ {
+		ps, err := phaseshifter.NewSeparatedVariant(l, p.Chains, L*geo.Length, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := encoder.Config{LFSR: l, PS: ps, Geo: geo, WindowLen: L, FillSeed: 1}
+		if enc, err := encoder.EncodeCtx(context.Background(), cfg, set); err == nil {
+			return enc
+		}
+	}
+	t.Fatalf("%s %v L=%d: no phase-shifter variant encodes", name, form, L)
+	return nil
+}
+
+// TestScanEmbeddingsExact pins the embedding index to the naive scan on
+// the full CI s13207 and s38417 profiles. The window lengths cover
+// classical reseeding (L = 1: a block holds up to 64 seeds), partial
+// last words (16, 63, 65, 130) and windows that fill words exactly (64).
+// Those sets have 4 to 36 seeds, so an L = 1 encoding of 600 s38417-like
+// cubes adds several full 64-seed blocks and a partial last one. Two
+// encodings come from EncodeCtx with a nil Config.Tables, one of them on
+// a Galois register, so the index reads tables the encode built itself.
 func TestScanEmbeddingsExact(t *testing.T) {
+	type tc struct {
+		label string
+		enc   *encoder.Encoding
+	}
+	var cases []tc
 	for _, name := range []string{"s13207", "s38417"} {
 		for _, L := range []int{1, 16, 63, 64, 65, 130} {
-			enc := encodeProfile(t, name, 0, L)
-			want := make([][]VecRef, enc.Set.Len())
-			for si, seed := range enc.Seeds {
-				window := encoder.GenerateWindow(enc.Cfg.LFSR, enc.Cfg.PS, enc.Cfg.Geo, seed.Value, enc.Cfg.WindowLen)
-				for ci, c := range enc.Set.Cubes {
-					for v, vec := range window {
-						if c.Matches(vec) {
-							want[ci] = append(want[ci], VecRef{Seed: si, Vec: v})
-						}
-					}
-				}
-			}
-			for _, workers := range []int{1, 4} {
-				got := ScanEmbeddingsWorkers(enc, workers).PerCube
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s L=%d workers=%d: embedding index differs from the naive scan", name, L, workers)
-				}
-			}
+			cases = append(cases, tc{fmt.Sprintf("%s L=%d", name, L), encodeProfile(t, name, 0, L)})
+		}
+	}
+	many := encodeProfile(t, "s38417", 600, 1)
+	if len(many.Seeds) <= 128 || len(many.Seeds)%64 == 0 {
+		t.Fatalf("s38417 L=1 with 600 cubes has %d seeds; want more than two blocks, the last partial", len(many.Seeds))
+	}
+	cases = append(cases,
+		tc{"s38417 L=1 600 cubes", many},
+		tc{"s9234 Fibonacci L=20 private tables", encodeWithPrivateTables(t, "s9234", lfsr.Fibonacci, 20)},
+		tc{"s15850 Galois L=70 private tables", encodeWithPrivateTables(t, "s15850", lfsr.Galois, 70)},
+	)
+	for _, c := range cases {
+		if got, want := ScanEmbeddingsWorkers(c.enc, 0).PerCube, naiveIndex(c.enc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: embedding index differs from the naive scan", c.label)
 		}
 	}
 }
@@ -342,6 +313,6 @@ func BenchmarkScanEmbeddings(b *testing.B) {
 	enc := encodeProfile(b, "s38417", 0, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanEmbeddingsWorkers(enc, 1)
+		ScanEmbeddingsWorkers(enc, 0)
 	}
 }
