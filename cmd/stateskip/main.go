@@ -42,9 +42,7 @@ import (
 	"repro/internal/cube"
 	"repro/internal/encoder"
 	"repro/internal/experiments"
-	"repro/internal/lfsr"
 	"repro/internal/netlist"
-	"repro/internal/phaseshifter"
 	"repro/internal/stateskip"
 	"repro/internal/verilog"
 )
@@ -298,7 +296,7 @@ func runEncode(ctx context.Context, scale benchprofile.Scale, args []string) err
 	}
 	fmt.Printf("encoded: %d seeds (PS variant %d), TDV %d bits, full-window TSL %d vectors (%.1fs)\n",
 		len(enc.Seeds), variant, enc.TDV(), enc.TSL(), time.Since(t0).Seconds())
-	fmt.Printf("encoder effort: %d consistency checks, symbolic tables built in %.1fms\n",
+	fmt.Printf("encoder effort: %d consistency checks, equation index and scan arenas built in %.1fms\n",
 		enc.ChecksPerformed, enc.TableBuildTime.Seconds()*1000)
 	red, err := stateskip.ReduceWithIndex(enc, nil, stateskip.DefaultOptions(*S, *k))
 	if err != nil {
@@ -396,10 +394,6 @@ func runVerilog(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	l, err := lfsr.NewStandard(lfsr.Fibonacci, *n)
-	if err != nil {
-		return err
-	}
 	// Pick a separation window the register's state space can support:
 	// small demo registers cannot keep many channels phase-separated over
 	// long windows.
@@ -412,11 +406,13 @@ func runVerilog(args []string) error {
 			sep = 8
 		}
 	}
-	ps, err := phaseshifter.NewSeparated(l, *chains, sep)
+	// One cell per chain makes a window vector one shift clock, so a
+	// window of sep vectors is sep clocks.
+	cfg, err := encoder.StandardConfigVariant(*n, *chains, *chains, sep, 0)
 	if err != nil {
 		return err
 	}
-	src := verilog.StateSkipLFSR(l, *k) + "\n" + verilog.PhaseShifter(ps)
+	src := verilog.StateSkipLFSR(cfg.LFSR, *k) + "\n" + verilog.PhaseShifter(cfg.PS)
 	if *out == "" {
 		fmt.Println(src)
 		return nil

@@ -93,7 +93,7 @@ func main() {
 	fmt.Printf("reseeding: n=%d, %d seeds (variant %d), TDV %d bits vs %d raw bits (%.1fx)\n",
 		n, len(enc.Seeds), variant, enc.TDV(), res.Cubes.Len()*sum.Width,
 		float64(res.Cubes.Len()*sum.Width)/float64(enc.TDV()))
-	fmt.Printf("full-window test sequence: %d vectors (%d consistency checks, tables built in %.1fms)\n",
+	fmt.Printf("full-window test sequence: %d vectors (%d consistency checks, equation index and scan arenas built in %.1fms)\n",
 		enc.TSL(), enc.ChecksPerformed, enc.TableBuildTime.Seconds()*1000)
 
 	// 5. State Skip reduction.

@@ -53,15 +53,6 @@ func (s *Set) TotalSpecified() int {
 	return total
 }
 
-// Histogram returns a map from specified-bit count to number of cubes.
-func (s *Set) Histogram() map[int]int {
-	h := make(map[int]int)
-	for _, c := range s.Cubes {
-		h[c.SpecifiedCount()]++
-	}
-	return h
-}
-
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
 	out := &Set{Width: s.Width, Cubes: make([]Cube, len(s.Cubes))}

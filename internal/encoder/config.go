@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cube"
 	"repro/internal/lfsr"
-	"repro/internal/phaseshifter"
 	"repro/internal/scan"
 )
 
@@ -16,9 +15,10 @@ const standardFillSeed = 0xC0FFEE
 // StandardConfigVariant assembles the canonical decompressor used
 // throughout the paper's experiments: a Fibonacci LFSR of size n with a
 // curated primitive polynomial, the standard 3-tap phase shifter in the
-// given design variant (see phaseshifter.NewSeparatedVariant; variant 0 is
-// the default design), and `chains` balanced scan chains covering `width`
-// scan cells, with window length L.
+// given design variant (see NewSeparatedTables; variant 0 is the default
+// design), and `chains` balanced scan chains covering `width` scan cells,
+// with window length L. Choosing the taps builds the symbolic tables, so
+// the Config carries them in Tables.
 func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, error) {
 	l, err := lfsr.NewStandard(lfsr.Fibonacci, n)
 	if err != nil {
@@ -28,11 +28,11 @@ func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, err
 	if err != nil {
 		return Config{}, err
 	}
-	ps, err := phaseshifter.NewSeparatedVariant(l, chains, L*geo.Length, variant)
+	tabs, err := NewSeparatedTables(l, geo, L, variant)
 	if err != nil {
 		return Config{}, err
 	}
-	return Config{LFSR: l, PS: ps, Geo: geo, WindowLen: L, FillSeed: standardFillSeed}, nil
+	return Config{LFSR: l, PS: tabs.PS(), Geo: geo, WindowLen: L, FillSeed: standardFillSeed, Tables: tabs}, nil
 }
 
 // EncodeAutoCtx encodes the set with the standard decompressor, retrying
@@ -57,7 +57,8 @@ func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, err
 //
 // The context is checked between variants and threaded into every encode
 // attempt (see EncodeCtx); a fired context stops the variant iteration
-// instead of masquerading as "unencodable".
+// instead of masquerading as "unencodable". Building a variant's tables
+// does not poll it: each round of the tap search is one symbolic sweep.
 func EncodeAutoCtx(ctx context.Context, n, width, chains, L int, set *cube.Set, workers int, cache *TablesCache) (*Encoding, uint64, error) {
 	const maxVariants = 16
 	var lastErr error

@@ -53,13 +53,14 @@ type Encoding struct {
 	// checks, a measure of encoder effort used by the pruning ablation.
 	// The fresh-window screen that runs before the loop is not counted.
 	ChecksPerformed int64
-	// TableBuildTime is the wall time this encoding spent materialising
-	// symbolic tables and its equation index — only the index when
-	// Config.Tables already held the built arena — plus the column arena
-	// its scan builds when it first decides a window word bit-sliced (at
-	// any L, an L = 1 tier with more than gf2.ProjectedFree free variables
-	// included), and, at L = 1, the projected rows it builds when it first
-	// checks on them.
+	// TableBuildTime is the wall time this encoding spent building its
+	// equation index, and its symbolic tables only when Config.Tables was
+	// nil: tables passed in, as EncodeAutoCtx and StandardConfigVariant's
+	// Config pass them, were built before the encode and are not counted.
+	// It adds the column arena its scan builds when it first decides a
+	// window word bit-sliced (at any L, an L = 1 tier with more than
+	// gf2.ProjectedFree free variables included), and, at L = 1, the
+	// projected rows it builds when it first checks on them.
 	TableBuildTime time.Duration
 }
 
@@ -93,6 +94,7 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 	if set.Width != cfg.Geo.Width {
 		return nil, fmt.Errorf("encoder: cube width %d != scan width %d", set.Width, cfg.Geo.Width)
 	}
+	t0 := time.Now()
 	tabs := cfg.Tables
 	if tabs == nil {
 		var err error
@@ -106,11 +108,7 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 	} else if tabs.winLen != cfg.WindowLen {
 		return nil, fmt.Errorf("encoder: Config.Tables built for window length %d, not %d", tabs.winLen, cfg.WindowLen)
 	}
-	t0 := time.Now()
-	table, err := tabs.ExprTableCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
+	table := tabs.ExprTable()
 	sys := newSystemIndex(set, cfg.Geo, cfg.WindowLen)
 	built := time.Since(t0)
 	enc, err := encodeWithTable(ctx, cfg, set, table, sys)

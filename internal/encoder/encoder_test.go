@@ -260,7 +260,9 @@ func TestEncodeSharedTablesIdentical(t *testing.T) {
 	ctx := context.Background()
 	set := genSet(t, "s13207", 40)
 	cfg := smallConfig(t, 16, set.Width, 8, 12)
-	want, err := EncodeCtx(ctx, cfg, set)
+	private := cfg
+	private.Tables = nil
+	want, err := EncodeCtx(ctx, private, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,11 +429,10 @@ func BenchmarkAblationPruning(b *testing.B) {
 
 // TestEncodeExtendedTablesIdentical encodes one set through shared Tables
 // at several window lengths (3, 4, 5, 9, 70 and 12), one Tables value per
-// length, whose arena the first encode extends from empty. Every encode,
-// and a second one reading the built arena, must equal one with fresh
-// private tables: seeds, assignments and ChecksPerformed. The same encodes
-// then run at once, three per length through new shared tables, so the
-// lazy build races with encodes waiting to read it.
+// length. Two encodes through each, the second reading the arena the first
+// read, must equal one with fresh private tables: seeds, assignments and
+// ChecksPerformed. The same encodes then run at once, three per length
+// through new shared tables.
 func TestEncodeExtendedTablesIdentical(t *testing.T) {
 	ctx := context.Background()
 	set := genSet(t, "s9234", 25)
@@ -440,7 +441,7 @@ func TestEncodeExtendedTablesIdentical(t *testing.T) {
 	want := make([]*Encoding, len(lengths))
 	for i, L := range lengths {
 		c := cfg
-		c.WindowLen = L
+		c.WindowLen, c.Tables = L, nil
 		var err error
 		if want[i], err = EncodeCtx(ctx, c, set); err != nil {
 			t.Fatal(err)
@@ -458,7 +459,7 @@ func TestEncodeExtendedTablesIdentical(t *testing.T) {
 	}
 	for i, L := range lengths {
 		c := shared(L)
-		for _, pass := range []string{"build", "reuse"} {
+		for _, pass := range []string{"first", "reuse"} {
 			got, err := EncodeCtx(ctx, c, set)
 			if err != nil {
 				t.Fatal(err)
@@ -580,16 +581,8 @@ func TestEncodeScreen(t *testing.T) {
 	}
 
 	// A window longer than the poll stride: screening the unembeddable
-	// densest cube alone polls the (already cancelled) context. Prebuilt
-	// tables keep the table build from noticing the cancel first.
+	// densest cube alone polls the (already cancelled) context.
 	long := smallConfig(t, 24, set.Width, 8, 2*checkStride)
-	long.Tables, err = NewTables(long.LFSR, long.PS, long.Geo, long.WindowLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := long.Tables.ExprTableCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = EncodeCtx(ctx, long, set)

@@ -19,7 +19,8 @@ import (
 // formConfig is StandardConfigVariant with a choice of register form. A
 // register of at most 8 cells has too few states to keep its outputs'
 // sequences apart over a window, and the encoder does not need them
-// apart: there, chain ch XORs cells ch and ch+1 (mod n).
+// apart: there, chain ch XORs cells ch and ch+1 (mod n). Either way the
+// Config carries its built tables.
 func formConfig(t testing.TB, form lfsr.Form, n, width, chains, L int, variant uint64) Config {
 	t.Helper()
 	l, err := lfsr.NewStandard(form, n)
@@ -30,20 +31,23 @@ func formConfig(t testing.TB, form lfsr.Form, n, width, chains, L int, variant u
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ps *phaseshifter.PhaseShifter
+	var tabs *Tables
 	if n <= 8 {
 		taps := make([][]int, chains)
 		for ch := range taps {
 			taps[ch] = []int{ch % n, (ch + 1) % n}
 		}
-		ps, err = phaseshifter.New(n, taps)
+		var ps *phaseshifter.PhaseShifter
+		if ps, err = phaseshifter.New(n, taps); err == nil {
+			tabs, err = NewTables(l, ps, geo, L)
+		}
 	} else {
-		ps, err = phaseshifter.NewSeparatedVariant(l, chains, L*geo.Length, variant)
+		tabs, err = NewSeparatedTables(l, geo, L, variant)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{LFSR: l, PS: ps, Geo: geo, WindowLen: L, FillSeed: standardFillSeed}
+	return Config{LFSR: l, PS: tabs.PS(), Geo: geo, WindowLen: L, FillSeed: standardFillSeed, Tables: tabs}
 }
 
 // randomCubes draws count cubes for cfg's scan, each specifying between
@@ -325,6 +329,21 @@ func pollSite(free int) string {
 	}
 }
 
+// stopAfterPolls is a context whose Err reports context.Canceled from its
+// (polls+1)-th call on, so an encode stops at a chosen poll.
+type stopAfterPolls struct {
+	context.Context
+	polls int
+}
+
+func (c *stopAfterPolls) Err() error {
+	if c.polls == 0 {
+		return context.Canceled
+	}
+	c.polls--
+	return nil
+}
+
 // pollLog is a live context recording the site of each Err call, with the
 // free-variable count of the tier being scanned (set through
 // scanTierHook).
@@ -361,15 +380,6 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 	} {
 		cfg := formConfig(t, lfsr.Fibonacci, 24, 120, 6, tc.L, 0)
 		set := randomCubes(prng.New(3), cfg, tc.cubes, 4, 8)
-		var err error
-		cfg.Tables, err = NewTables(cfg.LFSR, cfg.PS, cfg.Geo, cfg.WindowLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Built tables: the build's own polls would shift the counts.
-		if _, err := cfg.Tables.ExprTableCtx(context.Background()); err != nil {
-			t.Fatal(err)
-		}
 
 		// The indices of an uncancelled encode's polls, per site.
 		log := &pollLog{Context: context.Background()}

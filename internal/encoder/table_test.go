@@ -1,7 +1,6 @@
 package encoder
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/benchprofile"
@@ -20,7 +19,7 @@ func buildExprTable(l *lfsr.LFSR, ps *phaseshifter.PhaseShifter, geo scan.Geomet
 	if err != nil {
 		return nil, err
 	}
-	return t.ExprTableCtx(context.Background())
+	return t.ExprTable(), nil
 }
 
 // TestDependenciesPositionInvariant pins the structural fact the whole

@@ -228,7 +228,7 @@ func TestPaperSizesPresent(t *testing.T) {
 }
 
 func TestSkipMatrixComposition(t *testing.T) {
-	// T^(j+k) = T^j · T^k and SkipExpressions agrees with SkipMatrix.
+	// T^(j+k) = T^j · T^k and skipExpressions agrees with SkipMatrix.
 	l := mustNew(t, Fibonacci, 24, []int{23, 22, 17})
 	f := func(j, k uint8) bool {
 		ej, ek := uint64(j%40), uint64(k%40)
@@ -239,10 +239,29 @@ func TestSkipMatrixComposition(t *testing.T) {
 		t.Error(err)
 	}
 	for _, k := range []int{1, 2, 7, 24} {
-		if !SkipExpressions(l, k).Equal(l.SkipMatrix(uint64(k))) {
-			t.Errorf("SkipExpressions(%d) disagrees with SkipMatrix", k)
+		if !skipExpressions(l, k).Equal(l.SkipMatrix(uint64(k))) {
+			t.Errorf("skipExpressions(%d) disagrees with SkipMatrix", k)
 		}
 	}
+}
+
+// skipExpressions returns the linear expressions F_0^k ... F_{n-1}^k of
+// Section 3.1: row i is the expression of cell i after k clocks in terms of
+// the state k clocks earlier. It is computed by fresh symbolic simulation,
+// which is how the paper describes deriving the State Skip circuit, and is
+// the reference SkipMatrix is checked against.
+func skipExpressions(l *LFSR, k int) gf2.Mat {
+	s := NewSymbolic(l)
+	for i := 0; i < k; i++ {
+		s.Step()
+	}
+	return s.exprMatrix()
+}
+
+// exprMatrix returns a snapshot matrix whose row i is the expression of
+// cell i, i.e. T^cycle.
+func (s *Symbolic) exprMatrix() gf2.Mat {
+	return gf2.MatFromRows(s.exprs)
 }
 
 func TestSkipModeShortensSequence(t *testing.T) {
@@ -310,7 +329,7 @@ func TestSymbolicMatrixIsTransitionPower(t *testing.T) {
 	l := mustNew(t, Fibonacci, 12, []int{6, 4, 1})
 	s := NewSymbolic(l)
 	for cyc := 0; cyc <= 30; cyc++ {
-		if !s.ExprMatrix().Equal(l.Transition().Pow(uint64(cyc))) {
+		if !s.exprMatrix().Equal(l.Transition().Pow(uint64(cyc))) {
 			t.Fatalf("symbolic state at cycle %d is not T^%d", cyc, cyc)
 		}
 		s.Step()

@@ -41,12 +41,6 @@ func NewSymbolic(l *LFSR) *Symbolic {
 // next Step.
 func (s *Symbolic) Expr(i int) gf2.Vec { return s.exprs[i] }
 
-// ExprMatrix returns a snapshot matrix whose row i is the expression of
-// cell i, i.e. T^cycle.
-func (s *Symbolic) ExprMatrix() gf2.Mat {
-	return gf2.MatFromRows(s.exprs)
-}
-
 // Step advances the symbolic state one clock, allocation-free.
 func (s *Symbolic) Step() {
 	n := s.l.n
@@ -76,22 +70,4 @@ func (s *Symbolic) Step() {
 	default:
 		panic(fmt.Sprintf("lfsr: unknown form %v", s.l.form))
 	}
-}
-
-// StepN advances the symbolic state by k clocks.
-func (s *Symbolic) StepN(k int) {
-	for i := 0; i < k; i++ {
-		s.Step()
-	}
-}
-
-// SkipExpressions returns the linear expressions F_0^k ... F_{n-1}^k of
-// Section 3.1: row i is the expression of cell i after k clocks in terms of
-// the state k clocks earlier. It equals l.SkipMatrix(k) and is computed by
-// fresh symbolic simulation, which is how the paper describes deriving the
-// State Skip circuit.
-func SkipExpressions(l *LFSR, k int) gf2.Mat {
-	s := NewSymbolic(l)
-	s.StepN(k)
-	return s.ExprMatrix()
 }

@@ -5,10 +5,12 @@
 // shifter drives every chain with the XOR of a small set of cells, chosen so
 // the output sequences are widely separated phases of the m-sequence.
 //
-// The construction here (NewSeparated) taps three cells per output and
-// verifies by symbolic simulation that no two outputs produce the same
-// seed expression anywhere within the encoding window — the separation
-// property window-based reseeding needs.
+// The package holds only the XOR network. Choosing separated taps — three
+// cells per output, verified by symbolic simulation never to produce the
+// same seed expression at two outputs anywhere within the encoding window,
+// the separation property window-based reseeding needs — reads the same
+// symbolic rows the encoder's expression table holds, so it is done while
+// that table is filled (encoder.NewSeparatedTables).
 package phaseshifter
 
 import (
@@ -16,8 +18,6 @@ import (
 	"math/bits"
 
 	"repro/internal/gf2"
-	"repro/internal/lfsr"
-	"repro/internal/prng"
 	"repro/internal/scan"
 )
 
@@ -62,177 +62,6 @@ func New(n int, taps [][]int) (*PhaseShifter, error) {
 		cp[o] = append([]int(nil), ts...)
 	}
 	return &PhaseShifter{n: n, words: words, taps: cp, masks: masks}, nil
-}
-
-// NewSeparated builds a 3-tap-per-output phase shifter whose output
-// sequences are verified to have no phase overlap within windowCycles
-// clocks.
-//
-// Each output, being an XOR of LFSR cells, produces the register's
-// m-sequence at some phase (the shift-and-add property). If two outputs'
-// phases come closer than the window length, they emit the *same* linear
-// expression of the seed at two different (output, cycle) slots, and any
-// test cube specifying opposite values at those slots becomes structurally
-// unencodable. Naive tap constructions (e.g. constant-stride tap sets) are
-// catastrophic here: shifting a tap set by s cells shifts its phase by
-// exactly s, putting all channels within a few cycles of each other.
-//
-// Because computing phases outright needs discrete logarithms in GF(2^n),
-// NewSeparated instead verifies separation directly: it simulates the
-// register symbolically for windowCycles clocks, looks every output
-// expression up among the outputs' expressions at the first clock, and
-// re-randomises the taps of any output that collides with an earlier one.
-// Tap choice is deterministic (seeded from n, outputs and windowCycles),
-// so identical configurations always yield identical hardware.
-func NewSeparated(l *lfsr.LFSR, outputs, windowCycles int) (*PhaseShifter, error) {
-	return NewSeparatedVariant(l, outputs, windowCycles, 0)
-}
-
-// NewSeparatedVariant is NewSeparated with a design-variant salt. Pairwise
-// phase separation cannot rule out *higher-weight* translation-invariant
-// relations (e.g. output a XOR output b at equal cycles equalling output c a
-// few cycles earlier); when a test set happens to specify slots on such a
-// relation with odd parity, that cube is structurally unencodable under
-// this particular shifter and the flow retries with the next variant —
-// mirroring real DFT practice, where the phase shifter is iterated until
-// the test set encodes. See encoder.EncodeAutoCtx.
-func NewSeparatedVariant(l *lfsr.LFSR, outputs, windowCycles int, variant uint64) (*PhaseShifter, error) {
-	n := l.Size()
-	if outputs < 1 {
-		return nil, fmt.Errorf("phaseshifter: need at least one output, got %d", outputs)
-	}
-	if windowCycles < 1 {
-		return nil, fmt.Errorf("phaseshifter: window of %d cycles invalid", windowCycles)
-	}
-	src := prng.New(uint64(n)<<32 ^ uint64(outputs)<<16 ^ uint64(windowCycles) ^ 0x51ab ^ variant*0x9e3779b97f4a7c15)
-	taps := make([][]int, outputs)
-	for o := range taps {
-		taps[o] = randomTaps(src, n)
-	}
-	cs := newCollisionSet(n, outputs)
-	const maxRounds = 64
-	for round := 0; round < maxRounds; round++ {
-		colliding := findCollision(l, taps, windowCycles, cs)
-		if colliding < 0 {
-			return New(n, taps)
-		}
-		taps[colliding] = randomTaps(src, n)
-	}
-	return nil, fmt.Errorf("phaseshifter: could not separate %d outputs over %d cycles for n=%d (state space too small)", outputs, windowCycles, n)
-}
-
-// randomTaps draws three distinct cells (fewer if n < 3).
-func randomTaps(src *prng.Source, n int) []int {
-	want := 3
-	if n < want {
-		want = n
-	}
-	set := make(map[int]bool, want)
-	out := make([]int, 0, want)
-	for len(out) < want {
-		c := src.Intn(n)
-		if !set[c] {
-			set[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// findCollision symbolically simulates windowCycles clocks and returns the
-// index of the first output, in (cycle, output) order, whose expression
-// duplicates another output's expression at that or an earlier cycle, or
-// -1 if all expressions are distinct.
-//
-// The LFSR transition is invertible, so output a's expression at cycle i
-// equals output b's at cycle j ≤ i exactly when a's expression at cycle
-// i − j equals b's at cycle 0. The first duplicate therefore always
-// involves a cycle-0 expression: cycle 0 checks the outputs against each
-// other, and every later cycle only looks each expression up among the m
-// cycle-0 ones. cs is reset and reused; it must be sized for len(taps)
-// expressions.
-func findCollision(l *lfsr.LFSR, taps [][]int, windowCycles int, cs *collisionSet) int {
-	cs.reset()
-	sym := lfsr.NewSymbolic(l)
-	scratch := gf2.NewVec(l.Size())
-	for cyc := 0; cyc < windowCycles; cyc++ {
-		for o, ts := range taps {
-			scratch.Zero()
-			for _, c := range ts {
-				scratch.Xor(sym.Expr(c))
-			}
-			if cs.match(o, scratch.Words(), cyc == 0) {
-				return o
-			}
-		}
-		sym.Step()
-	}
-	return -1
-}
-
-// collisionSet holds the outputs' cycle-0 expressions of one separation
-// round: the expressions in one flat word arena, indexed by an
-// open-addressing hash table of entry numbers, so a round allocates
-// nothing once the set is sized.
-type collisionSet struct {
-	words int
-	arena []uint64 // entry e's expression at words [e·words, (e+1)·words)
-	outs  []int32  // entry e's output
-	slots []int32  // entry numbers by hash, linear probing; -1 = empty
-	shift uint     // 64 − log2(len(slots)): the hash's top bits index slots
-}
-
-func newCollisionSet(n, entries int) *collisionSet {
-	logSlots := uint(bits.Len(uint(2*entries - 1))) // load factor ≤ 1/2
-	words := (n + 63) / 64
-	return &collisionSet{
-		words: words,
-		arena: make([]uint64, 0, entries*words),
-		outs:  make([]int32, 0, entries),
-		slots: make([]int32, 1<<logSlots),
-		shift: 64 - logSlots,
-	}
-}
-
-func (cs *collisionSet) reset() {
-	cs.arena = cs.arena[:0]
-	cs.outs = cs.outs[:0]
-	for i := range cs.slots {
-		cs.slots[i] = -1
-	}
-}
-
-// match reports whether an entry of another output holds expr; otherwise,
-// if add is set, it records expr as an entry of output o.
-func (cs *collisionSet) match(o int, expr []uint64, add bool) bool {
-	h := uint64(0)
-	for _, w := range expr {
-		h = (h ^ w) * 0x9e3779b97f4a7c15
-	}
-	mask := len(cs.slots) - 1
-	for i := int(h >> cs.shift); ; i = (i + 1) & mask {
-		e := int(cs.slots[i])
-		if e < 0 {
-			if add {
-				cs.slots[i] = int32(len(cs.outs))
-				cs.outs = append(cs.outs, int32(o))
-				cs.arena = append(cs.arena, expr...)
-			}
-			return false
-		}
-		if int(cs.outs[e]) != o && equalWords(cs.arena[e*cs.words:(e+1)*cs.words], expr) {
-			return true
-		}
-	}
-}
-
-func equalWords(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Outputs returns the number of outputs m.

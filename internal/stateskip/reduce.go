@@ -14,7 +14,6 @@
 package stateskip
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -112,9 +111,7 @@ type VecEmbeddings struct {
 // specified slots, each inverted where the cube's bit is 0, until the word
 // is zero; the bits left set are the block's vectors that embed it.
 func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
-	// The encode built the tables, so no symbolic cycle runs here, and a
-	// context that never fires cannot stop the call.
-	table, _ := enc.Cfg.Tables.ExprTableCtx(context.Background())
+	table := enc.Cfg.Tables.ExprTable()
 	L, n, rows := enc.Cfg.WindowLen, table.N, table.Rows()
 	cells := newCubeCells(enc.Set, table)
 	planes := make([]uint64, rows.Count()/L)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/benchprofile"
 	"repro/internal/encoder"
 	"repro/internal/lfsr"
-	"repro/internal/phaseshifter"
 	"repro/internal/scan"
 )
 
@@ -244,7 +243,8 @@ func naiveIndex(enc *encoder.Encoding) [][]VecRef {
 
 // encodeWithPrivateTables encodes a CI profile through EncodeCtx with a nil
 // Config.Tables, on a register of the given form with the standard phase
-// shifter, trying design variants until one encodes.
+// shifter, trying design variants until one encodes. Only the phase
+// shifter is taken from the separated tables, so the encode builds its own.
 func encodeWithPrivateTables(t *testing.T, name string, form lfsr.Form, L int) *encoder.Encoding {
 	t.Helper()
 	p, err := benchprofile.ByName(name, benchprofile.ScaleCI)
@@ -261,11 +261,11 @@ func encodeWithPrivateTables(t *testing.T, name string, form lfsr.Form, L int) *
 	}
 	set := p.Generate()
 	for v := uint64(0); v < 16; v++ {
-		ps, err := phaseshifter.NewSeparatedVariant(l, p.Chains, L*geo.Length, v)
+		sep, err := encoder.NewSeparatedTables(l, geo, L, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := encoder.Config{LFSR: l, PS: ps, Geo: geo, WindowLen: L, FillSeed: 1}
+		cfg := encoder.Config{LFSR: l, PS: sep.PS(), Geo: geo, WindowLen: L, FillSeed: 1}
 		if enc, err := encoder.EncodeCtx(context.Background(), cfg, set); err == nil {
 			return enc
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/benchprofile"
 	"repro/internal/encoder"
 	"repro/internal/lfsr"
-	"repro/internal/phaseshifter"
 	"repro/internal/stateskip"
 )
 
@@ -82,11 +81,12 @@ func lineWith(src, prefix string) string {
 }
 
 func TestPhaseShifterEmission(t *testing.T) {
-	l, _ := lfsr.NewStandard(lfsr.Fibonacci, 16)
-	ps, err := phaseshifter.NewSeparated(l, 4, 64)
+	// Four one-cell chains: a 64-vector window is 64 shift clocks.
+	cfg, err := encoder.StandardConfigVariant(16, 4, 4, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ps := cfg.PS
 	src := PhaseShifter(ps)
 	if !strings.Contains(src, "module phase_shifter_n16_m4") {
 		t.Error("module header missing")

@@ -78,7 +78,7 @@ func Encode(ctx context.Context, cfg EncoderConfig, set *CubeSet) (*Encoding, er
 // EncodeAuto compresses a cube set with the standard decompressor (LFSR
 // size n, the given scan-chain count, window length L), retrying
 // phase-shifter design variants when the test set is structurally
-// unencodable under one (see phaseshifter.NewSeparatedVariant). It returns
+// unencodable under one (see encoder.NewSeparatedTables). It returns
 // the encoding and the variant used. A non-nil cache serves the symbolic
 // tables of every variant a repeated encode of the same configuration
 // re-tries instead of rebuilding them; nil builds private tables. The
