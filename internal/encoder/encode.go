@@ -77,10 +77,10 @@ func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.WindowLen }
 //
 // The encode runs in the calling goroutine. Cancellation is cooperative:
 // the candidate scan polls the context once per checkStride consistency
-// checks (at least once per checkStride+63 where a bit-sliced word decides
-// up to 64 window positions in one step) and the seed-construction loop
-// polls it once per seed, so a cancel or deadline stops the encoder within
-// microseconds of the engines noticing.
+// checks (at least once per checkStride+63 where a bit-sliced step decides
+// up to 64 window positions of one or more cubes) and the
+// seed-construction loop polls it once per seed, so a cancel or deadline
+// stops the encoder within microseconds of the engines noticing.
 // A cancelled encode returns an error wrapping context.Canceled or
 // context.DeadlineExceeded; an uncancelled run is bit-identical for any
 // live context.
@@ -129,15 +129,17 @@ type candidate struct {
 // tierScan describes one scanned tier to scanTierHook: its cubes, the
 // basis's free variables, and the tier's path with its work: the
 // still-feasible pairs it checks one position at a time on projected rows
-// (projected set), or the window words with a feasible position it
-// decides bit-sliced.
+// (projected set), or the cube window words with a feasible position it
+// decides bit-sliced, the last window words among them, and the lane
+// words (sliceWord calls) it decides them in, fewer where short last
+// words share a lane word.
 type tierScan struct {
-	cubes, projPairs, slicedWords, free int
-	projected                           bool
+	cubes, projPairs, slicedWords, lastWords, laneWords, free int
+	projected                                                 bool
 }
 
-// scanTierHook, when non-nil, is called by every scanTier before it scans.
-// Tests set it to prove every scan path ran.
+// scanTierHook, when non-nil, is called by every scanTier once it has
+// scanned. Tests set it to prove every scan path ran.
 var scanTierHook func(tierScan)
 
 // noPruning, when set, disables monotone feasibility pruning: every
@@ -170,14 +172,15 @@ func (st *encodeState) pollCtx(checks int) bool {
 // encodeState is one encode's seed loop: the cubes still to place, their
 // feasible window positions, the seed's basis, and the scan's two
 // checkers. At L > 1, and at L = 1 while the basis has more than
-// gf2.ProjectedFree free variables, the scan decides each window word of
-// a cube bit-sliced (sliceWord), on plane blocks built from the column
-// arena cols; otherwise (L = 1) it checks the one position of each cube
-// on the projected rows proj. Solver.Add is the one way a constraint
-// enters the basis: a seed's first cube, and every probe of the
-// fresh-window screen, is probed at rank 0 by adding its equations to an
-// empty basis (firstSolvable), and every later cube is committed the same
-// way (commit).
+// gf2.ProjectedFree free variables, the scan decides a tier's window
+// words bit-sliced (sliceWord), on plane blocks built from the column
+// arena cols: each full word alone, and the short last words of several
+// cubes packed into one lane word; otherwise (L = 1) it checks the one
+// position of each cube on the projected rows proj. Solver.Add is the one
+// way a constraint enters the basis: a seed's first cube, and every probe
+// of the fresh-window screen, is probed at rank 0 by adding its equations
+// to an empty basis (firstSolvable), and every later cube is committed the
+// same way (commit).
 type encodeState struct {
 	ctx   context.Context
 	table *ExprTable
@@ -243,12 +246,17 @@ type encodeState struct {
 	pivMask, pivRows, eq []uint64
 
 	// Scan buffers reused across tiers: the cubes of the tier being
-	// scanned, and results[ti], the solvable positions of cube tier[ti].
-	tier    []int
-	results [][]candidate
+	// scanned, results[ti], the solvable positions of cube tier[ti], and
+	// group, the tier indices of the cubes sharing a lane word. laneWords
+	// counts sliceWord's lane words for scanTierHook.
+	tier      []int
+	results   [][]candidate
+	group     []int
+	laneWords int
 
-	// stop is set by the poll that observes a fired context; the scan
-	// checks it per cube and bails early.
+	// stop is set by the poll that observes a fired context; the
+	// projected scan checks it per cube, and the sliced scan stops at the
+	// lane word whose poll set it.
 	stop bool
 }
 
@@ -480,29 +488,17 @@ func (st *encodeState) feasRow(ci int) []uint64 {
 	return st.feasible[ci*st.feasWords : (ci+1)*st.feasWords]
 }
 
-// scanCube probes every still-feasible position of one cube in ascending
-// window words. In a tier that slices, each word is decided in one
-// sliceWord call, all its positions at once; otherwise (L = 1) the one
-// position is checked on the projected rows. Positions proven unsolvable
-// are pruned for the rest of this seed's construction (constraints only
-// grow, so unsolvable stays unsolvable); under noPruning the row keeps
-// every position of the window set. Either way each feasible position counts as
-// one check. A poll that finds the encode cancelled sets stop and ends
-// the scan; the caller discards the tier's candidates.
-func (st *encodeState) scanCube(ci int, out *[]candidate) {
+// scanProjected checks every still-feasible position of one cube of a
+// classical reseeding tier (L = 1) on the projected rows, one position at
+// a time. Positions proven unsolvable are pruned for the rest of this
+// seed's construction (constraints only grow, so unsolvable stays
+// unsolvable); under noPruning the row keeps every position of the window
+// set. Each feasible position counts as one check. A poll that finds the
+// encode cancelled sets stop and ends the scan; the caller discards the
+// tier's candidates.
+func (st *encodeState) scanProjected(ci int, out *[]candidate) {
 	feas := st.feasRow(ci)
 	for wi, f := range feas {
-		if f == 0 {
-			continue
-		}
-		if st.sliced {
-			lanes := bits.OnesCount64(f)
-			if st.sliceWord(ci, wi, lanes, out) {
-				return
-			}
-			st.checks += int64(lanes)
-			continue
-		}
 		for m := f; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
 			if st.pollCtx(1) {
@@ -522,46 +518,115 @@ func (st *encodeState) scanCube(ci int, out *[]candidate) {
 	}
 }
 
-// sliceWord decides every still-feasible position of cube ci's window
-// word wi at once, lanes of them, and appends a candidate for each
-// position whose system is consistent with the basis. Pruning keeps
-// exactly those positions, and the lanes count as that many checks
-// towards the context poll; it reports whether the poll found the
-// encode cancelled.
+// scanSliced decides every still-feasible position of a sliced tier, one
+// lane word per sliceWord call. Each cube's full window words are decided
+// alone. A window's last word holds only ℓ = L − 64(W−1) positions, so
+// the non-empty last words of the tier's cubes are decided g = ⌊64/ℓ⌋ to
+// a lane word, in tier order: at L ≤ 32 several whole windows share a
+// word, at L > 64 several short tails, and at L = 1 sixty-four cubes. A
+// cube's last word joins its group right after its full words, whose
+// plane blocks for the same slots lie next to the last word's. It stops
+// at the first poll that finds the encode cancelled.
+func (st *encodeState) scanSliced(tier []int) {
+	W := st.feasWords
+	width := st.L - 64*(W-1)
+	g := 64 / width
+	st.group = st.group[:0]
+	for ti, ci := range tier {
+		feas := st.feasRow(ci)
+		for wi := 0; wi < W-1; wi++ {
+			if one := [1]int{ti}; feas[wi] != 0 && st.sliceWord(one[:], wi, 64) {
+				return
+			}
+		}
+		if feas[W-1] == 0 {
+			continue
+		}
+		if st.group = append(st.group, ti); len(st.group) == g {
+			if st.sliceWord(st.group, W-1, width) {
+				return
+			}
+			st.group = st.group[:0]
+		}
+	}
+	if len(st.group) > 0 {
+		st.sliceWord(st.group, W-1, width)
+	}
+}
+
+// sliceWord decides window word wi of the cubes tier[ti], ti in group, in
+// one lane word: cube j of the group sits at lanes j·width …
+// j·width+width−1, and lane j·width+b is its window position 64·wi+b.
+// width is 64 for a full word and ℓ for a window's last word, and
+// width·len(group) ≤ 64. Every cube of a tier has the same specified
+// count, so the cubes have equally many equations. It appends a candidate
+// for each position whose system is consistent with the basis to the
+// cube's results, and pruning keeps exactly those positions. The group's
+// live lanes count as that many checks, towards ChecksPerformed and the
+// context poll; it reports whether the poll found the encode cancelled.
 //
 // It works in the basis's free-variable coordinates (gf2.Affine): lane b
 // of a slot's plane block holds the slot's expression at window position
 // 64·wi+b as an affine function of the free variables, so every equation
 // is one word per free variable plus a constant word, 64 positions to a
-// word. Forward elimination then runs across the 64 lanes at once: each
-// free variable keeps a mask of the lanes that hold a pivot row for it
-// and those rows, masked by lane; an equation folds in the pivot rows of
-// the lanes that hit them and becomes a pivot row in the lanes that do
-// not; a lane dies when one of its equations reduces to 0 = 1. The rank
-// increase of a surviving position is the number of pivot rows placed in
-// its lane. With no free variable (a determined seed) there is nothing to
-// eliminate: each equation is its slot's plane of the seed against rhs,
-// and every survivor has rank increase 0.
-func (st *encodeState) sliceWord(ci, wi, lanes int, out *[]candidate) bool {
+// word. Equation k of the lane word is the OR of each cube's plane block
+// for its k-th specified bit, shifted to the cube's lanes; a block's lanes
+// at or past L are clear (ExprTable.ColumnBlocks), so the shifted blocks
+// never overlap, and a right-hand side of 1 flips the constant in the
+// cube's own lanes only. Forward elimination then runs across the 64
+// lanes at once: each free variable keeps a mask of the lanes that hold a
+// pivot row for it and those rows, masked by lane; an equation folds in
+// the pivot rows of the lanes that hit them and becomes a pivot row in
+// the lanes that do not; a lane dies when one of its equations reduces to
+// 0 = 1. No step mixes lanes, so each lane's verdict is its own cube's.
+// The rank increase of a surviving position is the number of pivot rows
+// placed in its lane. With no free variable (a determined seed) there is
+// nothing to eliminate: each equation is its slots' plane of the seed
+// against rhs, and every survivor has rank increase 0.
+func (st *encodeState) sliceWord(group []int, wi, width int) bool {
+	span := ^uint64(0) >> uint(64-width) // one cube's lanes at offset 0
+	var alive uint64
+	for j, ti := range group {
+		alive |= st.feasRow(st.tier[ti])[wi] << uint(j*width)
+	}
+	lanes := bits.OnesCount64(alive)
 	if st.pollCtx(lanes) {
 		return true
 	}
+	st.checks += int64(lanes)
+	st.laneWords++
 	if st.affEpoch != st.epoch {
 		st.prepareSliced()
 	}
-	feas := st.feasRow(ci)
-	base, rhs := st.sys.base[ci], st.sys.rhs[ci]
 	L, W := int32(st.L), st.feasWords
 	r := st.free
 	pivMask := st.pivMask[:r]
-	alive := feas[wi]
 	stride := r + 1
 	eq := st.eq[:stride]
 	clear(pivMask)
-	for k, b := range base {
-		copy(eq, st.block(int(b/L)*W+wi))
-		// rhs 1 flips the constant: the equation is Σ t_i·eq[i] = rhs ⊕ eq[r].
-		eq[r] ^= -uint64(rhs[k] & 1)
+	for k := range st.sys.base[st.tier[group[0]]] {
+		for j, ti := range group {
+			off := uint(j * width)
+			if alive>>off&span == 0 {
+				// A dead cube's lanes are never read again: skip its
+				// equation and the plane block it would build.
+				if j == 0 {
+					clear(eq)
+				}
+				continue
+			}
+			ci := st.tier[ti]
+			blk := st.block(int(st.sys.base[ci][k]/L)*W + wi)
+			if j == 0 {
+				copy(eq, blk)
+			} else {
+				for i, w := range blk {
+					eq[i] |= w << off
+				}
+			}
+			// rhs 1 flips the constant: the equation is Σ t_i·eq[i] = rhs ⊕ eq[r].
+			eq[r] ^= -uint64(st.sys.rhs[ci][k]&1) & (span << off)
+		}
 		act := alive
 		for i, pm := range pivMask {
 			x := eq[i] & act
@@ -596,16 +661,21 @@ func (st *encodeState) sliceWord(ci, wi, lanes int, out *[]candidate) bool {
 			break
 		}
 	}
-	if !noPruning {
-		feas[wi] = alive
-	}
-	for m := alive; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		inc := 0
-		for _, pm := range pivMask {
-			inc += int(pm >> uint(b) & 1)
+	for j, ti := range group {
+		ci := st.tier[ti]
+		off := uint(j * width)
+		live := alive >> off & span
+		if !noPruning {
+			st.feasRow(ci)[wi] = live
 		}
-		*out = append(*out, candidate{cube: ci, pos: wi*64 + b, rankInc: inc})
+		for m := live; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			inc := 0
+			for _, pm := range pivMask {
+				inc += int(pm >> (off + uint(b)) & 1)
+			}
+			st.results[ti] = append(st.results[ti], candidate{cube: ci, pos: wi*64 + b, rankInc: inc})
+		}
 	}
 	return false
 }
@@ -671,31 +741,43 @@ func (st *encodeState) scanTier(tier []int) (candidate, bool, error) {
 	st.free = st.solver.FreeVars()
 	// Classical reseeding checks on projected rows once a seed's first
 	// commit leaves at most gf2.ProjectedFree free variables, and slices
-	// one lane per word before that.
+	// 64 cubes to a lane word before that.
 	if st.sliced = st.L > 1 || st.free > gf2.ProjectedFree; !st.sliced && st.proj == nil {
 		t0 := time.Now()
 		st.proj = gf2.NewProjectedTable(st.solver, st.table.Rows())
 		st.colBuild += time.Since(t0)
 	}
+	var ts tierScan
 	if scanTierHook != nil {
-		ts := tierScan{cubes: len(tier), free: st.free, projected: !st.sliced}
+		ts = tierScan{cubes: len(tier), free: st.free, projected: !st.sliced}
 		for _, ci := range tier {
-			for _, w := range st.feasRow(ci) {
+			for wi, w := range st.feasRow(ci) {
 				switch lanes := bits.OnesCount64(w); {
 				case !st.sliced:
 					ts.projPairs += lanes
 				case lanes > 0:
 					ts.slicedWords++
+					if wi == st.feasWords-1 {
+						ts.lastWords++
+					}
 				}
 			}
 		}
-		scanTierHook(ts)
+		st.laneWords = 0
 	}
-	for ti, ci := range tier {
-		if st.stop {
-			break
+	if st.sliced {
+		st.scanSliced(tier)
+	} else {
+		for ti, ci := range tier {
+			if st.stop {
+				break
+			}
+			st.scanProjected(ci, &results[ti])
 		}
-		st.scanCube(ci, &results[ti])
+	}
+	if scanTierHook != nil {
+		ts.laneWords = st.laneWords
+		scanTierHook(ts)
 	}
 	if st.stop {
 		// A cancelled scan saw only part of its tier; its candidates must

@@ -14,6 +14,7 @@ import (
 	"repro/internal/benchprofile"
 	"repro/internal/cube"
 	"repro/internal/gf2"
+	"repro/internal/lfsr"
 	"repro/internal/prng"
 )
 
@@ -193,6 +194,54 @@ func TestEncodeScanPaths(t *testing.T) {
 		if projected > 0 || slicedFree == 0 || slicedFull == 0 {
 			t.Errorf("L=%d: %d tiers checked on projected rows, %d with sliced words below full rank, %d at full rank; want none, some and some",
 				L, projected, slicedFree, slicedFull)
+		}
+	}
+}
+
+// TestEncodePackedLaneWords compares EncodeCtx with the reference greedy
+// (refEncode) on both sides of every packing threshold: a window's last
+// word holds ℓ = L − 64(⌈L/64⌉ − 1) positions, and the last words of
+// g = ⌊64/ℓ⌋ cubes of a tier share one lane word. The window lengths give
+// g = 32, 3, 3, 2, 1, 1, 64, 32 and 8; n = 85 with sparse cubes adds
+// classical reseeding tiers above gf2.ProjectedFree free variables (ℓ = 1,
+// g = 64). Every case with g > 1 must pack (fewer lane words than cube
+// words) and have a tier whose last words fill at least one group and
+// leave a partial one; at g = 1 every cube word is its own lane word.
+func TestEncodePackedLaneWords(t *testing.T) {
+	type tc struct {
+		n, L, cubes, spec int
+	}
+	var cases []tc
+	for _, L := range []int{2, 20, 21, 32, 33, 64, 65, 130, 200} {
+		cases = append(cases, tc{24, L, 140, 5})
+	}
+	cases = append(cases, tc{85, 1, 160, 8})
+	for _, c := range cases {
+		cfg := formConfig(t, lfsr.Fibonacci, c.n, 112, 8, c.L, 0)
+		set := randomCubes(prng.New(uint64(c.L)), cfg, c.cubes, c.spec, c.spec+1)
+		ell := c.L - 64*((c.L+63)/64-1)
+		g := 64 / ell
+		var cubeWords, laneWords, partial int
+		scanTierHook = func(ts tierScan) {
+			if ts.projected {
+				return
+			}
+			cubeWords += ts.slicedWords
+			laneWords += ts.laneWords
+			if ts.lastWords > g && ts.lastWords%g != 0 {
+				partial++
+			}
+		}
+		enc, err := EncodeCtx(context.Background(), cfg, set)
+		scanTierHook = nil
+		label := fmt.Sprintf("n=%d L=%d (g=%d)", c.n, c.L, g)
+		assertMatchesReference(t, label, refEncode(t, cfg, set), enc, err, false)
+		switch {
+		case g == 1 && laneWords != cubeWords:
+			t.Errorf("%s: %d lane words for %d cube words; want one each", label, laneWords, cubeWords)
+		case g > 1 && (laneWords >= cubeWords || partial == 0):
+			t.Errorf("%s: %d lane words for %d cube words, %d tiers with a full and a partial group; want fewer lane words and some such tier",
+				label, laneWords, cubeWords, partial)
 		}
 	}
 }

@@ -226,7 +226,7 @@ func TestPlanesMatchGeneration(t *testing.T) {
 // on projected rows. Over both sets, an L = 1 encode must check on
 // projected rows below full rank and at it, and at n = 85, where a sparse
 // seed's first commits leave more than gf2.ProjectedFree free variables,
-// must also decide words bit-sliced, one lane each.
+// must also decide words bit-sliced, up to 64 cubes to a lane word.
 func TestFixedSeedScanMatchesSymbolic(t *testing.T) {
 	t.Cleanup(func() { noPruning = false })
 	for _, form := range []lfsr.Form{lfsr.Fibonacci, lfsr.Galois} {
@@ -289,6 +289,12 @@ func FuzzEncodeFixedSeed(f *testing.F) {
 	f.Add(uint64(9), uint8(2), uint8(19), uint8(31), false, false)
 	f.Add(uint64(11), uint8(2), uint8(0), uint8(31), false, false)
 	f.Add(uint64(13), uint8(3), uint8(0), uint8(27), true, true)
+	// Both sides of every packing threshold: two windows per lane word at
+	// L = 32, one at 33, and last words of one (65) and two positions (129).
+	f.Add(uint64(17), uint8(0), uint8(31), uint8(29), false, false)
+	f.Add(uint64(19), uint8(1), uint8(32), uint8(29), true, false)
+	f.Add(uint64(23), uint8(0), uint8(64), uint8(31), false, true)
+	f.Add(uint64(29), uint8(2), uint8(128), uint8(30), true, false)
 	f.Fuzz(func(t *testing.T, seed uint64, nSel, lSel, count uint8, galois, full bool) {
 		n := []int{24, 56, 85, 64, 8}[int(nSel)%5]
 		L := 1 + int(lSel)%200
@@ -305,22 +311,19 @@ func FuzzEncodeFixedSeed(f *testing.F) {
 	})
 }
 
-// pollSite classifies a context poll by its caller and by the tier being
-// scanned: "sliced" from sliceWord at full rank, "sliced-free" below it,
-// "projected" from scanCube's per-position checks on projected rows,
-// "other" from anywhere else (the screen, a seed's first cube, the seed
-// loop).
-func pollSite(free int) string {
+// pollSite classifies a context poll by its caller: "sliced" from
+// sliceWord, "projected" from scanProjected's per-position checks on
+// projected rows, "other" from anywhere else (the screen, a seed's first
+// cube, the seed loop).
+func pollSite() string {
 	pc := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		fr, more := frames.Next()
 		switch {
-		case strings.HasSuffix(fr.Function, ".sliceWord") && free > 0:
-			return "sliced-free"
 		case strings.HasSuffix(fr.Function, ".sliceWord"):
 			return "sliced"
-		case strings.HasSuffix(fr.Function, ".scanCube"):
+		case strings.HasSuffix(fr.Function, ".scanProjected"):
 			return "projected"
 		}
 		if !more {
@@ -344,30 +347,52 @@ func (c *stopAfterPolls) Err() error {
 	return nil
 }
 
-// pollLog is a live context recording the site of each Err call, with the
-// free-variable count of the tier being scanned (set through
-// scanTierHook).
+// pollLog is a live context recording the site of each Err call and the
+// tier scan it was made in: scanTierHook, which runs once a tier is
+// scanned, appends each tier, so a poll inside a scan belongs to
+// tiers[tier].
 type pollLog struct {
 	context.Context
-	free  int
 	sites []string
+	tier  []int
+	tiers []tierScan
 }
 
 func (c *pollLog) Err() error {
-	c.sites = append(c.sites, pollSite(c.free))
+	c.sites = append(c.sites, pollSite())
+	c.tier = append(c.tier, len(c.tiers))
 	return nil
+}
+
+// site names poll i: a sliced poll is "sliced-free" in a tier below full
+// rank, and at a window of at most 32 positions "packed" in a tier whose
+// every lane word holds the windows of at least two cubes (the tier's
+// cube words leave no lone cube in its last group of ⌊64/L⌋).
+func (c *pollLog) site(i, L int) string {
+	if c.sites[i] != "sliced" {
+		return c.sites[i]
+	}
+	ts := c.tiers[c.tier[i]]
+	switch {
+	case L <= 32 && ts.slicedWords >= 2 && ts.slicedWords%(64/L) != 1:
+		return "packed"
+	case ts.free > 0:
+		return "sliced-free"
+	}
+	return "sliced"
 }
 
 // TestEncodeCancelMidSeedLoop cancels an encode at chosen context polls
 // that land inside the candidate scan — on the bit-sliced path both below
-// full rank and at it, and on classical reseeding's projected rows — and
-// requires each cancel to stop the scan
-// with an error wrapping context.Canceled. It also checks EncodeCtx's
-// documented poll cadence against the checks the reference greedy counts,
-// the screen's probes included: checks made one position at a time,
-// projected rows included, poll once per checkStride checks, and a sliced
-// word, which decides up to 64 positions per step, never polls more often
-// and at least once per checkStride+63 checks. So an L = 1 encode polls
+// full rank and at it, inside lane words that decide the windows of
+// several cubes at L = 20, and on classical reseeding's projected rows —
+// and requires each cancel to stop the scan with an error wrapping
+// context.Canceled. It also checks EncodeCtx's documented poll cadence
+// against the checks the reference greedy counts, the screen's probes
+// included: checks made one position at a time, projected rows included,
+// poll once per checkStride checks, and a lane word, which decides up to
+// 64 positions of one or more cubes per step, never polls more often and
+// at least once per checkStride+63 checks. So an L = 1 encode polls
 // exactly once per checkStride checks. Every encode polls once per seed
 // besides.
 func TestEncodeCancelMidSeedLoop(t *testing.T) {
@@ -376,6 +401,7 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 		sites    []string
 	}{
 		{200, 60, []string{"sliced", "sliced-free"}},
+		{20, 90, []string{"packed"}},
 		{1, 240, []string{"projected"}},
 	} {
 		cfg := formConfig(t, lfsr.Fibonacci, 24, 120, 6, tc.L, 0)
@@ -383,14 +409,15 @@ func TestEncodeCancelMidSeedLoop(t *testing.T) {
 
 		// The indices of an uncancelled encode's polls, per site.
 		log := &pollLog{Context: context.Background()}
-		scanTierHook = func(ts tierScan) { log.free = ts.free }
+		scanTierHook = func(ts tierScan) { log.tiers = append(log.tiers, ts) }
 		enc, err := EncodeCtx(log, cfg, set)
 		scanTierHook = nil
 		if err != nil {
 			t.Fatal(err)
 		}
 		fast := map[string][]int{}
-		for i, s := range log.sites {
+		for i := range log.sites {
+			s := log.site(i, tc.L)
 			fast[s] = append(fast[s], i)
 		}
 		for _, site := range tc.sites {

@@ -103,20 +103,24 @@ type VecEmbeddings struct {
 //
 // The test is bit-sliced over blocks of up to 64 window vectors, numbered
 // in (seed, position) order. A block's planes hold one lane word per
-// output slot. At L > 1 a block is one window word of one seed, and slot
+// output slot. At L > 32 a block is one window word of one seed, and slot
 // s's plane is the XOR of the slot's column block
-// (encoder.ExprTable.ColumnBlocks) over the seed's support. At L = 1 a
-// block is 64 seeds, and the plane is the XOR of the seeds' column words
-// over the support of the slot's expression. A cube ANDs the planes of its
-// specified slots, each inverted where the cube's bit is 0, until the word
-// is zero; the bits left set are the block's vectors that embed it.
+// (encoder.ExprTable.ColumnBlocks) over the seed's support. At 1 < L ≤ 32
+// a block packs the windows of ⌊64/L⌋ consecutive seeds, each seed's
+// plane word shifted to its lanes, so a short window fills the word's
+// lanes instead of L of them. At L = 1 a block is 64 seeds, and the plane
+// is the XOR of the seeds' column words over the support of the slot's
+// expression. A cube ANDs the planes of its specified slots, each
+// inverted where the cube's bit is 0, until the word is zero; the bits
+// left set are the block's vectors that embed it.
 func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 	table := enc.Cfg.Tables.ExprTable()
 	L, n, rows := enc.Cfg.WindowLen, table.N, table.Rows()
 	cells := newCubeCells(enc.Set, table)
 	planes := make([]uint64, rows.Count()/L)
-	// found collects the hits of one seed (L > 1) or one block of 64
-	// seeds (L = 1), of which perBlock keeps an exactly sized copy.
+	// found collects the hits of one seed (L > 32), one block of ⌊64/L⌋
+	// seeds (1 < L ≤ 32) or one of 64 seeds (L = 1), of which perBlock
+	// keeps an exactly sized copy.
 	var found []hit
 	var perBlock [][]hit
 	if L == 1 {
@@ -138,15 +142,23 @@ func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 	} else {
 		W := (L + 63) / 64
 		cols := table.ColumnBlocks()
-		for si, seed := range enc.Seeds {
+		// At L ≤ 32 a block packs g = ⌊64/L⌋ whole windows: seed first+j
+		// at lanes j·L … j·L+L−1, its column block's lanes at or past L
+		// being clear. Longer windows take one block per window word.
+		g := max(1, 64/L)
+		for first := 0; first < len(enc.Seeds); first += g {
+			seeds := enc.Seeds[first:min(first+g, len(enc.Seeds))]
 			found = found[:0]
-			sw := seed.Value.Words()
 			for w := 0; w < W; w++ {
-				for s := range planes {
-					blk := s*W + w
-					planes[s] = gf2.XorColumns(cols[blk*n:(blk+1)*n], sw)
+				clear(planes)
+				for j, seed := range seeds {
+					sw := seed.Value.Words()
+					for s := range planes {
+						blk := s*W + w
+						planes[s] |= gf2.XorColumns(cols[blk*n:(blk+1)*n], sw) << uint(j*L)
+					}
 				}
-				found = cells.scanBlock(planes, min(64, L-64*w), int32(si*L+64*w), found)
+				found = cells.scanBlock(planes, min(64, len(seeds)*L-64*w), int32(first*L+64*w), found)
 			}
 			perBlock = append(perBlock, slices.Clone(found))
 		}

@@ -276,21 +276,34 @@ func encodeWithPrivateTables(t *testing.T, name string, form lfsr.Form, L int) *
 
 // TestScanEmbeddingsExact pins the embedding index to the naive scan on
 // the full CI s13207 and s38417 profiles. The window lengths cover
-// classical reseeding (L = 1: a block holds up to 64 seeds), partial
-// last words (16, 63, 65, 130) and windows that fill words exactly (64).
-// Those sets have 4 to 36 seeds, so an L = 1 encoding of 600 s38417-like
-// cubes adds several full 64-seed blocks and a partial last one. Two
-// encodings come from EncodeCtx with a nil Config.Tables, one of them on
-// a Galois register, so the index reads tables the encode built itself.
+// classical reseeding (L = 1: a block holds up to 64 seeds), blocks that
+// pack ⌊64/L⌋ short windows (2, 16, 21, 32), the first length that does
+// not (33), partial last words (63, 65, 130) and windows that fill words
+// exactly (64). Every packed length must leave a partial last block in
+// some encoding. Those sets have 4 to 36 seeds, so an L = 1 encoding of
+// 600 s38417-like cubes adds several full 64-seed blocks and a partial
+// last one. Two encodings come from EncodeCtx with a nil Config.Tables,
+// one of them on a Galois register, so the index reads tables the encode
+// built itself.
 func TestScanEmbeddingsExact(t *testing.T) {
 	type tc struct {
 		label string
 		enc   *encoder.Encoding
 	}
 	var cases []tc
+	partial := map[int]bool{}
 	for _, name := range []string{"s13207", "s38417"} {
-		for _, L := range []int{1, 16, 63, 64, 65, 130} {
-			cases = append(cases, tc{fmt.Sprintf("%s L=%d", name, L), encodeProfile(t, name, 0, L)})
+		for _, L := range []int{1, 2, 16, 21, 32, 33, 63, 64, 65, 130} {
+			enc := encodeProfile(t, name, 0, L)
+			if g := 64 / L; L > 1 && g > 1 && len(enc.Seeds)%g != 0 {
+				partial[L] = true
+			}
+			cases = append(cases, tc{fmt.Sprintf("%s L=%d", name, L), enc})
+		}
+	}
+	for _, L := range []int{2, 16, 21, 32} {
+		if !partial[L] {
+			t.Fatalf("L=%d: every encoding's seed count is a multiple of %d; want a partial last block", L, 64/L)
 		}
 	}
 	many := encodeProfile(t, "s38417", 600, 1)
