@@ -53,7 +53,8 @@ func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, err
 // first encode of a configuration builds each tried variant's tables
 // exactly once.) A nil cache builds every variant's tables afresh, so a
 // failed variant's tables are dropped when the next variant is built. The
-// encodings are identical with any cache.
+// encodings are identical with any cache. The set's equation index does
+// not depend on the phase shifter, so every variant shares one.
 //
 // The context is checked between variants and threaded into every encode
 // attempt (see EncodeCtx); a fired context stops the variant iteration
@@ -62,6 +63,7 @@ func StandardConfigVariant(n, width, chains, L int, variant uint64) (Config, err
 func EncodeAutoCtx(ctx context.Context, n, width, chains, L int, set *cube.Set, workers int, cache *TablesCache) (*Encoding, uint64, error) {
 	const maxVariants = 16
 	var lastErr error
+	var sys *systemIndex
 	for v := uint64(0); v < maxVariants; v++ {
 		if err := ctx.Err(); err != nil {
 			return nil, v, err
@@ -74,7 +76,7 @@ func EncodeAutoCtx(ctx context.Context, n, width, chains, L int, set *cube.Set, 
 			LFSR: tabs.LFSR(), PS: tabs.PS(), Geo: tabs.Geo(), WindowLen: L,
 			FillSeed: standardFillSeed, Tables: tabs,
 		}
-		enc, err := EncodeCtx(ctx, cfg, set)
+		enc, err := encode(ctx, cfg, set, &sys)
 		if err == nil {
 			return enc, v, nil
 		}

@@ -57,6 +57,8 @@ type Encoding struct {
 	// equation index, and its symbolic tables only when Config.Tables was
 	// nil: tables passed in, as EncodeAutoCtx and StandardConfigVariant's
 	// Config pass them, were built before the encode and are not counted.
+	// EncodeAutoCtx builds the index once, in its first variant's attempt,
+	// so an encoding from a later variant does not count it.
 	// It adds the column arena its scan builds when it first decides a
 	// window word bit-sliced (at any L, an L = 1 tier with more than
 	// gf2.ProjectedFree free variables included), and, at L = 1, the
@@ -85,6 +87,14 @@ func (e *Encoding) TSL() int { return len(e.Seeds) * e.Cfg.WindowLen }
 // context.DeadlineExceeded; an uncancelled run is bit-identical for any
 // live context.
 func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error) {
+	var sys *systemIndex
+	return encode(ctx, cfg, set, &sys)
+}
+
+// encode is EncodeCtx with a slot for the set's equation index, which it
+// fills when empty, so the phase-shifter variants an EncodeAutoCtx call
+// tries share one index.
+func encode(ctx context.Context, cfg Config, set *cube.Set, sys **systemIndex) (*Encoding, error) {
 	if cfg.WindowLen < 1 {
 		return nil, fmt.Errorf("encoder: window length %d must be ≥ 1", cfg.WindowLen)
 	}
@@ -108,10 +118,11 @@ func EncodeCtx(ctx context.Context, cfg Config, set *cube.Set) (*Encoding, error
 	} else if tabs.winLen != cfg.WindowLen {
 		return nil, fmt.Errorf("encoder: Config.Tables built for window length %d, not %d", tabs.winLen, cfg.WindowLen)
 	}
-	table := tabs.ExprTable()
-	sys := newSystemIndex(set, cfg.Geo, cfg.WindowLen)
+	if *sys == nil {
+		*sys = newSystemIndex(set, cfg.Geo, cfg.WindowLen)
+	}
 	built := time.Since(t0)
-	enc, err := encodeWithTable(ctx, cfg, set, table, sys)
+	enc, err := encodeWithTable(ctx, cfg, set, tabs.ExprTable(), *sys)
 	if err != nil {
 		return nil, err
 	}

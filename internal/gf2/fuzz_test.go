@@ -74,9 +74,13 @@ func (d *denseEliminator) satisfies(sol Vec) bool {
 // rows against the dense reference: for fuzzed row tables
 // and adversarial check/commit/reset interleavings, the consistency
 // verdict, the rank increase and the produced solution must all agree.
-// After every commit the basis's affine form (AffineInto) must describe
-// its solutions, and every projected row must equal its residual on the
-// frame's columns (projectedError).
+// A commit is one AddSystem or single Adds with AffineInto and Solution
+// reads between them, so the back-substitution runs on partly reduced
+// bases. After every Add the basis must be in echelon form and after every
+// read in reduced row-echelon form. After every commit the projected rows
+// of a fuzzed prefix must equal their residuals on the frame's columns
+// (projectedError), the others left stale for the next check, and the
+// basis's affine form (AffineInto) must describe its solutions.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{11, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{1, 1, 0, 0, 9, 9, 9, 9, 200, 200, 1, 2, 3})
@@ -167,16 +171,42 @@ func FuzzSolver(f *testing.F) {
 				if !ok || inc != wantInc {
 					t.Fatalf("step %d: AddSystem (%d,%v) after Check said (%d,true)", step, inc, ok, wantInc)
 				}
-				if err := basisRREFError(s); err != nil {
-					t.Fatalf("step %d: basis not in RREF: %v", step, err)
+			} else if wantOK && op%4 == 3 {
+				// Single Adds with reads between them, so each read
+				// back-substitutes a partly reduced basis.
+				for i, e := range sys {
+					s.Add(e)
+					if err := basisEchelonError(s); err != nil {
+						t.Fatalf("step %d add %d: basis not in echelon form: %v", step, i, err)
+					}
+					switch next() % 3 {
+					case 0:
+						s.AffineInto(&aff)
+					case 1:
+						s.Solution(func(int) uint8 { return src.Bit() })
+					default:
+						continue
+					}
+					if err := basisRREFError(s); err != nil {
+						t.Fatalf("step %d read after add %d: basis not in RREF: %v", step, i, err)
+					}
+				}
+			}
+			if wantOK && op%2 == 1 {
+				if err := basisEchelonError(s); err != nil {
+					t.Fatalf("step %d: basis not in echelon form: %v", step, err)
+				}
+				if s.FreeVars() <= ProjectedFree {
+					// Rows past the prefix stay stale for the next check.
+					if err := projectedError(pt, all[:int(next())%(count+1)]); err != nil {
+						t.Fatalf("step %d: projected rows: %v", step, err)
+					}
 				}
 				if err := affineError(s, &aff, src); err != nil {
 					t.Fatalf("step %d: affine form: %v", step, err)
 				}
-				if s.FreeVars() <= ProjectedFree {
-					if err := projectedError(pt, all); err != nil {
-						t.Fatalf("step %d: projected rows: %v", step, err)
-					}
+				if err := basisRREFError(s); err != nil {
+					t.Fatalf("step %d: basis not in RREF after a read: %v", step, err)
 				}
 				ref.committed = append(ref.committed, sys...)
 				wantRank, _ := ref.eliminate(ref.committed)

@@ -120,6 +120,7 @@ func (s *Solver) clone() *Solver {
 		rank:    s.rank,
 		piv:     s.piv.Clone(),
 		order:   append([]int(nil), s.order...),
+		done:    s.done,
 		gen:     s.gen,
 		scratch: NewVec(s.n),
 	}

@@ -28,14 +28,15 @@ const ProjectedFree = wordBits - 1
 // The first use in a solver generation fixes the frame: the basis's free
 // columns and affine form at that moment. Rows keep the frame's
 // coordinates for the rest of the generation. A later pivot is a frame
-// column, and its basis row — in reduced row-echelon form, so holding no
-// other pivot — lies in the frame too; a row catches up by folding in the
-// projected basis row of each such pivot it hits, one word per hit, and
-// the bits of frame columns that became pivots stay clear. Rows are
-// projected and caught up lazily, 64 at a time, each block tagged with
-// the basis it is current at: a block first touched in a generation is
-// projected from its column words (RowSet.ColumnsInto) by one XorColumns
-// per generator and a Transpose64.
+// column, and its basis row — in reduced row-echelon form, which sync
+// asks the solver for, so holding no other pivot — lies in the frame too;
+// a row catches up by folding in the projected basis row of each such
+// pivot it hits, one word per hit, and the bits of frame columns that
+// became pivots stay clear. Rows are projected 64 at a time, the first
+// time a block is read in a generation, from its column words
+// (RowSet.ColumnsInto) by one XorColumns per generator and a Transpose64;
+// each row is caught up when it is read, so a row no check reads is
+// never caught up.
 //
 // CheckSystem writes the table to bring rows current and eliminates in
 // the table's own overlay, so a ProjectedTable belongs to one goroutine,
@@ -44,8 +45,8 @@ type ProjectedTable struct {
 	s     *Solver
 	src   RowSet
 	cols  []uint64 // block b's N words: ColumnsInto(64b, …) of the source
-	rows  []uint64 // projected rows, current while their block's tag is
-	tag   []uint64 // per block: the stamp its rows are current at; 0 = never
+	rows  []uint64 // projected rows, in the frame of their block's tag
+	tag   []uint32 // per block: the frame generation it was projected in; 0 = never
 	stamp uint64   // the basis q and pivMask describe: gen<<32 | rank
 
 	// The frame: the affine form fixed by the generation's first use, and
@@ -79,7 +80,7 @@ func NewProjectedTable(s *Solver, src RowSet) *ProjectedTable {
 		src:   src,
 		cols:  make([]uint64, blocks*s.n),
 		rows:  make([]uint64, count),
-		tag:   make([]uint64, blocks),
+		tag:   make([]uint32, blocks),
 		index: make([]int, s.n),
 	}
 	for b := 0; b < blocks; b++ {
@@ -89,14 +90,16 @@ func NewProjectedTable(s *Solver, src RowSet) *ProjectedTable {
 	return pt
 }
 
-// sync brings the frame, pivMask and q to the solver's basis. It writes
-// nothing when they are current.
+// sync brings the frame, pivMask and q to the solver's basis, which it
+// brings to reduced row-echelon form. It writes nothing when they are
+// current.
 func (pt *ProjectedTable) sync() {
 	s := pt.s
 	stamp := uint64(s.gen)<<32 | uint64(s.rank)
 	if pt.stamp == stamp {
 		return
 	}
+	s.normalize()
 	if pt.frameGen != s.gen {
 		if s.FreeVars() > ProjectedFree {
 			panic(fmt.Sprintf("gf2: projected table needs at most %d free variables, basis has %d", ProjectedFree, s.FreeVars()))
@@ -125,32 +128,31 @@ func (pt *ProjectedTable) sync() {
 	pt.stamp = stamp
 }
 
-// refresh brings block blk's rows to the basis sync last described:
-// projected from the column arena if the block predates the frame, then
-// caught up on the frame columns pivoted since.
-func (pt *ProjectedTable) refresh(blk int) {
-	rows := pt.rows[blk*wordBits : min((blk+1)*wordBits, len(pt.rows))]
-	if uint32(pt.tag[blk]>>32) != pt.frameGen {
-		col := pt.cols[blk*pt.s.n : (blk+1)*pt.s.n]
-		var pl [wordBits]uint64
-		for i, g := range pt.frame.Gens {
-			pl[i] = XorColumns(col, g.words)
-		}
-		pl[ProjectedFree] = XorColumns(col, pt.frame.X0.words)
-		Transpose64(&pl)
-		copy(rows, pl[:])
+// project writes block blk's rows in the frame's coordinates, from the
+// block's column words, and tags the block with the frame's generation.
+func (pt *ProjectedTable) project(blk int) {
+	col := pt.cols[blk*pt.s.n : (blk+1)*pt.s.n]
+	var pl [wordBits]uint64
+	for i, g := range pt.frame.Gens {
+		pl[i] = XorColumns(col, g.words)
 	}
-	if pm := pt.pivMask; pm != 0 {
-		// A stale row is clear at the pivots of its own basis, so its hits
-		// are new pivots only, and folding one creates no other hit.
-		for j, x := range rows {
-			for m := x & pm; m != 0; m &= m - 1 {
-				x ^= pt.q[bits.TrailingZeros64(m)]
-			}
-			rows[j] = x
-		}
+	pl[ProjectedFree] = XorColumns(col, pt.frame.X0.words)
+	Transpose64(&pl)
+	copy(pt.rows[blk*wordBits:min((blk+1)*wordBits, len(pt.rows))], pl[:])
+	pt.tag[blk] = pt.frameGen
+}
+
+// catchUp folds into row i the projected basis row of each pivot it hits,
+// writes the row back and returns it. A row is clear at the pivots it was
+// last caught up to, so its hits are newer pivots only, and folding one
+// (a basis row in reduced form, see sync) creates no other hit.
+func (pt *ProjectedTable) catchUp(i uint) uint64 {
+	x := pt.rows[i]
+	for m := x & pt.pivMask; m != 0; m &= m - 1 {
+		x ^= pt.q[bits.TrailingZeros64(m)]
 	}
-	pt.tag[blk] = pt.stamp
+	pt.rows[i] = x
+	return x
 }
 
 // CheckSystem tests whether the system {(src row idx[k]+offset, rhs[k])}
@@ -164,17 +166,23 @@ func (pt *ProjectedTable) refresh(blk int) {
 // allocates nothing.
 func (pt *ProjectedTable) CheckSystem(idx []int32, offset int32, rhs []uint8) (rankIncrease int, consistent bool) {
 	pt.sync()
-	tag, rows, stamp := pt.tag, pt.rows, pt.stamp
 	// An equation the basis alone decides (no free coordinate) contradicts
 	// the system whatever the other equations are, and costs a compare.
 	// Most checks fail on one (97 % of the paper-scale s38417 encode's at
-	// L = 1), so test them all before eliminating any.
+	// L = 1), so test them all before eliminating any. A row read is
+	// projected with its block if the block predates the frame, and caught
+	// up if it hits a frame column pivoted since.
+	tag, rows, gen, pm := pt.tag, pt.rows, pt.frameGen, pt.pivMask
 	for k, ri := range idx {
 		i := uint(ri + offset)
-		if tag[i/wordBits] != stamp {
-			pt.refresh(int(i / wordBits))
+		if tag[i/wordBits] != gen {
+			pt.project(int(i / wordBits))
 		}
-		if rows[i]^uint64(rhs[k]&1)<<ProjectedFree == 1<<ProjectedFree {
+		x := rows[i]
+		if x&pm != 0 {
+			x = pt.catchUp(i)
+		}
+		if x^uint64(rhs[k]&1)<<ProjectedFree == 1<<ProjectedFree {
 			return 0, false
 		}
 	}

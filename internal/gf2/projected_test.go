@@ -7,14 +7,15 @@ import (
 	"repro/internal/prng"
 )
 
-// row brings row i current against the solver's basis and returns its
-// projected word.
+// row reads row i as CheckSystem does: it brings the frame to the
+// solver's basis, projects the row's block if the block predates the
+// frame, and catches the row up.
 func (pt *ProjectedTable) row(i int) uint64 {
 	pt.sync()
-	if pt.tag[i/wordBits] != pt.stamp {
-		pt.refresh(i / wordBits)
+	if pt.tag[i/wordBits] != pt.frameGen {
+		pt.project(i / wordBits)
 	}
-	return pt.rows[i]
+	return pt.catchUp(uint(i))
 }
 
 // projectedError checks the identity ProjectedTable rests on for every row

@@ -18,13 +18,20 @@ type Equation struct {
 
 // Solver is an incremental Gaussian eliminator over GF(2).
 //
-// It maintains a basis of constraint rows in reduced row-echelon form, keyed
-// by pivot column (the lowest set coefficient bit of each row). Add is the
-// only way a constraint enters the basis: it folds one in permanently, or
-// reports the contradiction and leaves the basis as it was. A system is
-// tested without mutating the basis on an attached ProjectedTable, or on
-// the basis's affine form (AffineInto); a caller probing an empty basis
-// adds the system's equations and resets on a contradiction.
+// It maintains a basis of constraint rows keyed by pivot column (the
+// lowest set coefficient bit of each row). Add is the only way a
+// constraint enters the basis: it folds one in permanently, or reports the
+// contradiction and leaves the basis as it was. A system is tested without
+// mutating the basis on an attached ProjectedTable, or on the basis's
+// affine form (AffineInto); a caller probing an empty basis adds the
+// system's equations and resets on a contradiction.
+//
+// Add keeps the basis in echelon form only: a new row holds no pivot of an
+// earlier row, but earlier rows may hold its pivot. The readers that need
+// reduced row-echelon form (AffineInto, Solution and an attached
+// ProjectedTable) first back-substitute the rows added since the last
+// read, so a probe that is reset on a contradiction never pays for it.
+// Those reads write the basis, so a Solver belongs to one goroutine.
 //
 // The basis lives in one contiguous word arena (row p at word offset
 // p·words) with a pivot-column mask, so a row is reduced in one pass over
@@ -44,7 +51,8 @@ type Solver struct {
 	rhs   []uint8  // rhs[p] is the right-hand side of row p
 	rank  int
 	piv   Vec    // mask of occupied pivot columns, for masked elimination
-	order []int  // occupied pivots in insertion order, the rows Add back-substitutes into
+	order []int  // occupied pivots in insertion order
+	done  int    // order[:done] were back-substituted by the last normalize
 	gen   uint32 // bumped by Reset, so a ProjectedTable rebuilds its frame lazily
 
 	scratch Vec // reusable reduction buffer for Add
@@ -93,25 +101,26 @@ func (s *Solver) Reset() {
 	s.rank = 0
 	s.piv.Zero()
 	s.order = s.order[:0]
+	s.done = 0
 	s.gen++
 }
 
 // reduceInto copies eq into dst (which must be an n-bit scratch vector) and
 // reduces it against the basis. It returns the reduced RHS. After the call,
 // dst holds the reduced coefficients; if dst is zero the equation is
-// dependent (consistent iff returned rhs is 0), otherwise dst.FirstSet() is
-// a fresh pivot.
+// dependent (consistent iff returned rhs is 0), otherwise dst holds no
+// pivot and dst.FirstSet() is a fresh one.
 func (s *Solver) reduceInto(dst Vec, eq Equation) uint8 {
 	dst.CopyFrom(eq.Coeffs)
 	r := eq.RHS & 1
-	// Masked elimination, one pass over the pivot hits: every basis row
-	// has its pivot as lowest set bit and no other pivot bits (RREF), so
-	// each XOR clears exactly its own hit, creates none, and leaves the
-	// words below its pivot alone. Hit masks are therefore final once
-	// computed.
+	// Masked elimination, one pass over the pivot hits in ascending
+	// order: every basis row has its pivot as lowest set bit, so each XOR
+	// clears its own hit and leaves the words below its pivot alone. A row
+	// not yet back-substituted may hold later pivots, so the XOR can add
+	// hits above it: re-read the word's hit mask after each one.
 	w, x := s.words, dst.words
 	for wi, pv := range s.piv.words {
-		for m := x[wi] & pv; m != 0; m &= m - 1 {
+		for m := x[wi] & pv; m != 0; m = x[wi] & pv {
 			b := wi*wordBits + bits.TrailingZeros64(m)
 			for j, rw := range s.basis[b*w+wi : (b+1)*w] {
 				x[wi+j] ^= rw
@@ -132,21 +141,7 @@ func (s *Solver) Add(eq Equation) (added, consistent bool) {
 		return false, r == 0
 	}
 	p := s.scratch.FirstSet()
-	// Keep reduced row-echelon form: clear the new pivot from all existing
-	// rows so Solution extraction stays a single pass. The new row is zero
-	// below its pivot word. About half the rows hold the pivot, so the fold
-	// is masked rather than branched on.
-	w, pw, sh := s.words, p/wordBits, uint(p%wordBits)
-	x := s.scratch.words[pw:]
-	for _, q := range s.order {
-		row := s.basis[q*w+pw : (q+1)*w]
-		m := -(row[0] >> sh & 1)
-		for j, xw := range x {
-			row[j] ^= xw & m
-		}
-		s.rhs[q] ^= r & uint8(m)
-	}
-	copy(s.basis[p*w:(p+1)*w], s.scratch.words)
+	copy(s.basis[p*s.words:(p+1)*s.words], s.scratch.words)
 	s.occ[p] = true
 	s.piv.SetBit(p, 1)
 	s.rhs[p] = r
@@ -155,12 +150,41 @@ func (s *Solver) Add(eq Equation) (added, consistent bool) {
 	return true, true
 }
 
+// normalize brings the basis to reduced row-echelon form: it clears the
+// pivot of every row added since the last call from the rows before it,
+// walking them in reverse insertion order. A row added later holds no
+// earlier pivot, so when its turn comes the row holds no pivot but its
+// own, and each XOR clears exactly one bit of the rows it touches. That is
+// the back-substitution an eager Add would have done, paid only when a
+// reader needs it.
+func (s *Solver) normalize() {
+	w := s.words
+	for i := len(s.order) - 1; i >= s.done; i-- {
+		p := s.order[i]
+		// The row is zero below its pivot word. About half the rows hold
+		// the pivot, so the fold is masked rather than branched on.
+		pw, sh := p/wordBits, uint(p%wordBits)
+		x := s.basis[p*w+pw : (p+1)*w]
+		r := s.rhs[p]
+		for _, q := range s.order[:i] {
+			row := s.basis[q*w+pw : (q+1)*w]
+			m := -(row[0] >> sh & 1)
+			for j, xw := range x {
+				row[j] ^= xw & m
+			}
+			s.rhs[q] ^= r & uint8(m)
+		}
+	}
+	s.done = len(s.order)
+}
+
 // Solution produces one full assignment of the n variables satisfying every
 // committed constraint. Free variables are assigned by fillFree (called with
 // the variable index); pass a deterministic PRNG-backed function for
 // reproducible pseudorandom fill, or func(int) uint8 { return 0 } for the
-// minimal solution.
+// minimal solution. It brings the basis to reduced row-echelon form first.
 func (s *Solver) Solution(fillFree func(varIdx int) uint8) Vec {
+	s.normalize()
 	sol := NewVec(s.n)
 	// Assign free variables first.
 	for i := 0; i < s.n; i++ {
@@ -189,7 +213,8 @@ func (s *Solver) Solution(fillFree func(varIdx int) uint8) Vec {
 // every choice of t gives one: X0 is the zero-fill solution (free
 // variables 0, each pivot variable its row's right-hand side), and
 // Gens[i] is the null-space generator e_f ⊕ Σ e_p of free column
-// f = Free[i], over the pivots p whose basis row holds f. So
+// f = Free[i], over the pivots p whose basis row, in reduced row-echelon
+// form, holds f. So
 // Solution(fill) = X0 ⊕ Σ fill(Free[i])·Gens[i], and an equation a·x = c
 // becomes Σ t_i·(a·Gens[i]) = c ⊕ a·X0. Fill one with Solver.AffineInto.
 type Affine struct {
@@ -203,10 +228,11 @@ type Affine struct {
 
 // AffineInto writes the basis's solution space into a, reusing a's storage
 // from earlier calls, so repeated calls on one solver allocate nothing.
-// The basis is in reduced row-echelon form, so a pivot row holds its pivot
-// and free columns only: one pass over each row's words places the pivot
-// in the generator of every free column it holds.
+// It brings the basis to reduced row-echelon form first, so a pivot row
+// holds its pivot and free columns only: one pass over each row's words
+// places the pivot in the generator of every free column it holds.
 func (s *Solver) AffineInto(a *Affine) {
+	s.normalize()
 	w := s.words
 	if len(a.arena) != s.n*w || a.X0.Len() != s.n {
 		a.arena = make([]uint64, s.n*w)

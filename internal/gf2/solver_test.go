@@ -172,10 +172,30 @@ func TestAddSystemAtomic(t *testing.T) {
 	}
 }
 
+// basisEchelonError reports the first basis row that breaks the echelon
+// form Add keeps: each row's pivot must be its lowest set bit, and no row
+// may hold the pivot of a row inserted before it. reduceInto relies on
+// exactly this.
+func basisEchelonError(s *Solver) error {
+	for i, p := range s.order {
+		row := s.row(p)
+		if low := row.FirstSet(); low != p {
+			return fmt.Errorf("row %d: lowest set bit %d", p, low)
+		}
+		for _, q := range s.order[:i] {
+			if row.Bit(q) != 0 {
+				return fmt.Errorf("row %d holds the pivot bit of earlier row %d", p, q)
+			}
+		}
+	}
+	return nil
+}
+
 // basisRREFError reports the first basis row that breaks reduced
 // row-echelon form: each row's pivot must be its lowest set bit, and no
-// row may hold another row's pivot bit. The single-pass folds of
-// reduceInto and ProjectedTable rely on exactly this.
+// row may hold another row's pivot bit. AffineInto, Solution and
+// ProjectedTable's single-pass folds rely on exactly this, so each of
+// them brings the basis there first.
 func basisRREFError(s *Solver) error {
 	for p := 0; p < s.n; p++ {
 		if !s.occ[p] {
@@ -194,24 +214,44 @@ func basisRREFError(s *Solver) error {
 	return nil
 }
 
-// TestSolverBasisRREF checks the RREF invariant after every Add on seeded
-// random systems at register widths covering one, two and three words.
+// TestSolverBasisRREF checks the echelon invariant after every Add, and
+// full reduced row-echelon form after an AffineInto or a Solution issued
+// at random points, so each read back-substitutes a partly reduced basis,
+// on seeded random systems at register widths covering one, two and three
+// words.
 func TestSolverBasisRREF(t *testing.T) {
 	for _, n := range []int{24, 64, 85, 130} {
 		for seed := uint64(0); seed < 4; seed++ {
 			src := prng.New(seed*31 + uint64(n))
 			s := NewSolver(n)
+			var a Affine
+			reads := 0
 			for i := 0; i < 2*n; i++ {
 				// Sparse rows arrive in every pivot order; dense ones
-				// force back-substitution into most earlier rows.
+				// leave their pivots in most earlier rows.
 				coeffs := NewVec(n)
 				for k := 1 + src.Intn(n); k > 0; k-- {
 					coeffs.SetBit(src.Intn(n), 1)
 				}
 				s.Add(Equation{Coeffs: coeffs, RHS: src.Bit()})
-				if err := basisRREFError(s); err != nil {
+				if err := basisEchelonError(s); err != nil {
 					t.Fatalf("n=%d seed %d after add %d (rank %d): %v", n, seed, i, s.Rank(), err)
 				}
+				switch src.Intn(8) {
+				case 0:
+					s.AffineInto(&a)
+				case 1:
+					s.Solution(func(int) uint8 { return src.Bit() })
+				default:
+					continue
+				}
+				reads++
+				if err := basisRREFError(s); err != nil {
+					t.Fatalf("n=%d seed %d read after add %d (rank %d): %v", n, seed, i, s.Rank(), err)
+				}
+			}
+			if reads == 0 {
+				t.Fatalf("n=%d seed %d: no read between the adds", n, seed)
 			}
 		}
 	}
@@ -369,6 +409,55 @@ func BenchmarkSolverCheck(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pt.CheckSystem(idx, 0, rhs)
+			}
+		})
+	}
+}
+
+// BenchmarkSolverProbe times a rank-0 probe as the encoder's fresh-window
+// screen and each seed's first cube run it: Reset, then Solver.Add of a
+// dense cube's equations (3n/4 of them) until one contradicts. Half the
+// probes contradict at their last equation, as a failed probe does at
+// worst. n=24 is s13207's register and n=85 s38417's.
+func BenchmarkSolverProbe(b *testing.B) {
+	for _, n := range []int{24, 85} {
+		src := prng.New(2)
+		spec := 3 * n / 4
+		const probes = 16
+		systems := make([][]Equation, probes)
+		for p := range systems {
+			hidden := randVec(src, n)
+			sys := make([]Equation, spec)
+			for i := range sys {
+				c := randVec(src, n)
+				sys[i] = Equation{Coeffs: c, RHS: c.Dot(hidden)}
+			}
+			if p%2 == 1 {
+				c := sys[0].Coeffs.Clone()
+				c.Xor(sys[1].Coeffs)
+				sys[spec-1] = Equation{Coeffs: c, RHS: 1 ^ sys[0].RHS ^ sys[1].RHS}
+			}
+			systems[p] = sys
+		}
+		s := NewSolver(n)
+		probe := func(sys []Equation) bool {
+			s.Reset()
+			for _, e := range sys {
+				if _, ok := s.Add(e); !ok {
+					return false
+				}
+			}
+			return true
+		}
+		for p, sys := range systems {
+			if probe(sys) != (p%2 == 0) {
+				b.Fatalf("n=%d: probe %d solvable = %v", n, p, p%2 == 0)
+			}
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				probe(systems[i%probes])
 			}
 		})
 	}

@@ -150,12 +150,16 @@ func ScanEmbeddingsWorkers(enc *encoder.Encoding, workers int) *VecEmbeddings {
 			seeds := enc.Seeds[first:min(first+g, len(enc.Seeds))]
 			found = found[:0]
 			for w := 0; w < W; w++ {
-				clear(planes)
+				// The first seed's planes are stored, the rest ORed in.
 				for j, seed := range seeds {
-					sw := seed.Value.Words()
+					sw, sh := seed.Value.Words(), uint(j*L)
 					for s := range planes {
 						blk := s*W + w
-						planes[s] |= gf2.XorColumns(cols[blk*n:(blk+1)*n], sw) << uint(j*L)
+						x := gf2.XorColumns(cols[blk*n:(blk+1)*n], sw) << sh
+						if j > 0 {
+							x |= planes[s]
+						}
+						planes[s] = x
 					}
 				}
 				found = cells.scanBlock(planes, min(64, len(seeds)*L-64*w), int32(first*L+64*w), found)
